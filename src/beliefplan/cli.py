@@ -113,14 +113,13 @@ def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
-    if args.command == "gen-scenes":
-        paths = generate_scene_files(
-            args.trials, args.n_objects, args.stack_bias, args.seed, args.out_dir
-        )
-        print(f"wrote {len(paths)} scene files to {args.out_dir}")
-        return 0
-
     try:
+        if args.command == "gen-scenes":
+            paths = generate_scene_files(
+                args.trials, args.n_objects, args.stack_bias, args.seed, args.out_dir
+            )
+            print(f"wrote {len(paths)} scene files to {args.out_dir}")
+            return 0
         config = _build_config(_SUBCOMMAND_KINDS[args.command], args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

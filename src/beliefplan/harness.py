@@ -6,7 +6,8 @@ index, trial index) into independent seed sequences, so results are
 byte-identical across re-runs and worker counts; trials are embarrassingly
 parallel and assembled in index order.  All exported timings are modeled
 from fixed per-operation costs rather than measured, keeping output files
-deterministic.
+deterministic.  ``tests/test_golden.py`` pins the digests of one small
+config per kind, so an output change between commits fails a test too.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from beliefplan.planner import (
 from beliefplan.scene import (
     NoiseConfig,
     PlanningEnvironment,
+    check_scene_shape,
     generate_scene,
     perceive_with_labels,
     scene_to_json,
@@ -112,6 +114,8 @@ class ExperimentConfig:
         for t in self.taus:
             if not (0.0 < t < 1.0):
                 raise ValueError(f"sweep threshold must lie in (0, 1), got {t}")
+        check_scene_shape(self.n_objects, self.stack_bias)
+        self.noise()  # NoiseConfig checks noise_flip, noise_sd and miscal_gamma
 
     def noise(self, exact_reduction: bool = False) -> NoiseConfig:
         return NoiseConfig(

@@ -133,40 +133,24 @@ def unary_potentials(p: float) -> tuple[float, float]:
     return (-math.log(_clamp(1.0 - p)), -math.log(_clamp(p)))
 
 
-def _mutex_table(weight: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    return ((0.0, 0.0), (0.0, weight))
-
-
-def _implication_table(
-    antecedent_is_i: bool, weight: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    # penalize antecedent true with consequent false
-    t = [[0.0, 0.0], [0.0, 0.0]]
-    if antecedent_is_i:
-        t[1][0] = weight
-    else:
-        t[0][1] = weight
-    return (tuple(t[0]), tuple(t[1]))
-
-
-def _correlation_table(rho: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    # kappa = 1: agreement lowers energy by rho, disagreement raises it
-    return ((-rho, rho), (rho, -rho))
-
-
 def mutex_edge(i: int, j: int, weight: float = HARD_WEIGHT) -> Edge:
     """Hard pairwise factor forbidding both endpoints true."""
-    return Edge(i, j, EdgeKind.MUTUAL_EXCLUSION, _mutex_table(weight))
+    return Edge(i, j, EdgeKind.MUTUAL_EXCLUSION, ((0.0, 0.0), (0.0, weight)))
 
 
 def implication_edge(i: int, j: int, antecedent: int, weight: float = HARD_WEIGHT) -> Edge:
     """Hard pairwise factor penalizing antecedent-true, consequent-false."""
-    return Edge(i, j, EdgeKind.IMPLICATION, _implication_table(antecedent == i, weight), antecedent)
+    if antecedent == i:
+        table = ((0.0, 0.0), (weight, 0.0))
+    else:
+        table = ((0.0, weight), (0.0, 0.0))
+    return Edge(i, j, EdgeKind.IMPLICATION, table, antecedent)
 
 
 def correlation_edge(i: int, j: int, rho: float) -> Edge:
     """Soft agreement factor of signed strength rho."""
-    return Edge(i, j, EdgeKind.CORRELATION, _correlation_table(rho), rho=rho)
+    # kappa = 1: agreement lowers energy by rho, disagreement raises it
+    return Edge(i, j, EdgeKind.CORRELATION, ((-rho, rho), (rho, -rho)), rho=rho)
 
 
 def build_mrf(
@@ -193,10 +177,9 @@ def build_mrf(
     taken: set[tuple[int, int]] = set()
     edges: list[Edge] = []
 
-    def add(i: int, j: int, edge: Edge) -> None:
-        key = (min(i, j), max(i, j))
-        if key not in taken:
-            taken.add(key)
+    def add(edge: Edge) -> None:
+        if (edge.i, edge.j) not in taken:
+            taken.add((edge.i, edge.j))
             edges.append(edge)
 
     ons = [p for p in nodes if p.relation is Relation.ON]
@@ -206,7 +189,7 @@ def build_mrf(
         clear_b = state.get(GroundPredicate(Relation.CLEAR, (b,)))
         if clear_b is not None:
             i, j = sorted((index[on], index[GroundPredicate(Relation.CLEAR, (b,))]))
-            add(i, j, Edge(i, j, EdgeKind.MUTUAL_EXCLUSION, _mutex_table(hard_weight)))
+            add(mutex_edge(i, j, hard_weight))
 
     for on in ons:
         a, b = on.args
@@ -214,17 +197,7 @@ def build_mrf(
         if touching in state:
             ant, cons = index[on], index[touching]
             i, j = sorted((ant, cons))
-            add(
-                i,
-                j,
-                Edge(
-                    i,
-                    j,
-                    EdgeKind.IMPLICATION,
-                    _implication_table(ant == i, hard_weight),
-                    antecedent=ant,
-                ),
-            )
+            add(implication_edge(i, j, ant, hard_weight))
 
     for upper in ons:
         a, b = upper.args
@@ -232,17 +205,7 @@ def build_mrf(
             c, d = lower.args
             if c == b and d != a:  # On(a, b) chained with On(b, d)
                 i, j = sorted((index[upper], index[lower]))
-                add(
-                    i,
-                    j,
-                    Edge(
-                        i,
-                        j,
-                        EdgeKind.CORRELATION,
-                        _correlation_table(correlation_rho),
-                        rho=correlation_rho,
-                    ),
-                )
+                add(correlation_edge(i, j, correlation_rho))
 
     edges.sort(key=lambda e: (e.i, e.j))
     return PredicateMrf(nodes, unary, tuple(edges))
@@ -323,6 +286,28 @@ def enumerate_beliefs(mrf: PredicateMrf) -> BeliefSet:
     )
 
 
+def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Element-wise log(exp(a) + exp(b)), rounded exactly as ``_logsumexp`` of a pair."""
+    m = np.maximum(a, b)
+    return m + np.log(np.exp(a - m) + np.exp(b - m))
+
+
+def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
+    """Ragged index lists as one (len(rows), longest) array padded with ``fill``."""
+    width = max(map(len, rows), default=0)
+    return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.intp).reshape(
+        len(rows), width
+    )
+
+
+def _gather_sum(base: np.ndarray, msgs: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """``base[r]`` plus messages ``msgs[:, gather[r, c]]``, added column by column."""
+    total = np.broadcast_to(base, (msgs.shape[0],) + base.shape)
+    for col in gather.T:
+        total = total + msgs[:, col]
+    return total
+
+
 def loopy_bp(
     mrf: PredicateMrf,
     damping: float = 0.5,
@@ -335,7 +320,18 @@ def loopy_bp(
     new = damping * old + (1 - damping) * computed.  Exact on trees; on
     loopy graphs the returned marginals are the usual approximation, with
     ``converged`` reporting whether the message change fell below ``tol``
-    within ``max_iters`` sweeps.
+    within ``max_iters`` sweeps.  The max-product family runs alongside for
+    the MAP readout.
+
+    Messages sit in one array over the directed edges, each mrf edge (i, j)
+    giving i->j and then j->i, for both families at once, with a zero row
+    appended.  A padded gather index lists, for each edge s->t, the edges
+    k->s with k != t in a fixed order, padding pointing at the zero row;
+    each sweep adds those columns to the unary one at a time and runs the
+    two-term log-sum-exp element-wise.  Summing in that fixed order, rather
+    than taking a total over all inbound messages and subtracting, rounds
+    every message exactly as a per-edge loop over the same order does, so
+    results are bit-identical to it.
     """
     if not (0.0 <= damping < 1.0):
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
@@ -344,98 +340,58 @@ def loopy_bp(
 
     n = mrf.n_nodes
     log_unary = -mrf.unary  # log of unnormalized node factor
-    tables = {}
+
+    # directed edges s->t with their log factor oriented [x_s, x_t]
+    src: list[int] = []
+    dst: list[int] = []
+    log_phi: list[np.ndarray] = []
     for e in mrf.edges:
-        tables[(e.i, e.j)] = -e.table_array()  # log factor, indexed [x_i, x_j]
+        tbl = -e.table_array()
+        src += [e.i, e.j]
+        dst += [e.j, e.i]
+        log_phi += [tbl, tbl.T]
+    n_dir = len(src)
+    log_phi_arr = np.array(log_phi, dtype=float).reshape(n_dir, 2, 2)
+    inbound: list[list[int]] = [[] for _ in range(n)]  # directed edge ids into each node
+    for k, t in enumerate(dst):
+        inbound[t].append(k)
+    gather = _padded([[k for k in inbound[s] if src[k] != t] for s, t in zip(src, dst)], n_dir)
+    edge_unary = log_unary[src]
 
-    # directed messages, each normalized to logsumexp zero; the max-product
-    # family is carried alongside for the MAP readout
-    msgs: dict[tuple[int, int], np.ndarray] = {}
-    max_msgs: dict[tuple[int, int], np.ndarray] = {}
-    inbound: list[list[int]] = [[] for _ in range(n)]
-    for e in mrf.edges:
-        for s, t in ((e.i, e.j), (e.j, e.i)):
-            msgs[(s, t)] = np.full(2, -math.log(2.0))
-            max_msgs[(s, t)] = np.full(2, -math.log(2.0))
-            inbound[t].append(s)
+    # msgs[0] sum-product, msgs[1] max-product; each message normalized to
+    # logsumexp zero; row n_dir stays zero for the padding
+    msgs = np.zeros((2, n_dir + 1, 2))
+    msgs[:, :n_dir] = -math.log(2.0)
 
-    def oriented_table(s: int, t: int) -> np.ndarray:
-        return tables[(s, t)] if (s, t) in tables else tables[(t, s)].T
-
-    converged = False
-    iterations = 0
-    for sweep in range(max_iters):
+    converged = not mrf.edges  # no messages to pass
+    iterations = 1
+    for sweep in range(0 if converged else max_iters):
         iterations = sweep + 1
-        new_msgs: dict[tuple[int, int], np.ndarray] = {}
-        new_max: dict[tuple[int, int], np.ndarray] = {}
-        delta = 0.0
-        for (s, t), old in msgs.items():
-            pre = log_unary[s].copy()
-            pre_max = log_unary[s].copy()
-            for k in inbound[s]:
-                if k != t:
-                    pre += msgs[(k, s)]
-                    pre_max += max_msgs[(k, s)]
-            log_phi = oriented_table(s, t)  # [x_s, x_t]
-            raw = np.array(
-                [_logsumexp(pre + log_phi[:, xt]) for xt in (0, 1)], dtype=float
-            )
-            raw -= _logsumexp(raw)
-            nxt = damping * old + (1.0 - damping) * raw
-            nxt -= _logsumexp(nxt)
-            new_msgs[(s, t)] = nxt
-
-            raw_m = np.max(pre_max[:, None] + log_phi, axis=0)
-            raw_m -= _logsumexp(raw_m)
-            old_m = max_msgs[(s, t)]
-            nxt_m = damping * old_m + (1.0 - damping) * raw_m
-            nxt_m -= _logsumexp(nxt_m)
-            new_max[(s, t)] = nxt_m
-
-            delta = max(
-                delta,
-                float(np.max(np.abs(nxt - old))),
-                float(np.max(np.abs(nxt_m - old_m))),
-            )
-        msgs = new_msgs
-        max_msgs = new_max
+        pre = _gather_sum(edge_unary, msgs, gather)  # [family, edge, x_s]
+        cand = pre[..., None] + log_phi_arr  # [family, edge, x_s, x_t]
+        raw = np.empty((2, n_dir, 2))
+        raw[0] = _logaddexp(cand[0, :, 0], cand[0, :, 1])
+        raw[1] = np.maximum(cand[1, :, 0], cand[1, :, 1])
+        raw -= _logaddexp(raw[..., 0], raw[..., 1])[..., None]
+        old = msgs[:, :n_dir]
+        nxt = damping * old + (1.0 - damping) * raw
+        nxt -= _logaddexp(nxt[..., 0], nxt[..., 1])[..., None]
+        delta = float(np.max(np.abs(nxt - old)))
+        msgs[:, :n_dir] = nxt
         if delta < tol:
             converged = True
             break
-    if not mrf.edges:
-        converged = True
-        iterations = max(iterations, 1)
 
-    node_marg = np.empty((n, 2), dtype=float)
-    for i in range(n):
-        b = log_unary[i].copy()
-        for k in inbound[i]:
-            b += msgs[(k, i)]
-        b -= _logsumexp(b)
-        node_marg[i] = np.exp(b)
+    node = _gather_sum(log_unary, msgs, _padded(inbound, n_dir))  # [family, node, x]
+    node_marg, max_marg = np.exp(node - _logaddexp(node[..., 0], node[..., 1])[..., None])
 
-    max_marg = np.empty((n, 2), dtype=float)
-    for i in range(n):
-        b = log_unary[i].copy()
-        for k in inbound[i]:
-            b += max_msgs[(k, i)]
-        b -= _logsumexp(b)
-        max_marg[i] = np.exp(b)
-
-    edge_marg = []
-    for e in mrf.edges:
-        b = tables[(e.i, e.j)].copy()
-        side_i = log_unary[e.i].copy()
-        for k in inbound[e.i]:
-            if k != e.j:
-                side_i += msgs[(k, e.i)]
-        side_j = log_unary[e.j].copy()
-        for k in inbound[e.j]:
-            if k != e.i:
-                side_j += msgs[(k, e.j)]
-        b = b + side_i[:, None] + side_j[None, :]
-        b -= _logsumexp(b.ravel())
-        edge_marg.append(np.exp(b))
+    # pair belief: factor plus each endpoint's belief without the other's
+    # message; the row-wise np.sum rounds as np.sum over one flat table does
+    pre = _gather_sum(edge_unary, msgs[:1], gather)[0]
+    joint = (log_phi_arr[0::2] + pre[0::2, :, None] + pre[1::2, None, :]).reshape(-1, 4)
+    peak = np.max(joint, axis=1)
+    log_norm = peak + np.log(np.sum(np.exp(joint - peak[:, None]), axis=1))
+    edge_marg = np.exp(joint - log_norm[:, None]).reshape(-1, 2, 2)
 
     return BeliefSet(
         node_marg, tuple(edge_marg), converged, iterations, max_node_marginals=max_marg

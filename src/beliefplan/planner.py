@@ -18,7 +18,6 @@ import heapq
 import itertools
 import math
 import re
-import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -508,7 +507,6 @@ class PlanningEpisode:
     plan: list[GroundedAction] | None
     expansions: int
     modeled_time_ms: float
-    wall_time_ms: float
 
     def uncertainty_trace(self) -> list[float]:
         return [r.state_uncertainty for r in self.iterations]
@@ -556,7 +554,6 @@ def plan_under_uncertainty(
     """
     if max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {max_retries}")
-    start = time.perf_counter()
     belief: ProbabilisticState | None = None
     records: list[IterationRecord] = []
     info_count = 0
@@ -602,7 +599,6 @@ def plan_under_uncertainty(
         records.append(IterationRecord(round_idx, u_state, *sizes, "plan", None, len(plan)))
         break
 
-    wall_ms = (time.perf_counter() - start) * 1000.0
     return PlanningEpisode(
         goal=goal,
         tau_plan=tau_plan,
@@ -616,7 +612,6 @@ def plan_under_uncertainty(
             len(records), info_count, expansions_total,
             len(final_plan) if final_plan else 0,
         ),
-        wall_time_ms=wall_ms,
     )
 
 

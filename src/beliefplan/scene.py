@@ -187,6 +187,14 @@ def _project_bbox(
     )
 
 
+def check_scene_shape(n_objects: int, stack_bias: float) -> None:
+    """Raise ValueError unless :func:`generate_scene` accepts these."""
+    if not (3 <= n_objects <= 10):
+        raise ValueError(f"n_objects must lie in [3, 10], got {n_objects}")
+    if not (0.0 <= stack_bias <= 1.0):
+        raise ValueError(f"stack_bias must lie in [0, 1], got {stack_bias}")
+
+
 def generate_scene(
     n_objects: int,
     stack_bias: float = 0.4,
@@ -200,10 +208,7 @@ def generate_scene(
     ``stack_bias``, otherwise it gets a non-overlapping table spot.
     Deterministic for fixed (n_objects, stack_bias, seed).
     """
-    if not (3 <= n_objects <= 10):
-        raise ValueError(f"n_objects must lie in [3, 10], got {n_objects}")
-    if not (0.0 <= stack_bias <= 1.0):
-        raise ValueError(f"stack_bias must lie in [0, 1], got {stack_bias}")
+    check_scene_shape(n_objects, stack_bias)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 

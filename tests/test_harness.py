@@ -122,6 +122,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(kind="threshold-sweep", taus=(0.5, 1.5))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_objects", 2),
+            ("n_objects", 12),
+            ("stack_bias", -0.1),
+            ("stack_bias", 1.5),
+            ("noise_flip", 0.5),
+            ("noise_sd", -1.0),
+            ("miscal_gamma", 0.0),
+        ],
+    )
+    def test_bad_scene_and_noise_ranges(self, field, value):
+        with pytest.raises(ValueError):
+            ExperimentConfig(kind="plan-benchmark", **{field: value})
+
     def test_taus_normalized(self):
         cfg = ExperimentConfig(kind="threshold-sweep", taus=[0.5, 0.7])
         assert cfg.taus == (0.5, 0.7)
@@ -374,6 +390,23 @@ class TestCli:
         rc = main(["mrf-check", "--config", str(cfg)])
         assert rc == 2
         assert "wrong" in capsys.readouterr().err
+
+    def test_too_many_objects_exits_2(self, capsys):
+        rc = main(["plan", "--objects", "12", "--trials", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_objects" in err
+
+    def test_flip_rate_out_of_range_exits_2(self, capsys):
+        rc = main(["calibrate", "--noise-flip", "0.7", "--samples", "10"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "0.7" in err
+
+    def test_gen_scenes_bad_object_count_exits_2(self, capsys, tmp_path):
+        rc = main(["gen-scenes", "--objects", "12", "--out-dir", str(tmp_path / "scenes")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_gen_scenes(self, capsys, tmp_path):
         rc = main(["gen-scenes", "--trials", "2", "--objects", "3",

@@ -1,8 +1,10 @@
 """Dependency-MRF behavior: construction rules, energies, exact marginals,
 loopy belief propagation, conditional uncertainty, MAP readout.
 
-The reference oracle here is a deliberately naive dict-based enumeration
-(`brute_force`) kept separate from the library's vectorized enumeration.
+The reference oracles here are a deliberately naive dict-based enumeration
+(`brute_force`) kept separate from the library's vectorized enumeration, and
+a per-message loop version of belief propagation (`_reference_loopy_bp`)
+that the library's edge-array version must match bit for bit.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from beliefplan.mrf import (
     PredicateMrf,
     build_mrf,
     conditional_uncertainty,
+    correlation_edge,
     dump_mrf,
     energy,
     enumerate_beliefs,
@@ -27,6 +30,7 @@ from beliefplan.mrf import (
     refined_state,
     unary_potentials,
 )
+from beliefplan.scene import NoiseConfig, generate_scene, perceive
 
 
 def P(text):
@@ -83,6 +87,124 @@ def random_tree_mrf(rng, n_lo=2, n_hi=9):
                 Edge(i, j, EdgeKind.CORRELATION, ((-rho, rho), (rho, -rho)), rho=rho)
             )
     return PredicateMrf(nodes, unary, tuple(edges))
+
+
+def _lse(values):
+    m = float(np.max(values))
+    return m + float(np.log(np.sum(np.exp(values - m))))
+
+
+def _reference_loopy_bp(mrf, damping=0.5, tol=1e-8, max_iters=200):
+    """Loopy BP as one Python loop over a dict of directed messages.
+
+    Same flooding schedule, damping, normalization and summation order as
+    :func:`loopy_bp`; returns (node, max-node, edge marginals, converged,
+    iterations).
+    """
+    n = mrf.n_nodes
+    log_unary = -mrf.unary
+    tables = {(e.i, e.j): -e.table_array() for e in mrf.edges}
+    msgs, max_msgs = {}, {}
+    inbound = [[] for _ in range(n)]
+    for e in mrf.edges:
+        for s, t in ((e.i, e.j), (e.j, e.i)):
+            msgs[(s, t)] = np.full(2, -math.log(2.0))
+            max_msgs[(s, t)] = np.full(2, -math.log(2.0))
+            inbound[t].append(s)
+
+    def oriented_table(s, t):
+        return tables[(s, t)] if (s, t) in tables else tables[(t, s)].T
+
+    converged = False
+    iterations = 0
+    for sweep in range(max_iters):
+        iterations = sweep + 1
+        new_msgs, new_max = {}, {}
+        delta = 0.0
+        for (s, t), old in msgs.items():
+            pre = log_unary[s].copy()
+            pre_max = log_unary[s].copy()
+            for k in inbound[s]:
+                if k != t:
+                    pre += msgs[(k, s)]
+                    pre_max += max_msgs[(k, s)]
+            log_phi = oriented_table(s, t)
+            raw = np.array([_lse(pre + log_phi[:, xt]) for xt in (0, 1)], dtype=float)
+            raw -= _lse(raw)
+            nxt = damping * old + (1.0 - damping) * raw
+            nxt -= _lse(nxt)
+            new_msgs[(s, t)] = nxt
+
+            raw_m = np.max(pre_max[:, None] + log_phi, axis=0)
+            raw_m -= _lse(raw_m)
+            old_m = max_msgs[(s, t)]
+            nxt_m = damping * old_m + (1.0 - damping) * raw_m
+            nxt_m -= _lse(nxt_m)
+            new_max[(s, t)] = nxt_m
+
+            delta = max(
+                delta, float(np.max(np.abs(nxt - old))), float(np.max(np.abs(nxt_m - old_m)))
+            )
+        msgs, max_msgs = new_msgs, new_max
+        if delta < tol:
+            converged = True
+            break
+    if not mrf.edges:
+        converged = True
+        iterations = max(iterations, 1)
+
+    def node_beliefs(messages):
+        out = np.empty((n, 2), dtype=float)
+        for i in range(n):
+            b = log_unary[i].copy()
+            for k in inbound[i]:
+                b += messages[(k, i)]
+            b -= _lse(b)
+            out[i] = np.exp(b)
+        return out
+
+    edge_marg = []
+    for e in mrf.edges:
+        b = tables[(e.i, e.j)].copy()
+        side_i = log_unary[e.i].copy()
+        for k in inbound[e.i]:
+            if k != e.j:
+                side_i += msgs[(k, e.i)]
+        side_j = log_unary[e.j].copy()
+        for k in inbound[e.j]:
+            if k != e.i:
+                side_j += msgs[(k, e.j)]
+        b = b + side_i[:, None] + side_j[None, :]
+        b -= _lse(b.ravel())
+        edge_marg.append(np.exp(b))
+    return node_beliefs(msgs), node_beliefs(max_msgs), edge_marg, converged, iterations
+
+
+def assert_matches_reference(mrf, **kwargs):
+    bp = loopy_bp(mrf, **kwargs)
+    node, max_node, edges, converged, iterations = _reference_loopy_bp(mrf, **kwargs)
+    assert np.array_equal(bp.node_marginals, node)
+    assert np.array_equal(bp.max_node_marginals, max_node)
+    assert len(bp.edge_marginals) == len(edges)
+    for got, want in zip(bp.edge_marginals, edges):
+        assert np.array_equal(got, want)
+    assert bp.converged == converged
+    assert bp.iterations == iterations
+    return bp
+
+
+def random_correlation_mrf(rng, n):
+    """Random spanning tree plus chords of signed correlation edges."""
+    nodes = tuple(GroundPredicate(P("Clear(a)").relation, (f"n{k}",)) for k in range(n))
+    unary = np.array([unary_potentials(float(rng.uniform(0.05, 0.95))) for _ in nodes])
+    pairs = {(int(rng.integers(0, j)), j) for j in range(1, n)}
+    for _ in range(int(rng.integers(0, n + 1)) if n >= 2 else 0):
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        pairs.add((a, b))
+    edges = tuple(
+        correlation_edge(i, j, float(rng.uniform(-0.9, 0.9))) for i, j in sorted(pairs)
+    )
+    return PredicateMrf(nodes, unary, edges)
 
 
 class TestBuildRules:
@@ -280,6 +402,44 @@ class TestLoopyBp:
             loopy_bp(mrf, tol=0.0)
         with pytest.raises(ValueError):
             loopy_bp(mrf, max_iters=0)
+
+
+class TestLoopyBpMatchesReference:
+    """The edge-array BP rounds every value as the per-message loop does."""
+
+    @pytest.mark.parametrize("n_objects,seed", [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (6, 0)])
+    def test_perceived_scene_graphs(self, n_objects, seed):
+        scene = generate_scene(n_objects, 0.5, seed)
+        state = perceive(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), seed + 100)
+        mrf = build_mrf(state)
+        assert {e.kind for e in mrf.edges} == set(EdgeKind)
+        assert_matches_reference(mrf)
+
+    def test_random_correlation_graphs(self):
+        rng = np.random.default_rng(211)
+        for n in [1, 1, 2, 3, 5, 8, 12]:
+            assert_matches_reference(random_correlation_mrf(rng, n))
+
+    def test_edgeless_graphs(self):
+        rng = np.random.default_rng(223)
+        for n in (1, 4):
+            mrf = PredicateMrf(
+                tuple(GroundPredicate(P("Clear(a)").relation, (f"n{k}",)) for k in range(n)),
+                rng.uniform(0.0, 5.0, size=(n, 2)),
+                (),
+            )
+            bp = assert_matches_reference(mrf)
+            assert bp.converged and bp.iterations == 1
+
+    def test_not_converged_and_undamped(self):
+        rng = np.random.default_rng(227)
+        mrf = random_correlation_mrf(rng, 10)
+        bp = assert_matches_reference(mrf, max_iters=3)
+        assert not bp.converged and bp.iterations == 3
+        assert_matches_reference(mrf, damping=0.0)
+        scene = generate_scene(5, 0.6, 4)
+        state = perceive(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), 9)
+        assert_matches_reference(build_mrf(state), damping=0.0, max_iters=7)
 
 
 class TestMapAssignment:
