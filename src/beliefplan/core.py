@@ -6,7 +6,8 @@ symbolic side of that picture: ground predicates, belief states mapping
 predicates to confidences, the per-predicate and state-level uncertainty
 measures, threshold classification into certain/uncertain partitions, and
 the fusion rule used when a fresh observation is folded into an existing
-belief state.
+belief state.  It also holds the one support-cycle check that scenes,
+symbolic states, goals and the belief projection share.
 """
 
 from __future__ import annotations
@@ -91,6 +92,22 @@ def parse_predicate(text: str) -> GroundPredicate:
         raise ValueError(f"unknown relation {name!r} in {text!r}")
     args = tuple(a.strip() for a in argtext.split(",")) if argtext.strip() else ()
     return GroundPredicate(rel, args)
+
+
+def has_support_cycle(lower_of: Mapping[str, str]) -> bool:
+    """True when following ``upper -> lower`` support links from some object
+    leads back to it; a value that is not a key (the table) ends a chain."""
+    ends: set[str] = set()  # objects whose chain is known to end
+    for start in lower_of:
+        chain: set[str] = set()
+        node = start
+        while node in lower_of and node not in ends:
+            if node in chain:
+                return True
+            chain.add(node)
+            node = lower_of[node]
+        ends |= chain
+    return False
 
 
 def _check_confidence(p: float) -> float:

@@ -4,7 +4,12 @@ The symbolic layer is classic STRIPS: ground atoms over on / ontable /
 clear / holding / handempty, a fixed action schema set (pick from table,
 unstack, place, putdown, plus per-object information actions with no
 physical effect), and A* with an admissible goal-counting heuristic, so
-returned plans are guaranteed shortest.
+returned plans are guaranteed shortest.  The search runs over integer
+bitmasks with one bit per atom, on tables compiled once per object set,
+and generates successors from the state's structure (the clear blocks
+when the hand is empty, the places for the held block otherwise) instead
+of testing every grounded move; it returns the plan and expansion count
+that a scan of all moves in sorted order would.
 
 The belief layer decides when planning is safe: predicates classified
 certain-true become the symbolic state, and while goal-relevant predicates
@@ -14,12 +19,13 @@ actions to sharpen perception before committing to a plan.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,10 +35,12 @@ from beliefplan.core import (
     Relation,
     classify,
     fuse_observation,
+    has_support_cycle,
     parse_predicate,
     state_uncertainty_independent,
 )
 from beliefplan.mrf import CapacityError, build_mrf, loopy_bp, refined_state
+from beliefplan.scene import INFO_ACTION_KINDS, LOOK_CLOSER, PUSH_OBSTACLE
 
 MAX_EXPANSIONS = 10**6
 
@@ -87,13 +95,8 @@ def _check_atoms(atoms: frozenset[Atom]) -> None:
             raise ValueError(f"object {a[1]} cannot be clear while {occupied[a[1]]} rests on it")
         if a[0] == "holding" and a[1] in placed:
             raise ValueError(f"held object {a[1]} cannot also be placed")
-    for upper in placed:
-        node, seen = upper, set()
-        while node in placed:
-            if node in seen:
-                raise ValueError("support atoms form a cycle")
-            seen.add(node)
-            node = placed[node]
+    if has_support_cycle(placed):
+        raise ValueError("support atoms form a cycle")
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,6 @@ class GroundedAction:
         return f"{self.name}({', '.join(self.args)})"
 
 
-INFO_ACTION_NAMES = ("look_closer", "push_obstacle")
-
-
 def ground_domain(objects: Iterable[str]) -> tuple[GroundedAction, ...]:
     """All grounded actions for this object set, sorted by (name, args)."""
     objs = sorted(set(objects))
@@ -165,7 +165,7 @@ def ground_domain(objects: Iterable[str]) -> tuple[GroundedAction, ...]:
                 frozenset({holding(x)}),
             )
         )
-        for kind in INFO_ACTION_NAMES:
+        for kind in INFO_ACTION_KINDS:
             actions.append(
                 GroundedAction(kind, (x,), frozenset(), frozenset(), frozenset(), kind)
             )
@@ -233,13 +233,8 @@ class Goal:
         for upper, lower in placed.items():
             if lower in clear_objs:
                 raise ValueError(f"goal wants {lower} clear but also {upper} on it")
-        for start in placed:
-            node, seen = start, set()
-            while node in placed:
-                if node in seen:
-                    raise ValueError("goal stacking is cyclic")
-                seen.add(node)
-                node = placed[node]
+        if has_support_cycle(placed):
+            raise ValueError("goal stacking is cyclic")
 
     def atoms(self) -> frozenset[Atom]:
         out: set[Atom] = set()
@@ -275,6 +270,7 @@ def heuristic_unsat(atoms: frozenset[Atom], goal_atoms: frozenset[Atom]) -> int:
     Counts unsatisfied goal atoms, except Clear targets that arrive for
     free with an unsatisfied On target (placing x onto y yields clear(x)
     in the same move), so no action can pay off two counted atoms at once.
+    The search evaluates the same count over bitmasks.
     """
     unsat = goal_atoms - atoms
     pending_uppers = {a[1] for a in unsat if a[0] == "on"}
@@ -286,48 +282,138 @@ def heuristic_unsat(atoms: frozenset[Atom], goal_atoms: frozenset[Atom]) -> int:
     return h
 
 
+class _Domain(NamedTuple):
+    """Bitmask search tables for one sorted object tuple.
+
+    Moves are ``(action, keep, add)``: the successor of ``s`` is
+    ``s & keep | add``, with ``keep`` the complement of the delete mask.
+    """
+
+    bit: dict[Atom, int]  # atom -> its single-bit mask
+    handempty: int
+    holding: int  # union of every holding(x) bit
+    # per block in sorted order: (clear(x) bit, support mask, support bit -> pick move)
+    picks: tuple[tuple[int, int, dict[int, tuple]], ...]
+    # holding(x) bit -> ((clear(y) bit, place(x, y) move) in y order..., (0, putdown(x) move))
+    holds: dict[int, tuple[tuple[int, tuple], ...]]
+
+
+@functools.lru_cache(maxsize=64)
+def _compile_domain(objects: tuple[str, ...]) -> _Domain:
+    """Search tables for a sorted, duplicate-free object tuple.
+
+    Every atom a grounded move touches gets one bit.  The support mask of
+    block x covers ontable(x) and each on(x, y); its pick table maps the
+    one support bit a valid state can hold to the matching pick move.
+    """
+    moves = {(a.name, a.args): a for a in ground_domain(objects) if a.belief_effect is None}
+    atoms = {handempty()}
+    for a in moves.values():
+        atoms |= a.preconditions | a.add | a.delete
+    bit = {atom: 1 << i for i, atom in enumerate(sorted(atoms))}
+
+    def move(key):
+        action = moves[key]
+        return (
+            action,
+            ~sum(bit[atom] for atom in action.delete),
+            sum(bit[atom] for atom in action.add),
+        )
+
+    picks = []
+    holds = {}
+    for x in objects:
+        others = [y for y in objects if y != x]
+        support = {bit[ontable(x)]: move(("pick", (x,)))}
+        support.update({bit[on(x, y)]: move(("pick", (x, y))) for y in others})
+        picks.append((bit[clear(x)], sum(support), support))
+        places = [(bit[clear(y)], move(("place", (x, y)))) for y in others]
+        holds[bit[holding(x)]] = (*places, (0, move(("putdown", (x,)))))
+    return _Domain(bit, bit[handempty()], sum(holds), tuple(picks), holds)
+
+
 def _search(
     init_atoms: frozenset[Atom],
     goal_atoms: frozenset[Atom],
-    actions: Sequence[GroundedAction],
+    domain: _Domain,
     max_expansions: int,
 ) -> tuple[list[GroundedAction] | None, int]:
-    """A* over atom sets; returns (optimal plan or None, expansion count)."""
-    moves = [a for a in actions if a.belief_effect is None]
-    h0 = heuristic_unsat(init_atoms, goal_atoms)
+    """A* over atom bitmasks; returns (optimal plan or None, expansion count).
+
+    Atoms of the start or goal that no grounded move touches get bits of
+    their own, so they stay as they are (or stay unreachable).  Successors
+    come from structure rather than a scan of every move: with the hand
+    empty, each clear block in sorted order has at most one applicable
+    pick, found from its single support bit; holding x, the successors
+    are place(x, y) for each clear y in y order, then putdown(x).  Since
+    every validated state has exactly one of holding / handempty and at
+    most one support per block, and every move keeps both properties,
+    this is exactly the applicable moves in sorted (name, args) order.
+    """
+    bit = dict(domain.bit)
+
+    def encode(atoms: Iterable[Atom]) -> int:
+        mask = 0
+        for atom in atoms:
+            mask |= bit.setdefault(atom, 1 << len(bit))
+        return mask
+
+    start = encode(init_atoms)
+    goal = encode(goal_atoms)
+    # heuristic_unsat's discount: Clear(x) is not counted while an On(x, .)
+    # target is unsatisfied
+    discounts = []
+    for a in goal_atoms:
+        if a[0] == "clear":
+            on_mask = encode(b for b in goal_atoms if b[0] == "on" and b[1] == a[1])
+            if on_mask:
+                discounts.append((bit[a], on_mask))
+
+    def heuristic(s: int) -> int:
+        unsat = goal & ~s
+        h = unsat.bit_count()
+        for clear_bit, on_mask in discounts:
+            if unsat & clear_bit and unsat & on_mask:
+                h -= 1
+        return h
+
+    handempty_bit, holding_mask, picks, holds = (
+        domain.handempty, domain.holding, domain.picks, domain.holds
+    )
     counter = itertools.count()
-    frontier: list[tuple[int, int, int, frozenset[Atom]]] = [
-        (h0, next(counter), 0, init_atoms)
-    ]
-    best_g: dict[frozenset[Atom], int] = {init_atoms: 0}
-    parent: dict[frozenset[Atom], tuple[frozenset[Atom], GroundedAction]] = {}
+    frontier: list[tuple[int, int, int, int]] = [(heuristic(start), next(counter), 0, start)]
+    best_g: dict[int, int] = {start: 0}
+    parent: dict[int, tuple[int, GroundedAction]] = {}
     expansions = 0
     while frontier:
-        f, _, g, atoms = heapq.heappop(frontier)
-        if g > best_g.get(atoms, g):
+        f, _, g, s = heapq.heappop(frontier)
+        if g > best_g.get(s, g):
             continue  # superseded entry
-        if goal_atoms <= atoms:
+        if (s & goal) == goal:
             plan: list[GroundedAction] = []
-            node = atoms
-            while node in parent:
-                node, action = parent[node]
+            while s in parent:
+                s, action = parent[s]
                 plan.append(action)
             plan.reverse()
             return plan, expansions
         expansions += 1
         if expansions > max_expansions:
             raise CapacityError(f"search capped at {max_expansions} expansions")
-        for action in moves:
-            if not action.preconditions <= atoms:
-                continue
-            succ = (atoms - action.delete) | action.add
-            ng = g + 1
+        if s & handempty_bit:
+            moves = [
+                table[s & support]
+                for clear_bit, support, table in picks
+                if s & clear_bit and (s & support) in table
+            ]
+        else:
+            moves = [m for need, m in holds.get(s & holding_mask, ()) if (s & need) == need]
+        ng = g + 1
+        for action, keep, add in moves:
+            succ = (s & keep) | add
             if ng < best_g.get(succ, ng + 1):
                 best_g[succ] = ng
-                parent[succ] = (atoms, action)
-                heapq.heappush(
-                    frontier, (ng + heuristic_unsat(succ, goal_atoms), next(counter), ng, succ)
-                )
+                parent[succ] = (s, action)
+                heapq.heappush(frontier, (ng + heuristic(succ), next(counter), ng, succ))
     return None, expansions
 
 
@@ -339,13 +425,16 @@ def astar(
 ) -> list[GroundedAction] | None:
     """Shortest manipulation plan from init to goal, or None if unreachable.
 
-    Unit action costs; ties broken deterministically by expansion order
-    with successors generated in sorted action order.  Raises
+    A* over atom bitmasks with unit action costs; ties broken
+    deterministically by expansion order with successors generated in
+    sorted (name, args) action order, read off the state's structure (see
+    ``_search`` for why that is exactly the applicable moves).  Raises
     CapacityError past the expansion cap.
     """
     if objects is None:
         objects = init.objects() | goal.objects()
-    plan, _ = _search(init.atoms, goal.atoms(), ground_domain(objects), max_expansions)
+    domain = _compile_domain(tuple(sorted(set(objects))))
+    plan, _ = _search(init.atoms, goal.atoms(), domain, max_expansions)
     return plan
 
 
@@ -394,9 +483,6 @@ def convergence_bound(
 
 # ---------------------------------------------------------------------------
 # closed-loop planning
-
-LOOK_CLOSER = "look_closer"
-PUSH_OBSTACLE = "push_obstacle"
 
 
 @dataclass(frozen=True)
@@ -466,12 +552,10 @@ def world_state_from_beliefs(
         upper, lower = pred.args
         if upper in lower_of or lower in occupied:
             continue
-        node = lower
-        while node in lower_of:
-            node = lower_of[node]
-        if node == upper:
-            continue  # would close a support cycle
         lower_of[upper] = lower
+        if has_support_cycle(lower_of):
+            del lower_of[upper]
+            continue
         occupied.add(lower)
     atoms: set[Atom] = {handempty()}
     for x in sorted(set(objects)):
@@ -507,6 +591,7 @@ class PlanningEpisode:
     plan: list[GroundedAction] | None
     expansions: int
     modeled_time_ms: float
+    cap_hits: int  # searches stopped at MAX_EXPANSIONS; not exported
 
     def uncertainty_trace(self) -> list[float]:
         return [r.state_uncertainty for r in self.iterations]
@@ -550,7 +635,9 @@ def plan_under_uncertainty(
     uncertain object (never on the last round) or commits: the
     certain-true predicates become a symbolic state, A* plans, and the
     plan executes once against the environment's ground truth.  The
-    episode succeeds iff execution reaches the goal.
+    episode succeeds iff execution reaches the goal.  A search that finds
+    no plan, or stops at ``MAX_EXPANSIONS`` (a cap hit, whose expansions
+    still count), gives the round up and the loop goes on.
     """
     if max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {max_retries}")
@@ -558,9 +645,12 @@ def plan_under_uncertainty(
     records: list[IterationRecord] = []
     info_count = 0
     expansions_total = 0
+    cap_hits = 0
     final_plan: list[GroundedAction] | None = None
     success = False
     objects = env.object_ids()
+    domain = _compile_domain(tuple(sorted(set(objects))))
+    goal_atoms = goal.atoms()
     goal_objs = goal.objects()
 
     for round_idx in range(max_retries):
@@ -587,9 +677,11 @@ def plan_under_uncertainty(
                 continue
 
         world = world_state_from_beliefs(belief, part.certain_true, objects)
-        plan, expansions = _search(
-            world.atoms, goal.atoms(), ground_domain(objects), MAX_EXPANSIONS
-        )
+        try:
+            plan, expansions = _search(world.atoms, goal_atoms, domain, MAX_EXPANSIONS)
+        except CapacityError:
+            plan, expansions = None, MAX_EXPANSIONS
+            cap_hits += 1
         expansions_total += expansions
         if plan is None:
             records.append(IterationRecord(round_idx, u_state, *sizes, "give_up", None, None))
@@ -612,6 +704,7 @@ def plan_under_uncertainty(
             len(records), info_count, expansions_total,
             len(final_plan) if final_plan else 0,
         ),
+        cap_hits=cap_hits,
     )
 
 

@@ -27,6 +27,7 @@ from beliefplan.core import (
     GroundPredicate,
     ProbabilisticState,
     Relation,
+    has_support_cycle,
     predicate_uncertainty,
 )
 
@@ -79,14 +80,8 @@ class Scene:
             lower_of[upper] = lower
             if by_id[upper].position[2] <= by_id[lower].position[2]:
                 raise ValueError(f"supported object {upper} must sit above {lower}")
-        for start in lower_of:
-            seen = set()
-            node = start
-            while node in lower_of:
-                if node in seen:
-                    raise ValueError("support pairs form a cycle")
-                seen.add(node)
-                node = lower_of[node]
+        if has_support_cycle(lower_of):
+            raise ValueError("support pairs form a cycle")
 
     def object_map(self) -> dict[str, SceneObject]:
         return {o.id: o for o in self.objects}

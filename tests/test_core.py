@@ -15,6 +15,7 @@ from beliefplan.core import (
     Relation,
     classify,
     fuse_observation,
+    has_support_cycle,
     parse_predicate,
     predicate_uncertainty,
     reduction_law,
@@ -61,6 +62,18 @@ class TestGroundPredicate:
         for bad in ["Above(a,b)", "On(a", "On", "", "On(a,b,c)"]:
             with pytest.raises(ValueError):
                 parse_predicate(bad)
+
+
+class TestSupportCycle:
+    def test_chains_ending_anywhere_are_acyclic(self):
+        assert not has_support_cycle({})
+        assert not has_support_cycle({"a": "b", "b": "c", "d": "c"})
+        assert not has_support_cycle({"a": "<table>", "b": "a"})
+
+    def test_cycles_found_behind_a_tail(self):
+        assert has_support_cycle({"a": "a"})
+        assert has_support_cycle({"a": "b", "b": "a"})
+        assert has_support_cycle({"t": "a", "a": "b", "b": "c", "c": "a"})
 
 
 class TestPredicateUncertainty:

@@ -6,15 +6,19 @@ bound is 2.  With threshold 0.5 and rate 0.5 starting exactly at the 0.5
 target, the strict inequality forces one step (0.25 < 0.5), not zero.
 """
 
+import heapq
+import itertools
 from collections import deque
 
 import numpy as np
 import pytest
 
+from beliefplan import planner
 from beliefplan.core import (
     GroundPredicate,
     ProbabilisticState,
     Relation,
+    classify,
     parse_predicate,
 )
 from beliefplan.mrf import CapacityError
@@ -71,6 +75,48 @@ def run_plan(state: SymbolicWorldState, plan) -> SymbolicWorldState:
     for action in plan:
         state = apply(state, action)
     return state
+
+
+def _reference_search(init_atoms, goal_atoms, actions, max_expansions):
+    """A* over frozenset atom states, scanning every move for each expansion.
+
+    The straightforward form of the planner's search, kept as the reference
+    that the bitmask search must match in plan and expansion count.
+    """
+    moves = [a for a in actions if a.belief_effect is None]
+    h0 = heuristic_unsat(init_atoms, goal_atoms)
+    counter = itertools.count()
+    frontier = [(h0, next(counter), 0, init_atoms)]
+    best_g = {init_atoms: 0}
+    parent = {}
+    expansions = 0
+    while frontier:
+        f, _, g, atoms = heapq.heappop(frontier)
+        if g > best_g.get(atoms, g):
+            continue  # superseded entry
+        if goal_atoms <= atoms:
+            plan = []
+            node = atoms
+            while node in parent:
+                node, action = parent[node]
+                plan.append(action)
+            plan.reverse()
+            return plan, expansions
+        expansions += 1
+        if expansions > max_expansions:
+            raise CapacityError(f"search capped at {max_expansions} expansions")
+        for action in moves:
+            if not action.preconditions <= atoms:
+                continue
+            succ = (atoms - action.delete) | action.add
+            ng = g + 1
+            if ng < best_g.get(succ, ng + 1):
+                best_g[succ] = ng
+                parent[succ] = (atoms, action)
+                heapq.heappush(
+                    frontier, (ng + heuristic_unsat(succ, goal_atoms), next(counter), ng, succ)
+                )
+    return None, expansions
 
 
 class TestWorldState:
@@ -184,6 +230,22 @@ class TestHeuristic:
         goal = parse_goal("On(a,b) & Clear(a)")
         assert heuristic_unsat(state.atoms, goal.atoms()) == 1
 
+    def test_admissible_along_optimal_plans(self):
+        # h <= the breadth-first distance at the start and at every state the
+        # returned plan passes through, held-block states included
+        rng = np.random.default_rng(17)
+        with_clear = 0
+        for _ in range(40):
+            start, goal = random_instance(rng, int(rng.integers(3, 6)))
+            with_clear += any(p.relation is Relation.CLEAR for p in goal.predicates)
+            plan = astar(start, goal)
+            state = start
+            for action in [None, *plan]:
+                if action is not None:
+                    state = apply(state, action)
+                assert heuristic_unsat(state.atoms, goal.atoms()) <= bfs_optimal_length(state, goal)
+        assert with_clear >= 5
+
     def test_admissible_on_random_instances(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
@@ -231,6 +293,99 @@ class TestAstar:
         goal = parse_goal("On(a,b) & On(b,c) & On(c,d)")
         with pytest.raises(CapacityError):
             astar(start, goal, max_expansions=2)
+
+
+class TestSearchMatchesReference:
+    """The bitmask search returns the reference's plan and expansion count."""
+
+    def assert_same(self, init, goal_atoms, objects=None, cap=planner.MAX_EXPANSIONS):
+        """Run both searches, assert equal outcomes, return the reference's."""
+        if objects is None:
+            objects = init.objects() | {x for a in goal_atoms for x in a[1:]}
+        objects = tuple(sorted(set(objects)))
+        outcomes = []
+        for search, domain in (
+            (_reference_search, ground_domain(objects)),
+            (planner._search, planner._compile_domain(objects)),
+        ):
+            try:
+                outcomes.append(search(init.atoms, goal_atoms, domain, cap))
+            except CapacityError:
+                outcomes.append("capped")
+        assert outcomes[1] == outcomes[0]
+        return outcomes[0]
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(2024)
+        for n_blocks in [2, 3, 4, 5, 6] * 18 + [7] * 4:
+            start, goal = random_instance(rng, n_blocks)
+            plan, _ = self.assert_same(start, goal.atoms())
+            assert plan is not None
+
+    def test_partial_states(self):
+        # one atom dropped from a valid start: an unsupported block, a block
+        # that is not clear, or a missing On link
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(12):
+            start, goal = random_instance(rng, int(rng.integers(3, 6)))
+            objects = start.objects() | goal.objects()
+            for atom in sorted(start.atoms):
+                try:
+                    partial = SymbolicWorldState(start.atoms - {atom})
+                except ValueError:
+                    continue
+                self.assert_same(partial, goal.atoms(), objects)
+                checked += 1
+        assert checked > 50
+
+    def test_held_block_start(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            start, goal = random_instance(rng, int(rng.integers(3, 6)))
+            objects = sorted(start.objects())
+            pick = next(
+                a for a in ground_domain(objects)
+                if a.name == "pick" and a.preconditions <= start.atoms
+            )
+            held = apply(start, pick)
+            assert any(a[0] == "holding" for a in held.atoms)
+            self.assert_same(held, goal.atoms(), objects)
+
+    def test_clear_targets(self):
+        start = SymbolicWorldState.from_stacks([["a", "b", "c"], ["d"]])
+        for text in (
+            "Clear(a)",
+            "Clear(a) & Clear(b)",
+            "On(c,d) & Clear(b)",
+            "On(a,d) & Clear(a)",
+            "On(b,d) & On(a,b) & Clear(a) & Clear(c)",
+        ):
+            self.assert_same(start, parse_goal(text).atoms())
+
+    def test_unreachable_goal(self):
+        start = SymbolicWorldState.from_stacks([["a"], ["b"]])
+        plan, expansions = self.assert_same(start, parse_goal("On(a,d)").atoms(), ["a", "b"])
+        assert plan is None and expansions > 0
+
+    def test_projected_seven_object_scenes(self):
+        cfg = NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0)
+        goal = parse_goal("On(o0,o1) & On(o1,o2)")
+        for seed in range(5):
+            env = PlanningEnvironment(generate_scene(7, stack_bias=0.4, seed=seed), cfg, seed)
+            belief = env.observe()
+            world = world_state_from_beliefs(
+                belief, classify(belief, 0.7).certain_true, env.object_ids()
+            )
+            self.assert_same(world, goal.atoms(), env.object_ids())
+
+    def test_capacity_error_at_the_same_cap(self):
+        # this search takes 12 expansions: every cap below that stops it
+        start = SymbolicWorldState.from_stacks([["a"], ["b"], ["c"]])
+        goal = parse_goal("On(a,b) & On(b,c)")
+        outcomes = [self.assert_same(start, goal.atoms(), cap=cap) for cap in range(13)]
+        assert outcomes[:12] == ["capped"] * 12
+        assert outcomes[12] != "capped" and outcomes[12][1] == 12
 
 
 class TestInfoValue:
@@ -439,6 +594,19 @@ class TestClosedLoop:
         rows = episode.to_rows(17)
         assert rows == [(17, 0, rows[0][2], "plan")]
         assert 0.0 <= rows[0][2] <= 1.0
+
+    def test_cap_hit_gives_the_round_up(self, monkeypatch):
+        monkeypatch.setattr(planner, "MAX_EXPANSIONS", 1)
+        scene = generate_scene(3, stack_bias=0.0, seed=4)
+        env = PlanningEnvironment(scene, NoiseConfig(), seed=0)
+        episode = plan_under_uncertainty(
+            env, parse_goal("On(o0,o1) & On(o1,o2)"), tau_plan=0.7, max_retries=3
+        )
+        assert [r.action_kind for r in episode.iterations] == ["give_up"] * 3
+        assert not episode.success and episode.plan is None
+        assert episode.cap_hits == 3
+        assert episode.expansions == 3  # the cap, once per capped search
+        assert "cap_hits" not in episode.summary()
 
     def test_invalid_budget_rejected(self):
         scene = generate_scene(3, seed=0)
