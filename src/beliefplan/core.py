@@ -15,9 +15,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 
 class Relation(Enum):
@@ -67,6 +70,16 @@ class GroundPredicate:
             args = (args[1], args[0])
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "args", args)
+        # the dataclass's own hash, taken once: Relation's __hash__ is a
+        # Python-level call, and every state and label map hashes predicates
+        object.__setattr__(self, "_hash", hash((relation, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild instead of restoring _hash: str hashes differ between processes
+        return (GroundPredicate, (self.relation, self.args))
 
     def mentions(self, obj: str) -> bool:
         return obj in self.args
@@ -120,12 +133,16 @@ def _check_confidence(p: float) -> float:
 class ProbabilisticState:
     """Immutable map from ground predicates to confidences.
 
-    ``known`` marks predicates whose confidence has already been refined by
-    fusion with a repeated observation; classification ignores the flag, it
-    exists so downstream consumers can tell first sightings apart.
+    Stored as the predicates sorted by :meth:`GroundPredicate.sort_key`, a
+    float64 confidence vector and a boolean ``known`` vector aligned with
+    them, so iteration never re-sorts and the belief operations below work
+    on whole vectors.  ``known`` marks predicates whose confidence has
+    already been refined by fusion with a repeated observation;
+    classification ignores the flag, it exists so downstream consumers can
+    tell first sightings apart.
     """
 
-    __slots__ = ("_conf", "_known")
+    __slots__ = ("_preds", "_p", "_known", "_pos")
 
     def __init__(
         self,
@@ -137,38 +154,79 @@ class ProbabilisticState:
         extra = known - conf.keys()
         if extra:
             raise ValueError(f"known predicates missing from state: {sorted(map(str, extra))}")
-        self._conf = conf
-        self._known = known
+        preds = tuple(sorted(conf, key=GroundPredicate.sort_key))
+        self._set(preds, [conf[p] for p in preds], [p in known for p in preds])
+
+    @classmethod
+    def from_arrays(
+        cls, preds: tuple[GroundPredicate, ...], confidences, known=None
+    ) -> ProbabilisticState:
+        """State over ``preds``, which must be distinct and sorted by sort_key;
+        ``confidences`` and the optional boolean ``known`` align with them."""
+        state = cls.__new__(cls)
+        if known is None:
+            known = np.zeros(len(preds), dtype=bool)
+        state._set(preds, confidences, known)
+        return state
+
+    def _set(self, preds, confidences, known) -> None:
+        p = np.array(confidences, dtype=float)
+        k = np.array(known, dtype=bool)
+        if p.shape != (len(preds),) or k.shape != p.shape:
+            raise ValueError("confidence and known vectors must match the predicates")
+        bad = ~((p >= 0.0) & (p <= 1.0))  # NaN fails both comparisons
+        if bad.any():
+            _check_confidence(p[bad][0])
+        p.flags.writeable = False
+        k.flags.writeable = False
+        self._preds = tuple(preds)
+        self._p = p
+        self._known = k
+        self._pos = None  # {pred: k}, built on the first lookup
+
+    def _positions(self) -> Mapping[GroundPredicate, int]:
+        if self._pos is None:
+            self._pos = {p: k for k, p in enumerate(self._preds)}
+        return self._pos
+
+    def with_confidences(self, confidences) -> ProbabilisticState:
+        """Same predicates and known flags, new aligned confidence vector."""
+        return ProbabilisticState.from_arrays(self._preds, confidences, self._known)
 
     @property
     def known(self) -> frozenset[GroundPredicate]:
-        return self._known
+        return frozenset(compress(self._preds, self._known.tolist()))
 
     def confidence(self, pred: GroundPredicate) -> float:
-        return self._conf[pred]
+        return float(self._p[self._positions()[pred]])
 
     def get(self, pred: GroundPredicate, default: float | None = None) -> float | None:
-        return self._conf.get(pred, default)
+        k = self._positions().get(pred)
+        return default if k is None else float(self._p[k])
 
     def predicates(self) -> list[GroundPredicate]:
-        return sorted(self._conf, key=GroundPredicate.sort_key)
+        return list(self._preds)
 
     def items(self) -> list[tuple[GroundPredicate, float]]:
-        return [(p, self._conf[p]) for p in self.predicates()]
+        return list(zip(self._preds, self._p.tolist()))
 
     def __contains__(self, pred: GroundPredicate) -> bool:
-        return pred in self._conf
+        return pred in self._positions()
 
     def __len__(self) -> int:
-        return len(self._conf)
+        return len(self._preds)
 
     def __iter__(self) -> Iterator[GroundPredicate]:
-        return iter(self.predicates())
+        return iter(self._preds)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbabilisticState):
             return NotImplemented
-        return self._conf == other._conf and self._known == other._known
+        return (
+            self._preds == other._preds
+            and np.array_equal(self._p, other._p)
+            and np.array_equal(self._known, other._known)
+        )
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}={v:.3g}" for p, v in self.items())
@@ -197,6 +255,11 @@ def predicate_uncertainty(p: float) -> float:
     return 1.0 - max(p, 1.0 - p)
 
 
+def predicate_uncertainties(p: np.ndarray) -> np.ndarray:
+    """:func:`predicate_uncertainty` of each entry of a confidence vector in [0, 1]."""
+    return 1.0 - np.maximum(p, 1.0 - p)
+
+
 def state_uncertainty_independent(state: ProbabilisticState) -> float:
     """Aggregate uncertainty of a belief state, treating predicates as independent.
 
@@ -205,10 +268,9 @@ def state_uncertainty_independent(state: ProbabilisticState) -> float:
     U to 1, but U approaches 1 as uncertain predicates accumulate.  Adding a
     predicate never decreases U.
     """
-    prod = 1.0
-    for _, p in state.items():
-        prod *= 1.0 - predicate_uncertainty(p)
-    return 1.0 - prod
+    # math.prod multiplies sequentially in predicate order; numpy promises
+    # no order for its reductions, and the order decides the rounding
+    return 1.0 - math.prod((1.0 - predicate_uncertainties(state._p)).tolist())
 
 
 def classify(state: ProbabilisticState, tau_plan: float) -> CertaintyPartition:
@@ -222,17 +284,15 @@ def classify(state: ProbabilisticState, tau_plan: float) -> CertaintyPartition:
     tau_plan = float(tau_plan)
     if not (0.0 < tau_plan < 1.0):
         raise ValueError(f"tau_plan must lie in (0, 1), got {tau_plan}")
-    t, f, u = [], [], []
-    for pred, p in state.items():
-        if p > tau_plan:
-            t.append(pred)
-        elif p + tau_plan < 1.0:
-            # algebraically p < 1 - tau_plan; summing avoids the rounded
-            # complement misclassifying exact boundary confidences
-            f.append(pred)
-        else:
-            u.append(pred)
-    return CertaintyPartition(frozenset(t), frozenset(f), frozenset(u))
+    p = state._p
+    true = p > tau_plan
+    # algebraically p < 1 - tau_plan; summing avoids the rounded complement
+    # misclassifying exact boundary confidences
+    false = ~true & (p + tau_plan < 1.0)
+    uncertain = ~(true | false)
+    return CertaintyPartition(
+        *(frozenset(compress(state._preds, mask.tolist())) for mask in (true, false, uncertain))
+    )
 
 
 def reduction_law(u0: float, alpha: float, k: int) -> float:
@@ -263,18 +323,37 @@ def fuse_observation(
     only in the prior are carried through unchanged.  Every predicate that
     appears in the observation is marked known in the result.
     """
-    conf: dict[GroundPredicate, float] = dict(prior.items())
-    known = set(prior.known)
-    for pred, p_obs in obs.items():
-        p_prior = conf.get(pred)
-        if p_prior is None:
-            conf[pred] = p_obs
-        else:
-            u_prior = predicate_uncertainty(p_prior)
-            u_obs = predicate_uncertainty(p_obs)
-            conf[pred] = p_prior if u_prior < u_obs else p_obs
-        known.add(pred)
-    return ProbabilisticState(conf, known)
+    preds, at_prior, at_obs = _align(prior._preds, obs._preds)
+    conf = np.zeros(len(preds))
+    conf[at_prior] = prior._p
+    in_prior = np.zeros(len(preds), dtype=bool)
+    in_prior[at_prior] = True
+    known = np.zeros(len(preds), dtype=bool)
+    known[at_prior] = prior._known
+
+    p_prior = conf[at_obs]
+    u_prior, u_obs = predicate_uncertainties(p_prior), predicate_uncertainties(obs._p)
+    keep = in_prior[at_obs] & (u_prior < u_obs)
+    conf[at_obs] = np.where(keep, p_prior, obs._p)
+    known[at_obs] = True
+    return ProbabilisticState.from_arrays(preds, conf, known)
+
+
+def _align(
+    a: tuple[GroundPredicate, ...], b: tuple[GroundPredicate, ...]
+) -> tuple[tuple[GroundPredicate, ...], np.ndarray, np.ndarray]:
+    """Sorted union of two sorted predicate tuples, and the union position of
+    each entry of ``a`` and of ``b``; an equal pair keeps ``a`` as the union."""
+    if a == b:
+        at = np.arange(len(a))
+        return a, at, at
+    union = tuple(sorted(set(a) | set(b), key=GroundPredicate.sort_key))
+    pos = {p: k for k, p in enumerate(union)}
+    return (
+        union,
+        np.array([pos[p] for p in a], dtype=np.intp),
+        np.array([pos[p] for p in b], dtype=np.intp),
+    )
 
 
 def state_to_json(state: ProbabilisticState) -> str:
@@ -283,12 +362,13 @@ def state_to_json(state: ProbabilisticState) -> str:
     One record per predicate: relation name, argument list, confidence,
     known flag.  Confidences round-trip exactly (repr-precision floats).
     """
+    known = state.known
     records = [
         {
             "relation": pred.relation.value,
             "args": list(pred.args),
             "confidence": conf,
-            "known": pred in state.known,
+            "known": pred in known,
         }
         for pred, conf in state.items()
     ]

@@ -490,11 +490,9 @@ def refined_state(state: ProbabilisticState, beliefs: BeliefSet) -> Probabilisti
     Node order follows :func:`build_mrf` (sorted predicates), so ``beliefs``
     must come from the MRF built for this same state.
     """
-    preds = state.predicates()
-    if len(preds) != beliefs.node_marginals.shape[0]:
+    if len(state) != beliefs.node_marginals.shape[0]:
         raise ValueError("belief set does not match state size")
-    conf = {p: float(beliefs.node_marginals[k, 1]) for k, p in enumerate(preds)}
-    return ProbabilisticState(conf, state.known & set(preds))
+    return state.with_confidences(beliefs.node_marginals[:, 1])
 
 
 def dump_mrf(mrf: PredicateMrf) -> str:

@@ -8,6 +8,11 @@ noise, miscalibration, occlusion).  Information-gathering actions sharpen
 subsequent observations of a chosen object.  Everything is a pure function
 of its inputs and seed.
 
+What does not change between observations is computed once: one sorted
+predicate index per object set, each scene's truth vector and occlusion
+set, and each (perception seed, scene seed) pair's noise draws, which an
+episode's re-observations reuse.  The caches are bounded.
+
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
 orthographic projection of the [-0.5, 0.5] square meter workspace onto a
@@ -16,6 +21,7 @@ orthographic projection of the [-0.5, 0.5] square meter workspace onto a
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -27,8 +33,7 @@ from beliefplan.core import (
     GroundPredicate,
     ProbabilisticState,
     Relation,
-    has_support_cycle,
-    predicate_uncertainty,
+    predicate_uncertainties,
 )
 
 DEFAULT_IMAGE_DIMS = (224, 224)
@@ -78,10 +83,9 @@ class Scene:
             if upper in lower_of:
                 raise ValueError(f"object {upper} supported twice")
             lower_of[upper] = lower
+            # strictly rising z along every support pair also rules out cycles
             if by_id[upper].position[2] <= by_id[lower].position[2]:
                 raise ValueError(f"supported object {upper} must sit above {lower}")
-        if has_support_cycle(lower_of):
-            raise ValueError("support pairs form a cycle")
 
     def object_map(self) -> dict[str, SceneObject]:
         return {o.id: o for o in self.objects}
@@ -248,9 +252,18 @@ def generate_scene(
 # ground truth
 
 
-def candidate_predicates(object_ids: Iterable[str]) -> tuple[GroundPredicate, ...]:
-    """Every predicate perception scores for this object set, sorted."""
-    ids = sorted(object_ids)
+@dataclass(frozen=True, eq=False)
+class _PredicateIndex:
+    """The candidate predicates of one sorted object tuple, built once."""
+
+    ids: tuple[str, ...]
+    preds: tuple[GroundPredicate, ...]  # sorted by GroundPredicate.sort_key
+    first: np.ndarray  # position in ids of each predicate's first argument
+    last: np.ndarray  # ... and of its last one (the same for Clear)
+
+
+@functools.lru_cache(maxsize=64)
+def _predicate_index(ids: tuple[str, ...]) -> _PredicateIndex:
     preds: set[GroundPredicate] = set()
     for a in ids:
         preds.add(GroundPredicate(Relation.CLEAR, (a,)))
@@ -261,7 +274,19 @@ def candidate_predicates(object_ids: Iterable[str]) -> tuple[GroundPredicate, ..
             preds.add(GroundPredicate(Relation.LEFT_OF, (a, b)))
             preds.add(GroundPredicate(Relation.CLOSE_TO, (a, b)))
             preds.add(GroundPredicate(Relation.TOUCHING, (a, b)))
-    return tuple(sorted(preds, key=GroundPredicate.sort_key))
+    ordered = tuple(sorted(preds, key=GroundPredicate.sort_key))
+    at = {obj: k for k, obj in enumerate(ids)}
+    return _PredicateIndex(
+        ids,
+        ordered,
+        np.array([at[p.args[0]] for p in ordered], dtype=np.intp),
+        np.array([at[p.args[-1]] for p in ordered], dtype=np.intp),
+    )
+
+
+def candidate_predicates(object_ids: Iterable[str]) -> tuple[GroundPredicate, ...]:
+    """Every predicate perception scores for this object set, sorted."""
+    return _predicate_index(tuple(sorted(set(object_ids)))).preds
 
 
 def _surface_gap(a: SceneObject, b: SceneObject) -> float:
@@ -348,15 +373,41 @@ def occluded_objects(scene: Scene) -> frozenset[str]:
     return frozenset(occluded)
 
 
+@functools.lru_cache(maxsize=8)
+def _scene_facts(scene: Scene) -> tuple[_PredicateIndex, np.ndarray, frozenset[str]]:
+    """A scene's predicate index, 0/1 truth vector over it, and occluded objects.
+
+    Keyed on the whole scene, not its seed: hand-built scenes share seeds.
+    """
+    index = _predicate_index(scene.object_ids())
+    truths = ground_truth_state(scene)
+    truth = np.array([p in truths for p in index.preds], dtype=float)
+    truth.flags.writeable = False
+    return index, truth, occluded_objects(scene)
+
+
 # ---------------------------------------------------------------------------
 # perception oracle
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+@functools.lru_cache(maxsize=8)
+def _noise_draws(seed: int, scene_seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (g, label_draw) pair of candidate predicates 0..n-1, each pair from
+    its own generator seeded with (perception seed, scene seed, k)."""
+    g = np.empty(n)
+    label_draw = np.empty(n)
+    for k in range(n):
+        rng = np.random.default_rng([seed, scene_seed, k])
+        g[k] = rng.standard_normal()
+        label_draw[k] = rng.uniform()
+    g.flags.writeable = False
+    label_draw.flags.writeable = False
+    return g, label_draw
+
+
+def _sharpen(p: float, gamma: float) -> float:
+    num = p**gamma
+    return num / (num + (1.0 - p) ** gamma)
 
 
 def perceive_with_labels(
@@ -371,45 +422,46 @@ def perceive_with_labels(
 
     The underlying noise draws depend only on (scene, seed, predicate), not
     on the config, so re-perceiving under a sharper attention state refines
-    the same observation instead of rolling new dice.
+    the same observation instead of rolling new dice.  They are drawn on
+    the first observation and reused by the next ones (a bounded cache), as
+    are the scene's truths and occlusion set.  Logs, exponentials and powers
+    are taken one float at a time with ``math`` and ``**``, whose results
+    numpy's vector forms do not always match bit for bit.
     """
     if seed < 0:
         raise ValueError(f"perception seed must be non-negative, got {seed}")
-    truths = ground_truth_state(scene)
-    occl = occluded_objects(scene) - set(cfg.cleared)
-    conf: dict[GroundPredicate, float] = {}
-    labels: dict[GroundPredicate, int] = {}
-    for k, pred in enumerate(candidate_predicates(scene.object_ids())):
-        rng = np.random.default_rng([int(seed), scene.seed, k])
-        g = float(rng.standard_normal())
-        label_draw = float(rng.uniform())
+    index, truth, occluded = _scene_facts(scene)
+    g, label_draw = _noise_draws(int(seed), scene.seed, len(index.preds))
 
-        t = 1.0 if pred in truths else 0.0
-        residual = min(cfg.residual_for(a) for a in pred.args)
-        occ_mult = 2.0 if any(a in occl for a in pred.args) else 1.0
-        if cfg.exact_reduction:
-            eta = cfg.base_flip_rate
-            sd = cfg.logit_noise_sd * occ_mult
-        else:
-            eta = cfg.base_flip_rate * residual
-            sd = cfg.logit_noise_sd * residual * occ_mult
+    residual_of = dict(cfg.focus)
+    per_obj = np.array([residual_of.get(obj, 1.0) for obj in index.ids])
+    residual = np.minimum(per_obj[index.first], per_obj[index.last])
+    hidden = np.array([obj in occluded and obj not in cfg.cleared for obj in index.ids])
+    occ_mult = np.where(hidden[index.first] | hidden[index.last], 2.0, 1.0)
+    if cfg.exact_reduction:
+        eta = cfg.base_flip_rate
+        sd = cfg.logit_noise_sd * occ_mult
+    else:
+        eta = cfg.base_flip_rate * residual
+        sd = cfg.logit_noise_sd * residual * occ_mult
 
-        t_soft = t * (1.0 - eta) + (1.0 - t) * eta
-        if sd == 0.0:
-            p = t_soft  # sigmoid(logit(x)) == x; skip the roundtrip
-        else:
-            ts = min(max(t_soft, _TINY), 1.0 - _TINY)
-            p = _sigmoid(math.log(ts / (1.0 - ts)) + sd * g)
-        labels[pred] = 1 if label_draw < p else 0
+    p = truth * (1.0 - eta) + (1.0 - truth) * eta
+    noisy = sd != 0.0  # elsewhere sigmoid(logit(p)) == p; skip the roundtrip
+    if noisy.any():
+        ts = np.clip(p[noisy], _TINY, 1.0 - _TINY)
+        x = np.array([math.log(v) for v in (ts / (1.0 - ts)).tolist()]) + sd[noisy] * g[noisy]
+        # sigmoid(x) from e = exp(-|x|), which cannot overflow
+        e = np.array([math.exp(v) for v in (-np.abs(x)).tolist()])
+        p[noisy] = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    labels = dict(zip(index.preds, (label_draw < p).astype(int).tolist()))
 
-        if cfg.miscal_gamma != 1.0:
-            num = p**cfg.miscal_gamma
-            p = num / (num + (1.0 - p) ** cfg.miscal_gamma)
-        if cfg.exact_reduction and residual < 1.0:
-            u = predicate_uncertainty(p) * residual
-            p = 1.0 - u if p >= 0.5 else u
-        conf[pred] = min(max(p, 0.0), 1.0)
-    return ProbabilisticState(conf), labels
+    if cfg.miscal_gamma != 1.0:
+        p = np.array([_sharpen(q, cfg.miscal_gamma) for q in p.tolist()])
+    if cfg.exact_reduction:
+        u = predicate_uncertainties(p) * residual
+        p = np.where(residual < 1.0, np.where(p >= 0.5, 1.0 - u, u), p)
+    p = np.clip(p, 0.0, 1.0)
+    return ProbabilisticState.from_arrays(index.preds, p), labels
 
 
 def perceive(scene: Scene, cfg: NoiseConfig, seed: int) -> ProbabilisticState:
@@ -667,9 +719,10 @@ class PlanningEnvironment:
 
     The perception seed is fixed for the episode, so repeated observation
     refines the same noise draws (via the attention state in the config)
-    rather than resampling the world.  Plan execution simulates the support
-    graph under ground truth, failing on the first action whose
-    precondition does not actually hold.
+    rather than resampling the world; the draws are made on the first
+    observation and reused by every later one of the episode.  Plan
+    execution simulates the support graph under ground truth, failing on
+    the first action whose precondition does not actually hold.
     """
 
     def __init__(self, scene: Scene, cfg: NoiseConfig, seed: int):
@@ -685,7 +738,7 @@ class PlanningEnvironment:
         return perceive(self.scene, self.cfg, self.seed)
 
     def occluded_ids(self) -> frozenset[str]:
-        return occluded_objects(self.scene) - set(self.cfg.cleared)
+        return _scene_facts(self.scene)[2] - set(self.cfg.cleared)
 
     def apply_info(self, kind: str, target: str) -> None:
         self.cfg = apply_info_action(self.cfg, kind, target)

@@ -156,7 +156,9 @@ def test_calibration_quality_and_sharpening_ordering():
         worst = max(worst, (base["ece"], base["brier"], sharp["ece"]))
     elapsed = time.perf_counter() - t0
     print(f"  worst ece {worst[0]:.4f}, brier {worst[1]:.4f}, {elapsed:.1f}s")
-    assert _verdict("calibrated at gamma=1, degraded at gamma=2 (20 seeds)", all_ok and elapsed < 30.0)
+    assert _verdict("calibrated at gamma=1, degraded at gamma=2 (20 seeds)", all_ok)
+    # a time limit, judged apart so that a miss under load reads as timing
+    assert elapsed < 30.0, f"40 calibration runs took {elapsed:.1f}s, limit 30s"
 
 
 # --- 5: belief propagation is exact on trees --------------------------------

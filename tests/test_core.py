@@ -314,3 +314,162 @@ class TestStateValidation:
     def test_deterministic_iteration_order(self):
         s = make_state({"On(b,c)": 0.5, "Clear(a)": 0.5, "On(a,b)": 0.5})
         assert [str(p) for p in s.predicates()] == ["Clear(a)", "On(a,b)", "On(b,c)"]
+
+
+# ---------------------------------------------------------------------------
+# vector belief operations against the dict loops they replaced
+
+
+def _reference_uncertainty(conf):
+    prod = 1.0
+    for pred in sorted(conf, key=GroundPredicate.sort_key):
+        prod *= 1.0 - predicate_uncertainty(conf[pred])
+    return 1.0 - prod
+
+
+def _reference_classify(conf, tau_plan):
+    t, f, u = [], [], []
+    for pred in sorted(conf, key=GroundPredicate.sort_key):
+        p = conf[pred]
+        if p > tau_plan:
+            t.append(pred)
+        elif p + tau_plan < 1.0:
+            f.append(pred)
+        else:
+            u.append(pred)
+    return frozenset(t), frozenset(f), frozenset(u)
+
+
+def _reference_fuse(prior_conf, prior_known, obs_conf):
+    conf = dict(prior_conf)
+    known = set(prior_known)
+    for pred in sorted(obs_conf, key=GroundPredicate.sort_key):
+        p_obs = obs_conf[pred]
+        p_prior = conf.get(pred)
+        if p_prior is None:
+            conf[pred] = p_obs
+        else:
+            u_prior = predicate_uncertainty(p_prior)
+            u_obs = predicate_uncertainty(p_obs)
+            conf[pred] = p_prior if u_prior < u_obs else p_obs
+        known.add(pred)
+    return conf, known
+
+
+_POOL = sorted(
+    {GroundPredicate(Relation.CLEAR, (x,)) for x in "abcde"}
+    | {
+        GroundPredicate(rel, (x, y))
+        for rel in Relation
+        if rel is not Relation.CLEAR
+        for x in "abcde"
+        for y in "abcde"
+        if x != y
+    },
+    key=GroundPredicate.sort_key,
+)
+
+
+def _random_conf(rng, k):
+    """k predicates from the pool with confidences, exact 0/0.5/1 included."""
+    picks = rng.choice(len(_POOL), size=k, replace=False)
+    values = rng.uniform(size=k)
+    values[rng.uniform(size=k) < 0.2] = rng.choice([0.0, 0.5, 1.0, 0.3, 0.7])
+    return {_POOL[int(i)]: float(v) for i, v in zip(picks, values)}
+
+
+def _bits(state):
+    return np.array([p for _, p in state.items()]).tobytes()
+
+
+class TestBeliefOpsMatchReference:
+    def test_fuse_on_mismatched_predicate_sets(self):
+        rng = np.random.default_rng(41)
+        for trial in range(300):
+            prior_conf = _random_conf(rng, int(rng.integers(0, 40)))
+            obs_conf = _random_conf(rng, int(rng.integers(0, 40)))
+            if trial % 3 == 0:  # same set, new confidences
+                obs_conf = {p: float(rng.uniform()) for p in prior_conf}
+            prior_known = [p for p in prior_conf if rng.uniform() < 0.3]
+            prior = ProbabilisticState(prior_conf, prior_known)
+            fused = fuse_observation(prior, ProbabilisticState(obs_conf))
+            conf, known = _reference_fuse(prior_conf, prior_known, obs_conf)
+            assert fused == ProbabilisticState(conf, known)
+            assert _bits(fused) == _bits(ProbabilisticState(conf))
+            assert fused.known == known
+            for pred in set(prior_conf) - set(obs_conf):  # carried through as they were
+                assert fused.confidence(pred) == prior_conf[pred]
+                assert (pred in fused.known) == (pred in prior_known)
+
+    def test_fuse_chain_from_one_predicate_tuple(self):
+        rng = np.random.default_rng(43)
+        preds = tuple(_POOL)
+        belief = ProbabilisticState.from_arrays(preds, rng.uniform(size=len(preds)))
+        conf, known = dict(belief.items()), set()
+        for _ in range(5):
+            obs = belief.with_confidences(rng.uniform(size=len(preds)))
+            belief = fuse_observation(belief, obs)
+            conf, known = _reference_fuse(conf, known, dict(obs.items()))
+            assert belief == ProbabilisticState(conf, known)
+
+    def test_classify_at_the_boundaries(self):
+        rng = np.random.default_rng(47)
+        taus = [0.5, 0.6, 0.7, 0.73, 0.8, 0.9, 0.99, float(rng.uniform(0.5, 1.0))]
+        for tau in taus:
+            edges = [1.0 - tau, tau]
+            values = [v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
+            values += [0.0, 0.5, 1.0]
+            conf = {_POOL[k]: float(v) for k, v in enumerate(values)}
+            part = classify(ProbabilisticState(conf), tau)
+            assert (part.certain_true, part.certain_false, part.uncertain) == _reference_classify(
+                conf, tau
+            )
+        # p + tau == 1 exactly stays uncertain, though 1 - tau rounds above p
+        p, tau = 0.3, 0.7
+        assert p + tau == 1.0 and p < 1.0 - tau
+        assert classify(make_state({"On(a,b)": p}), tau).uncertain == {P("On(a,b)")}
+
+    def test_classify_random_states(self):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            conf = _random_conf(rng, int(rng.integers(0, 60)))
+            tau = float(rng.uniform(0.01, 0.99))
+            part = classify(ProbabilisticState(conf), tau)
+            assert (part.certain_true, part.certain_false, part.uncertain) == _reference_classify(
+                conf, tau
+            )
+
+    def test_state_uncertainty_on_long_states(self):
+        # near-certain confidences keep the product near 1, where 1 - prod is
+        # exact and a product taken in another order shows in the last bits
+        rng = np.random.default_rng(59)
+        for n in (0, 1, 2, 17, 280, 3000):
+            preds = [GroundPredicate(Relation.ON, (f"a{k}", "b")) for k in range(n)]
+            u = rng.uniform(0.0, 1e-4, size=n)
+            values = np.where(rng.uniform(size=n) < 0.5, u, 1.0 - u)
+            conf = {p: float(v) for p, v in zip(preds, values)}
+            got = state_uncertainty_independent(ProbabilisticState(conf))
+            assert got == _reference_uncertainty(conf)
+            assert type(got) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.01, math.inf, -math.inf])
+    def test_bad_confidences_raise_the_same_error(self, bad):
+        preds = (P("Clear(a)"), P("On(a,b)"))
+        message = r"confidence must lie in \[0, 1\]"
+        with pytest.raises(ValueError, match=message):
+            ProbabilisticState({preds[0]: 0.5, preds[1]: bad})
+        with pytest.raises(ValueError, match=message):
+            ProbabilisticState.from_arrays(preds, [0.5, bad])
+        state = ProbabilisticState.from_arrays(preds, [0.5, 0.5])
+        with pytest.raises(ValueError, match=message):
+            state.with_confidences([bad, 0.5])
+        with pytest.raises(ValueError, match="must match the predicates"):
+            state.with_confidences([0.5, 0.5, 0.5])
+
+    def test_state_is_read_only(self):
+        state = make_state({"On(a,b)": 0.25, "Clear(b)": 0.5}, known=["Clear(b)"])
+        for vector in (state._p, state._known):
+            with pytest.raises(ValueError):
+                vector[0] = 1
+        assert state.items() == [(P("Clear(b)"), 0.5), (P("On(a,b)"), 0.25)]
+        assert all(type(p) is float for _, p in state.items())

@@ -9,6 +9,7 @@ IoU is 0.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -583,3 +584,179 @@ class TestEnvironment:
         # light noise: most certain-true calls are actually true
         right = sum(1 for p in part.certain_true if p in truths)
         assert right >= 0.9 * len(part.certain_true)
+
+
+class TestSupportPairs:
+    def _column(self, n):
+        """n boxes stacked straight up, o0 at the bottom (no support pairs yet)."""
+        return tuple(
+            SceneObject(f"o{k}", (0.0, 0.0, 0.03 + 0.06 * k), (0.08, 0.06, 0.08), _box(0.0, 0.0))
+            for k in range(n)
+        )
+
+    def test_chain_accepted(self):
+        objs = self._column(3)
+        scene = Scene(objs, (("o1", "o0"), ("o2", "o1")))
+        assert scene.support == (("o1", "o0"), ("o2", "o1"))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            (("o0", "o1"), ("o1", "o0")),
+            (("o1", "o0"), ("o0", "o1")),
+            (("o1", "o0"), ("o2", "o1"), ("o0", "o2")),
+            (("o0", "o2"), ("o2", "o1"), ("o1", "o0")),
+        ],
+    )
+    def test_cycles_rejected(self, pairs):
+        with pytest.raises(ValueError):
+            Scene(self._column(3), pairs)
+
+
+# ---------------------------------------------------------------------------
+# perception against the per-predicate loop it replaced
+
+
+def _reference_sigmoid(x):
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _reference_perceive_with_labels(scene, cfg, seed):
+    """One generator per predicate and every fact recomputed, on every call."""
+    truths = ground_truth_state(scene)
+    occl = occluded_objects(scene) - set(cfg.cleared)
+    conf, labels = {}, {}
+    for k, pred in enumerate(candidate_predicates(scene.object_ids())):
+        rng = np.random.default_rng([int(seed), scene.seed, k])
+        g = float(rng.standard_normal())
+        label_draw = float(rng.uniform())
+
+        t = 1.0 if pred in truths else 0.0
+        residual = min(cfg.residual_for(a) for a in pred.args)
+        occ_mult = 2.0 if any(a in occl for a in pred.args) else 1.0
+        if cfg.exact_reduction:
+            eta = cfg.base_flip_rate
+            sd = cfg.logit_noise_sd * occ_mult
+        else:
+            eta = cfg.base_flip_rate * residual
+            sd = cfg.logit_noise_sd * residual * occ_mult
+
+        t_soft = t * (1.0 - eta) + (1.0 - t) * eta
+        if sd == 0.0:
+            p = t_soft
+        else:
+            ts = min(max(t_soft, 1e-12), 1.0 - 1e-12)
+            p = _reference_sigmoid(math.log(ts / (1.0 - ts)) + sd * g)
+        labels[pred] = 1 if label_draw < p else 0
+
+        if cfg.miscal_gamma != 1.0:
+            num = p**cfg.miscal_gamma
+            p = num / (num + (1.0 - p) ** cfg.miscal_gamma)
+        if cfg.exact_reduction and residual < 1.0:
+            u = predicate_uncertainty(p) * residual
+            p = 1.0 - u if p >= 0.5 else u
+        conf[pred] = min(max(p, 0.0), 1.0)
+    return conf, labels
+
+
+def _assert_same_observation(state, labels, ref_conf, ref_labels):
+    assert state.predicates() == sorted(ref_conf, key=GroundPredicate.sort_key)
+    got = np.array([p for _, p in state.items()])
+    want = np.array([ref_conf[pred] for pred in state.predicates()])
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+    assert state.known == frozenset()
+    assert labels == ref_labels
+    assert all(type(v) is int for v in labels.values())
+
+
+class TestPerceiveMatchesReference:
+    CONFIGS = [
+        NoiseConfig(),  # sd == 0 everywhere
+        NoiseConfig(base_flip_rate=0.2),
+        NoiseConfig(base_flip_rate=0.025, logit_noise_sd=1.5),
+        NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0, miscal_gamma=2.0),
+        NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.8, miscal_gamma=0.6),
+        NoiseConfig(base_flip_rate=0.05, logit_noise_sd=12.0),  # logits far past +-30
+        NoiseConfig(base_flip_rate=0.05, logit_noise_sd=1.0, exact_reduction=True),
+        NoiseConfig(base_flip_rate=0.1, exact_reduction=True, miscal_gamma=1.5),
+    ]
+
+    @staticmethod
+    def _attended(cfg, scene, rng):
+        """cfg after a few random info actions, pushes on occluded objects included."""
+        ids = scene.object_ids()
+        occl = sorted(occluded_objects(scene))
+        for _ in range(int(rng.integers(0, 5))):
+            if occl and rng.uniform() < 0.5:
+                cfg = apply_info_action(cfg, "push_obstacle", occl[int(rng.integers(len(occl)))])
+            else:
+                cfg = apply_info_action(cfg, "look_closer", ids[int(rng.integers(len(ids)))])
+        return cfg
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_branch_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(6):
+            scene = generate_scene(n, stack_bias=0.7, seed=100 * n + trial)
+            for base in self.CONFIGS:
+                cfg = self._attended(base, scene, rng)
+                seed = int(rng.integers(0, 1000))
+                state, labels = perceive_with_labels(scene, cfg, seed)
+                _assert_same_observation(
+                    state, labels, *_reference_perceive_with_labels(scene, cfg, seed)
+                )
+
+    def test_branches_are_reached(self):
+        scene = small_stacked_scene()  # o0 sits under o1, so it starts occluded
+        focus = apply_info_action(NoiseConfig(logit_noise_sd=1.0), "look_closer", "o2")
+        cleared = apply_info_action(NoiseConfig(logit_noise_sd=1.0), "push_obstacle", "o0")
+        assert focus.residual_for("o2") < 1.0 and focus.residual_for("o0") == 1.0
+        assert cleared.cleared == ("o0",)
+        exact = replace(focus, exact_reduction=True)
+        for cfg in (focus, cleared, exact, replace(exact, miscal_gamma=3.0), NoiseConfig()):
+            state, labels = perceive_with_labels(scene, cfg, 4)
+            _assert_same_observation(state, labels, *_reference_perceive_with_labels(scene, cfg, 4))
+
+    def test_reobservation_after_info_actions(self):
+        cfg = NoiseConfig(base_flip_rate=0.025, logit_noise_sd=1.5)
+        for seed in range(12):
+            scene = generate_scene(5, stack_bias=0.8, seed=seed)
+            env = PlanningEnvironment(scene, cfg, seed + 50)
+            occl = sorted(env.occluded_ids())
+            steps = [("look_closer", "o1"), ("look_closer", "o1")]
+            steps += [("push_obstacle", occl[0])] if occl else [("push_obstacle", "o2")]
+            steps += [("look_closer", "o3")]
+            for kind, target in [(None, None)] + steps:
+                if kind is not None:
+                    env.apply_info(kind, target)
+                state = env.observe()
+                _, labels = perceive_with_labels(scene, env.cfg, env.seed)
+                _assert_same_observation(
+                    state, labels, *_reference_perceive_with_labels(scene, env.cfg, env.seed)
+                )
+            if occl:
+                assert occl[0] not in env.occluded_ids()
+
+    def test_hand_built_scenes_sharing_seed_zero_stay_apart(self):
+        stacked = small_stacked_scene()
+        stacked = Scene(stacked.objects, stacked.support)  # seed 0
+        spread = Scene(
+            tuple(
+                SceneObject(f"o{k}", (x, 0.0, 0.03), (0.08, 0.06, 0.08), _box(x, 0.0))
+                for k, x in enumerate((-0.3, 0.0, 0.3))
+            ),
+            (),
+        )
+        assert stacked.seed == spread.seed == 0
+        assert stacked.object_ids() == spread.object_ids()
+        for first, second in ((stacked, spread), (spread, stacked)):
+            perceive(first, NoiseConfig(), 0)
+            state = perceive(second, NoiseConfig(), 0)
+            truths = ground_truth_state(second)
+            assert {p for p, v in state.items() if v == 1.0} == truths
+            env = PlanningEnvironment(second, NoiseConfig(), 0)
+            assert env.occluded_ids() == occluded_objects(second)
+        assert occluded_objects(stacked) == {"o0"} and occluded_objects(spread) == frozenset()
