@@ -3,8 +3,7 @@
 A perception stack that says "0.8" should be right about 80% of the time.
 This module scores that property on a stream of (confidence, label) pairs:
 equal-width reliability binning, expected and maximum calibration error,
-Brier score, and a pass/fail verdict against a tolerance.  It also reads
-and writes the delimited-text stream format used by the experiment harness.
+Brier score, and a pass/fail verdict against a tolerance.
 """
 
 from __future__ import annotations
@@ -129,33 +128,3 @@ def calibration_verdict(report: ReliabilityReport, ece_max: float) -> bool:
         raise ValueError(f"ece_max must be non-negative, got {ece_max}")
     return report.ece <= ece_max
 
-
-def write_stream(batch: PredictionBatch) -> str:
-    """Delimited-text form: header line, then one confidence,label per line."""
-    lines = ["confidence,label"]
-    for p, y in zip(batch.confidences, batch.labels):
-        lines.append(f"{format(float(p), '.9g')},{int(y)}")
-    return "\n".join(lines) + "\n"
-
-
-def read_stream(text: str) -> PredictionBatch:
-    """Parse the delimited-text stream format; the header line is optional."""
-    conf: list[float] = []
-    lab: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.lower() == "confidence,label":
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'confidence,label', got {raw!r}")
-        try:
-            p = float(parts[0])
-            y = int(parts[1])
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from e
-        conf.append(p)
-        lab.append(y)
-    return PredictionBatch(conf, lab)

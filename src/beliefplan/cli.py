@@ -8,7 +8,6 @@ file > built-in defaults.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 

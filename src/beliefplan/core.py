@@ -81,9 +81,6 @@ class GroundPredicate:
         # rebuild instead of restoring _hash: str hashes differ between processes
         return (GroundPredicate, (self.relation, self.args))
 
-    def mentions(self, obj: str) -> bool:
-        return obj in self.args
-
     def sort_key(self) -> tuple[str, tuple[str, ...]]:
         return (self.relation.value, self.args)
 
@@ -240,9 +237,6 @@ class CertaintyPartition:
     certain_true: frozenset[GroundPredicate]
     certain_false: frozenset[GroundPredicate]
     uncertain: frozenset[GroundPredicate]
-
-    def all_predicates(self) -> frozenset[GroundPredicate]:
-        return self.certain_true | self.certain_false | self.uncertain
 
 
 def predicate_uncertainty(p: float) -> float:

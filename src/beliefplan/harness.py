@@ -5,9 +5,10 @@ block.  Trial randomness derives from hashing (experiment seed, setting
 index, trial index) into independent seed sequences, so results are
 byte-identical across re-runs and worker counts; trials are embarrassingly
 parallel and assembled in index order.  All exported timings are modeled
-from fixed per-operation costs rather than measured, keeping output files
-deterministic.  ``tests/test_golden.py`` pins the digests of one small
-config per kind, so an output change between commits fails a test too.
+from the fixed per-operation costs in ``planner.MODELED_COST_MS`` rather
+than measured, keeping output files deterministic.  ``tests/test_golden.py``
+pins the digests of one small config per kind, so an output change between
+commits fails a test too.
 """
 
 from __future__ import annotations
@@ -42,14 +43,17 @@ from beliefplan.mrf import (
     unary_potentials,
 )
 from beliefplan.planner import (
+    MODELED_COST_MS,
     Goal,
     PlannerOptions,
     convergence_bound,
+    modeled_episode_ms,
     plan_under_uncertainty,
 )
 from beliefplan.scene import (
     NoiseConfig,
     PlanningEnvironment,
+    candidate_predicates,
     check_scene_shape,
     generate_scene,
     perceive_with_labels,
@@ -267,7 +271,7 @@ def _calibration_unit(config: ExperimentConfig, trial_idx: int):
     scene_seed, perception_seed = _trial_seeds(config.seed, 0, trial_idx)
     scene = generate_scene(config.n_objects, config.stack_bias, scene_seed)
     state, labels = perceive_with_labels(scene, config.noise(), perception_seed)
-    return [(p, labels[pred]) for pred, p in state.items()]
+    return [(p, y) for (_, p), y in zip(state.items(), labels.tolist())]
 
 
 def _alpha_unit(config: ExperimentConfig, trial_idx: int):
@@ -277,8 +281,7 @@ def _alpha_unit(config: ExperimentConfig, trial_idx: int):
         scene, config.noise(exact_reduction=True), perception_seed, steps=config.steps
     )
     n_objs = len(scene.object_ids())
-    modeled = 2.0 + 1.5 * (rounds + 1) + 4.0 * rounds * n_objs
-    return trace, modeled
+    return trace, modeled_episode_ms(rounds + 1, rounds * n_objs)
 
 
 def _convergence_unit(config: ExperimentConfig, trial_idx: int):
@@ -397,12 +400,8 @@ def _map_units(config: ExperimentConfig, units: list[tuple]) -> list:
 # experiment drivers
 
 
-def _predicates_per_scene(n_objects: int) -> int:
-    return n_objects + 3 * n_objects * (n_objects - 1)
-
-
 def _run_calibration(config: ExperimentConfig) -> ExperimentReport:
-    per_scene = _predicates_per_scene(config.n_objects)
+    per_scene = len(candidate_predicates(str(k) for k in range(config.n_objects)))
     n_scenes = math.ceil(config.samples / per_scene)
     results = _map_units(config, [(0, t) for t in range(n_scenes)])
     pairs = [pair for chunk in results for pair in chunk][: config.samples]
@@ -416,7 +415,10 @@ def _run_calibration(config: ExperimentConfig) -> ExperimentReport:
         "brier": rel.brier,
         "verdict": calibration_verdict(rel, 0.02),
         "miscal_gamma": config.miscal_gamma,
-        "modeled_time_ms": 1.0 + 0.01 * len(pairs),
+        "modeled_time_ms": (
+            MODELED_COST_MS["calibration_run"]
+            + MODELED_COST_MS["calibration_sample"] * len(pairs)
+        ),
         "checks": {
             "ece_within_tol": rel.ece <= 0.02,
             "brier_within_tol": rel.brier <= 0.26,
@@ -476,7 +478,8 @@ def _run_convergence(config: ExperimentConfig) -> ExperimentReport:
         "mean_gap_pct": float(np.mean(gaps)),
         "mean_k_empirical": float(np.mean([r[2] for r in rows])),
         "mean_k_bound": float(np.mean([r[3] for r in rows])),
-        "modeled_time_ms": sum(2.0 + 5.5 * r[2] for r in rows),
+        # one observation and one info action per round
+        "modeled_time_ms": sum(modeled_episode_ms(r[2], r[2]) for r in rows),
         "checks": {"all_within_bound_plus_one": within_plus_one == len(rows)},
     }
     return ExperimentReport(
@@ -607,7 +610,9 @@ def _run_mrf_check(config: ExperimentConfig) -> ExperimentReport:
         "frac_tightened": tightened / len(rows),
         "n_edgeless": edgeless,
         "mean_max_marginal_dev": float(np.mean([r[4] for r in rows])),
-        "modeled_time_ms": sum(1.0 + 0.5 * r[1] for r in rows),
+        "modeled_time_ms": sum(
+            MODELED_COST_MS["mrf_graph"] + MODELED_COST_MS["mrf_node"] * r[1] for r in rows
+        ),
         "checks": {
             "tightening_holds": tightened == len(rows),
             "equality_iff_edgeless": equality_matches_edges == len(rows),

@@ -97,14 +97,6 @@ class PredicateMrf:
             adj[e.j].append(e.i)
         return [sorted(a) for a in adj]
 
-    def log_partition(self) -> float:
-        """log Z by exhaustive enumeration (node count capped)."""
-        energies = _all_energies(self)
-        return _logsumexp(-energies)
-
-    def partition_function(self) -> float:
-        return math.exp(self.log_partition())
-
 
 @dataclass(frozen=True)
 class BeliefSet:
@@ -133,17 +125,17 @@ def unary_potentials(p: float) -> tuple[float, float]:
     return (-math.log(_clamp(1.0 - p)), -math.log(_clamp(p)))
 
 
-def mutex_edge(i: int, j: int, weight: float = HARD_WEIGHT) -> Edge:
+def mutex_edge(i: int, j: int) -> Edge:
     """Hard pairwise factor forbidding both endpoints true."""
-    return Edge(i, j, EdgeKind.MUTUAL_EXCLUSION, ((0.0, 0.0), (0.0, weight)))
+    return Edge(i, j, EdgeKind.MUTUAL_EXCLUSION, ((0.0, 0.0), (0.0, HARD_WEIGHT)))
 
 
-def implication_edge(i: int, j: int, antecedent: int, weight: float = HARD_WEIGHT) -> Edge:
+def implication_edge(i: int, j: int, antecedent: int) -> Edge:
     """Hard pairwise factor penalizing antecedent-true, consequent-false."""
     if antecedent == i:
-        table = ((0.0, 0.0), (weight, 0.0))
+        table = ((0.0, 0.0), (HARD_WEIGHT, 0.0))
     else:
-        table = ((0.0, weight), (0.0, 0.0))
+        table = ((0.0, HARD_WEIGHT), (0.0, 0.0))
     return Edge(i, j, EdgeKind.IMPLICATION, table, antecedent)
 
 
@@ -153,11 +145,7 @@ def correlation_edge(i: int, j: int, rho: float) -> Edge:
     return Edge(i, j, EdgeKind.CORRELATION, ((-rho, rho), (rho, -rho)), rho=rho)
 
 
-def build_mrf(
-    state: ProbabilisticState,
-    hard_weight: float = HARD_WEIGHT,
-    correlation_rho: float = DEFAULT_CORRELATION,
-) -> PredicateMrf:
+def build_mrf(state: ProbabilisticState) -> PredicateMrf:
     """Construct the dependency MRF for a belief state.
 
     One node per predicate, unary energies from the confidences, and three
@@ -165,7 +153,8 @@ def build_mrf(
 
     * mutual exclusion between On(A, B) and Clear(B),
     * implication from On(A, B) to Touching(A, B),
-    * correlation between chained supports On(A, B) and On(B, C).
+    * correlation of strength ``DEFAULT_CORRELATION`` between chained
+      supports On(A, B) and On(B, C).
 
     At most one edge per node pair; when rules collide the harder constraint
     wins (exclusion, then implication, then correlation).
@@ -189,7 +178,7 @@ def build_mrf(
         clear_b = state.get(GroundPredicate(Relation.CLEAR, (b,)))
         if clear_b is not None:
             i, j = sorted((index[on], index[GroundPredicate(Relation.CLEAR, (b,))]))
-            add(mutex_edge(i, j, hard_weight))
+            add(mutex_edge(i, j))
 
     for on in ons:
         a, b = on.args
@@ -197,7 +186,7 @@ def build_mrf(
         if touching in state:
             ant, cons = index[on], index[touching]
             i, j = sorted((ant, cons))
-            add(implication_edge(i, j, ant, hard_weight))
+            add(implication_edge(i, j, ant))
 
     for upper in ons:
         a, b = upper.args
@@ -205,7 +194,7 @@ def build_mrf(
             c, d = lower.args
             if c == b and d != a:  # On(a, b) chained with On(b, d)
                 i, j = sorted((index[upper], index[lower]))
-                add(correlation_edge(i, j, correlation_rho))
+                add(correlation_edge(i, j, DEFAULT_CORRELATION))
 
     edges.sort(key=lambda e: (e.i, e.j))
     return PredicateMrf(nodes, unary, tuple(edges))
@@ -494,30 +483,3 @@ def refined_state(state: ProbabilisticState, beliefs: BeliefSet) -> Probabilisti
         raise ValueError("belief set does not match state size")
     return state.with_confidences(beliefs.node_marginals[:, 1])
 
-
-def dump_mrf(mrf: PredicateMrf) -> str:
-    """Stable structured-text rendering of nodes and edges.
-
-    Deterministic for a given input state: nodes are listed in their sorted
-    order with unary energies, then edges sorted by endpoints.
-    """
-
-    def fmt(x: float) -> str:
-        return format(float(x), ".9g")
-
-    lines = [f"mrf nodes={mrf.n_nodes} edges={len(mrf.edges)}"]
-    for k, pred in enumerate(mrf.nodes):
-        lines.append(
-            f"node {k} {pred} psi_false={fmt(mrf.unary[k, 0])} psi_true={fmt(mrf.unary[k, 1])}"
-        )
-    for e in mrf.edges:
-        extra = ""
-        if e.kind is EdgeKind.IMPLICATION:
-            extra = f" antecedent={e.antecedent}"
-        elif e.kind is EdgeKind.CORRELATION:
-            extra = f" rho={fmt(e.rho)}"
-        rows = ";".join(
-            ",".join(fmt(v) for v in row) for row in e.table
-        )
-        lines.append(f"edge {e.i} {e.j} kind={e.kind.value}{extra} phi=[{rows}]")
-    return "\n".join(lines) + "\n"

@@ -43,6 +43,22 @@ from beliefplan.mrf import CapacityError, build_mrf, loopy_bp, refined_state
 from beliefplan.scene import INFO_ACTION_KINDS, LOOK_CLOSER, PUSH_OBSTACLE
 
 MAX_EXPANSIONS = 10**6
+INFO_COST = 0.1  # the value-of-information gate's price of one info action
+
+# Modeled per-operation costs in milliseconds.  Every exported
+# ``modeled_time_ms`` is computed from this one table instead of measured,
+# so output files stay byte-identical across machines and runs.
+MODELED_COST_MS = {
+    "episode": 2.0,  # fixed cost of a planning episode or a decay trace
+    "observe": 1.5,  # one observation
+    "info_action": 4.0,  # one information-gathering action
+    "expansion": 0.02,  # one A* expansion
+    "plan_step": 0.5,  # one action of the executed plan
+    "calibration_run": 1.0,  # fixed cost of a calibration run
+    "calibration_sample": 0.01,  # one scored (confidence, label) pair
+    "mrf_graph": 1.0,  # fixed cost of one mrf-check graph
+    "mrf_node": 0.5,  # one node of that graph
+}
 
 Atom = tuple[str, ...]
 
@@ -65,6 +81,27 @@ def holding(x: str) -> Atom:
 
 def handempty() -> Atom:
     return ("handempty",)
+
+
+def predicate_atom(pred: GroundPredicate) -> Atom | None:
+    """The STRIPS atom of an On or Clear predicate; None for other relations."""
+    if pred.relation is Relation.ON:
+        return on(*pred.args)
+    if pred.relation is Relation.CLEAR:
+        return clear(pred.args[0])
+    return None
+
+
+def support_atoms(lower_of: Mapping[str, str], objects: Iterable[str]) -> frozenset[Atom]:
+    """Hand-empty atoms of a support structure given as ``upper -> lower``
+    links: on or ontable for each object, clear where nothing rests on it."""
+    occupied = set(lower_of.values())
+    atoms: set[Atom] = {handempty()}
+    for x in set(objects):
+        atoms.add(on(x, lower_of[x]) if x in lower_of else ontable(x))
+        if x not in occupied:
+            atoms.add(clear(x))
+    return frozenset(atoms)
 
 
 def _check_atoms(atoms: frozenset[Atom]) -> None:
@@ -237,13 +274,7 @@ class Goal:
             raise ValueError("goal stacking is cyclic")
 
     def atoms(self) -> frozenset[Atom]:
-        out: set[Atom] = set()
-        for pred in self.predicates:
-            if pred.relation is Relation.ON:
-                out.add(on(*pred.args))
-            else:
-                out.add(clear(pred.args[0]))
-        return frozenset(out)
+        return frozenset(predicate_atom(pred) for pred in self.predicates)
 
     def objects(self) -> frozenset[str]:
         return frozenset(arg for p in self.predicates for arg in p.args)
@@ -495,7 +526,6 @@ class InfoAction:
 class PlannerOptions:
     refine_with_mrf: bool = False
     info_enabled: bool = True
-    info_cost: float = 0.1
 
 
 def choose_info_action(
@@ -504,7 +534,6 @@ def choose_info_action(
     state_uncertainty: float,
     occluded: frozenset[str] | set[str],
     gains: Mapping[str, float],
-    cost: float = 0.1,
 ) -> InfoAction | None:
     """Pick the information action for the most goal-critical object.
 
@@ -525,7 +554,7 @@ def choose_info_action(
     target = min(counts, key=lambda o: (-counts[o], o))
     kind = PUSH_OBSTACLE if target in occluded else LOOK_CLOSER
     gain = gains[kind]
-    if not ig_value(state_uncertainty, gain, cost):
+    if not ig_value(state_uncertainty, gain, INFO_COST):
         return None
     return InfoAction(kind, target)
 
@@ -557,15 +586,7 @@ def world_state_from_beliefs(
             del lower_of[upper]
             continue
         occupied.add(lower)
-    atoms: set[Atom] = {handempty()}
-    for x in sorted(set(objects)):
-        if x in lower_of:
-            atoms.add(on(x, lower_of[x]))
-        else:
-            atoms.add(ontable(x))
-        if x not in occupied:
-            atoms.add(clear(x))
-    return SymbolicWorldState(frozenset(atoms))
+    return SymbolicWorldState(support_atoms(lower_of, objects))
 
 
 @dataclass(frozen=True)
@@ -593,16 +614,6 @@ class PlanningEpisode:
     modeled_time_ms: float
     cap_hits: int  # searches stopped at MAX_EXPANSIONS; not exported
 
-    def uncertainty_trace(self) -> list[float]:
-        return [r.state_uncertainty for r in self.iterations]
-
-    def to_rows(self, episode_id: int) -> list[tuple[int, int, float, str]]:
-        """Flat (episode_id, step, U, action_kind) records for export."""
-        return [
-            (episode_id, r.index, r.state_uncertainty, r.action_kind)
-            for r in self.iterations
-        ]
-
     def summary(self) -> dict:
         return {
             "goal": str(self.goal),
@@ -616,9 +627,18 @@ class PlanningEpisode:
         }
 
 
-def _modeled_time_ms(observes: int, infos: int, expansions: int, plan_length: int) -> float:
-    # fixed per-operation costs keep exported timings reproducible
-    return 2.0 + 1.5 * observes + 4.0 * infos + 0.02 * expansions + 0.5 * plan_length
+def modeled_episode_ms(
+    observes: int, infos: int, expansions: int = 0, plan_length: int = 0
+) -> float:
+    """Modeled time of an episode or decay trace, from ``MODELED_COST_MS``."""
+    cost = MODELED_COST_MS
+    return (
+        cost["episode"]
+        + cost["observe"] * observes
+        + cost["info_action"] * infos
+        + cost["expansion"] * expansions
+        + cost["plan_step"] * plan_length
+    )
 
 
 def plan_under_uncertainty(
@@ -665,9 +685,7 @@ def plan_under_uncertainty(
         critical = [p for p in part.uncertain if set(p.args) & goal_objs]
         if options.info_enabled and critical and round_idx < max_retries - 1:
             gains = {LOOK_CLOSER: env.cfg.look_gain, PUSH_OBSTACLE: env.cfg.push_gain}
-            action = choose_info_action(
-                part.uncertain, goal, u_state, env.occluded_ids(), gains, options.info_cost
-            )
+            action = choose_info_action(part.uncertain, goal, u_state, env.occluded_ids(), gains)
             if action is not None:
                 env.apply_info(action.kind, action.target)
                 info_count += 1
@@ -700,7 +718,7 @@ def plan_under_uncertainty(
         info_action_count=info_count,
         plan=final_plan,
         expansions=expansions_total,
-        modeled_time_ms=_modeled_time_ms(
+        modeled_time_ms=modeled_episode_ms(
             len(records), info_count, expansions_total,
             len(final_plan) if final_plan else 0,
         ),

@@ -5,8 +5,10 @@ generates seeded tabletop scenes with optional stacking, derives the
 ground-truth predicate set from geometry, and emits per-predicate
 confidences through a configurable noise channel (label smoothing, logit
 noise, miscalibration, occlusion).  Information-gathering actions sharpen
-subsequent observations of a chosen object.  Everything is a pure function
-of its inputs and seed.
+subsequent observations of a chosen object.  Plans execute with the
+planner's own STRIPS actions over the scene's true support atoms, so the
+blocks-world rules live in one place.  Everything is a pure function of
+its inputs and seed.
 
 What does not change between observations is computed once: one sorted
 predicate index per object set, each scene's truth vector and occlusion
@@ -25,7 +27,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -41,8 +43,6 @@ WORLD_HALF_EXTENT = 0.5  # meters; the projected workspace is [-0.5, 0.5]^2
 CONTACT_EPS = 0.005  # surfaces closer than 5 mm count as touching
 CLOSE_DIST = 0.15  # xy center distance below which CloseTo holds
 OCCLUSION_IOU = 0.3
-SUPPORT_MIN_DZ = 0.02  # spatial validation: supported center must sit this far above
-SUPPORT_MAX_DXY = 0.15  # spatial validation: supported center must stay this close in xy
 
 LOOK_CLOSER = "look_closer"
 PUSH_OBSTACLE = "push_obstacle"
@@ -337,14 +337,6 @@ def ground_truth_state(scene: Scene) -> frozenset[GroundPredicate]:
     return frozenset(truths)
 
 
-def ground_truth_confidences(scene: Scene) -> ProbabilisticState:
-    """Noiseless belief state: confidence 1 for true predicates, 0 otherwise."""
-    truths = ground_truth_state(scene)
-    return ProbabilisticState(
-        {p: (1.0 if p in truths else 0.0) for p in candidate_predicates(scene.object_ids())}
-    )
-
-
 def iou_2d(
     box_a: tuple[float, float, float, float], box_b: tuple[float, float, float, float]
 ) -> float:
@@ -412,8 +404,10 @@ def _sharpen(p: float, gamma: float) -> float:
 
 def perceive_with_labels(
     scene: Scene, cfg: NoiseConfig, seed: int
-) -> tuple[ProbabilisticState, dict[GroundPredicate, int]]:
+) -> tuple[ProbabilisticState, np.ndarray]:
     """Noisy observation plus the calibrated label stream.
+
+    The labels are a 0/1 int vector aligned with the state's predicates.
 
     For each candidate predicate with truth t: smooth t toward its opposite
     by the flip rate, jitter in logit space, then optionally miscalibrate.
@@ -453,7 +447,7 @@ def perceive_with_labels(
         # sigmoid(x) from e = exp(-|x|), which cannot overflow
         e = np.array([math.exp(v) for v in (-np.abs(x)).tolist()])
         p[noisy] = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    labels = dict(zip(index.preds, (label_draw < p).astype(int).tolist()))
+    labels = (label_draw < p).astype(int)
 
     if cfg.miscal_gamma != 1.0:
         p = np.array([_sharpen(q, cfg.miscal_gamma) for q in p.tolist()])
@@ -468,209 +462,6 @@ def perceive(scene: Scene, cfg: NoiseConfig, seed: int) -> ProbabilisticState:
     """Noisy observation of every candidate predicate (see perceive_with_labels)."""
     state, _ = perceive_with_labels(scene, cfg, seed)
     return state
-
-
-def spatial_validate_on(
-    positions: Mapping[str, tuple[float, float, float]],
-    pred: GroundPredicate,
-    p: float,
-) -> float:
-    """Geometric cross-check of an On confidence against estimated positions.
-
-    A genuine support needs the upper center clearly above the lower
-    (dz > 0.02 m) and nearly aligned in the plane (dxy < 0.15 m).  One
-    violated constraint halves the confidence; both violated scales it by
-    0.1.  Never increases confidence.
-    """
-    if pred.relation is not Relation.ON:
-        raise ValueError(f"spatial validation applies to On predicates, got {pred}")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"confidence must lie in [0, 1], got {p}")
-    a, b = pred.args
-    try:
-        xa, ya, za = positions[a]
-        xb, yb, zb = positions[b]
-    except KeyError as e:
-        raise ValueError(f"position estimate missing for object {e.args[0]!r}") from e
-    violations = 0
-    if not (za - zb > SUPPORT_MIN_DZ):
-        violations += 1
-    if not (math.hypot(xa - xb, ya - yb) < SUPPORT_MAX_DXY):
-        violations += 1
-    if violations == 0:
-        return p
-    return p * (0.5 if violations == 1 else 0.1)
-
-
-# ---------------------------------------------------------------------------
-# relation thresholds
-
-
-@dataclass(frozen=True)
-class RelationThresholds:
-    """Per-relation binarization cutoffs for turning confidences into labels."""
-
-    on: float = 0.5
-    left_of: float = 0.3
-    close_to: float = 0.3
-    touching: float = 0.3
-    clear: float = 0.3
-
-    def __post_init__(self):
-        for name, tau in self.as_dict().items():
-            if not (0.0 < tau < 1.0):
-                raise ValueError(f"threshold for {name} must lie in (0, 1), got {tau}")
-
-    def as_dict(self) -> dict[Relation, float]:
-        return {
-            Relation.ON: self.on,
-            Relation.LEFT_OF: self.left_of,
-            Relation.CLOSE_TO: self.close_to,
-            Relation.TOUCHING: self.touching,
-            Relation.CLEAR: self.clear,
-        }
-
-    def for_relation(self, rel: Relation) -> float:
-        return self.as_dict()[rel]
-
-
-def apply_relation_thresholds(
-    state: ProbabilisticState, thresholds: RelationThresholds = RelationThresholds()
-) -> frozenset[GroundPredicate]:
-    """Predicates whose confidence reaches their relation's cutoff (p >= tau)."""
-    return frozenset(
-        pred
-        for pred, p in state.items()
-        if p >= thresholds.for_relation(pred.relation)
-    )
-
-
-DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
-
-
-@dataclass(frozen=True)
-class ThresholdSearch:
-    thresholds: RelationThresholds
-    f1: dict[Relation, float]
-    skipped: frozenset[Relation]
-
-
-def _f1_at(confidences: np.ndarray, labels: np.ndarray, tau: float) -> float:
-    predicted = confidences >= tau
-    tp = int(np.sum(predicted & (labels == 1)))
-    fp = int(np.sum(predicted & (labels == 0)))
-    fn = int(np.sum(~predicted & (labels == 1)))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
-
-
-def grid_search_thresholds(
-    batches: Mapping[Relation, tuple[Sequence[float], Sequence[int]]],
-    grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
-) -> ThresholdSearch:
-    """Pick each relation's cutoff by maximizing F1 over a grid.
-
-    Ties resolve to the smaller threshold.  Relations whose batch contains
-    a single class cannot be scored and keep their default cutoff, reported
-    in ``skipped``.
-    """
-    if not grid:
-        raise ValueError("threshold grid must be non-empty")
-    chosen: dict[Relation, float] = {}
-    f1_by_rel: dict[Relation, float] = {}
-    skipped: set[Relation] = set()
-    defaults = RelationThresholds()
-    for rel, (confs, labels) in batches.items():
-        confs = np.asarray(confs, dtype=float)
-        labels = np.asarray(labels, dtype=int)
-        if confs.size == 0 or len(set(labels.tolist())) < 2:
-            skipped.add(rel)
-            continue
-        best_tau, best_f1 = None, -1.0
-        for tau in grid:
-            score = _f1_at(confs, labels, float(tau))
-            if score > best_f1 + 1e-12:
-                best_tau, best_f1 = float(tau), score
-        chosen[rel] = best_tau
-        f1_by_rel[rel] = best_f1
-    field_by_rel = {
-        Relation.ON: "on",
-        Relation.LEFT_OF: "left_of",
-        Relation.CLOSE_TO: "close_to",
-        Relation.TOUCHING: "touching",
-        Relation.CLEAR: "clear",
-    }
-    kwargs = {field_by_rel[rel]: tau for rel, tau in chosen.items()}
-    thresholds = replace(defaults, **kwargs)
-    return ThresholdSearch(thresholds, f1_by_rel, frozenset(skipped))
-
-
-# ---------------------------------------------------------------------------
-# edge features
-
-
-def edge_features(
-    obj_i: SceneObject,
-    obj_j: SceneObject,
-    image_dims: tuple[int, int] = DEFAULT_IMAGE_DIMS,
-) -> np.ndarray:
-    """18-dimensional geometric feature vector for an object pair.
-
-    Layout (0-based): 0-4 normalized 2D offsets (dx, dy, |dx|, |dy|,
-    distance); 5-8 normalized box sizes (w_i, h_i, w_j, h_j); 9-10 log size
-    ratios clipped to [0.1, 10]; 11-14 raw 3D deltas and distance in
-    meters; 15 box IoU; 16 center distance over mean box diagonal; 17
-    offset angle atan2(dy, dx) / pi.
-    """
-    w_img, h_img = image_dims
-    if w_img <= 0 or h_img <= 0:
-        raise ValueError(f"image dims must be positive, got {image_dims}")
-    cxi, cyi, bwi, bhi = obj_i.bbox2d
-    cxj, cyj, bwj, bhj = obj_j.bbox2d
-    if min(bwi, bhi, bwj, bhj) <= 0:
-        raise ValueError("zero-size boxes have no edge features")
-
-    dx = (cxi - cxj) / w_img
-    dy = (cyi - cyj) / h_img
-    dist2d = math.hypot(dx, dy)
-    wi, hi = bwi / w_img, bhi / h_img
-    wj, hj = bwj / w_img, bhj / h_img
-    log_w_ratio = math.log(max(0.1, min(10.0, bwi / bwj)))
-    log_h_ratio = math.log(max(0.1, min(10.0, bhi / bhj)))
-    d3 = tuple(obj_i.position[k] - obj_j.position[k] for k in range(3))
-    dist3d = math.sqrt(sum(v * v for v in d3))
-    iou = iou_2d(obj_i.bbox2d, obj_j.bbox2d)
-    diag_i = math.hypot(wi, hi)
-    diag_j = math.hypot(wj, hj)
-    d_norm = dist2d / (0.5 * (diag_i + diag_j))
-    angle = math.atan2(dy, dx) / math.pi
-
-    return np.array(
-        [
-            dx,
-            dy,
-            abs(dx),
-            abs(dy),
-            dist2d,
-            wi,
-            hi,
-            wj,
-            hj,
-            log_w_ratio,
-            log_h_ratio,
-            d3[0],
-            d3[1],
-            d3[2],
-            dist3d,
-            iou,
-            d_norm,
-            angle,
-        ],
-        dtype=float,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -695,21 +486,6 @@ def scene_to_json(scene: Scene) -> str:
     return json.dumps(doc, indent=2)
 
 
-def scene_from_json(text: str) -> Scene:
-    try:
-        doc = json.loads(text)
-        objects = tuple(
-            SceneObject(
-                o["id"], tuple(o["position"]), tuple(o["size"]), tuple(o["bbox2d"])
-            )
-            for o in doc["objects"]
-        )
-        support = tuple((u, l) for u, l in doc["support"])
-        return Scene(objects, support, tuple(doc["image_dims"]), int(doc["seed"]))
-    except (KeyError, TypeError, json.JSONDecodeError) as e:
-        raise ValueError(f"malformed scene document: {e}") from e
-
-
 # ---------------------------------------------------------------------------
 # execution environment
 
@@ -721,8 +497,9 @@ class PlanningEnvironment:
     refines the same noise draws (via the attention state in the config)
     rather than resampling the world; the draws are made on the first
     observation and reused by every later one of the episode.  Plan
-    execution simulates the support graph under ground truth, failing on
-    the first action whose precondition does not actually hold.
+    execution applies the planner's own grounded actions to the true
+    support atoms, failing on the first action whose preconditions do not
+    actually hold.
     """
 
     def __init__(self, scene: Scene, cfg: NoiseConfig, seed: int):
@@ -745,50 +522,17 @@ class PlanningEnvironment:
         self.info_actions.append((kind, target))
 
     def execute(self, plan, goal_predicates: Iterable[GroundPredicate]) -> bool:
-        """Run a manipulation plan against ground truth; True iff goal reached."""
-        lower_of = dict(self.scene.support)  # upper -> lower
-        held: str | None = None
+        """Run a plan of the planner's own actions against ground truth.
 
-        def uppers_on(x: str) -> list[str]:
-            return [u for u, l in lower_of.items() if l == x]
+        The scene's support pairs become STRIPS atoms; each action fails the
+        run unless its preconditions hold, then deletes and adds its atoms.
+        True iff every goal predicate's atom holds at the end.
+        """
+        from beliefplan.planner import predicate_atom, support_atoms  # planner imports scene
 
+        atoms = support_atoms(dict(self.scene.support), self.scene.object_ids())
         for action in plan:
-            name, args = action.name, tuple(action.args)
-            if name == "pick":
-                x = args[0]
-                if held is not None or uppers_on(x):
-                    return False
-                if len(args) == 1:
-                    if x in lower_of:
-                        return False
-                    held = x
-                else:
-                    if lower_of.get(x) != args[1]:
-                        return False
-                    del lower_of[x]
-                    held = x
-            elif name == "place":
-                x, y = args
-                if held != x or uppers_on(y) or y == x:
-                    return False
-                lower_of[x] = y
-                held = None
-            elif name == "putdown":
-                if held != args[0]:
-                    return False
-                held = None
-            else:
+            if not action.preconditions <= atoms:
                 return False
-
-        for pred in goal_predicates:
-            if pred.relation is Relation.ON:
-                a, b = pred.args
-                if lower_of.get(a) != b:
-                    return False
-            elif pred.relation is Relation.CLEAR:
-                (a,) = pred.args
-                if a == held or uppers_on(a):
-                    return False
-            else:
-                return False
-        return True
+            atoms = (atoms - action.delete) | action.add
+        return all(predicate_atom(pred) in atoms for pred in goal_predicates)

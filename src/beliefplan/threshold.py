@@ -361,26 +361,6 @@ def _clean_trace(u_values: Sequence[float]) -> tuple[list[float], int]:
     return kept, dropped
 
 
-def fit_alpha(u_values: Sequence[float]) -> AlphaFit:
-    """Per-step uncertainty reduction rate from one decay trace.
-
-    The estimate is 1 - exp(mean log ratio) over consecutive steps, with
-    the fit scored in log space against the anchored exponential decay
-    from the observed starting value.  Non-positive values cannot be
-    log-transformed and are dropped with a warning.
-    """
-    kept, dropped = _clean_trace(u_values)
-    if len(kept) < 2:
-        raise FitError(f"need at least 2 positive uncertainty values, got {len(kept)}")
-    logs = np.log(kept)
-    ratios = np.diff(logs)
-    mean_log = float(ratios.mean())
-    alpha_hat = 1.0 - math.exp(mean_log)
-    per_step = tuple(1.0 - math.exp(r) for r in ratios)
-    predicted = logs[0] + mean_log * np.arange(len(kept))
-    return AlphaFit(alpha_hat, _r_squared(logs, predicted), per_step, dropped)
-
-
 def fit_alpha_pooled(traces: Iterable[Sequence[float]]) -> AlphaFit:
     """Shared decay rate across episodes with per-episode starting levels.
 

@@ -1,4 +1,4 @@
-"""Calibration scoring: binning, ECE/MCE/Brier, verdicts, stream round trips.
+"""Calibration scoring: binning, ECE/MCE/Brier, verdicts, batch validation.
 
 Hand-worked oracle for the four-prediction example:
   (0.95, 1) (0.95, 0) -> bin [0.9, 1.0]: conf 0.95, acc 0.5, gap 0.45, weight 0.5
@@ -18,9 +18,7 @@ from beliefplan.calibration import (
     calibration_verdict,
     ece,
     mce,
-    read_stream,
     reliability_report,
-    write_stream,
 )
 
 
@@ -124,22 +122,7 @@ class TestVerdict:
             calibration_verdict(report, -0.01)
 
 
-class TestStreamFormat:
-    def test_round_trip(self):
-        batch = four_prediction_batch()
-        again = read_stream(write_stream(batch))
-        np.testing.assert_allclose(again.confidences, batch.confidences, atol=1e-9)
-        np.testing.assert_array_equal(again.labels, batch.labels)
-
-    def test_header_optional_on_read(self):
-        batch = read_stream("0.75,1\n0.25,0\n")
-        assert len(batch) == 2
-
-    def test_malformed_lines_rejected(self):
-        for bad in ["0.5", "0.5,1,2", "high,1", "0.5,maybe", "1.5,1", "0.5,2"]:
-            with pytest.raises(ValueError):
-                read_stream(f"confidence,label\n{bad}\n")
-
+class TestBatchValidation:
     def test_batch_validation(self):
         with pytest.raises(ValueError):
             PredictionBatch([0.5, 0.6], [1])

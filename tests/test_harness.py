@@ -24,7 +24,7 @@ from beliefplan.harness import (
     wilson_ci,
     _trial_seeds,
 )
-from beliefplan.scene import generate_scene, scene_from_json
+from beliefplan.scene import generate_scene, scene_to_json
 
 
 class TestWilson:
@@ -351,9 +351,10 @@ class TestSceneFiles:
     def test_gen_and_reload(self, tmp_path):
         paths = generate_scene_files(3, 4, 0.4, 17, tmp_path)
         assert len(paths) == 3
-        for p in paths:
-            scene = scene_from_json(p.read_text())
+        for k, p in enumerate(paths):
+            scene = generate_scene(4, 0.4, _trial_seeds(17, 0, k)[0])
             assert len(scene.objects) == 4
+            assert p.read_text() == scene_to_json(scene) + "\n"
 
     def test_count_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -414,8 +415,9 @@ class TestCli:
         assert rc == 0
         files = sorted((tmp_path / "scenes").iterdir())
         assert len(files) == 2
-        for f in files:
-            assert len(scene_from_json(f.read_text()).objects) == 3
+        for k, f in enumerate(files):
+            scene = generate_scene(3, 0.4, _trial_seeds(4, 0, k)[0])
+            assert f.read_text() == scene_to_json(scene) + "\n"
 
     def test_missing_command(self):
         with pytest.raises(SystemExit):

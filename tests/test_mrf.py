@@ -22,7 +22,6 @@ from beliefplan.mrf import (
     build_mrf,
     conditional_uncertainty,
     correlation_edge,
-    dump_mrf,
     energy,
     enumerate_beliefs,
     loopy_bp,
@@ -249,6 +248,19 @@ class TestBuildRules:
             assert e.rho == 0.5
             assert e.table[0][0] == -0.5 and e.table[0][1] == 0.5
 
+    def test_deterministic_and_complete(self):
+        state = make_state(
+            {"On(a,b)": 0.8, "Clear(b)": 0.3, "Touching(a,b)": 0.7, "On(b,c)": 0.6}
+        )
+        mrf = build_mrf(state)
+        assert build_mrf(state).edges == mrf.edges
+        assert mrf.n_nodes == 4 and len(mrf.edges) == 3
+        by_kind = {e.kind: e for e in mrf.edges}
+        assert set(by_kind) == set(EdgeKind)
+        assert str(mrf.nodes[by_kind[EdgeKind.IMPLICATION].antecedent]) == "On(a,b)"
+        assert by_kind[EdgeKind.CORRELATION].rho == 0.5
+        assert by_kind[EdgeKind.MUTUAL_EXCLUSION].antecedent is None
+
     def test_two_cycle_of_on_predicates_not_linked(self):
         # On(a,b) with On(b,a) shares both objects, not a support chain
         state = make_state({"On(a,b)": 0.7, "On(b,a)": 0.6})
@@ -288,7 +300,7 @@ class TestEnumeration:
         mrf = build_mrf(make_state({"On(a,b)": 0.8}))
         beliefs = enumerate_beliefs(mrf)
         np.testing.assert_allclose(beliefs.node_marginals[0], [0.2, 0.8], atol=1e-9)
-        assert mrf.partition_function() == pytest.approx(1.0, abs=1e-9)
+        assert beliefs.log_z == pytest.approx(0.0, abs=1e-9)  # Z = 0.2 + 0.8
 
     def test_mutex_pair_hand_value(self):
         mrf = build_mrf(make_state({"On(a,b)": 0.9, "Clear(b)": 0.9}))
@@ -525,18 +537,3 @@ class TestRefinedState:
         with pytest.raises(ValueError):
             refined_state(state, other)
 
-
-class TestDump:
-    def test_deterministic_and_complete(self):
-        state = make_state(
-            {"On(a,b)": 0.8, "Clear(b)": 0.3, "Touching(a,b)": 0.7, "On(b,c)": 0.6}
-        )
-        text1 = dump_mrf(build_mrf(state))
-        text2 = dump_mrf(build_mrf(state))
-        assert text1 == text2
-        assert text1.startswith("mrf nodes=4 edges=3")
-        assert text1.count("\nnode ") == 4
-        assert text1.count("\nedge ") == 3
-        assert "kind=mutual_exclusion" in text1
-        assert "antecedent=" in text1
-        assert "rho=0.5" in text1

@@ -572,7 +572,7 @@ class TestClosedLoop:
             episode = plan_under_uncertainty(
                 env, parse_goal("On(o0,o1)"), tau_plan=0.7, max_retries=4
             )
-            trace = episode.uncertainty_trace()
+            trace = [r.state_uncertainty for r in episode.iterations]
             for earlier, later in zip(trace, trace[1:]):
                 assert later <= earlier + 1e-12
 
@@ -591,9 +591,9 @@ class TestClosedLoop:
         scene = generate_scene(3, stack_bias=0.0, seed=4)
         env = PlanningEnvironment(scene, NoiseConfig(), seed=0)
         episode = plan_under_uncertainty(env, parse_goal("On(o0,o1)"))
-        rows = episode.to_rows(17)
-        assert rows == [(17, 0, rows[0][2], "plan")]
-        assert 0.0 <= rows[0][2] <= 1.0
+        (record,) = episode.iterations
+        assert (record.index, record.action_kind) == (0, "plan")
+        assert 0.0 <= record.state_uncertainty <= 1.0
 
     def test_cap_hit_gives_the_round_up(self, monkeypatch):
         monkeypatch.setattr(planner, "MAX_EXPANSIONS", 1)

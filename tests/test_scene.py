@@ -1,13 +1,6 @@
-"""Scene simulator tests.
+"""Scene simulator tests."""
 
-Hand-worked oracle for the edge-feature example used below: object i at
-(0.1, 0, 0.05) with size (0.1, 0.1, 0.1) projects to bbox (134.4, 112,
-22.4, 22.4) on a 224 x 224 frame; object j at (-0.1, 0.1, 0.1) with size
-(0.2, 0.1, 0.1) projects to (89.6, 134.4, 44.8, 22.4).  Normalized
-offsets are then dx = 0.2, dy = -0.1; the boxes do not overlap so the
-IoU is 0.
-"""
-
+import json
 import math
 from dataclasses import replace
 
@@ -22,27 +15,28 @@ from beliefplan.core import (
     parse_predicate,
     predicate_uncertainty,
 )
+from beliefplan.planner import (
+    Goal,
+    GroundedAction,
+    PlannerOptions,
+    ground_domain,
+    plan_under_uncertainty,
+    support_atoms,
+)
 from beliefplan.scene import (
     NoiseConfig,
     PlanningEnvironment,
-    RelationThresholds,
     Scene,
     SceneObject,
     apply_info_action,
-    apply_relation_thresholds,
     candidate_predicates,
-    edge_features,
     generate_scene,
-    grid_search_thresholds,
-    ground_truth_confidences,
     ground_truth_state,
     iou_2d,
     occluded_objects,
     perceive,
     perceive_with_labels,
-    scene_from_json,
     scene_to_json,
-    spatial_validate_on,
 )
 
 ON = Relation.ON
@@ -154,13 +148,6 @@ class TestGroundTruth:
                     a, b = pred.args
                     assert GroundPredicate(LEFT_OF, (b, a)) not in truths
 
-    def test_noiseless_confidences_match_truth(self):
-        scene = small_stacked_scene()
-        state = ground_truth_confidences(scene)
-        truths = ground_truth_state(scene)
-        for pred, p in state.items():
-            assert p == (1.0 if pred in truths else 0.0)
-
 
 class TestOcclusion:
     def test_lower_of_stack_occluded(self):
@@ -257,8 +244,8 @@ class TestPerceive:
         state1, labels = perceive_with_labels(scene, cfg, seed=4)
         state2 = perceive(scene, cfg, seed=4)
         assert state1 == state2
-        assert set(labels) == set(state1.predicates())
-        assert all(y in (0, 1) for y in labels.values())
+        assert labels.shape == (len(state1),)
+        assert set(labels.tolist()) <= {0, 1}
 
     def test_calibrated_by_construction(self):
         confs, labels = [], []
@@ -266,9 +253,8 @@ class TestPerceive:
         for seed in range(100):
             scene = generate_scene(5, seed=seed)
             state, labs = perceive_with_labels(scene, cfg, seed=seed + 1000)
-            for pred, p in state.items():
-                confs.append(p)
-                labels.append(labs[pred])
+            confs += [p for _, p in state.items()]
+            labels += labs.tolist()
         assert len(confs) > 5000
         assert ece(bin_predictions(PredictionBatch(confs, labels), 10)) <= 0.03
 
@@ -283,11 +269,10 @@ class TestPerceive:
                 scene = generate_scene(5, seed=seed)
                 s1, l1 = perceive_with_labels(scene, plain, seed=seed)
                 s2, l2 = perceive_with_labels(scene, sharp, seed=seed)
-                assert l1 == l2  # label stream untouched by miscalibration
-                for pred in s1.predicates():
-                    pooled1.append(s1.confidence(pred))
-                    pooled2.append(s2.confidence(pred))
-                    pooled_labels.append(l1[pred])
+                assert np.array_equal(l1, l2)  # label stream untouched by miscalibration
+                pooled1 += [p for _, p in s1.items()]
+                pooled2 += [p for _, p in s2.items()]
+                pooled_labels += l1.tolist()
             e1 = ece(bin_predictions(PredictionBatch(pooled1, pooled_labels), 10))
             e2 = ece(bin_predictions(PredictionBatch(pooled2, pooled_labels), 10))
             worse += e2 > e1
@@ -349,221 +334,36 @@ class TestInfoActions:
         assert 0.65 <= float(np.mean(ratios)) <= 0.75
 
 
-class TestSpatialValidation:
-    def test_consistent_geometry_unchanged(self):
-        positions = {"a": (0.0, 0.0, 0.10), "b": (0.01, 0.0, 0.04)}
-        pred = parse_predicate("On(a,b)")
-        assert spatial_validate_on(positions, pred, 0.8) == 0.8
-
-    def test_one_violation_halves(self):
-        # aligned in xy but a sits below b
-        positions = {"a": (0.0, 0.0, 0.04), "b": (0.01, 0.0, 0.10)}
-        pred = parse_predicate("On(a,b)")
-        assert spatial_validate_on(positions, pred, 0.8) == pytest.approx(0.4)
-
-    def test_two_violations_scale_tenth(self):
-        positions = {"a": (0.5, 0.0, 0.04), "b": (0.0, 0.0, 0.10)}
-        pred = parse_predicate("On(a,b)")
-        assert spatial_validate_on(positions, pred, 0.8) == pytest.approx(0.08)
-
-    def test_never_increases(self):
-        rng = np.random.default_rng(5)
-        pred = parse_predicate("On(a,b)")
-        for _ in range(200):
-            positions = {
-                "a": tuple(rng.uniform(-0.3, 0.3, 3)),
-                "b": tuple(rng.uniform(-0.3, 0.3, 3)),
-            }
-            positions = {k: (v[0], v[1], abs(v[2])) for k, v in positions.items()}
-            p = float(rng.uniform())
-            assert spatial_validate_on(positions, pred, p) <= p
-
-    def test_wrong_relation_rejected(self):
-        with pytest.raises(ValueError):
-            spatial_validate_on({"a": (0, 0, 0), "b": (0, 0, 0.1)}, parse_predicate("Clear(a)"), 0.5)
-
-    def test_missing_position_rejected(self):
-        with pytest.raises(ValueError):
-            spatial_validate_on({"a": (0, 0, 0.1)}, parse_predicate("On(a,b)"), 0.5)
-
-
-class TestRelationThresholds:
-    def test_defaults(self):
-        t = RelationThresholds()
-        assert t.on == 0.5
-        assert t.left_of == t.close_to == t.touching == t.clear == 0.3
-
-    def test_apply_uses_per_relation_cutoff(self):
-        state_preds = {
-            parse_predicate("On(a,b)"): 0.5,
-            parse_predicate("On(b,c)"): 0.49,
-            parse_predicate("CloseTo(a,b)"): 0.3,
-            parse_predicate("CloseTo(a,c)"): 0.29,
-        }
-        from beliefplan.core import ProbabilisticState
-
-        accepted = apply_relation_thresholds(ProbabilisticState(state_preds))
-        assert parse_predicate("On(a,b)") in accepted  # inclusive at the cutoff
-        assert parse_predicate("On(b,c)") not in accepted
-        assert parse_predicate("CloseTo(a,b)") in accepted
-        assert parse_predicate("CloseTo(a,c)") not in accepted
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            RelationThresholds(on=0.0)
-        with pytest.raises(ValueError):
-            RelationThresholds(clear=1.0)
-
-
-class TestGridSearch:
-    @staticmethod
-    def _f1(confs, labels, tau):
-        tp = sum(1 for c, y in zip(confs, labels) if c >= tau and y == 1)
-        fp = sum(1 for c, y in zip(confs, labels) if c >= tau and y == 0)
-        fn = sum(1 for c, y in zip(confs, labels) if c < tau and y == 1)
-        if tp == 0:
-            return 0.0
-        prec, rec = tp / (tp + fp), tp / (tp + fn)
-        return 2 * prec * rec / (prec + rec)
-
-    def test_perfect_separation_prefers_smaller_tau(self):
-        batches = {ON: ([0.2, 0.4, 0.6, 0.8], [0, 0, 1, 1])}
-        result = grid_search_thresholds(batches)
-        # F1 = 1 at both 0.5 and 0.6; ties resolve downward
-        assert result.thresholds.on == 0.5
-        assert result.f1[ON] == pytest.approx(1.0)
-        assert result.skipped == frozenset()
-
-    def test_matches_independent_scorer(self):
-        rng = np.random.default_rng(17)
-        confs = rng.uniform(size=400).tolist()
-        labels = [1 if rng.uniform() < c else 0 for c in confs]
-        result = grid_search_thresholds({CLOSE_TO: (confs, labels)})
-        grid = [round(0.1 * k, 1) for k in range(1, 10)]
-        scores = [self._f1(confs, labels, t) for t in grid]
-        best = max(scores)
-        expected_tau = grid[scores.index(best)]  # first index = smallest tau on ties
-        assert result.thresholds.close_to == pytest.approx(expected_tau)
-        assert result.f1[CLOSE_TO] == pytest.approx(best)
-
-    def test_single_class_flagged_and_skipped(self):
-        batches = {
-            ON: ([0.9, 0.8, 0.7], [1, 1, 1]),
-            CLEAR: ([0.2, 0.9], [0, 1]),
-        }
-        result = grid_search_thresholds(batches)
-        assert result.skipped == frozenset({ON})
-        assert result.thresholds.on == 0.5  # default kept
-        assert CLEAR in result.f1
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            grid_search_thresholds({}, grid=())
-
-
-class TestEdgeFeatures:
-    def _objects(self, dims=(224, 224)):
-        sx = dims[0] / 1.0
-        sy = dims[1] / 1.0
-        obj_i = SceneObject(
-            "i", (0.1, 0.0, 0.05), (0.1, 0.1, 0.1),
-            ((0.1 + 0.5) * sx, 0.5 * sy, 0.1 * sx, 0.1 * sy),
-        )
-        obj_j = SceneObject(
-            "j", (-0.1, 0.1, 0.1), (0.2, 0.1, 0.1),
-            ((-0.1 + 0.5) * sx, (0.1 + 0.5) * sy, 0.2 * sx, 0.1 * sy),
-        )
-        return obj_i, obj_j
-
-    def test_hand_worked_example(self):
-        obj_i, obj_j = self._objects()
-        f = edge_features(obj_i, obj_j)
-        expected = [
-            0.2,
-            -0.1,
-            0.2,
-            0.1,
-            math.sqrt(0.05),
-            0.1,
-            0.1,
-            0.2,
-            0.1,
-            math.log(0.5),
-            0.0,
-            0.2,
-            -0.1,
-            -0.05,
-            math.sqrt(0.0525),
-            0.0,
-            math.sqrt(0.05) / (0.5 * (math.hypot(0.1, 0.1) + math.hypot(0.2, 0.1))),
-            math.atan2(-0.1, 0.2) / math.pi,
-        ]
-        assert f.shape == (18,)
-        np.testing.assert_allclose(f, expected, atol=1e-12)
-
-    def test_identical_object_zeros(self):
-        obj_i, _ = self._objects()
-        f = edge_features(obj_i, obj_i)
-        for k in (0, 1, 2, 3, 4, 9, 10, 11, 12, 13, 14, 16, 17):
-            assert f[k] == 0.0
-        assert f[15] == pytest.approx(1.0)
-
-    def test_resolution_invariance(self):
-        small = self._objects((224, 224))
-        large = self._objects((448, 448))
-        f_small = edge_features(*small, (224, 224))
-        f_large = edge_features(*large, (448, 448))
-        for k in (0, 1, 2, 3, 4, 9, 10, 15, 16, 17):
-            assert f_small[k] == pytest.approx(f_large[k], abs=1e-12)
-
-    def test_ratio_clipping(self):
-        sx = 224.0
-        tiny = SceneObject("t", (0, 0, 0.01), (0.001, 0.01, 0.001), (112, 112, 0.224, 0.224))
-        big = SceneObject("b", (0.1, 0, 0.05), (0.3, 0.1, 0.3), (134.4, 112, 67.2, 67.2))
-        f = edge_features(tiny, big)
-        assert f[9] == pytest.approx(math.log(0.1))
-        assert f[10] == pytest.approx(math.log(0.1))
-        del sx
-
-    def test_zero_size_box_rejected(self):
-        obj_i, _ = self._objects()
-        degenerate = SceneObject("z", (0, 0, 0.01), (0.01, 0.01, 0.01), (10, 10, 0.0, 5.0))
-        with pytest.raises(ValueError):
-            edge_features(obj_i, degenerate)
-
-
 class TestSerialization:
     def test_round_trip(self):
         scene = generate_scene(6, stack_bias=0.6, seed=21)
-        assert scene_from_json(scene_to_json(scene)) == scene
+        doc = json.loads(scene_to_json(scene))
+        assert (doc["seed"], tuple(doc["image_dims"])) == (scene.seed, scene.image_dims)
+        assert [tuple(pair) for pair in doc["support"]] == list(scene.support)
+        for o, rec in zip(scene.objects, doc["objects"], strict=True):
+            assert rec["id"] == o.id
+            # the exact floats, not rounded ones
+            assert tuple(rec["position"]) == o.position
+            assert tuple(rec["size"]) == o.size
+            assert tuple(rec["bbox2d"]) == o.bbox2d
 
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            scene_from_json("{not json")
-        with pytest.raises(ValueError):
-            scene_from_json("{}")
+
+def _move(env, name, *args):
+    """The planner's grounded move ``name(args)`` for the environment's objects."""
+    (action,) = [a for a in ground_domain(env.object_ids()) if (a.name, a.args) == (name, args)]
+    return action
 
 
 class TestEnvironment:
     def test_execute_unstack_reaches_clear_goal(self):
         env = PlanningEnvironment(small_stacked_scene(), NoiseConfig(), seed=0)
-
-        class Act:
-            def __init__(self, name, args):
-                self.name, self.args = name, args
-
-        plan = [Act("pick", ("o1", "o0")), Act("putdown", ("o1",))]
+        plan = [_move(env, "pick", "o1", "o0"), _move(env, "putdown", "o1")]
         assert env.execute(plan, [parse_predicate("Clear(o0)")])
 
     def test_execute_fails_on_bad_precondition(self):
         env = PlanningEnvironment(small_stacked_scene(), NoiseConfig(), seed=0)
-
-        class Act:
-            def __init__(self, name, args):
-                self.name, self.args = name, args
-
         # o0 is under o1, so picking it must fail
-        assert not env.execute([Act("pick", ("o0",))], [])
+        assert not env.execute([_move(env, "pick", "o0")], [])
 
     def test_observe_uses_frozen_seed(self):
         env = PlanningEnvironment(generate_scene(4, seed=1), NoiseConfig(logit_noise_sd=1.0), seed=5)
@@ -668,8 +468,8 @@ def _assert_same_observation(state, labels, ref_conf, ref_labels):
     want = np.array([ref_conf[pred] for pred in state.predicates()])
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
     assert state.known == frozenset()
-    assert labels == ref_labels
-    assert all(type(v) is int for v in labels.values())
+    assert labels.dtype.kind == "i"
+    assert labels.tolist() == [ref_labels[pred] for pred in state.predicates()]
 
 
 class TestPerceiveMatchesReference:
@@ -760,3 +560,126 @@ class TestPerceiveMatchesReference:
             env = PlanningEnvironment(second, NoiseConfig(), 0)
             assert env.occluded_ids() == occluded_objects(second)
         assert occluded_objects(stacked) == {"o0"} and occluded_objects(spread) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# plan execution against the hand-written blocks-world rules it replaced
+
+
+def _reference_execute(scene, plan, goal_predicates):
+    """The support-graph simulation with its own pick / place / putdown rules."""
+    lower_of = dict(scene.support)  # upper -> lower
+    held = None
+
+    def uppers_on(x):
+        return [u for u, l in lower_of.items() if l == x]
+
+    for action in plan:
+        name, args = action.name, tuple(action.args)
+        if name == "pick":
+            x = args[0]
+            if held is not None or uppers_on(x):
+                return False
+            if len(args) == 1:
+                if x in lower_of:
+                    return False
+                held = x
+            else:
+                if lower_of.get(x) != args[1]:
+                    return False
+                del lower_of[x]
+                held = x
+        elif name == "place":
+            x, y = args
+            if held != x or uppers_on(y) or y == x:
+                return False
+            lower_of[x] = y
+            held = None
+        elif name == "putdown":
+            if held != args[0]:
+                return False
+            held = None
+        else:
+            return False
+
+    for pred in goal_predicates:
+        if pred.relation is ON:
+            a, b = pred.args
+            if lower_of.get(a) != b:
+                return False
+        elif pred.relation is CLEAR:
+            (a,) = pred.args
+            if a == held or uppers_on(a):
+                return False
+        else:
+            return False
+    return True
+
+
+def _atom_predicate(atom):
+    return GroundPredicate(ON if atom[0] == "on" else CLEAR, atom[1:])
+
+
+class TestExecuteMatchesReference:
+    @staticmethod
+    def _random_run(rng, scene):
+        """Up to 12 physical moves, each inapplicable where it is drawn with
+        probability 0.15, and 0-3 On / Clear goals, half of them true at the
+        end of an applicable run."""
+        ids = scene.object_ids()
+        moves = [a for a in ground_domain(ids) if a.belief_effect is None]
+        atoms = support_atoms(dict(scene.support), ids)
+        plan = []
+        for _ in range(int(rng.integers(0, 13))):
+            fits = [a for a in moves if a.preconditions <= atoms]
+            pool = fits if rng.uniform() >= 0.15 else [a for a in moves if a not in fits]
+            action = pool[int(rng.integers(len(pool)))]
+            plan.append(action)
+            atoms = (atoms - action.delete) | action.add
+        facts = sorted(a for a in atoms if a[0] in ("on", "clear"))
+        goals = []
+        for _ in range(int(rng.integers(0, 4))):
+            if rng.uniform() < 0.5:
+                goals.append(_atom_predicate(facts[int(rng.integers(len(facts)))]))
+            else:
+                a, b = rng.choice(ids, size=2, replace=False)
+                text = f"On({a},{b})" if rng.uniform() < 0.5 else f"Clear({a})"
+                goals.append(parse_predicate(text))
+        return plan, goals
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_random_move_sequences(self, n):
+        rng = np.random.default_rng(1000 + n)
+        verdicts = []
+        for trial in range(300):
+            scene = generate_scene(n, stack_bias=0.6, seed=10 * n + trial)
+            env = PlanningEnvironment(scene, NoiseConfig(), 0)
+            plan, goals = self._random_run(rng, scene)
+            verdict = env.execute(plan, goals)
+            assert verdict == _reference_execute(scene, plan, goals), (plan, goals)
+            verdicts.append(verdict)
+        assert 0.1 < np.mean(verdicts) < 0.9  # both verdicts are exercised
+
+    def test_the_planners_own_plans(self):
+        verdicts = []
+        cfg = NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0)
+
+        class CheckedEnvironment(PlanningEnvironment):
+            def execute(self, plan, goal_predicates):
+                verdict = super().execute(plan, goal_predicates)
+                assert verdict == _reference_execute(self.scene, plan, goal_predicates)
+                assert all(type(a) is GroundedAction for a in plan)
+                verdicts.append(verdict)
+                return verdict
+
+        for seed in range(60):
+            scene = generate_scene(3 + seed % 5, stack_bias=0.6, seed=seed)
+            ids = scene.object_ids()
+            goal = Goal(frozenset({parse_predicate(f"On({ids[0]},{ids[1]})"),
+                                   parse_predicate(f"On({ids[1]},{ids[2]})")}))
+            for refine in (False, True):
+                env = CheckedEnvironment(scene, cfg, seed)
+                plan_under_uncertainty(
+                    env, goal, options=PlannerOptions(refine_with_mrf=refine)
+                )
+        assert 0.1 < np.mean(verdicts) < 0.9

@@ -17,7 +17,6 @@ from beliefplan.threshold import (
     SweepSample,
     TimeFit,
     efficiency,
-    fit_alpha,
     fit_alpha_pooled,
     fit_success,
     fit_time,
@@ -214,31 +213,31 @@ class TestPlateau:
 class TestAlphaFit:
     def test_exact_decay_recovered(self):
         trace = [0.8 * 0.7**k for k in range(6)]
-        fit = fit_alpha(trace)
+        fit = fit_alpha_pooled([trace])
         assert fit.alpha_hat == pytest.approx(0.3, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0)
         assert all(a == pytest.approx(0.3, abs=1e-12) for a in fit.per_step)
         assert fit.n_dropped == 0
 
     def test_single_transition(self):
-        fit = fit_alpha([0.8, 0.4])
+        fit = fit_alpha_pooled([[0.8, 0.4]])
         assert fit.alpha_hat == pytest.approx(0.5)
 
     def test_scale_invariant(self):
         trace = [0.9 * 0.75**k for k in range(5)]
-        a1 = fit_alpha(trace).alpha_hat
-        a2 = fit_alpha([0.25 * u for u in trace]).alpha_hat
+        a1 = fit_alpha_pooled([trace]).alpha_hat
+        a2 = fit_alpha_pooled([[0.25 * u for u in trace]]).alpha_hat
         assert a1 == pytest.approx(a2, abs=1e-12)
 
     def test_nonpositive_values_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="non-positive"):
-            fit = fit_alpha([0.8, 0.56, 0.0, 0.392])
+            fit = fit_alpha_pooled([[0.8, 0.56, 0.0, 0.392]])
         assert fit.n_dropped == 1
         assert fit.alpha_hat == pytest.approx(0.3, abs=1e-9)
 
     def test_too_short_rejected(self):
         with pytest.raises(FitError):
-            fit_alpha([0.5])
+            fit_alpha_pooled([[0.5], [0.4]])
 
     def test_noisy_recovery(self):
         rng = np.random.default_rng(12)
@@ -254,11 +253,16 @@ class TestAlphaFit:
         assert fit.r_squared >= 0.9
 
     def test_pooled_matches_single_on_one_trace(self):
-        trace = [0.8 * 0.7**k for k in range(5)]
-        single = fit_alpha(trace)
+        # one noisy trace: the mean log ratio, scored against its own mean
+        trace = [0.8, 0.6, 0.39, 0.3, 0.2]
+        logs = np.log(trace)
+        mean_log = float(np.mean(np.diff(logs)))
+        predicted = logs[0] + mean_log * np.arange(len(trace))
+        r2 = 1.0 - np.sum((logs - predicted) ** 2) / np.sum((logs - logs.mean()) ** 2)
         pooled = fit_alpha_pooled([trace])
-        assert pooled.alpha_hat == pytest.approx(single.alpha_hat, abs=1e-12)
-        assert pooled.r_squared == pytest.approx(single.r_squared, abs=1e-12)
+        assert pooled.alpha_hat == pytest.approx(1.0 - math.exp(mean_log), abs=1e-12)
+        assert pooled.r_squared == pytest.approx(float(r2), abs=1e-12)
+        assert 0.0 < pooled.r_squared < 1.0
 
     def test_pooled_requires_usable_trace(self):
         with pytest.raises(FitError):
