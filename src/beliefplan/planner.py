@@ -146,9 +146,6 @@ class SymbolicWorldState:
         object.__setattr__(self, "atoms", frozenset(self.atoms))
         _check_atoms(self.atoms)
 
-    def holds(self, atom: Atom) -> bool:
-        return atom in self.atoms
-
     def objects(self) -> frozenset[str]:
         return frozenset(arg for a in self.atoms for arg in a[1:])
 

@@ -13,7 +13,11 @@ its inputs and seed.
 What does not change between observations is computed once: one sorted
 predicate index per object set, each scene's truth vector and occlusion
 set, and each (perception seed, scene seed) pair's noise draws, which an
-episode's re-observations reuse.  The caches are bounded.
+episode's re-observations reuse.  The caches are bounded.  Those draws are
+the stream of one ``default_rng([seed, scene seed, k])`` per predicate k,
+but the seeds of all k are derived in one batched ``SeedSequence`` pass
+and drawn from one reused PCG64; NEP 19 keeps both of the reimplemented
+seeding steps fixed across numpy releases.
 
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
@@ -73,6 +77,8 @@ class Scene:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"scene seed must be non-negative, got {self.seed}")
         by_id = {o.id: o for o in self.objects}
         if len(by_id) != len(self.objects):
             raise ValueError("duplicate object ids")
@@ -82,6 +88,8 @@ class Scene:
                 raise ValueError(f"support pair ({upper}, {lower}) names unknown objects")
             if upper in lower_of:
                 raise ValueError(f"object {upper} supported twice")
+            if lower in lower_of.values():
+                raise ValueError(f"object {lower} supports two objects")
             lower_of[upper] = lower
             # strictly rising z along every support pair also rules out cycles
             if by_id[upper].position[2] <= by_id[lower].position[2]:
@@ -382,16 +390,110 @@ def _scene_facts(scene: Scene) -> tuple[_PredicateIndex, np.ndarray, frozenset[s
 # perception oracle
 
 
+# numpy's SeedSequence hashing (numpy/random/bit_generator.pyx) and PCG64
+# seeding (pcg64_srandom_r) constants
+_SS_POOL_SIZE = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian 32-bit
+    words, [0] for 0."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constant columns of ``count`` successive hashes."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    col = np.array(consts, dtype=np.uint32)[:, None]
+    return col[:-1], col[1:]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one hash per row of constants."""
+    values = (values ^ xor) * mul
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _SS_MIX_L * x - _SS_MIX_R * y
+    return out ^ (out >> 16)
+
+
+def _seed_words(seed: int, scene_seed: int, n: int) -> np.ndarray:
+    """``SeedSequence([seed, scene_seed, k]).generate_state(4, np.uint64)``
+    for every k < n, as a (4, n) uint64 array.
+
+    The hash constants do not depend on the data, so each step of the
+    mixing runs once over all k: a row of the pool, or of the entropy,
+    holds that word for every k.
+    """
+    prefix = _uint32_words(seed) + _uint32_words(scene_seed)
+    n_words = len(prefix) + 1
+    entropy = np.zeros((max(n_words, _SS_POOL_SIZE), n), dtype=np.uint32)
+    entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[len(prefix)] = np.arange(n, dtype=np.uint32)
+
+    extra = max(n_words - _SS_POOL_SIZE, 0)
+    xor, mul = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * (_SS_POOL_SIZE + extra))
+    pool = _hashmix(entropy[:_SS_POOL_SIZE], xor[:_SS_POOL_SIZE], mul[:_SS_POOL_SIZE])
+    at = _SS_POOL_SIZE
+    for src in range(_SS_POOL_SIZE):  # every pool word into every other one
+        dst = [d for d in range(_SS_POOL_SIZE) if d != src]
+        step = slice(at, at + len(dst))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step], mul[step]))
+        at += len(dst)
+    for src in range(_SS_POOL_SIZE, n_words):  # entropy past the pool into every word
+        step = slice(at, at + _SS_POOL_SIZE)
+        pool = _mix(pool, _hashmix(entropy[src], xor[step], mul[step]))
+        at += _SS_POOL_SIZE
+
+    xor, mul = _hash_consts(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)
+    # eight 32-bit output words, cycling through the pool; pairs make uint64s
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mul).astype(np.uint64)
+    return state[0::2] | (state[1::2] << np.uint64(32))
+
+
 @functools.lru_cache(maxsize=8)
 def _noise_draws(seed: int, scene_seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (g, label_draw) pair of candidate predicates 0..n-1, each pair from
-    its own generator seeded with (perception seed, scene seed, k)."""
+    """The (g, label_draw) pair of candidate predicates 0..n-1, each pair the
+    first normal and uniform of ``default_rng([seed, scene_seed, k])``.
+
+    Instead of building n generators, the n seed states are derived in one
+    batched pass (:func:`_seed_words`), and each is loaded in turn into one
+    PCG64 made for this call, exactly as PCG64 seeds itself.  ``random()``
+    gives the bits of ``uniform()``.  The reimplemented steps, SeedSequence
+    hashing and PCG64 seeding, are fixed across numpy releases by NEP 19,
+    and the draws still come from numpy's own Generator, so the stream is
+    the same as that of the n generators.  Seeds must be non-negative.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
     g = np.empty(n)
     label_draw = np.empty(n)
-    for k in range(n):
-        rng = np.random.default_rng([seed, scene_seed, k])
+    for k, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*_seed_words(seed, scene_seed, n).tolist())):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         g[k] = rng.standard_normal()
-        label_draw[k] = rng.uniform()
+        label_draw[k] = rng.random()
     g.flags.writeable = False
     label_draw.flags.writeable = False
     return g, label_draw
@@ -495,11 +597,13 @@ class PlanningEnvironment:
 
     The perception seed is fixed for the episode, so repeated observation
     refines the same noise draws (via the attention state in the config)
-    rather than resampling the world; the draws are made on the first
-    observation and reused by every later one of the episode.  Plan
-    execution applies the planner's own grounded actions to the true
-    support atoms, failing on the first action whose preconditions do not
-    actually hold.
+    rather than resampling the world.  The draws are made on the first
+    observation and reused by every later one of the episode; their seeds
+    are derived in one batched pass and drawn from one reused PCG64, which
+    gives the same stream as one generator per predicate (NEP 19 keeps
+    that seeding fixed).  Plan execution applies the planner's own grounded
+    actions to the true support atoms, failing on the first action whose
+    preconditions do not actually hold.
     """
 
     def __init__(self, scene: Scene, cfg: NoiseConfig, seed: int):

@@ -513,9 +513,9 @@ class TestWorldFromBeliefs:
             [parse_predicate("On(a,b)"), parse_predicate("On(a,c)")],
             ["a", "b", "c"],
         )
-        assert world.holds(on("a", "b"))
-        assert not world.holds(on("a", "c"))
-        assert world.holds(ontable("c"))
+        assert on("a", "b") in world.atoms
+        assert on("a", "c") not in world.atoms
+        assert ontable("c") in world.atoms
 
     def test_cycle_dropped(self):
         belief = self._state({"On(a,b)": 0.95, "On(b,a)": 0.9})
@@ -524,8 +524,8 @@ class TestWorldFromBeliefs:
             [parse_predicate("On(a,b)"), parse_predicate("On(b,a)")],
             ["a", "b"],
         )
-        assert world.holds(on("a", "b"))
-        assert world.holds(ontable("b"))
+        assert on("a", "b") in world.atoms
+        assert ontable("b") in world.atoms
 
 
 class TestClosedLoop:

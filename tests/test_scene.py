@@ -28,6 +28,7 @@ from beliefplan.scene import (
     PlanningEnvironment,
     Scene,
     SceneObject,
+    _noise_draws,
     apply_info_action,
     candidate_predicates,
     generate_scene,
@@ -412,6 +413,15 @@ class TestSupportPairs:
         with pytest.raises(ValueError):
             Scene(self._column(3), pairs)
 
+    def test_two_objects_on_one_rejected(self):
+        # o1 and o2 both rest on o0; z still rises along each pair
+        with pytest.raises(ValueError, match="o0 supports two objects"):
+            Scene(self._column(3), (("o1", "o0"), ("o2", "o0")))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            Scene(self._column(3), (("o1", "o0"),), seed=-1)
+
 
 # ---------------------------------------------------------------------------
 # perception against the per-predicate loop it replaced
@@ -540,6 +550,16 @@ class TestPerceiveMatchesReference:
             if occl:
                 assert occl[0] not in env.occluded_ids()
 
+    def test_seeds_past_one_word(self):
+        # both seeds take two or more 32-bit words of SeedSequence entropy
+        scene = replace(small_stacked_scene(), seed=2**40 + 5)
+        for cfg in self.CONFIGS:
+            for seed in (2**32, 2**64 + 3):
+                state, labels = perceive_with_labels(scene, cfg, seed)
+                _assert_same_observation(
+                    state, labels, *_reference_perceive_with_labels(scene, cfg, seed)
+                )
+
     def test_hand_built_scenes_sharing_seed_zero_stay_apart(self):
         stacked = small_stacked_scene()
         stacked = Scene(stacked.objects, stacked.support)  # seed 0
@@ -560,6 +580,48 @@ class TestPerceiveMatchesReference:
             env = PlanningEnvironment(second, NoiseConfig(), 0)
             assert env.occluded_ids() == occluded_objects(second)
         assert occluded_objects(stacked) == {"o0"} and occluded_objects(spread) == frozenset()
+
+
+def _reference_noise_draws(seed, scene_seed, n):
+    """One generator per predicate, as perception drew its noise before."""
+    g, label_draw = np.empty(n), np.empty(n)
+    for k in range(n):
+        rng = np.random.default_rng([seed, scene_seed, k])
+        g[k] = rng.standard_normal()
+        label_draw[k] = rng.uniform()
+    return g, label_draw
+
+
+def _assert_same_draws(got, want):
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestNoiseDrawsMatchReference:
+    SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3)
+
+    @pytest.mark.parametrize("n", [27, 370])  # candidates at 3 and at 10 objects
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_predicate_bit_identical(self, seed, n):
+        for scene_seed in self.SEEDS:
+            _assert_same_draws(
+                _noise_draws.__wrapped__(seed, scene_seed, n),
+                _reference_noise_draws(seed, scene_seed, n),
+            )
+
+    def test_interleaved_calls_share_no_state(self):
+        # uncached, so a repeated pair is drawn again after other pairs' draws
+        for seed, scene_seed in [(3, 11), (2**32, 5), (3, 11), (0, 2**64 + 3), (2**32, 5)]:
+            _assert_same_draws(
+                _noise_draws.__wrapped__(seed, scene_seed, 52),
+                _reference_noise_draws(seed, scene_seed, 52),
+            )
+
+    def test_outputs_read_only(self):
+        for arr in _noise_draws(9, 4, 27):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
 
 
 # ---------------------------------------------------------------------------
