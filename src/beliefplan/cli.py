@@ -104,8 +104,6 @@ def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
         given = getattr(args, name, None)
         if given is not None:
             values[name] = given
-    if "taus" in values:
-        values["taus"] = tuple(values["taus"])
     return ExperimentConfig(kind=kind, **values)
 
 

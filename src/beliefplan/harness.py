@@ -9,10 +9,16 @@ from the fixed per-operation costs in ``planner.MODELED_COST_MS`` rather
 than measured, keeping output files deterministic.  ``tests/test_golden.py``
 pins the digests of one small config per kind, so an output change between
 commits fails a test too.
+
+The decay kinds (alpha-fit, convergence) read their beliefs from one
+full-attention observation loop and differ only in where they stop it; the
+planning kinds (threshold-sweep, plan-benchmark) run every episode through
+one runner on the trial's scene.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +57,7 @@ from beliefplan.planner import (
     plan_under_uncertainty,
 )
 from beliefplan.scene import (
+    LOOK_CLOSER,
     NoiseConfig,
     PlanningEnvironment,
     candidate_predicates,
@@ -132,15 +139,34 @@ class ExperimentConfig:
         )
 
 
+def _json_type_ok(value, type_name: str) -> bool:
+    """Whether a JSON value has the type an ``ExperimentConfig`` field declares."""
+    if type_name == "tuple[float, ...]":
+        return isinstance(value, list) and all(_json_type_ok(v, "float") for v in value)
+    if isinstance(value, bool):  # true / false load as bool, a subclass of int
+        return type_name == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}.get(type_name, ()))
+
+
 def config_from_file(path: str | Path) -> dict:
-    """Load config overrides from a JSON file of field: value pairs."""
+    """Load config overrides from a JSON file of field: value pairs.
+
+    Each value must have its field's JSON type (a whole number for an int
+    field, any number for a float, true or false for a bool, a list of
+    numbers for ``taus``); ranges are checked by ``ExperimentConfig``.
+    """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
-    valid = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(doc) - valid
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = set(doc) - set(types)
     if unknown:
         raise ValueError(f"unknown config fields in {path}: {sorted(unknown)}")
+    for name, value in sorted(doc.items()):
+        if not _json_type_ok(value, types[name]):
+            raise ValueError(
+                f"config field {name} in {path} must be {types[name]}, got {json.dumps(value)}"
+            )
     if "taus" in doc:
         doc["taus"] = tuple(doc["taus"])
     return doc
@@ -207,7 +233,7 @@ def cohens_d(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-trial seeding
+# per-trial seeding and episodes
 
 
 def _trial_seeds(config_seed: int, setting_idx: int, trial_idx: int) -> tuple[int, int]:
@@ -230,37 +256,39 @@ def default_goal(scene) -> Goal:
     )
 
 
-def _decay_trace(
-    scene, cfg: NoiseConfig, perception_seed: int, *,
-    steps: int | None = None,
-    tau_plan: float | None = None,
-    step_cap: int | None = None,
-) -> tuple[list[float], int]:
-    """Full-attention observation sweeps: U trace and info-round count.
+def _trial_scene(config: ExperimentConfig, setting_idx: int, trial_idx: int):
+    """The trial's generated scene and its perception seed."""
+    scene_seed, perception_seed = _trial_seeds(config.seed, setting_idx, trial_idx)
+    return generate_scene(config.n_objects, config.stack_bias, scene_seed), perception_seed
+
+
+def _attention_rounds(scene, cfg: NoiseConfig, perception_seed: int):
+    """Beliefs after the first observation and after each full-attention round.
 
     Each round focuses every object once and re-observes, so the
-    per-predicate reduction law applies to the whole state.  Runs a fixed
-    number of rounds, or until no predicate stays uncertain at tau_plan
-    (bounded by step_cap).
+    per-predicate reduction law applies to the whole state.  The rounds
+    never end on their own: the caller stops taking them.
     """
     env = PlanningEnvironment(scene, cfg, perception_seed)
     belief = env.observe()
-    trace = [state_uncertainty_independent(belief)]
-    rounds = 0
     while True:
-        if steps is not None and rounds >= steps:
-            break
-        if tau_plan is not None:
-            if not classify(belief, tau_plan).uncertain:
-                break
-            if step_cap is not None and rounds >= step_cap:
-                break
+        yield belief
         for obj in env.object_ids():
-            env.apply_info("look_closer", obj)
+            env.apply_info(LOOK_CLOSER, obj)
         belief = fuse_observation(belief, env.observe())
-        trace.append(state_uncertainty_independent(belief))
-        rounds += 1
-    return trace, rounds
+
+
+def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: float,
+             info_enabled: bool = True):
+    """One closed-loop planning episode towards the default goal."""
+    env = PlanningEnvironment(scene, config.noise(), perception_seed)
+    return plan_under_uncertainty(
+        env,
+        default_goal(scene),
+        tau_plan=tau_plan,
+        max_retries=config.max_retries,
+        options=PlannerOptions(refine_with_mrf=config.refine, info_enabled=info_enabled),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,62 +296,43 @@ def _decay_trace(
 
 
 def _calibration_unit(config: ExperimentConfig, trial_idx: int):
-    scene_seed, perception_seed = _trial_seeds(config.seed, 0, trial_idx)
-    scene = generate_scene(config.n_objects, config.stack_bias, scene_seed)
+    scene, perception_seed = _trial_scene(config, 0, trial_idx)
     state, labels = perceive_with_labels(scene, config.noise(), perception_seed)
     return [(p, y) for (_, p), y in zip(state.items(), labels.tolist())]
 
 
 def _alpha_unit(config: ExperimentConfig, trial_idx: int):
-    scene_seed, perception_seed = _trial_seeds(config.seed, 0, trial_idx)
-    scene = generate_scene(config.n_objects, config.stack_bias, scene_seed)
-    trace, rounds = _decay_trace(
-        scene, config.noise(exact_reduction=True), perception_seed, steps=config.steps
-    )
+    scene, perception_seed = _trial_scene(config, 0, trial_idx)
+    rounds = _attention_rounds(scene, config.noise(exact_reduction=True), perception_seed)
+    trace = [state_uncertainty_independent(b) for b in itertools.islice(rounds, config.steps + 1)]
     n_objs = len(scene.object_ids())
-    return trace, modeled_episode_ms(rounds + 1, rounds * n_objs)
+    return trace, modeled_episode_ms(config.steps + 1, config.steps * n_objs)
 
 
 def _convergence_unit(config: ExperimentConfig, trial_idx: int):
-    scene_seed, perception_seed = _trial_seeds(config.seed, 0, trial_idx)
-    scene = generate_scene(config.n_objects, config.stack_bias, scene_seed)
-    cfg = config.noise(exact_reduction=True)
-    env = PlanningEnvironment(scene, cfg, perception_seed)
-    u0 = state_uncertainty_independent(env.observe())
+    scene, perception_seed = _trial_scene(config, 0, trial_idx)
+    rounds = _attention_rounds(scene, config.noise(exact_reduction=True), perception_seed)
+    belief = next(rounds)
+    u0 = state_uncertainty_independent(belief)
     k_bound = convergence_bound(config.tau_plan, config.alpha, u0)
-    trace, k_emp = _decay_trace(
-        scene, cfg, perception_seed, tau_plan=config.tau_plan, step_cap=k_bound + 2
-    )
-    return u0, k_emp, k_bound, trace
+    k_emp = 0
+    while classify(belief, config.tau_plan).uncertain and k_emp < k_bound + 2:
+        belief = next(rounds)
+        k_emp += 1
+    return u0, k_emp, k_bound
 
 
 def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
-    scene_seed, perception_seed = _trial_seeds(config.seed, setting_idx, trial_idx)
-    scene = generate_scene(config.n_objects, config.stack_bias, scene_seed)
-    env = PlanningEnvironment(scene, config.noise(), perception_seed)
-    episode = plan_under_uncertainty(
-        env,
-        default_goal(scene),
-        tau_plan=config.taus[setting_idx],
-        max_retries=config.max_retries,
-        options=PlannerOptions(refine_with_mrf=config.refine),
-    )
+    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
+    episode = _episode(config, scene, perception_seed, config.taus[setting_idx])
     return int(episode.success), episode.modeled_time_ms
 
 
 def _benchmark_unit(config: ExperimentConfig, trial_idx: int):
-    scene_seed, perception_seed = _trial_seeds(config.seed, 0, trial_idx)
-    scene = generate_scene(config.n_objects, config.stack_bias, scene_seed)
+    scene, perception_seed = _trial_scene(config, 0, trial_idx)
     out = []
     for policy, info_enabled in (("info_on", True), ("info_off", False)):
-        env = PlanningEnvironment(scene, config.noise(), perception_seed)
-        episode = plan_under_uncertainty(
-            env,
-            default_goal(scene),
-            tau_plan=config.tau_plan,
-            max_retries=config.max_retries,
-            options=PlannerOptions(refine_with_mrf=config.refine, info_enabled=info_enabled),
-        )
+        episode = _episode(config, scene, perception_seed, config.tau_plan, info_enabled)
         out.append(
             (
                 policy,
@@ -366,7 +375,7 @@ def _mrf_unit(config: ExperimentConfig, trial_idx: int):
     exact = enumerate_beliefs(mrf)
     bp = loopy_bp(mrf)
     max_dev = float(np.max(np.abs(bp.node_marginals - exact.node_marginals)))
-    u_dep = conditional_uncertainty(exact, mrf)
+    u_dep = conditional_uncertainty(mrf)
     # baseline uses the joint's own marginals so edgeless graphs land on
     # exact equality (conditioning on nothing changes nothing)
     u_indep = sum(_binary_entropy(float(p)) for p in exact.node_marginals[:, 1])
@@ -390,10 +399,11 @@ def _run_unit(args):
 
 def _map_units(config: ExperimentConfig, units: list[tuple]) -> list:
     args = [(config, s, t) for s, t in units]
-    if config.workers == 1:
+    workers = min(config.workers, len(args))  # no process without a unit to run
+    if workers <= 1:
         return [_run_unit(a) for a in args]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(_run_unit, args, chunksize=max(1, len(args) // (4 * config.workers))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_unit, args, chunksize=max(1, len(args) // (4 * workers))))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +473,7 @@ def _run_convergence(config: ExperimentConfig) -> ExperimentReport:
     within = 0
     within_plus_one = 0
     gaps = []
-    for trial_idx, (u0, k_emp, k_bound, _) in enumerate(results):
+    for trial_idx, (u0, k_emp, k_bound) in enumerate(results):
         gap_pct = 100.0 * (k_bound - k_emp) / k_bound if k_bound > 0 else 0.0
         rows.append((trial_idx, float(u0), int(k_emp), int(k_bound), float(gap_pct)))
         within += k_emp <= k_bound
@@ -488,14 +498,13 @@ def _run_convergence(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_threshold_sweep(config: ExperimentConfig) -> ExperimentReport:
-    units = [(s, t) for s in range(len(config.taus)) for t in range(config.trials)]
-    results = _map_units(config, units)
+    results = _map_units(
+        config, [(s, t) for s in range(len(config.taus)) for t in range(config.trials)]
+    )
     rows = []
     samples = []
     for setting_idx, tau in enumerate(config.taus):
-        chunk = [
-            results[i] for i, (s, _) in enumerate(units) if s == setting_idx
-        ]
+        chunk = results[setting_idx * config.trials : (setting_idx + 1) * config.trials]
         successes = sum(r[0] for r in chunk)
         mean_ms = float(np.mean([r[1] for r in chunk]))
         rate = successes / len(chunk)

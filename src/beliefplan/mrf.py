@@ -5,8 +5,10 @@ independent: a block with something on it is not clear, a block resting on
 another touches it, and stacking patterns correlate.  This module turns a
 belief state into a small binary MRF whose unary potentials encode the raw
 confidences and whose pairwise potentials encode those structural rules,
-then re-estimates marginals by exact enumeration (small graphs) or loopy
-belief propagation.
+then re-estimates the node marginals by exact enumeration (small graphs) or
+loopy belief propagation.  Only node marginals are produced: refinement and
+the MAP readout read nothing else, and the dependency-aware uncertainty is
+computed exactly from the enumerated joint.
 
 Energy convention: P(x) proportional to exp(-E(x)) with
 E(x) = sum_i psi_i(x_i) + sum_ij phi_ij(x_i, x_j).  Lower energy means more
@@ -109,11 +111,10 @@ class BeliefSet:
     """
 
     node_marginals: np.ndarray  # shape (n, 2)
-    edge_marginals: tuple[np.ndarray, ...]  # one (2, 2) table per mrf edge
+    max_node_marginals: np.ndarray  # shape (n, 2)
     converged: bool
     iterations: int
-    log_z: float | None = None
-    max_node_marginals: np.ndarray | None = None
+    log_z: float | None = None  # enumeration only
 
 
 def _clamp(p: float) -> float:
@@ -252,16 +253,6 @@ def enumerate_beliefs(mrf: PredicateMrf) -> BeliefSet:
         p_true = float(np.sum(w[((idx >> i) & 1) == 1]))
         node_marg[i] = (1.0 - p_true, p_true)
 
-    edge_marg = []
-    for e in mrf.edges:
-        bi = (idx >> e.i) & 1
-        bj = (idx >> e.j) & 1
-        tbl = np.empty((2, 2), dtype=float)
-        for xi in (0, 1):
-            for xj in (0, 1):
-                tbl[xi, xj] = float(np.sum(w[(bi == xi) & (bj == xj)]))
-        edge_marg.append(tbl)
-
     max_marg = np.empty((n, 2), dtype=float)
     for i in range(n):
         on = ((idx >> i) & 1) == 1
@@ -270,9 +261,7 @@ def enumerate_beliefs(mrf: PredicateMrf) -> BeliefSet:
         total = best_true + best_false
         max_marg[i] = (best_false / total, best_true / total)
 
-    return BeliefSet(
-        node_marg, tuple(edge_marg), True, 0, log_z=log_z, max_node_marginals=max_marg
-    )
+    return BeliefSet(node_marg, max_marg, True, 0, log_z=log_z)
 
 
 def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -373,18 +362,7 @@ def loopy_bp(
 
     node = _gather_sum(log_unary, msgs, _padded(inbound, n_dir))  # [family, node, x]
     node_marg, max_marg = np.exp(node - _logaddexp(node[..., 0], node[..., 1])[..., None])
-
-    # pair belief: factor plus each endpoint's belief without the other's
-    # message; the row-wise np.sum rounds as np.sum over one flat table does
-    pre = _gather_sum(edge_unary, msgs[:1], gather)[0]
-    joint = (log_phi_arr[0::2] + pre[0::2, :, None] + pre[1::2, None, :]).reshape(-1, 4)
-    peak = np.max(joint, axis=1)
-    log_norm = peak + np.log(np.sum(np.exp(joint - peak[:, None]), axis=1))
-    edge_marg = np.exp(joint - log_norm[:, None]).reshape(-1, 2, 2)
-
-    return BeliefSet(
-        node_marg, tuple(edge_marg), converged, iterations, max_node_marginals=max_marg
-    )
+    return BeliefSet(node_marg, max_marg, converged, iterations)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -393,84 +371,40 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def conditional_uncertainty(
-    beliefs: BeliefSet, mrf: PredicateMrf, exact: bool | None = None
-) -> float:
+def conditional_uncertainty(mrf: PredicateMrf) -> float:
     """Dependency-aware uncertainty: sum over nodes of H(X_i | neighbors).
 
-    For graphs up to the enumeration cap the conditional entropies are
-    computed exactly from the joint.  Larger graphs fall back to
-    conditioning each node on its single highest-mutual-information
-    neighbor, using the pairwise marginals in ``beliefs``.  Nats.
+    The conditional entropies are computed exactly from the enumerated
+    joint, so the node count is capped at ``ENUMERATION_CAP`` (above it,
+    ``CapacityError``).  Nats.
     """
     n = mrf.n_nodes
-    if n == 0:
-        return 0.0
-    if exact is None:
-        exact = n <= ENUMERATION_CAP
-
     adj = mrf.neighbors()
-    if exact:
-        energies = _all_energies(mrf)
-        w = np.exp(-energies - _logsumexp(-energies))
-        idx = np.arange(1 << n, dtype=np.int64)
+    energies = _all_energies(mrf)
+    w = np.exp(-energies - _logsumexp(-energies))
+    idx = np.arange(1 << n, dtype=np.int64)
 
-        def subset_entropy(nodes_subset: list[int]) -> float:
-            if not nodes_subset:
-                return 0.0
-            keys = np.zeros(1 << n, dtype=np.int64)
-            for t, s in enumerate(nodes_subset):
-                keys |= ((idx >> s) & 1) << t
-            dist = np.bincount(keys, weights=w, minlength=1 << len(nodes_subset))
-            return _entropy(dist)
-
-        total = 0.0
-        for i in range(n):
-            total += subset_entropy([i] + adj[i]) - subset_entropy(adj[i])
-        return total
-
-    # approximate: condition on the most informative single neighbor
-    edge_tbl: dict[tuple[int, int], np.ndarray] = {}
-    for e, tbl in zip(mrf.edges, beliefs.edge_marginals):
-        edge_tbl[(e.i, e.j)] = np.asarray(tbl, dtype=float)
-
-    def pair_table(i: int, j: int) -> np.ndarray:
-        # oriented so axis 0 indexes node i
-        return edge_tbl[(i, j)] if (i, j) in edge_tbl else edge_tbl[(j, i)].T
+    def subset_entropy(nodes_subset: list[int]) -> float:
+        if not nodes_subset:
+            return 0.0
+        keys = np.zeros(1 << n, dtype=np.int64)
+        for t, s in enumerate(nodes_subset):
+            keys |= ((idx >> s) & 1) << t
+        dist = np.bincount(keys, weights=w, minlength=1 << len(nodes_subset))
+        return _entropy(dist)
 
     total = 0.0
     for i in range(n):
-        if not adj[i]:
-            total += _entropy(beliefs.node_marginals[i])
-            continue
-        best = None
-        for j in adj[i]:
-            tbl = pair_table(i, j)
-            pi = tbl.sum(axis=1)
-            pj = tbl.sum(axis=0)
-            mi = 0.0
-            for xi in (0, 1):
-                for xj in (0, 1):
-                    if tbl[xi, xj] > 0.0 and pi[xi] > 0.0 and pj[xj] > 0.0:
-                        mi += tbl[xi, xj] * math.log(tbl[xi, xj] / (pi[xi] * pj[xj]))
-            if best is None or mi > best[0]:
-                best = (mi, tbl, pj)
-        _, tbl, pj = best
-        total += _entropy(tbl) - _entropy(pj)
+        total += subset_entropy([i] + adj[i]) - subset_entropy(adj[i])
     return total
 
 
 def map_assignment(beliefs: BeliefSet) -> tuple[bool, ...]:
-    """Per-node argmax readout; exact ties resolve to false.
+    """Per-node argmax of the max-product marginals; exact ties resolve to false.
 
-    Uses the max-product marginals when the belief set carries them (their
-    argmax is the exact minimum-energy assignment on trees), falling back
-    to the probability marginals otherwise.
+    On trees that argmax is the exact minimum-energy assignment.
     """
-    marg = beliefs.max_node_marginals
-    if marg is None:
-        marg = beliefs.node_marginals
-    return tuple(bool(b[1] > b[0]) for b in marg)
+    return tuple(bool(b[1] > b[0]) for b in beliefs.max_node_marginals)
 
 
 def refined_state(state: ProbabilisticState, beliefs: BeliefSet) -> ProbabilisticState:

@@ -1,20 +1,21 @@
 """Optimal blocks-world planning on top of probabilistic predicate beliefs.
 
 The symbolic layer is classic STRIPS: ground atoms over on / ontable /
-clear / holding / handempty, a fixed action schema set (pick from table,
-unstack, place, putdown, plus per-object information actions with no
-physical effect), and A* with an admissible goal-counting heuristic, so
-returned plans are guaranteed shortest.  The search runs over integer
-bitmasks with one bit per atom, on tables compiled once per object set,
-and generates successors from the state's structure (the clear blocks
-when the hand is empty, the places for the held block otherwise) instead
-of testing every grounded move; it returns the plan and expansion count
-that a scan of all moves in sorted order would.
+clear / holding / handempty, a fixed set of move schemas (pick from table,
+unstack, place, putdown), and A* with an admissible goal-counting
+heuristic, so returned plans are guaranteed shortest.  The search runs
+over integer bitmasks with one bit per atom, on tables compiled once per
+object set, and generates successors from the state's structure (the
+clear blocks when the hand is empty, the places for the held block
+otherwise) instead of testing every grounded move; it returns the plan
+and expansion count that a scan of all moves in sorted order would.
 
 The belief layer decides when planning is safe: predicates classified
 certain-true become the symbolic state, and while goal-relevant predicates
 remain uncertain the closed loop spends bounded information-gathering
-actions to sharpen perception before committing to a plan.
+actions to sharpen perception before committing to a plan.  Those are
+belief actions taken by the loop, not STRIPS moves: they change what is
+perceived, never the symbolic state.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from beliefplan.core import (
     state_uncertainty_independent,
 )
 from beliefplan.mrf import CapacityError, build_mrf, loopy_bp, refined_state
-from beliefplan.scene import INFO_ACTION_KINDS, LOOK_CLOSER, PUSH_OBSTACLE
+from beliefplan.scene import LOOK_CLOSER, PUSH_OBSTACLE
 
 MAX_EXPANSIONS = 10**6
 INFO_COST = 0.1  # the value-of-information gate's price of one info action
@@ -168,18 +169,14 @@ class GroundedAction:
     preconditions: frozenset[Atom]
     add: frozenset[Atom]
     delete: frozenset[Atom]
-    belief_effect: str | None = None  # info actions sharpen perception, move nothing
-
-    def __post_init__(self):
-        if self.belief_effect is not None and (self.add or self.delete):
-            raise ValueError("information actions must not change the symbolic state")
 
     def __str__(self):
         return f"{self.name}({', '.join(self.args)})"
 
 
 def ground_domain(objects: Iterable[str]) -> tuple[GroundedAction, ...]:
-    """All grounded actions for this object set, sorted by (name, args)."""
+    """All grounded moves for this object set, sorted by (name, args):
+    pick(x) from the table, pick(x, y) off y, place(x, y) and putdown(x)."""
     objs = sorted(set(objects))
     actions: list[GroundedAction] = []
     for x in objs:
@@ -199,10 +196,6 @@ def ground_domain(objects: Iterable[str]) -> tuple[GroundedAction, ...]:
                 frozenset({holding(x)}),
             )
         )
-        for kind in INFO_ACTION_KINDS:
-            actions.append(
-                GroundedAction(kind, (x,), frozenset(), frozenset(), frozenset(), kind)
-            )
         for y in objs:
             if x == y:
                 continue
@@ -259,6 +252,8 @@ class Goal:
                 upper, lower = pred.args
                 if upper in placed and placed[upper] != lower:
                     raise ValueError(f"goal places {upper} on two supports")
+                if lower in placed.values():
+                    raise ValueError(f"goal object {lower} supports two objects")
                 placed[upper] = lower
             elif pred.relation is Relation.CLEAR:
                 clear_objs.add(pred.args[0])
@@ -334,7 +329,7 @@ def _compile_domain(objects: tuple[str, ...]) -> _Domain:
     block x covers ontable(x) and each on(x, y); its pick table maps the
     one support bit a valid state can hold to the matching pick move.
     """
-    moves = {(a.name, a.args): a for a in ground_domain(objects) if a.belief_effect is None}
+    moves = {(a.name, a.args): a for a in ground_domain(objects)}
     atoms = {handempty()}
     for a in moves.values():
         atoms |= a.preconditions | a.add | a.delete
@@ -600,9 +595,6 @@ class IterationRecord:
 
 @dataclass
 class PlanningEpisode:
-    goal: Goal
-    tau_plan: float
-    max_retries: int
     iterations: list[IterationRecord]
     success: bool
     info_action_count: int
@@ -610,18 +602,6 @@ class PlanningEpisode:
     expansions: int
     modeled_time_ms: float
     cap_hits: int  # searches stopped at MAX_EXPANSIONS; not exported
-
-    def summary(self) -> dict:
-        return {
-            "goal": str(self.goal),
-            "tau_plan": self.tau_plan,
-            "success": self.success,
-            "rounds": len(self.iterations),
-            "info_actions": self.info_action_count,
-            "plan_length": len(self.plan) if self.plan is not None else None,
-            "expansions": self.expansions,
-            "modeled_time_ms": self.modeled_time_ms,
-        }
 
 
 def modeled_episode_ms(
@@ -707,9 +687,6 @@ def plan_under_uncertainty(
         break
 
     return PlanningEpisode(
-        goal=goal,
-        tau_plan=tau_plan,
-        max_retries=max_retries,
         iterations=records,
         success=success,
         info_action_count=info_count,

@@ -50,7 +50,6 @@ OCCLUSION_IOU = 0.3
 
 LOOK_CLOSER = "look_closer"
 PUSH_OBSTACLE = "push_obstacle"
-INFO_ACTION_KINDS = (LOOK_CLOSER, PUSH_OBSTACLE)
 
 _TINY = 1e-12
 
@@ -610,7 +609,6 @@ class PlanningEnvironment:
         self.scene = scene
         self.cfg = cfg
         self.seed = int(seed)
-        self.info_actions: list[tuple[str, str]] = []
 
     def object_ids(self) -> tuple[str, ...]:
         return self.scene.object_ids()
@@ -623,7 +621,6 @@ class PlanningEnvironment:
 
     def apply_info(self, kind: str, target: str) -> None:
         self.cfg = apply_info_action(self.cfg, kind, target)
-        self.info_actions.append((kind, target))
 
     def execute(self, plan, goal_predicates: Iterable[GroundPredicate]) -> bool:
         """Run a plan of the planner's own actions against ground truth.

@@ -341,7 +341,6 @@ def plateau_relative_change(
 class AlphaFit:
     alpha_hat: float
     r_squared: float
-    per_step: tuple[float, ...]
     n_dropped: int
 
 
@@ -391,4 +390,4 @@ def fit_alpha_pooled(traces: Iterable[Sequence[float]]) -> AlphaFit:
         r2 = 1.0 if ss_res < 1e-18 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return AlphaFit(alpha_hat, r2, tuple(1.0 - math.exp(r) for r in all_ratios), dropped_total)
+    return AlphaFit(alpha_hat, r2, dropped_total)

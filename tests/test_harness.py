@@ -2,12 +2,13 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from beliefplan import harness
 from beliefplan.cli import main
 from beliefplan.harness import (
     ExperimentConfig,
@@ -159,6 +160,14 @@ class TestConfig:
         vals = config_from_file(p)
         assert vals == {"trials": 7, "taus": (0.4, 0.6)}
 
+    def test_config_file_accepts_every_default(self, tmp_path):
+        base = ExperimentConfig(kind="plan-benchmark")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({f.name: getattr(base, f.name) for f in fields(base)}))
+        assert ExperimentConfig(**config_from_file(p)) == base
+        p.write_text(json.dumps({"noise_sd": 2}))  # a whole number is a number
+        assert config_from_file(p) == {"noise_sd": 2}
+
     def test_config_file_unknown_field(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"bogus": 1}))
@@ -296,6 +305,28 @@ class TestDeterminism:
         assert rows_to_csv(a.header, a.rows) == rows_to_csv(b.header, b.rows)
         assert summary_to_json(a.summary) == summary_to_json(b.summary)
 
+    def test_at_most_one_process_per_unit(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize):
+                return map(fn, args)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        config = ExperimentConfig(kind="mrf-check", seed=5, trials=2, workers=3)
+        run(config)
+        run(replace(config, trials=1))  # one unit runs in this process
+        assert sizes == [2]
+
     @pytest.mark.parametrize("workers", [4, 8])
     def test_worker_count_invisible(self, workers):
         base = ExperimentConfig(kind="mrf-check", seed=5, trials=8)
@@ -391,6 +422,19 @@ class TestCli:
         rc = main(["mrf-check", "--config", str(cfg)])
         assert rc == 2
         assert "wrong" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"taus": 0.5}, {"trials": "5"}, {"n_objects": 4.5}, {"refine": "no"}, {"seed": True}],
+    )
+    def test_mistyped_config_value_exits_2(self, capsys, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["plan", "--config", str(cfg), "--trials", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        (name,) = doc
+        assert err.startswith("error:") and err.count("\n") == 1 and name in err
 
     def test_too_many_objects_exits_2(self, capsys):
         rc = main(["plan", "--objects", "12", "--trials", "1"])

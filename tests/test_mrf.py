@@ -97,7 +97,7 @@ def _reference_loopy_bp(mrf, damping=0.5, tol=1e-8, max_iters=200):
     """Loopy BP as one Python loop over a dict of directed messages.
 
     Same flooding schedule, damping, normalization and summation order as
-    :func:`loopy_bp`; returns (node, max-node, edge marginals, converged,
+    :func:`loopy_bp`; returns (node, max-node marginals, converged,
     iterations).
     """
     n = mrf.n_nodes
@@ -162,31 +162,14 @@ def _reference_loopy_bp(mrf, damping=0.5, tol=1e-8, max_iters=200):
             out[i] = np.exp(b)
         return out
 
-    edge_marg = []
-    for e in mrf.edges:
-        b = tables[(e.i, e.j)].copy()
-        side_i = log_unary[e.i].copy()
-        for k in inbound[e.i]:
-            if k != e.j:
-                side_i += msgs[(k, e.i)]
-        side_j = log_unary[e.j].copy()
-        for k in inbound[e.j]:
-            if k != e.i:
-                side_j += msgs[(k, e.j)]
-        b = b + side_i[:, None] + side_j[None, :]
-        b -= _lse(b.ravel())
-        edge_marg.append(np.exp(b))
-    return node_beliefs(msgs), node_beliefs(max_msgs), edge_marg, converged, iterations
+    return node_beliefs(msgs), node_beliefs(max_msgs), converged, iterations
 
 
 def assert_matches_reference(mrf, **kwargs):
     bp = loopy_bp(mrf, **kwargs)
-    node, max_node, edges, converged, iterations = _reference_loopy_bp(mrf, **kwargs)
+    node, max_node, converged, iterations = _reference_loopy_bp(mrf, **kwargs)
     assert np.array_equal(bp.node_marginals, node)
     assert np.array_equal(bp.max_node_marginals, max_node)
-    assert len(bp.edge_marginals) == len(edges)
-    for got, want in zip(bp.edge_marginals, edges):
-        assert np.array_equal(got, want)
     assert bp.converged == converged
     assert bp.iterations == iterations
     return bp
@@ -319,14 +302,6 @@ class TestEnumeration:
             np.testing.assert_allclose(lib.node_marginals, ref_marg, atol=1e-10)
             assert math.exp(lib.log_z) == pytest.approx(ref_z, rel=1e-9)
 
-    def test_edge_marginals_consistent_with_nodes(self):
-        rng = np.random.default_rng(103)
-        mrf = random_tree_mrf(rng, n_lo=4, n_hi=7)
-        beliefs = enumerate_beliefs(mrf)
-        for e, tbl in zip(mrf.edges, beliefs.edge_marginals):
-            np.testing.assert_allclose(tbl.sum(axis=1), beliefs.node_marginals[e.i], atol=1e-10)
-            np.testing.assert_allclose(tbl.sum(axis=0), beliefs.node_marginals[e.j], atol=1e-10)
-
     def test_capacity_cap(self):
         nodes = tuple(
             GroundPredicate(P("Clear(a)").relation, (f"o{i}",)) for i in range(21)
@@ -361,8 +336,6 @@ class TestLoopyBp:
             mrf = random_tree_mrf(rng)
             bp = loopy_bp(mrf)
             np.testing.assert_allclose(bp.node_marginals.sum(axis=1), 1.0, atol=1e-9)
-            for tbl in bp.edge_marginals:
-                assert tbl.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_damping_choice_does_not_move_tree_marginals(self):
         rng = np.random.default_rng(113)
@@ -377,10 +350,11 @@ class TestLoopyBp:
         mrf = build_mrf(make_state({"On(a,b)": 0.9, "Touching(a,b)": 0.1}))
         beliefs = loopy_bp(mrf)
         (e,) = mrf.edges
-        tbl = beliefs.edge_marginals[0]
-        ant_first = e.antecedent == e.i
-        forbidden = tbl[1, 0] if ant_first else tbl[0, 1]
-        assert forbidden < 1e-6
+        p_on = beliefs.node_marginals[e.antecedent, 1]
+        p_touching = beliefs.node_marginals[e.i + e.j - e.antecedent, 1]
+        # P(On) - P(Touching) is at most the forbidden cell's mass P(On, not Touching);
+        # without the edge it would be 0.9 - 0.1
+        assert p_on < p_touching + 1e-6
 
     def test_loopy_graph_close_to_enumeration(self):
         # support cycle a-b-c-a gives a 3-cycle of correlation edges
@@ -476,10 +450,10 @@ class TestMapAssignment:
 class TestConditionalUncertainty:
     def test_single_node_values(self):
         even = build_mrf(make_state({"On(a,b)": 0.5}))
-        h = conditional_uncertainty(enumerate_beliefs(even), even)
+        h = conditional_uncertainty(even)
         assert h == pytest.approx(math.log(2.0), abs=1e-12)
         sure = build_mrf(make_state({"On(a,b)": 1.0}))
-        assert conditional_uncertainty(enumerate_beliefs(sure), sure) < 1e-4
+        assert conditional_uncertainty(sure) < 1e-4
 
     def test_hard_exclusion_tightens_below_marginal_entropy(self):
         mrf = build_mrf(make_state({"On(a,b)": 0.5, "Clear(b)": 0.5}))
@@ -488,7 +462,7 @@ class TestConditionalUncertainty:
             -(b[0] * math.log(b[0]) + b[1] * math.log(b[1]))
             for b in beliefs.node_marginals
         )
-        u_dep = conditional_uncertainty(beliefs, mrf)
+        u_dep = conditional_uncertainty(mrf)
         assert u_dep < marginal_sum - 1e-6
 
     def test_tightening_over_random_graphs(self):
@@ -500,7 +474,7 @@ class TestConditionalUncertainty:
                 -sum(v * math.log(v) for v in b if v > 0)
                 for b in beliefs.node_marginals
             )
-            u_dep = conditional_uncertainty(beliefs, mrf)
+            u_dep = conditional_uncertainty(mrf)
             assert u_dep <= marginal_sum + 1e-9
             assert u_dep >= -1e-12
 
@@ -511,14 +485,13 @@ class TestConditionalUncertainty:
         expected = sum(
             -sum(v * math.log(v) for v in b) for b in beliefs.node_marginals
         )
-        assert conditional_uncertainty(beliefs, mrf) == pytest.approx(expected, abs=1e-9)
+        assert conditional_uncertainty(mrf) == pytest.approx(expected, abs=1e-9)
 
-    def test_approx_path_matches_exact_on_pair(self):
-        mrf = build_mrf(make_state({"On(a,b)": 0.7, "Clear(b)": 0.6}))
-        beliefs = enumerate_beliefs(mrf)
-        exact = conditional_uncertainty(beliefs, mrf, exact=True)
-        approx = conditional_uncertainty(beliefs, mrf, exact=False)
-        assert approx == pytest.approx(exact, abs=1e-9)
+    def test_capacity_cap(self):
+        nodes = tuple(GroundPredicate(P("Clear(a)").relation, (f"o{i:02d}",)) for i in range(21))
+        mrf = PredicateMrf(nodes, np.zeros((21, 2)), ())
+        with pytest.raises(CapacityError):
+            conditional_uncertainty(mrf)
 
 
 class TestRefinedState:

@@ -375,7 +375,7 @@ class TestEnvironment:
         assert env.occluded_ids() == frozenset({"o0"})
         env.apply_info("push_obstacle", "o0")
         assert env.occluded_ids() == frozenset()
-        assert env.info_actions == [("push_obstacle", "o0")]
+        assert env.cfg == apply_info_action(NoiseConfig(), "push_obstacle", "o0")
 
     def test_noisy_episode_classification_sane(self):
         scene = generate_scene(4, stack_bias=0.5, seed=8)
@@ -689,7 +689,7 @@ class TestExecuteMatchesReference:
         probability 0.15, and 0-3 On / Clear goals, half of them true at the
         end of an applicable run."""
         ids = scene.object_ids()
-        moves = [a for a in ground_domain(ids) if a.belief_effect is None]
+        moves = ground_domain(ids)
         atoms = support_atoms(dict(scene.support), ids)
         plan = []
         for _ in range(int(rng.integers(0, 13))):

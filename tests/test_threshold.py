@@ -216,7 +216,6 @@ class TestAlphaFit:
         fit = fit_alpha_pooled([trace])
         assert fit.alpha_hat == pytest.approx(0.3, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0)
-        assert all(a == pytest.approx(0.3, abs=1e-12) for a in fit.per_step)
         assert fit.n_dropped == 0
 
     def test_single_transition(self):
