@@ -6,8 +6,8 @@ symbolic side of that picture: ground predicates, belief states mapping
 predicates to confidences, the per-predicate and state-level uncertainty
 measures, threshold classification into certain/uncertain partitions, and
 the fusion rule used when a fresh observation is folded into an existing
-belief state.  It also holds the one support-cycle check that scenes,
-symbolic states, goals and the belief projection share.
+belief state.  It also holds the one stacking rule (:func:`support_map`)
+that scenes, symbolic states, goals and the belief projection share.
 """
 
 from __future__ import annotations
@@ -120,6 +120,29 @@ def has_support_cycle(lower_of: Mapping[str, str]) -> bool:
     return False
 
 
+def support_map(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """The ``upper -> lower`` map of (upper, lower) support pairs.
+
+    This is the one stacking rule: raises ValueError when an object rests
+    on itself or on two supports, a support carries two objects, or the
+    supports close a cycle.
+    """
+    lower_of: dict[str, str] = {}
+    upper_of: dict[str, str] = {}
+    for upper, lower in pairs:
+        if upper == lower:
+            raise ValueError(f"object {upper} cannot rest on itself")
+        if upper in lower_of:
+            raise ValueError(f"object {upper} rests on two supports")
+        if lower in upper_of:
+            raise ValueError(f"object {lower} supports two objects")
+        lower_of[upper] = lower
+        upper_of[lower] = upper
+    if has_support_cycle(lower_of):
+        raise ValueError("supports form a cycle")
+    return lower_of
+
+
 def _check_confidence(p: float) -> float:
     p = float(p)
     if not (0.0 <= p <= 1.0) or math.isnan(p):
@@ -130,55 +153,36 @@ def _check_confidence(p: float) -> float:
 class ProbabilisticState:
     """Immutable map from ground predicates to confidences.
 
-    Stored as the predicates sorted by :meth:`GroundPredicate.sort_key`, a
-    float64 confidence vector and a boolean ``known`` vector aligned with
-    them, so iteration never re-sorts and the belief operations below work
-    on whole vectors.  ``known`` marks predicates whose confidence has
-    already been refined by fusion with a repeated observation;
-    classification ignores the flag, it exists so downstream consumers can
-    tell first sightings apart.
+    Stored as the predicates sorted by :meth:`GroundPredicate.sort_key` and
+    a float64 confidence vector aligned with them, so iteration never
+    re-sorts and the belief operations below work on whole vectors.
     """
 
-    __slots__ = ("_preds", "_p", "_known", "_pos")
+    __slots__ = ("_preds", "_p", "_pos")
 
-    def __init__(
-        self,
-        confidences: Mapping[GroundPredicate, float],
-        known: Iterable[GroundPredicate] = (),
-    ):
+    def __init__(self, confidences: Mapping[GroundPredicate, float]):
         conf = {p: _check_confidence(v) for p, v in confidences.items()}
-        known = frozenset(known)
-        extra = known - conf.keys()
-        if extra:
-            raise ValueError(f"known predicates missing from state: {sorted(map(str, extra))}")
         preds = tuple(sorted(conf, key=GroundPredicate.sort_key))
-        self._set(preds, [conf[p] for p in preds], [p in known for p in preds])
+        self._set(preds, [conf[p] for p in preds])
 
     @classmethod
-    def from_arrays(
-        cls, preds: tuple[GroundPredicate, ...], confidences, known=None
-    ) -> ProbabilisticState:
+    def from_arrays(cls, preds: tuple[GroundPredicate, ...], confidences) -> ProbabilisticState:
         """State over ``preds``, which must be distinct and sorted by sort_key;
-        ``confidences`` and the optional boolean ``known`` align with them."""
+        ``confidences`` aligns with them."""
         state = cls.__new__(cls)
-        if known is None:
-            known = np.zeros(len(preds), dtype=bool)
-        state._set(preds, confidences, known)
+        state._set(preds, confidences)
         return state
 
-    def _set(self, preds, confidences, known) -> None:
+    def _set(self, preds, confidences) -> None:
         p = np.array(confidences, dtype=float)
-        k = np.array(known, dtype=bool)
-        if p.shape != (len(preds),) or k.shape != p.shape:
-            raise ValueError("confidence and known vectors must match the predicates")
+        if p.shape != (len(preds),):
+            raise ValueError("confidence vector must match the predicates")
         bad = ~((p >= 0.0) & (p <= 1.0))  # NaN fails both comparisons
         if bad.any():
             _check_confidence(p[bad][0])
         p.flags.writeable = False
-        k.flags.writeable = False
         self._preds = tuple(preds)
         self._p = p
-        self._known = k
         self._pos = None  # {pred: k}, built on the first lookup
 
     def _positions(self) -> Mapping[GroundPredicate, int]:
@@ -187,12 +191,8 @@ class ProbabilisticState:
         return self._pos
 
     def with_confidences(self, confidences) -> ProbabilisticState:
-        """Same predicates and known flags, new aligned confidence vector."""
-        return ProbabilisticState.from_arrays(self._preds, confidences, self._known)
-
-    @property
-    def known(self) -> frozenset[GroundPredicate]:
-        return frozenset(compress(self._preds, self._known.tolist()))
+        """Same predicates, new aligned confidence vector."""
+        return ProbabilisticState.from_arrays(self._preds, confidences)
 
     def confidence(self, pred: GroundPredicate) -> float:
         return float(self._p[self._positions()[pred]])
@@ -219,11 +219,7 @@ class ProbabilisticState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbabilisticState):
             return NotImplemented
-        return (
-            self._preds == other._preds
-            and np.array_equal(self._p, other._p)
-            and np.array_equal(self._known, other._known)
-        )
+        return self._preds == other._preds and np.array_equal(self._p, other._p)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}={v:.3g}" for p, v in self.items())
@@ -311,59 +307,25 @@ def fuse_observation(
 ) -> ProbabilisticState:
     """Fold a fresh observation into an existing belief state.
 
-    For each predicate present in the observation, the fused confidence is
-    whichever of (prior, observation) is more extreme, i.e. has the smaller
-    predicate uncertainty; on a tie the observation wins.  Predicates seen
-    only in the prior are carried through unchanged.  Every predicate that
-    appears in the observation is marked known in the result.
+    Both states must score the same predicates; ValueError otherwise.  Each
+    fused confidence is whichever of (prior, observation) is more extreme,
+    i.e. has the smaller predicate uncertainty; on a tie the observation
+    wins.
     """
-    preds, at_prior, at_obs = _align(prior._preds, obs._preds)
-    conf = np.zeros(len(preds))
-    conf[at_prior] = prior._p
-    in_prior = np.zeros(len(preds), dtype=bool)
-    in_prior[at_prior] = True
-    known = np.zeros(len(preds), dtype=bool)
-    known[at_prior] = prior._known
-
-    p_prior = conf[at_obs]
-    u_prior, u_obs = predicate_uncertainties(p_prior), predicate_uncertainties(obs._p)
-    keep = in_prior[at_obs] & (u_prior < u_obs)
-    conf[at_obs] = np.where(keep, p_prior, obs._p)
-    known[at_obs] = True
-    return ProbabilisticState.from_arrays(preds, conf, known)
-
-
-def _align(
-    a: tuple[GroundPredicate, ...], b: tuple[GroundPredicate, ...]
-) -> tuple[tuple[GroundPredicate, ...], np.ndarray, np.ndarray]:
-    """Sorted union of two sorted predicate tuples, and the union position of
-    each entry of ``a`` and of ``b``; an equal pair keeps ``a`` as the union."""
-    if a == b:
-        at = np.arange(len(a))
-        return a, at, at
-    union = tuple(sorted(set(a) | set(b), key=GroundPredicate.sort_key))
-    pos = {p: k for k, p in enumerate(union)}
-    return (
-        union,
-        np.array([pos[p] for p in a], dtype=np.intp),
-        np.array([pos[p] for p in b], dtype=np.intp),
-    )
+    if prior._preds != obs._preds:
+        raise ValueError("fusion needs both states to score the same predicates")
+    keep = predicate_uncertainties(prior._p) < predicate_uncertainties(obs._p)
+    return obs.with_confidences(np.where(keep, prior._p, obs._p))
 
 
 def state_to_json(state: ProbabilisticState) -> str:
     """Serialize a state to a structured-text document.
 
-    One record per predicate: relation name, argument list, confidence,
-    known flag.  Confidences round-trip exactly (repr-precision floats).
+    One record per predicate: relation name, argument list, confidence.
+    Confidences round-trip exactly (repr-precision floats).
     """
-    known = state.known
     records = [
-        {
-            "relation": pred.relation.value,
-            "args": list(pred.args),
-            "confidence": conf,
-            "known": pred in known,
-        }
+        {"relation": pred.relation.value, "args": list(pred.args), "confidence": conf}
         for pred, conf in state.items()
     ]
     return json.dumps(records, indent=2)
@@ -378,7 +340,6 @@ def state_from_json(text: str) -> ProbabilisticState:
     if not isinstance(records, list):
         raise ValueError("state document must be a list of records")
     conf: dict[GroundPredicate, float] = {}
-    known: list[GroundPredicate] = []
     for rec in records:
         try:
             rel = _RELATION_BY_NAME[rec["relation"]]
@@ -389,6 +350,4 @@ def state_from_json(text: str) -> ProbabilisticState:
         if pred in conf:
             raise ValueError(f"duplicate predicate in document: {pred}")
         conf[pred] = p
-        if rec.get("known"):
-            known.append(pred)
-    return ProbabilisticState(conf, known)
+    return ProbabilisticState(conf)

@@ -49,6 +49,7 @@ from beliefplan.mrf import (
     unary_potentials,
 )
 from beliefplan.planner import (
+    LOOK_CLOSER,
     MODELED_COST_MS,
     Goal,
     PlannerOptions,
@@ -57,7 +58,6 @@ from beliefplan.planner import (
     plan_under_uncertainty,
 )
 from beliefplan.scene import (
-    LOOK_CLOSER,
     NoiseConfig,
     PlanningEnvironment,
     candidate_predicates,
@@ -112,6 +112,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
+        # a whole number given for a float field exports as a float, wherever it came from
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(value))
+            elif f.type == "tuple[float, ...]":
+                object.__setattr__(self, f.name, tuple(float(v) for v in value))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("trials", "samples", "steps", "max_retries", "workers"):
@@ -121,7 +128,6 @@ class ExperimentConfig:
             raise ValueError(f"tau_plan must lie in (0, 1), got {self.tau_plan}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
         for t in self.taus:
             if not (0.0 < t < 1.0):
                 raise ValueError(f"sweep threshold must lie in (0, 1), got {t}")
@@ -133,8 +139,7 @@ class ExperimentConfig:
             base_flip_rate=self.noise_flip,
             logit_noise_sd=self.noise_sd,
             miscal_gamma=self.miscal_gamma,
-            look_gain=self.alpha,
-            push_gain=self.alpha,
+            gain=self.alpha,
             exact_reduction=exact_reduction,
         )
 

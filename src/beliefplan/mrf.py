@@ -6,7 +6,8 @@ another touches it, and stacking patterns correlate.  This module turns a
 belief state into a small binary MRF whose unary potentials encode the raw
 confidences and whose pairwise potentials encode those structural rules,
 then re-estimates the node marginals by exact enumeration (small graphs) or
-loopy belief propagation.  Only node marginals are produced: refinement and
+loopy belief propagation.  Each structural rule pairs its own kind of
+predicates, so no node pair gets two edges.  Only node marginals are produced: refinement and
 the MAP readout read nothing else, and the dependency-aware uncertainty is
 computed exactly from the enumerated joint.
 
@@ -157,21 +158,13 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
     * correlation of strength ``DEFAULT_CORRELATION`` between chained
       supports On(A, B) and On(B, C).
 
-    At most one edge per node pair; when rules collide the harder constraint
-    wins (exclusion, then implication, then correlation).
+    No two rules pair the same two nodes, so each pair gets at most one edge.
     """
     nodes = tuple(state.predicates())
     index = {pred: k for k, pred in enumerate(nodes)}
     unary = np.array([unary_potentials(state.confidence(p)) for p in nodes], dtype=float)
 
-    taken: set[tuple[int, int]] = set()
     edges: list[Edge] = []
-
-    def add(edge: Edge) -> None:
-        if (edge.i, edge.j) not in taken:
-            taken.add((edge.i, edge.j))
-            edges.append(edge)
-
     ons = [p for p in nodes if p.relation is Relation.ON]
 
     for on in ons:
@@ -179,7 +172,7 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
         clear_b = state.get(GroundPredicate(Relation.CLEAR, (b,)))
         if clear_b is not None:
             i, j = sorted((index[on], index[GroundPredicate(Relation.CLEAR, (b,))]))
-            add(mutex_edge(i, j))
+            edges.append(mutex_edge(i, j))
 
     for on in ons:
         a, b = on.args
@@ -187,7 +180,7 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
         if touching in state:
             ant, cons = index[on], index[touching]
             i, j = sorted((ant, cons))
-            add(implication_edge(i, j, ant))
+            edges.append(implication_edge(i, j, ant))
 
     for upper in ons:
         a, b = upper.args
@@ -195,7 +188,7 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
             c, d = lower.args
             if c == b and d != a:  # On(a, b) chained with On(b, d)
                 i, j = sorted((index[upper], index[lower]))
-                add(correlation_edge(i, j, DEFAULT_CORRELATION))
+                edges.append(correlation_edge(i, j, DEFAULT_CORRELATION))
 
     edges.sort(key=lambda e: (e.i, e.j))
     return PredicateMrf(nodes, unary, tuple(edges))

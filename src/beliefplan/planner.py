@@ -15,7 +15,11 @@ certain-true become the symbolic state, and while goal-relevant predicates
 remain uncertain the closed loop spends bounded information-gathering
 actions to sharpen perception before committing to a plan.  Those are
 belief actions taken by the loop, not STRIPS moves: they change what is
-perceived, never the symbolic state.
+perceived, never the symbolic state.  Their two kinds are named here, and
+both sharpen by the perception channel's one gain.  Certain-true On
+beliefs enter the symbolic state only as far as the core stacking rule
+admits them.  This module imports nothing from the scene simulator; the
+simulator executes plans with this module's actions.
 """
 
 from __future__ import annotations
@@ -36,15 +40,18 @@ from beliefplan.core import (
     Relation,
     classify,
     fuse_observation,
-    has_support_cycle,
     parse_predicate,
     state_uncertainty_independent,
+    support_map,
 )
 from beliefplan.mrf import CapacityError, build_mrf, loopy_bp, refined_state
-from beliefplan.scene import LOOK_CLOSER, PUSH_OBSTACLE
 
 MAX_EXPANSIONS = 10**6
 INFO_COST = 0.1  # the value-of-information gate's price of one info action
+
+# the two information-gathering action kinds
+LOOK_CLOSER = "look_closer"
+PUSH_OBSTACLE = "push_obstacle"
 
 # Modeled per-operation costs in milliseconds.  Every exported
 # ``modeled_time_ms`` is computed from this one table instead of measured,
@@ -111,30 +118,15 @@ def _check_atoms(atoms: frozenset[Atom]) -> None:
         raise ValueError(f"hand cannot hold {len(held)} objects")
     if bool(held) == (handempty() in atoms):
         raise ValueError("exactly one of holding(x) / handempty must hold")
-    placed: dict[str, str] = {}
-    occupied: dict[str, str] = {}
+    lower_of = support_map(a[1:] for a in atoms if a[0] == "on")
+    upper_of = {lower: upper for upper, lower in lower_of.items()}
     for a in atoms:
-        if a[0] == "on":
-            upper, lower = a[1], a[2]
-            if upper == lower:
-                raise ValueError(f"object {upper} cannot rest on itself")
-            if upper in placed:
-                raise ValueError(f"object {upper} rests on two supports")
-            placed[upper] = lower
-            if lower in occupied:
-                raise ValueError(f"object {lower} supports two objects")
-            occupied[lower] = upper
-        elif a[0] == "ontable":
-            if a[1] in placed:
-                raise ValueError(f"object {a[1]} is both on the table and stacked")
-            placed[a[1]] = "<table>"
-    for a in atoms:
-        if a[0] == "clear" and a[1] in occupied:
-            raise ValueError(f"object {a[1]} cannot be clear while {occupied[a[1]]} rests on it")
-        if a[0] == "holding" and a[1] in placed:
+        if a[0] == "ontable" and a[1] in lower_of:
+            raise ValueError(f"object {a[1]} is both on the table and stacked")
+        if a[0] == "clear" and a[1] in upper_of:
+            raise ValueError(f"object {a[1]} cannot be clear while {upper_of[a[1]]} rests on it")
+        if a[0] == "holding" and (a[1] in lower_of or ontable(a[1]) in atoms):
             raise ValueError(f"held object {a[1]} cannot also be placed")
-    if has_support_cycle(placed):
-        raise ValueError("support atoms form a cycle")
 
 
 @dataclass(frozen=True)
@@ -245,25 +237,13 @@ class Goal:
         object.__setattr__(self, "predicates", frozenset(self.predicates))
         if not self.predicates:
             raise ValueError("goal must name at least one predicate")
-        placed: dict[str, str] = {}
-        clear_objs = set()
         for pred in self.predicates:
-            if pred.relation is Relation.ON:
-                upper, lower = pred.args
-                if upper in placed and placed[upper] != lower:
-                    raise ValueError(f"goal places {upper} on two supports")
-                if lower in placed.values():
-                    raise ValueError(f"goal object {lower} supports two objects")
-                placed[upper] = lower
-            elif pred.relation is Relation.CLEAR:
-                clear_objs.add(pred.args[0])
-            else:
+            if pred.relation not in (Relation.ON, Relation.CLEAR):
                 raise ValueError(f"goals may only name On or Clear, got {pred}")
-        for upper, lower in placed.items():
-            if lower in clear_objs:
+        ons = sorted(p.args for p in self.predicates if p.relation is Relation.ON)
+        for upper, lower in support_map(ons).items():
+            if GroundPredicate(Relation.CLEAR, (lower,)) in self.predicates:
                 raise ValueError(f"goal wants {lower} clear but also {upper} on it")
-        if has_support_cycle(placed):
-            raise ValueError("goal stacking is cyclic")
 
     def atoms(self) -> frozenset[Atom]:
         return frozenset(predicate_atom(pred) for pred in self.predicates)
@@ -363,32 +343,25 @@ def _search(
 ) -> tuple[list[GroundedAction] | None, int]:
     """A* over atom bitmasks; returns (optimal plan or None, expansion count).
 
-    Atoms of the start or goal that no grounded move touches get bits of
-    their own, so they stay as they are (or stay unreachable).  Successors
-    come from structure rather than a scan of every move: with the hand
-    empty, each clear block in sorted order has at most one applicable
-    pick, found from its single support bit; holding x, the successors
-    are place(x, y) for each clear y in y order, then putdown(x).  Since
+    Start and goal may name only the domain's objects, so every atom they
+    hold has a bit.  Successors come from structure rather than a scan of
+    every move: with the hand empty, each clear block in sorted order has
+    at most one applicable pick, found from its single support bit;
+    holding x, the successors are place(x, y) for each clear y in y order,
+    then putdown(x).  Since
     every validated state has exactly one of holding / handempty and at
     most one support per block, and every move keeps both properties,
     this is exactly the applicable moves in sorted (name, args) order.
     """
-    bit = dict(domain.bit)
-
-    def encode(atoms: Iterable[Atom]) -> int:
-        mask = 0
-        for atom in atoms:
-            mask |= bit.setdefault(atom, 1 << len(bit))
-        return mask
-
-    start = encode(init_atoms)
-    goal = encode(goal_atoms)
+    bit = domain.bit
+    start = sum(bit[atom] for atom in init_atoms)
+    goal = sum(bit[atom] for atom in goal_atoms)
     # heuristic_unsat's discount: Clear(x) is not counted while an On(x, .)
     # target is unsatisfied
     discounts = []
     for a in goal_atoms:
         if a[0] == "clear":
-            on_mask = encode(b for b in goal_atoms if b[0] == "on" and b[1] == a[1])
+            on_mask = sum(bit[b] for b in goal_atoms if b[0] == "on" and b[1] == a[1])
             if on_mask:
                 discounts.append((bit[a], on_mask))
 
@@ -441,10 +414,7 @@ def _search(
 
 
 def astar(
-    init: SymbolicWorldState,
-    goal: Goal,
-    objects: Iterable[str] | None = None,
-    max_expansions: int = MAX_EXPANSIONS,
+    init: SymbolicWorldState, goal: Goal, max_expansions: int = MAX_EXPANSIONS
 ) -> list[GroundedAction] | None:
     """Shortest manipulation plan from init to goal, or None if unreachable.
 
@@ -454,9 +424,7 @@ def astar(
     ``_search`` for why that is exactly the applicable moves).  Raises
     CapacityError past the expansion cap.
     """
-    if objects is None:
-        objects = init.objects() | goal.objects()
-    domain = _compile_domain(tuple(sorted(set(objects))))
+    domain = _compile_domain(tuple(sorted(init.objects() | goal.objects())))
     plan, _ = _search(init.atoms, goal.atoms(), domain, max_expansions)
     return plan
 
@@ -525,14 +493,15 @@ def choose_info_action(
     goal: Goal,
     state_uncertainty: float,
     occluded: frozenset[str] | set[str],
-    gains: Mapping[str, float],
+    gain: float,
 ) -> InfoAction | None:
     """Pick the information action for the most goal-critical object.
 
     The target is the object appearing in the most goal-relevant uncertain
     predicates (lexicographic tie-break); occluded targets get
-    push_obstacle, others look_closer.  Returns None when nothing is
-    goal-critical or the value-of-information gate rejects the action.
+    push_obstacle, others look_closer, and either kind has the one
+    ``gain``.  Returns None when nothing is goal-critical or the
+    value-of-information gate rejects the action.
     """
     goal_objs = goal.objects()
     counts: dict[str, int] = {}
@@ -544,11 +513,9 @@ def choose_info_action(
     if not counts:
         return None
     target = min(counts, key=lambda o: (-counts[o], o))
-    kind = PUSH_OBSTACLE if target in occluded else LOOK_CLOSER
-    gain = gains[kind]
     if not ig_value(state_uncertainty, gain, INFO_COST):
         return None
-    return InfoAction(kind, target)
+    return InfoAction(PUSH_OBSTACLE if target in occluded else LOOK_CLOSER, target)
 
 
 def world_state_from_beliefs(
@@ -559,25 +526,20 @@ def world_state_from_beliefs(
     """Project certain-true On beliefs onto a consistent symbolic state.
 
     On predicates are admitted in decreasing confidence order, skipping
-    any that would stack an object twice, load a support twice, or close a
-    cycle.  Objects without an admitted support sit on the table; clear
-    and handempty atoms follow structurally.
+    any that :func:`~beliefplan.core.support_map` rejects next to those
+    already admitted.  Objects without an admitted support sit on the
+    table; clear and handempty atoms follow structurally.
     """
     ons = sorted(
         (p for p in certain_true if p.relation is Relation.ON),
         key=lambda p: (-belief.confidence(p), p.sort_key()),
     )
     lower_of: dict[str, str] = {}
-    occupied: set[str] = set()
     for pred in ons:
-        upper, lower = pred.args
-        if upper in lower_of or lower in occupied:
-            continue
-        lower_of[upper] = lower
-        if has_support_cycle(lower_of):
-            del lower_of[upper]
-            continue
-        occupied.add(lower)
+        try:
+            lower_of = support_map([*lower_of.items(), pred.args])
+        except ValueError:
+            pass  # conflicts with a more confident support
     return SymbolicWorldState(support_atoms(lower_of, objects))
 
 
@@ -634,10 +596,15 @@ def plan_under_uncertainty(
     plan executes once against the environment's ground truth.  The
     episode succeeds iff execution reaches the goal.  A search that finds
     no plan, or stops at ``MAX_EXPANSIONS`` (a cap hit, whose expansions
-    still count), gives the round up and the loop goes on.
+    still count), gives the round up and the loop goes on.  A goal that
+    names an object the environment does not have raises ValueError.
     """
     if max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {max_retries}")
+    objects = env.object_ids()
+    missing = goal.objects() - set(objects)
+    if missing:
+        raise ValueError(f"goal names objects not in the scene: {sorted(missing)}")
     belief: ProbabilisticState | None = None
     records: list[IterationRecord] = []
     info_count = 0
@@ -645,7 +612,6 @@ def plan_under_uncertainty(
     cap_hits = 0
     final_plan: list[GroundedAction] | None = None
     success = False
-    objects = env.object_ids()
     domain = _compile_domain(tuple(sorted(set(objects))))
     goal_atoms = goal.atoms()
     goal_objs = goal.objects()
@@ -661,8 +627,9 @@ def plan_under_uncertainty(
 
         critical = [p for p in part.uncertain if set(p.args) & goal_objs]
         if options.info_enabled and critical and round_idx < max_retries - 1:
-            gains = {LOOK_CLOSER: env.cfg.look_gain, PUSH_OBSTACLE: env.cfg.push_gain}
-            action = choose_info_action(part.uncertain, goal, u_state, env.occluded_ids(), gains)
+            action = choose_info_action(
+                part.uncertain, goal, u_state, env.occluded_ids(), env.cfg.gain
+            )
             if action is not None:
                 env.apply_info(action.kind, action.target)
                 info_count += 1

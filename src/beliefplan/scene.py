@@ -4,11 +4,12 @@ The simulator stands in for a learned scene-to-predicates translator: it
 generates seeded tabletop scenes with optional stacking, derives the
 ground-truth predicate set from geometry, and emits per-predicate
 confidences through a configurable noise channel (label smoothing, logit
-noise, miscalibration, occlusion).  Information-gathering actions sharpen
-subsequent observations of a chosen object.  Plans execute with the
-planner's own STRIPS actions over the scene's true support atoms, so the
-blocks-world rules live in one place.  Everything is a pure function of
-its inputs and seed.
+noise, miscalibration, occlusion).  Information-gathering actions, of
+the planner's two kinds, sharpen subsequent observations of a chosen
+object by the channel's one gain.  Support pairs obey the core stacking
+rule, and plans execute with the planner's own STRIPS actions over the
+scene's true support atoms, so the blocks-world rules live in one place.
+Everything is a pure function of its inputs and seed.
 
 What does not change between observations is computed once: one sorted
 predicate index per object set, each scene's truth vector and occlusion
@@ -40,16 +41,15 @@ from beliefplan.core import (
     ProbabilisticState,
     Relation,
     predicate_uncertainties,
+    support_map,
 )
+from beliefplan.planner import LOOK_CLOSER, PUSH_OBSTACLE, predicate_atom, support_atoms
 
 DEFAULT_IMAGE_DIMS = (224, 224)
 WORLD_HALF_EXTENT = 0.5  # meters; the projected workspace is [-0.5, 0.5]^2
 CONTACT_EPS = 0.005  # surfaces closer than 5 mm count as touching
 CLOSE_DIST = 0.15  # xy center distance below which CloseTo holds
 OCCLUSION_IOU = 0.3
-
-LOOK_CLOSER = "look_closer"
-PUSH_OBSTACLE = "push_obstacle"
 
 _TINY = 1e-12
 
@@ -81,16 +81,10 @@ class Scene:
         by_id = {o.id: o for o in self.objects}
         if len(by_id) != len(self.objects):
             raise ValueError("duplicate object ids")
-        lower_of = {}
         for upper, lower in self.support:
             if upper not in by_id or lower not in by_id:
                 raise ValueError(f"support pair ({upper}, {lower}) names unknown objects")
-            if upper in lower_of:
-                raise ValueError(f"object {upper} supported twice")
-            if lower in lower_of.values():
-                raise ValueError(f"object {lower} supports two objects")
-            lower_of[upper] = lower
-            # strictly rising z along every support pair also rules out cycles
+        for upper, lower in support_map(self.support).items():
             if by_id[upper].position[2] <= by_id[lower].position[2]:
                 raise ValueError(f"supported object {upper} must sit above {lower}")
 
@@ -109,8 +103,8 @@ class NoiseConfig:
     ``logit_noise_sd`` jitters the confidence in logit space, and
     ``miscal_gamma`` sharpens (>1) or softens (<1) the emitted confidence
     without touching the label stream, so gamma = 1 is calibrated by
-    construction.  ``look_gain`` / ``push_gain`` set the multiplicative
-    uncertainty reduction per info action kind; a gain of 0 makes the
+    construction.  ``gain`` sets the multiplicative uncertainty reduction
+    of one info action, of either kind; a gain of 0 makes every info
     action a no-op.
 
     ``focus`` carries the accumulated per-object noise residual from info
@@ -124,8 +118,7 @@ class NoiseConfig:
     base_flip_rate: float = 0.0
     logit_noise_sd: float = 0.0
     miscal_gamma: float = 1.0
-    look_gain: float = 0.3
-    push_gain: float = 0.3
+    gain: float = 0.3
     exact_reduction: bool = False
     focus: tuple[tuple[str, float], ...] = ()
     cleared: tuple[str, ...] = ()
@@ -137,19 +130,11 @@ class NoiseConfig:
             raise ValueError(f"logit_noise_sd must be non-negative, got {self.logit_noise_sd}")
         if self.miscal_gamma <= 0:
             raise ValueError(f"miscal_gamma must be positive, got {self.miscal_gamma}")
-        for name, g in (("look_gain", self.look_gain), ("push_gain", self.push_gain)):
-            if not (0.0 <= g < 1.0):
-                raise ValueError(f"{name} must lie in [0, 1), got {g}")
+        if not (0.0 <= self.gain < 1.0):
+            raise ValueError(f"gain must lie in [0, 1), got {self.gain}")
         for obj, r in self.focus:
             if not (0.0 < r <= 1.0):
                 raise ValueError(f"focus residual for {obj} must lie in (0, 1], got {r}")
-
-    def gain_for(self, kind: str) -> float:
-        if kind == LOOK_CLOSER:
-            return self.look_gain
-        if kind == PUSH_OBSTACLE:
-            return self.push_gain
-        raise ValueError(f"unknown info action kind {kind!r}")
 
     def residual_for(self, obj: str) -> float:
         return dict(self.focus).get(obj, 1.0)
@@ -163,11 +148,12 @@ def apply_info_action(cfg: NoiseConfig, kind: str, target: str) -> NoiseConfig:
     push_obstacle additionally clears the target's occlusion penalty.  A
     zero gain returns the config unchanged.
     """
-    gain = cfg.gain_for(kind)
-    if gain == 0.0:
+    if kind not in (LOOK_CLOSER, PUSH_OBSTACLE):
+        raise ValueError(f"unknown info action kind {kind!r}")
+    if cfg.gain == 0.0:
         return cfg
     residuals = dict(cfg.focus)
-    residuals[target] = residuals.get(target, 1.0) * (1.0 - gain)
+    residuals[target] = residuals.get(target, 1.0) * (1.0 - cfg.gain)
     focus = tuple(sorted(residuals.items()))
     cleared = cfg.cleared
     if kind == PUSH_OBSTACLE and target not in cleared:
@@ -629,8 +615,6 @@ class PlanningEnvironment:
         run unless its preconditions hold, then deletes and adds its atoms.
         True iff every goal predicate's atom holds at the end.
         """
-        from beliefplan.planner import predicate_atom, support_atoms  # planner imports scene
-
         atoms = support_atoms(dict(self.scene.support), self.scene.object_ids())
         for action in plan:
             if not action.preconditions <= atoms:

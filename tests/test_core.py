@@ -22,6 +22,7 @@ from beliefplan.core import (
     state_from_json,
     state_to_json,
     state_uncertainty_independent,
+    support_map,
 )
 
 
@@ -29,10 +30,8 @@ def P(text):
     return parse_predicate(text)
 
 
-def make_state(conf_by_text, known=()):
-    return ProbabilisticState(
-        {P(t): v for t, v in conf_by_text.items()}, [P(t) for t in known]
-    )
+def make_state(conf_by_text):
+    return ProbabilisticState({P(t): v for t, v in conf_by_text.items()})
 
 
 class TestGroundPredicate:
@@ -74,6 +73,29 @@ class TestSupportCycle:
         assert has_support_cycle({"a": "a"})
         assert has_support_cycle({"a": "b", "b": "a"})
         assert has_support_cycle({"t": "a", "a": "b", "b": "c", "c": "a"})
+
+
+class TestSupportMap:
+    def test_valid_chain(self):
+        pairs = [("a", "b"), ("b", "c"), ("d", "e")]
+        assert support_map(pairs) == {"a": "b", "b": "c", "d": "e"}
+        assert support_map([]) == {}
+
+    def test_object_on_itself_rejected(self):
+        with pytest.raises(ValueError, match="a cannot rest on itself"):
+            support_map([("a", "a")])
+
+    def test_object_on_two_supports_rejected(self):
+        with pytest.raises(ValueError, match="a rests on two supports"):
+            support_map([("a", "b"), ("a", "c")])
+
+    def test_support_carrying_two_objects_rejected(self):
+        with pytest.raises(ValueError, match="c supports two objects"):
+            support_map([("a", "c"), ("b", "c")])
+
+    def test_cycle_rejected(self):
+        with pytest.raises(ValueError, match="cycle"):
+            support_map([("a", "b"), ("b", "c"), ("c", "a")])
 
 
 class TestPredicateUncertainty:
@@ -223,13 +245,11 @@ class TestFusion:
         obs = make_state({"On(a,b)": 0.8})
         assert fuse_observation(prior, obs).confidence(P("On(a,b)")) == 0.8
 
-    def test_observed_predicates_become_known(self):
+    def test_different_predicate_sets_rejected(self):
         prior = make_state({"On(a,b)": 0.6, "Clear(c)": 0.4})
         obs = make_state({"On(a,b)": 0.7, "LeftOf(a,c)": 0.1})
-        fused = fuse_observation(prior, obs)
-        assert fused.known == {P("On(a,b)"), P("LeftOf(a,c)")}
-        # prior-only predicate carried through untouched
-        assert fused.confidence(P("Clear(c)")) == 0.4
+        with pytest.raises(ValueError, match="same predicates"):
+            fuse_observation(prior, obs)
 
     def test_fused_uncertainty_never_exceeds_either_side(self):
         rng = np.random.default_rng(23)
@@ -240,9 +260,7 @@ class TestFusion:
         ]
         for _ in range(200):
             prior = ProbabilisticState({p: float(rng.uniform()) for p in preds})
-            obs = ProbabilisticState(
-                {p: float(rng.uniform()) for p in preds if rng.uniform() < 0.8}
-            )
+            obs = ProbabilisticState({p: float(rng.uniform()) for p in preds})
             fused = fuse_observation(prior, obs)
             for p in obs:
                 u_f = predicate_uncertainty(fused.confidence(p))
@@ -273,16 +291,10 @@ class TestSerialization:
                 GroundPredicate(Relation.ON, (f"a{i}", f"b{i}")): float(rng.uniform())
                 for i in range(int(rng.integers(0, 8)))
             }
-            known = [p for p in conf if rng.uniform() < 0.5]
-            state = ProbabilisticState(conf, known)
+            state = ProbabilisticState(conf)
             again = state_from_json(state_to_json(state))
-            assert again.known == state.known
             for p in conf:
                 assert abs(again.confidence(p) - state.confidence(p)) <= 1e-12
-
-    def test_known_flag_survives(self):
-        s = make_state({"On(a,b)": 0.75, "Clear(b)": 0.1}, known=["On(a,b)"])
-        assert state_from_json(state_to_json(s)).known == {P("On(a,b)")}
 
     def test_malformed_documents_rejected(self):
         for bad in ["{", "{}", '[{"relation": "Nope", "args": ["a","b"], "confidence": 0.5}]',
@@ -307,10 +319,6 @@ class TestStateValidation:
             make_state({"On(a,b)": -0.01})
         with pytest.raises(ValueError):
             make_state({"On(a,b)": math.nan})
-
-    def test_known_must_be_subset(self):
-        with pytest.raises(ValueError):
-            ProbabilisticState({P("On(a,b)"): 0.5}, [P("Clear(c)")])
 
     def test_deterministic_iteration_order(self):
         s = make_state({"On(b,c)": 0.5, "Clear(a)": 0.5, "On(a,b)": 0.5})
@@ -341,20 +349,15 @@ def _reference_classify(conf, tau_plan):
     return frozenset(t), frozenset(f), frozenset(u)
 
 
-def _reference_fuse(prior_conf, prior_known, obs_conf):
+def _reference_fuse(prior_conf, obs_conf):
     conf = dict(prior_conf)
-    known = set(prior_known)
     for pred in sorted(obs_conf, key=GroundPredicate.sort_key):
         p_obs = obs_conf[pred]
-        p_prior = conf.get(pred)
-        if p_prior is None:
-            conf[pred] = p_obs
-        else:
-            u_prior = predicate_uncertainty(p_prior)
-            u_obs = predicate_uncertainty(p_obs)
-            conf[pred] = p_prior if u_prior < u_obs else p_obs
-        known.add(pred)
-    return conf, known
+        p_prior = conf[pred]
+        u_prior = predicate_uncertainty(p_prior)
+        u_obs = predicate_uncertainty(p_obs)
+        conf[pred] = p_prior if u_prior < u_obs else p_obs
+    return conf
 
 
 _POOL = sorted(
@@ -384,34 +387,17 @@ def _bits(state):
 
 
 class TestBeliefOpsMatchReference:
-    def test_fuse_on_mismatched_predicate_sets(self):
-        rng = np.random.default_rng(41)
-        for trial in range(300):
-            prior_conf = _random_conf(rng, int(rng.integers(0, 40)))
-            obs_conf = _random_conf(rng, int(rng.integers(0, 40)))
-            if trial % 3 == 0:  # same set, new confidences
-                obs_conf = {p: float(rng.uniform()) for p in prior_conf}
-            prior_known = [p for p in prior_conf if rng.uniform() < 0.3]
-            prior = ProbabilisticState(prior_conf, prior_known)
-            fused = fuse_observation(prior, ProbabilisticState(obs_conf))
-            conf, known = _reference_fuse(prior_conf, prior_known, obs_conf)
-            assert fused == ProbabilisticState(conf, known)
-            assert _bits(fused) == _bits(ProbabilisticState(conf))
-            assert fused.known == known
-            for pred in set(prior_conf) - set(obs_conf):  # carried through as they were
-                assert fused.confidence(pred) == prior_conf[pred]
-                assert (pred in fused.known) == (pred in prior_known)
-
     def test_fuse_chain_from_one_predicate_tuple(self):
         rng = np.random.default_rng(43)
         preds = tuple(_POOL)
         belief = ProbabilisticState.from_arrays(preds, rng.uniform(size=len(preds)))
-        conf, known = dict(belief.items()), set()
+        conf = dict(belief.items())
         for _ in range(5):
             obs = belief.with_confidences(rng.uniform(size=len(preds)))
             belief = fuse_observation(belief, obs)
-            conf, known = _reference_fuse(conf, known, dict(obs.items()))
-            assert belief == ProbabilisticState(conf, known)
+            conf = _reference_fuse(conf, dict(obs.items()))
+            assert belief == ProbabilisticState(conf)
+            assert _bits(belief) == _bits(ProbabilisticState(conf))
 
     def test_classify_at_the_boundaries(self):
         rng = np.random.default_rng(47)
@@ -468,9 +454,8 @@ class TestBeliefOpsMatchReference:
             state.with_confidences([0.5, 0.5, 0.5])
 
     def test_state_is_read_only(self):
-        state = make_state({"On(a,b)": 0.25, "Clear(b)": 0.5}, known=["Clear(b)"])
-        for vector in (state._p, state._known):
-            with pytest.raises(ValueError):
-                vector[0] = 1
+        state = make_state({"On(a,b)": 0.25, "Clear(b)": 0.5})
+        with pytest.raises(ValueError):
+            state._p[0] = 1
         assert state.items() == [(P("Clear(b)"), 0.5), (P("On(a,b)"), 0.25)]
         assert all(type(p) is float for _, p in state.items())

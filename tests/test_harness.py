@@ -151,7 +151,7 @@ class TestConfig:
         assert noise.base_flip_rate == 0.05
         assert noise.logit_noise_sd == 0.4
         assert noise.miscal_gamma == 2.0
-        assert noise.look_gain == 0.25 and noise.push_gain == 0.25
+        assert noise.gain == 0.25
         assert noise.exact_reduction
 
     def test_config_file_roundtrip(self, tmp_path):
@@ -435,6 +435,16 @@ class TestCli:
         err = capsys.readouterr().err
         (name,) = doc
         assert err.startswith("error:") and err.count("\n") == 1 and name in err
+
+    def test_whole_number_in_config_file_exports_as_float(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"miscal_gamma": 1}))
+        args = ["calibrate", "--samples", "50", "--trials", "2"]
+        assert main([*args, "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert main([*args, "--miscal-gamma", "1"]) == 0
+        assert from_file == capsys.readouterr().out
+        assert '"miscal_gamma": 1.0' in from_file
 
     def test_too_many_objects_exits_2(self, capsys):
         rc = main(["plan", "--objects", "12", "--trials", "1"])

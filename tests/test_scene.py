@@ -282,8 +282,12 @@ class TestPerceive:
 
 class TestInfoActions:
     def test_zero_gain_is_identity(self):
-        cfg = NoiseConfig(base_flip_rate=0.1, look_gain=0.0)
+        cfg = NoiseConfig(base_flip_rate=0.1, gain=0.0)
         assert apply_info_action(cfg, "look_closer", "o2") is cfg
+
+    def test_gain_of_one_rejected(self):
+        with pytest.raises(ValueError, match="gain must lie in"):
+            NoiseConfig(gain=1.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -477,7 +481,6 @@ def _assert_same_observation(state, labels, ref_conf, ref_labels):
     got = np.array([p for _, p in state.items()])
     want = np.array([ref_conf[pred] for pred in state.predicates()])
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
-    assert state.known == frozenset()
     assert labels.dtype.kind == "i"
     assert labels.tolist() == [ref_labels[pred] for pred in state.predicates()]
 
