@@ -2,8 +2,8 @@
 
 A perception stack that says "0.8" should be right about 80% of the time.
 This module scores that property on a stream of (confidence, label) pairs:
-equal-width reliability binning, expected and maximum calibration error,
-Brier score, and a pass/fail verdict against a tolerance.
+reliability binning into ten equal-width bins, expected and maximum
+calibration error, and Brier score.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_N_BINS = 10
+N_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class ReliabilityReport:
     n: int
 
 
-def bin_predictions(batch: PredictionBatch, n_bins: int = DEFAULT_N_BINS) -> tuple[CalibrationBin, ...]:
-    """Assign predictions to equal-width confidence bins.
+def bin_predictions(batch: PredictionBatch) -> tuple[CalibrationBin, ...]:
+    """Assign predictions to ``N_BINS`` equal-width confidence bins.
 
     Bin m covers [(m-1)/M, m/M) with the final bin closed at 1 so that a
     confidence of exactly 1.0 is counted.  Empty bins are kept in place with
@@ -74,13 +74,11 @@ def bin_predictions(batch: PredictionBatch, n_bins: int = DEFAULT_N_BINS) -> tup
     """
     if len(batch) == 0:
         raise ValueError("cannot bin an empty prediction batch")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be positive, got {n_bins}")
-    edges = np.array([i / n_bins for i in range(n_bins + 1)])
+    edges = np.array([i / N_BINS for i in range(N_BINS + 1)])
     idx = np.searchsorted(edges, batch.confidences, side="right") - 1
-    idx = np.minimum(idx, n_bins - 1)
+    idx = np.minimum(idx, N_BINS - 1)
     bins = []
-    for m in range(n_bins):
+    for m in range(N_BINS):
         mask = idx == m
         count = int(np.sum(mask))
         if count:
@@ -117,14 +115,7 @@ def brier(batch: PredictionBatch) -> float:
     return float(np.mean((batch.confidences - batch.labels) ** 2))
 
 
-def reliability_report(batch: PredictionBatch, n_bins: int = DEFAULT_N_BINS) -> ReliabilityReport:
-    bins = bin_predictions(batch, n_bins)
+def reliability_report(batch: PredictionBatch) -> ReliabilityReport:
+    bins = bin_predictions(batch)
     return ReliabilityReport(bins, ece(bins), mce(bins), brier(batch), len(batch))
-
-
-def calibration_verdict(report: ReliabilityReport, ece_max: float) -> bool:
-    """True when the stream is acceptably calibrated (ece <= ece_max, inclusive)."""
-    if ece_max < 0:
-        raise ValueError(f"ece_max must be non-negative, got {ece_max}")
-    return report.ece <= ece_max
 

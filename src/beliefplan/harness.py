@@ -28,11 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from beliefplan.calibration import (
-    PredictionBatch,
-    calibration_verdict,
-    reliability_report,
-)
+from beliefplan.calibration import PredictionBatch, reliability_report
 from beliefplan.core import (
     GroundPredicate,
     Relation,
@@ -67,6 +63,7 @@ from beliefplan.scene import (
     scene_to_json,
 )
 from beliefplan.threshold import (
+    REFERENCE_OPERATING_TAU,
     FitError,
     SweepSample,
     fit_alpha_pooled,
@@ -86,8 +83,8 @@ EXPERIMENT_KINDS = (
     "mrf-check",
 )
 
-REFERENCE_OPERATING_TAU = 0.73  # conventional operating point quoted with the canonical fit
 BP_DEVIATION_TOL = 0.05
+ECE_TOL = 0.02  # a calibration stream within it counts as calibrated
 
 
 @dataclass(frozen=True)
@@ -206,11 +203,13 @@ def wilson_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, floa
     return (max(0.0, (center - margin) / denom), min(1.0, (center + margin) / denom))
 
 
-def unimodal_rise_fall(values: Sequence[float], tol: float = 1e-9) -> bool:
+def unimodal_rise_fall(values: Sequence[float]) -> bool:
     """True when the sequence rises to an interior peak then falls away.
 
-    Plateaus are tolerated; monotone sequences are not rise-then-fall.
+    Plateaus, up to a rounding tolerance of 1e-9, are tolerated; monotone
+    sequences are not rise-then-fall.
     """
+    tol = 1e-9
     vals = [float(v) for v in values]
     if len(vals) < 3:
         return False
@@ -300,22 +299,22 @@ def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: fl
 # experiment units (module-level for process pools)
 
 
-def _calibration_unit(config: ExperimentConfig, trial_idx: int):
-    scene, perception_seed = _trial_scene(config, 0, trial_idx)
+def _calibration_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
+    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
     state, labels = perceive_with_labels(scene, config.noise(), perception_seed)
     return [(p, y) for (_, p), y in zip(state.items(), labels.tolist())]
 
 
-def _alpha_unit(config: ExperimentConfig, trial_idx: int):
-    scene, perception_seed = _trial_scene(config, 0, trial_idx)
+def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
+    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
     rounds = _attention_rounds(scene, config.noise(exact_reduction=True), perception_seed)
     trace = [state_uncertainty_independent(b) for b in itertools.islice(rounds, config.steps + 1)]
     n_objs = len(scene.object_ids())
     return trace, modeled_episode_ms(config.steps + 1, config.steps * n_objs)
 
 
-def _convergence_unit(config: ExperimentConfig, trial_idx: int):
-    scene, perception_seed = _trial_scene(config, 0, trial_idx)
+def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
+    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
     rounds = _attention_rounds(scene, config.noise(exact_reduction=True), perception_seed)
     belief = next(rounds)
     u0 = state_uncertainty_independent(belief)
@@ -333,8 +332,8 @@ def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
     return int(episode.success), episode.modeled_time_ms
 
 
-def _benchmark_unit(config: ExperimentConfig, trial_idx: int):
-    scene, perception_seed = _trial_scene(config, 0, trial_idx)
+def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
+    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
     out = []
     for policy, info_enabled in (("info_on", True), ("info_off", False)):
         episode = _episode(config, scene, perception_seed, config.tau_plan, info_enabled)
@@ -356,8 +355,8 @@ def _binary_entropy(p: float) -> float:
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
 
-def _mrf_unit(config: ExperimentConfig, trial_idx: int):
-    scene_seed, _ = _trial_seeds(config.seed, 0, trial_idx)
+def _mrf_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
+    scene_seed, _ = _trial_seeds(config.seed, setting_idx, trial_idx)
     rng = np.random.default_rng([scene_seed, trial_idx])
     n = int(rng.integers(2, 11))
     preds = tuple(GroundPredicate(Relation.CLEAR, (f"n{k:02d}",)) for k in range(n))
@@ -387,28 +386,15 @@ def _mrf_unit(config: ExperimentConfig, trial_idx: int):
     return n, len(edges), int(bp.converged), max_dev, u_dep, u_indep
 
 
-def _run_unit(args):
-    config, setting_idx, trial_idx = args
-    if config.kind == "calibration":
-        return _calibration_unit(config, trial_idx)
-    if config.kind == "alpha-fit":
-        return _alpha_unit(config, trial_idx)
-    if config.kind == "convergence":
-        return _convergence_unit(config, trial_idx)
-    if config.kind == "threshold-sweep":
-        return _sweep_unit(config, setting_idx, trial_idx)
-    if config.kind == "plan-benchmark":
-        return _benchmark_unit(config, trial_idx)
-    return _mrf_unit(config, trial_idx)
-
-
-def _map_units(config: ExperimentConfig, units: list[tuple]) -> list:
-    args = [(config, s, t) for s, t in units]
-    workers = min(config.workers, len(args))  # no process without a unit to run
+def _map_units(config: ExperimentConfig, unit, units: list[tuple]) -> list:
+    """``unit(config, s, t)`` for each (setting, trial) index pair, in order."""
+    workers = min(config.workers, len(units))  # no process without a unit to run
     if workers <= 1:
-        return [_run_unit(a) for a in args]
+        return [unit(config, s, t) for s, t in units]
+    settings, trials = zip(*units)
+    chunksize = max(1, len(units) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_unit, args, chunksize=max(1, len(args) // (4 * workers))))
+        return list(pool.map(unit, [config] * len(units), settings, trials, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +404,7 @@ def _map_units(config: ExperimentConfig, units: list[tuple]) -> list:
 def _run_calibration(config: ExperimentConfig) -> ExperimentReport:
     per_scene = len(candidate_predicates(str(k) for k in range(config.n_objects)))
     n_scenes = math.ceil(config.samples / per_scene)
-    results = _map_units(config, [(0, t) for t in range(n_scenes)])
+    results = _map_units(config, _calibration_unit, [(0, t) for t in range(n_scenes)])
     pairs = [pair for chunk in results for pair in chunk][: config.samples]
     batch = PredictionBatch([p for p, _ in pairs], [y for _, y in pairs])
     rel = reliability_report(batch)
@@ -428,14 +414,14 @@ def _run_calibration(config: ExperimentConfig) -> ExperimentReport:
         "ece": rel.ece,
         "mce": rel.mce,
         "brier": rel.brier,
-        "verdict": calibration_verdict(rel, 0.02),
+        "verdict": rel.ece <= ECE_TOL,
         "miscal_gamma": config.miscal_gamma,
         "modeled_time_ms": (
             MODELED_COST_MS["calibration_run"]
             + MODELED_COST_MS["calibration_sample"] * len(pairs)
         ),
         "checks": {
-            "ece_within_tol": rel.ece <= 0.02,
+            "ece_within_tol": rel.ece <= ECE_TOL,
             "brier_within_tol": rel.brier <= 0.26,
         },
     }
@@ -444,7 +430,7 @@ def _run_calibration(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_alpha_fit(config: ExperimentConfig) -> ExperimentReport:
-    results = _map_units(config, [(0, t) for t in range(config.trials)])
+    results = _map_units(config, _alpha_unit, [(0, t) for t in range(config.trials)])
     rows = []
     traces = []
     modeled_total = 0.0
@@ -453,27 +439,34 @@ def _run_alpha_fit(config: ExperimentConfig) -> ExperimentReport:
         modeled_total += modeled
         for step, u in enumerate(trace):
             rows.append((episode_id, step, float(u), "observe" if step == 0 else "look_closer"))
-    fit = fit_alpha_pooled(traces)
-    summary = {
+    summary: dict = {
         "alpha_configured": config.alpha,
-        "alpha_hat": fit.alpha_hat,
-        "r_squared": fit.r_squared,
         "n_episodes": len(traces),
-        "n_dropped": fit.n_dropped,
         "steps_per_episode": config.steps,
         "modeled_time_ms": modeled_total,
-        "checks": {
-            "alpha_within_band": abs(fit.alpha_hat - config.alpha) <= 0.05,
-            "r_squared_ok": fit.r_squared >= 0.85,
-        },
     }
+    try:
+        fit = fit_alpha_pooled(traces)
+    except FitError as err:  # e.g. every trace all zeros on a noiseless channel
+        summary["fit_error"] = str(err)
+        summary["checks"] = {"alpha_within_band": False, "r_squared_ok": False}
+    else:
+        summary.update(
+            alpha_hat=fit.alpha_hat,
+            r_squared=fit.r_squared,
+            n_dropped=fit.n_dropped,
+            checks={
+                "alpha_within_band": abs(fit.alpha_hat - config.alpha) <= 0.05,
+                "r_squared_ok": fit.r_squared >= 0.85,
+            },
+        )
     return ExperimentReport(
         "alpha-fit", ("episode_id", "step", "U", "action_kind"), rows, summary
     )
 
 
 def _run_convergence(config: ExperimentConfig) -> ExperimentReport:
-    results = _map_units(config, [(0, t) for t in range(config.trials)])
+    results = _map_units(config, _convergence_unit, [(0, t) for t in range(config.trials)])
     rows = []
     within = 0
     within_plus_one = 0
@@ -503,9 +496,8 @@ def _run_convergence(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_threshold_sweep(config: ExperimentConfig) -> ExperimentReport:
-    results = _map_units(
-        config, [(s, t) for s in range(len(config.taus)) for t in range(config.trials)]
-    )
+    units = [(s, t) for s in range(len(config.taus)) for t in range(config.trials)]
+    results = _map_units(config, _sweep_unit, units)
     rows = []
     samples = []
     for setting_idx, tau in enumerate(config.taus):
@@ -521,8 +513,8 @@ def _run_threshold_sweep(config: ExperimentConfig) -> ExperimentReport:
         "modeled_time_ms": float(sum(r[2] * r[3] for r in rows)),
     }
     try:
-        s_fit = fit_success(samples, "exponential")
-        t_fit = fit_time(samples, "linear")
+        s_fit = fit_success(samples)
+        t_fit = fit_time(samples)
         optimum = optimize_threshold(s_fit, t_fit)
         shortcut = lambert_optimum(s_fit)
         summary.update(
@@ -563,7 +555,7 @@ def _run_threshold_sweep(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_plan_benchmark(config: ExperimentConfig) -> ExperimentReport:
-    results = _map_units(config, [(0, t) for t in range(config.trials)])
+    results = _map_units(config, _benchmark_unit, [(0, t) for t in range(config.trials)])
     rows = []
     on_successes = off_successes = 0
     on_times, off_times, on_infos = [], [], []
@@ -604,7 +596,7 @@ def _run_plan_benchmark(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_mrf_check(config: ExperimentConfig) -> ExperimentReport:
-    results = _map_units(config, [(0, t) for t in range(config.trials)])
+    results = _map_units(config, _mrf_unit, [(0, t) for t in range(config.trials)])
     rows = []
     ok = 0
     tightened = 0
@@ -724,9 +716,13 @@ def export(report: ExperimentReport, out_dir: str | Path, fmt: str = "csv") -> l
 def generate_scene_files(
     count: int, n_objects: int, stack_bias: float, seed: int, out_dir: str | Path
 ) -> list[Path]:
-    """Write a batch of seeded scene JSON files."""
+    """Write a batch of seeded scene JSON files; every input is checked
+    before the output directory is created."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
+    check_scene_shape(n_objects, stack_bias)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

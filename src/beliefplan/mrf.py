@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,36 +36,21 @@ class CapacityError(RuntimeError):
     """Raised when an exact computation would exceed its size cap."""
 
 
-class EdgeKind(Enum):
-    MUTUAL_EXCLUSION = "mutual_exclusion"
-    IMPLICATION = "implication"
-    CORRELATION = "correlation"
-
-
 @dataclass(frozen=True)
 class Edge:
     """Pairwise factor between node indices i < j.
 
-    ``table[x_i, x_j]`` is the energy contribution.  Implication edges record
-    which endpoint is the antecedent; correlation edges record their signed
-    strength rho.
+    ``table[x_i, x_j]`` is the energy contribution; BP, enumeration and
+    :func:`energy` read nothing else.
     """
 
     i: int
     j: int
-    kind: EdgeKind
     table: tuple[tuple[float, float], tuple[float, float]]
-    antecedent: int | None = None
-    rho: float | None = None
 
     def __post_init__(self):
         if not (0 <= self.i < self.j):
             raise ValueError(f"edge endpoints must satisfy 0 <= i < j, got ({self.i}, {self.j})")
-        if self.kind is EdgeKind.IMPLICATION and self.antecedent not in (self.i, self.j):
-            raise ValueError("implication edge must name one endpoint as antecedent")
-        if self.kind is EdgeKind.CORRELATION:
-            if self.rho is None or not (-1.0 < self.rho < 1.0):
-                raise ValueError(f"correlation strength must lie in (-1, 1), got {self.rho}")
 
     def table_array(self) -> np.ndarray:
         return np.array(self.table, dtype=float)
@@ -115,7 +99,6 @@ class BeliefSet:
     max_node_marginals: np.ndarray  # shape (n, 2)
     converged: bool
     iterations: int
-    log_z: float | None = None  # enumeration only
 
 
 def _clamp(p: float) -> float:
@@ -129,22 +112,27 @@ def unary_potentials(p: float) -> tuple[float, float]:
 
 def mutex_edge(i: int, j: int) -> Edge:
     """Hard pairwise factor forbidding both endpoints true."""
-    return Edge(i, j, EdgeKind.MUTUAL_EXCLUSION, ((0.0, 0.0), (0.0, HARD_WEIGHT)))
+    return Edge(i, j, ((0.0, 0.0), (0.0, HARD_WEIGHT)))
 
 
 def implication_edge(i: int, j: int, antecedent: int) -> Edge:
-    """Hard pairwise factor penalizing antecedent-true, consequent-false."""
+    """Hard pairwise factor penalizing antecedent-true, consequent-false;
+    ``antecedent`` must be i or j."""
     if antecedent == i:
         table = ((0.0, 0.0), (HARD_WEIGHT, 0.0))
-    else:
+    elif antecedent == j:
         table = ((0.0, HARD_WEIGHT), (0.0, 0.0))
-    return Edge(i, j, EdgeKind.IMPLICATION, table, antecedent)
+    else:
+        raise ValueError("implication edge must name one endpoint as antecedent")
+    return Edge(i, j, table)
 
 
 def correlation_edge(i: int, j: int, rho: float) -> Edge:
-    """Soft agreement factor of signed strength rho."""
+    """Soft agreement factor of signed strength rho in (-1, 1)."""
+    if not (-1.0 < rho < 1.0):
+        raise ValueError(f"correlation strength must lie in (-1, 1), got {rho}")
     # kappa = 1: agreement lowers energy by rho, disagreement raises it
-    return Edge(i, j, EdgeKind.CORRELATION, ((-rho, rho), (rho, -rho)), rho=rho)
+    return Edge(i, j, ((-rho, rho), (rho, -rho)))
 
 
 def build_mrf(state: ProbabilisticState) -> PredicateMrf:
@@ -233,13 +221,18 @@ def _all_energies(mrf: PredicateMrf) -> np.ndarray:
     return total
 
 
+def _joint(mrf: PredicateMrf) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized probability of every assignment, and the assignment
+    ids (node-bit integers) it is indexed by; node count capped."""
+    energies = _all_energies(mrf)
+    w = np.exp(-energies - _logsumexp(-energies))
+    return w, np.arange(1 << mrf.n_nodes, dtype=np.int64)
+
+
 def enumerate_beliefs(mrf: PredicateMrf) -> BeliefSet:
     """Exact marginals by summing over every assignment (node count capped)."""
     n = mrf.n_nodes
-    energies = _all_energies(mrf)
-    log_z = _logsumexp(-energies)
-    w = np.exp(-energies - log_z)
-    idx = np.arange(1 << n, dtype=np.int64)
+    w, idx = _joint(mrf)
 
     node_marg = np.empty((n, 2), dtype=float)
     for i in range(n):
@@ -254,7 +247,7 @@ def enumerate_beliefs(mrf: PredicateMrf) -> BeliefSet:
         total = best_true + best_false
         max_marg[i] = (best_false / total, best_true / total)
 
-    return BeliefSet(node_marg, max_marg, True, 0, log_z=log_z)
+    return BeliefSet(node_marg, max_marg, True, 0)
 
 
 def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -373,9 +366,7 @@ def conditional_uncertainty(mrf: PredicateMrf) -> float:
     """
     n = mrf.n_nodes
     adj = mrf.neighbors()
-    energies = _all_energies(mrf)
-    w = np.exp(-energies - _logsumexp(-energies))
-    idx = np.arange(1 << n, dtype=np.int64)
+    w, idx = _joint(mrf)
 
     def subset_entropy(nodes_subset: list[int]) -> float:
         if not nodes_subset:

@@ -460,9 +460,7 @@ def convergence_bound(
     if eps_cal < 0:
         raise ValueError(f"calibration slack must be non-negative, got {eps_cal}")
     target = (1.0 - tau_plan) + eps_cal
-    if u0 < target:
-        return 0
-    if u0 == 0.0:
+    if u0 < target:  # target > 0, so this covers u0 == 0
         return 0
     k = max(0, math.ceil(math.log(target / u0) / math.log(1.0 - alpha)))
     while u0 * (1.0 - alpha) ** k >= target:
@@ -614,7 +612,6 @@ def plan_under_uncertainty(
     success = False
     domain = _compile_domain(tuple(sorted(set(objects))))
     goal_atoms = goal.atoms()
-    goal_objs = goal.objects()
 
     for round_idx in range(max_retries):
         obs = env.observe()
@@ -625,8 +622,7 @@ def plan_under_uncertainty(
         part = classify(belief, tau_plan)
         sizes = (len(part.certain_true), len(part.certain_false), len(part.uncertain))
 
-        critical = [p for p in part.uncertain if set(p.args) & goal_objs]
-        if options.info_enabled and critical and round_idx < max_retries - 1:
+        if options.info_enabled and round_idx < max_retries - 1:
             action = choose_info_action(
                 part.uncertain, goal, u_state, env.occluded_ids(), env.cfg.gain
             )

@@ -165,10 +165,8 @@ def apply_info_action(cfg: NoiseConfig, kind: str, target: str) -> NoiseConfig:
 # scene generation
 
 
-def _project_bbox(
-    x: float, y: float, w: float, d: float, image_dims: tuple[int, int]
-) -> tuple[float, float, float, float]:
-    w_img, h_img = image_dims
+def _project_bbox(x: float, y: float, w: float, d: float) -> tuple[float, float, float, float]:
+    w_img, h_img = DEFAULT_IMAGE_DIMS
     scale_x = w_img / (2 * WORLD_HALF_EXTENT)
     scale_y = h_img / (2 * WORLD_HALF_EXTENT)
     return (
@@ -187,12 +185,7 @@ def check_scene_shape(n_objects: int, stack_bias: float) -> None:
         raise ValueError(f"stack_bias must lie in [0, 1], got {stack_bias}")
 
 
-def generate_scene(
-    n_objects: int,
-    stack_bias: float = 0.4,
-    seed: int = 0,
-    image_dims: tuple[int, int] = DEFAULT_IMAGE_DIMS,
-) -> Scene:
+def generate_scene(n_objects: int, stack_bias: float = 0.4, seed: int = 0) -> Scene:
     """Seeded tabletop scene with optional stacking.
 
     The first object always lands on the table; each later object stacks
@@ -235,10 +228,10 @@ def generate_scene(
                     break
             z = h / 2
         objects.append(
-            SceneObject(oid, (x, y, z), (w, h, d), _project_bbox(x, y, w, d, image_dims))
+            SceneObject(oid, (x, y, z), (w, h, d), _project_bbox(x, y, w, d))
         )
 
-    return Scene(tuple(objects), tuple(support), image_dims, int(seed))
+    return Scene(tuple(objects), tuple(support), seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

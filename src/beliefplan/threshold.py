@@ -1,10 +1,11 @@
 """Curve fitting for threshold sweeps and uncertainty decay.
 
-Success-versus-threshold data is fit with saturating parametric forms
-(exponential, sigmoid, logarithmic) by damped Gauss-Newton from a fixed
-grid of starting points; planning-time data with monotone forms (linear,
-quadratic in tau, logarithmic) by closed-form least squares.  The ratio
-of the two fitted curves defines a threshold-efficiency score whose
+Success-versus-threshold data is fit with the saturating exponential
+form by damped Gauss-Newton from a fixed grid of starting points;
+planning-time data with a line by closed-form least squares.  Fitted
+curves of the sigmoid and logarithmic success forms and the quadratic and
+logarithmic time forms can still be evaluated and optimized.  The ratio
+of a success and a time curve defines a threshold-efficiency score whose
 numeric optimum this module locates by dense grid search plus bisection
 on the derivative.
 
@@ -21,8 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SUCCESS_FORMS = ("exponential", "sigmoid", "logarithmic")
-TIME_FORMS = ("linear", "quadratic", "logarithmic")
+# conventional operating point quoted with the fitted optimum; the plateau
+# measurement is centred on it
+REFERENCE_OPERATING_TAU = 0.73
 
 _START_A = (0.3, 0.6, 0.9)
 _START_B = (1.0, 5.0, 10.0)
@@ -138,33 +140,25 @@ def _r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _jacobian(form: str, params: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    if form == "exponential":
-        a, b = params
-        e = np.exp(-b * taus)
-        return np.column_stack([1.0 - e, a * taus * e])
-    if form == "sigmoid":
-        a, b, t0 = params
-        s = 1.0 / (1.0 + np.exp(-b * (taus - t0)))
-        core = a * s * (1.0 - s)
-        return np.column_stack([s, core * (taus - t0), -core * b])
-    a, b = params  # logarithmic
-    return np.column_stack([np.log1p(b * taus), a * taus / (1.0 + b * taus)])
+def _jacobian(params: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    a, b = params
+    e = np.exp(-b * taus)
+    return np.column_stack([1.0 - e, a * taus * e])
 
 
-def _model(form: str, params: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    return np.array([_success_value(form, params, t) for t in taus])
+def _model(params: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    return np.array([_success_value("exponential", params, t) for t in taus])
 
 
 def _gauss_newton(
-    form: str, start: np.ndarray, taus: np.ndarray, ys: np.ndarray
+    start: np.ndarray, taus: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, float]:
     params = start.astype(float).copy()
     lam = 1e-3
-    sse = float(np.sum((ys - _model(form, params, taus)) ** 2))
+    sse = float(np.sum((ys - _model(params, taus)) ** 2))
     for _ in range(_GN_MAX_ITER):
-        residual = ys - _model(form, params, taus)
-        jac = _jacobian(form, params, taus)
+        residual = ys - _model(params, taus)
+        jac = _jacobian(params, taus)
         jtj = jac.T @ jac
         jtr = jac.T @ residual
         stepped = False
@@ -176,7 +170,7 @@ def _gauss_newton(
                 continue
             trial = params + delta
             trial[1] = max(trial[1], 1e-8)  # rate parameter stays positive
-            trial_sse = float(np.sum((ys - _model(form, trial, taus)) ** 2))
+            trial_sse = float(np.sum((ys - _model(trial, taus)) ** 2))
             if np.isfinite(trial_sse) and trial_sse <= sse:
                 improved = sse - trial_sse
                 params, sse = trial, trial_sse
@@ -191,57 +185,46 @@ def _gauss_newton(
     return params, sse
 
 
-def fit_success(samples: Sequence[SweepSample], form: str = "exponential") -> SuccessFit:
-    """Fit a saturating success curve by multi-start damped Gauss-Newton.
+def fit_success(samples: Sequence[SweepSample]) -> SuccessFit:
+    """Fit the exponential success curve a * (1 - exp(-b * tau)) by
+    multi-start damped Gauss-Newton.
 
     Nine starting points on a fixed (level, rate) grid guard against local
     minima; the best converged fit wins.  The fitted level is clamped into
     (0, 1] and the rate kept positive.
     """
-    if form not in SUCCESS_FORMS:
-        raise ValueError(f"form must be one of {SUCCESS_FORMS}, got {form!r}")
     taus = np.array([s.tau for s in samples], dtype=float)
     ys = np.array([s.success_rate for s in samples], dtype=float)
-    n_params = 3 if form == "sigmoid" else 2
-    if len(set(taus.tolist())) < n_params:
+    if len(set(taus.tolist())) < 2:
         raise FitError(
-            f"{form} fit needs at least {n_params} distinct thresholds, got {len(set(taus.tolist()))}"
+            f"exponential fit needs at least 2 distinct thresholds, got {len(set(taus.tolist()))}"
         )
     best: tuple[np.ndarray, float] | None = None
     for a0 in _START_A:
         for b0 in _START_B:
-            start = [a0, b0] if n_params == 2 else [a0, b0, float(taus.mean())]
-            params, sse = _gauss_newton(form, np.array(start), taus, ys)
+            params, sse = _gauss_newton(np.array([a0, b0]), taus, ys)
             if best is None or sse < best[1]:
                 best = (params, sse)
     params = best[0]
     params[0] = min(max(params[0], 1e-8), 1.0)
     params[1] = max(params[1], 1e-8)
-    r2 = _r_squared(ys, _model(form, params, taus))
+    r2 = _r_squared(ys, _model(params, taus))
     if not np.isfinite(r2):
-        raise FitError(f"{form} fit failed to produce a finite score")
-    return SuccessFit(form, tuple(float(p) for p in params), r2)
+        raise FitError("exponential fit failed to produce a finite score")
+    return SuccessFit("exponential", tuple(float(p) for p in params), r2)
 
 
-def fit_time(samples: Sequence[SweepSample], form: str = "linear") -> TimeFit:
-    """Closed-form least squares on the form's transformed regressor.
+def fit_time(samples: Sequence[SweepSample]) -> TimeFit:
+    """Fit the linear time curve c + d * tau by closed-form least squares.
 
     Negative intercepts or slopes are clamped to zero with the remaining
     parameter refit, since planning time cannot be negative or improve
     with a stricter threshold.
     """
-    if form not in TIME_FORMS:
-        raise ValueError(f"form must be one of {TIME_FORMS}, got {form!r}")
-    taus = np.array([s.tau for s in samples], dtype=float)
+    xs = np.array([s.tau for s in samples], dtype=float)
     ys = np.array([s.mean_time_ms for s in samples], dtype=float)
-    if len(set(taus.tolist())) < 2:
+    if len(set(xs.tolist())) < 2:
         raise FitError("time fit needs at least 2 distinct thresholds")
-    if form == "linear":
-        xs = taus
-    elif form == "quadratic":
-        xs = taus**2
-    else:
-        xs = np.log1p(taus)
     var = float(np.sum((xs - xs.mean()) ** 2))
     d = float(np.sum((xs - xs.mean()) * (ys - ys.mean())) / var)
     c = float(ys.mean() - d * xs.mean())
@@ -252,7 +235,7 @@ def fit_time(samples: Sequence[SweepSample], form: str = "linear") -> TimeFit:
         c = 0.0
         d = max(float(np.sum(xs * ys) / np.sum(xs * xs)), 0.0)
     predicted = c + d * xs
-    return TimeFit(form, (c, d), _r_squared(ys, predicted))
+    return TimeFit("linear", (c, d), _r_squared(ys, predicted))
 
 
 def efficiency(success_fit: SuccessFit, time_fit: TimeFit, tau: float) -> float:
@@ -270,20 +253,13 @@ class ThresholdOptimum:
     at_endpoint: bool
 
 
-def optimize_threshold(
-    success_fit: SuccessFit,
-    time_fit: TimeFit,
-    lo: float = 0.01,
-    hi: float = 0.99,
-) -> ThresholdOptimum:
-    """Numerically maximize efficiency over [lo, hi].
+def optimize_threshold(success_fit: SuccessFit, time_fit: TimeFit) -> ThresholdOptimum:
+    """Numerically maximize efficiency over [0.01, 0.99].
 
     A 10^4-point grid locates the maximum; when the efficiency slope
     changes sign around it, bisection sharpens the answer, otherwise the
     grid point (an endpoint, for monotone curves) is returned as is.
     """
-    if not (0.0 < lo < hi < 1.0):
-        raise ValueError(f"need 0 < lo < hi < 1, got ({lo}, {hi})")
 
     def slope_sign(tau: float) -> float:
         t = time_fit.predict(tau)
@@ -291,7 +267,7 @@ def optimize_threshold(
             raise ValueError(f"time curve non-positive at tau={tau}")
         return success_fit.slope(tau) * t - success_fit.predict(tau) * time_fit.slope(tau)
 
-    grid = np.linspace(lo, hi, 10_000)
+    grid = np.linspace(0.01, 0.99, 10_000)
     values = np.array([efficiency(success_fit, time_fit, t) for t in grid])
     j = int(np.argmax(values))
     if 0 < j < len(grid) - 1:
@@ -322,14 +298,13 @@ def lambert_optimum(success_fit: SuccessFit) -> float:
     return 1.0 / success_fit.params[1]
 
 
-def plateau_relative_change(
-    success_fit: SuccessFit, center: float = 0.73, half_width: float = 0.1
-) -> float:
-    """Relative change of the success curve across a band around center."""
+def plateau_relative_change(success_fit: SuccessFit) -> float:
+    """Relative change of the success curve across REFERENCE_OPERATING_TAU +- 0.1."""
+    center = REFERENCE_OPERATING_TAU
     mid = success_fit.predict(center)
     if mid <= 0:
         raise ValueError(f"success curve non-positive at tau={center}")
-    span = abs(success_fit.predict(center + half_width) - success_fit.predict(center - half_width))
+    span = abs(success_fit.predict(center + 0.1) - success_fit.predict(center - 0.1))
     return span / mid
 
 

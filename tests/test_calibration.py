@@ -1,4 +1,4 @@
-"""Calibration scoring: binning, ECE/MCE/Brier, verdicts, batch validation.
+"""Calibration scoring: binning, ECE/MCE/Brier, batch validation.
 
 Hand-worked oracle for the four-prediction example:
   (0.95, 1) (0.95, 0) -> bin [0.9, 1.0]: conf 0.95, acc 0.5, gap 0.45, weight 0.5
@@ -15,7 +15,6 @@ from beliefplan.calibration import (
     PredictionBatch,
     bin_predictions,
     brier,
-    calibration_verdict,
     ece,
     mce,
     reliability_report,
@@ -107,19 +106,6 @@ class TestScores:
             sharp = p**2 / (p**2 + (1 - p) ** 2)
             worse = ece(bin_predictions(PredictionBatch(sharp, y)))
             assert worse > base
-
-
-class TestVerdict:
-    def test_inclusive_at_tolerance(self):
-        report = reliability_report(four_prediction_batch())
-        assert calibration_verdict(report, report.ece) is True
-        assert calibration_verdict(report, report.ece - 1e-9) is False
-        assert calibration_verdict(report, 0.9) is True
-
-    def test_negative_tolerance_rejected(self):
-        report = reliability_report(four_prediction_batch())
-        with pytest.raises(ValueError):
-            calibration_verdict(report, -0.01)
 
 
 class TestBatchValidation:

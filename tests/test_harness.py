@@ -318,8 +318,8 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args, chunksize):
-                return map(fn, args)
+            def map(self, fn, *iterables, chunksize):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         config = ExperimentConfig(kind="mrf-check", seed=5, trials=2, workers=3)
@@ -462,6 +462,30 @@ class TestCli:
         rc = main(["gen-scenes", "--objects", "12", "--out-dir", str(tmp_path / "scenes")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags,name", [(["--objects", "11"], "n_objects"), (["--seed", "-1"], "seed")]
+    )
+    def test_gen_scenes_bad_input_creates_no_directory(self, capsys, tmp_path, flags, name):
+        out = tmp_path / "scenes"
+        rc = main(["gen-scenes", *flags, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert not out.exists()
+
+    def test_fit_alpha_without_noise_reports_fit_error(self, capsys, tmp_path):
+        # a noiseless channel gives all-zero traces, which no decay rate fits
+        with pytest.warns(UserWarning, match="non-positive"):
+            rc = main(["fit-alpha", "--noise-flip", "0", "--noise-sd", "0", "--trials", "3",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert "fit_error" in summary and "alpha_hat" not in summary
+        assert summary["checks"] == {"alpha_within_band": False, "r_squared_ok": False}
+        assert summary["n_episodes"] == 3
+        rows = (tmp_path / "alpha-fit_rows.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3 * 5 and all(r.split(",")[2] == "0" for r in rows[1:])
 
     def test_gen_scenes(self, capsys, tmp_path):
         rc = main(["gen-scenes", "--trials", "2", "--objects", "3",

@@ -1,4 +1,5 @@
-"""Every definition in ``src/beliefplan`` has a caller in ``src/``.
+"""Every definition in ``src/beliefplan`` has a caller in ``src/``, and every
+defaulted parameter a caller that passes another value.
 
 A top-level function or class, or a non-dunder method, counts as used when
 its name is loaded (as a plain name or an attribute) somewhere in the
@@ -89,3 +90,138 @@ def test_every_definition_has_a_caller():
 def test_allowlist_names_only_orphans():
     # an allowed name that gained a caller should leave the list
     assert sorted(set(ALLOWED) - set(find_orphans())) == []
+
+
+# ---------------------------------------------------------------------------
+# defaulted parameters
+
+# Defaulted parameters that no call in src/ varies but that stay on purpose,
+# each with the test or gate that passes another value.
+UNVARIED_ALLOWED = {
+    "cli.main.argv": "the CLI tests pass their argument lists",
+    "mrf.loopy_bp.damping": "the reference-equality tests run damped and undamped",
+    "mrf.loopy_bp.tol": "the parameter-validation test rejects a zero tolerance",
+    "mrf.loopy_bp.max_iters": "the reference-equality tests reach the non-converged branch",
+    "planner.astar.max_expansions": "test_expansion_cap stops a search at a small cap",
+    "planner.convergence_bound.eps_cal": "gate 1 checks the calibration slack",
+    "harness.wilson_ci.z": "gate 11 passes the z of its hand computation",
+}
+
+
+def _functions(module: str, tree: ast.Module):
+    """(qualified name, the name its callers use, function node, whether the
+    first parameter is bound) of every top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    called_as = node.name if item.name == "__init__" else item.name
+                    yield f"{module}.{node.name}.{item.name}", called_as, item, not static
+
+
+def _defaulted(fn: ast.FunctionDef):
+    """(name, position or None for keyword-only, default node) of each defaulted parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for k, (arg, default) in enumerate(zip(positional[first:], fn.args.defaults)):
+        yield arg.arg, first + k, default
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, default
+
+
+def _calls(tree: ast.Module):
+    """(called name, call node, enclosing function node or None) of every call."""
+
+    def walk(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            inner = child if isinstance(child, (ast.FunctionDef, ast.Lambda)) else enclosing
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is not None:
+                    yield name, child, enclosing
+            yield from walk(child, inner)
+
+    yield from walk(tree, None)
+
+
+def _passed(call: ast.Call, name: str, position, bound: bool):
+    """The expression a call passes for a parameter: None when it passes
+    nothing, ``...`` when a starred argument hides what it passes."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    if any(kw.arg is None for kw in call.keywords):
+        return ...
+    if position is None:
+        return None
+    at = position - 1 if bound else position
+    for k, arg in enumerate(call.args[: at + 1]):
+        if isinstance(arg, ast.Starred):
+            return ...
+        if k == at:
+            return arg
+    return None
+
+
+def find_unvaried() -> list[str]:
+    """Defaulted parameters that no call in src/, matched by name, passes a
+    value other than the default.
+
+    Passing the default expression itself counts as not varying it, and so
+    does forwarding a parameter of the caller that is itself unvaried with
+    the same default.  A starred argument counts as varying what it may hide.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    params = {}  # (function node, parameter name) -> qualified name
+    default_of = {}  # qualified name -> dump of its default
+    entries = []  # (qualified name, called name, parameter, position, default, bound)
+    for module, tree in trees.items():
+        for qualname, called_as, fn, bound in _functions(module, tree):
+            for name, position, default in _defaulted(fn):
+                qualified = f"{qualname}.{name}"
+                params[(fn, name)] = qualified
+                default_of[qualified] = ast.dump(default)
+                entries.append((qualified, called_as, name, position, default, bound))
+    calls = {}
+    for tree in trees.values():
+        for called, call, enclosing in _calls(tree):
+            calls.setdefault(called, []).append((call, enclosing))
+    unvaried = {entry[0] for entry in entries}
+
+    def is_default(expr, enclosing, default) -> bool:
+        if expr is None or ast.dump(expr) == ast.dump(default):
+            return True
+        if expr is ... or not isinstance(expr, ast.Name) or enclosing is None:
+            return False
+        forwarded = params.get((enclosing, expr.id))
+        return forwarded in unvaried and default_of[forwarded] == ast.dump(default)
+
+    changed = True
+    while changed:  # forwarding makes one parameter's verdict depend on another's
+        changed = False
+        for qualname, called_as, name, position, default, bound in entries:
+            if qualname in unvaried and not all(
+                is_default(_passed(call, name, position, bound), enclosing, default)
+                for call, enclosing in calls.get(called_as, ())
+            ):
+                unvaried.discard(qualname)
+                changed = True
+    return sorted(unvaried)
+
+
+def test_every_defaulted_parameter_is_varied():
+    unvaried = [name for name in find_unvaried() if name not in UNVARIED_ALLOWED]
+    assert unvaried == [], f"no call in src/ passes another value: {unvaried}"
+
+
+def test_unvaried_allowlist_names_only_unvaried_parameters():
+    # an allowed parameter that gained a varying caller should leave the list
+    assert sorted(set(UNVARIED_ALLOWED) - set(find_unvaried())) == []
