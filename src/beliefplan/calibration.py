@@ -3,7 +3,8 @@
 A perception stack that says "0.8" should be right about 80% of the time.
 This module scores that property on a stream of (confidence, label) pairs:
 reliability binning into ten equal-width bins, expected and maximum
-calibration error, and Brier score.
+calibration error, and Brier score.  Bins and the report keep only what
+is read: counts, mean confidences, accuracies and the three scores.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ class PredictionBatch:
 
 @dataclass(frozen=True)
 class CalibrationBin:
-    """One reliability bin: [lo, hi) except the last bin, which is closed."""
+    """One reliability bin's statistics; None where the bin is empty."""
 
-    lo: float
-    hi: float
     count: int
     mean_confidence: float | None
     accuracy: float | None
@@ -58,11 +57,9 @@ class CalibrationBin:
 
 @dataclass(frozen=True)
 class ReliabilityReport:
-    bins: tuple[CalibrationBin, ...]
     ece: float
     mce: float
     brier: float
-    n: int
 
 
 def bin_predictions(batch: PredictionBatch) -> tuple[CalibrationBin, ...]:
@@ -87,7 +84,7 @@ def bin_predictions(batch: PredictionBatch) -> tuple[CalibrationBin, ...]:
         else:
             mean_conf = None
             acc = None
-        bins.append(CalibrationBin(float(edges[m]), float(edges[m + 1]), count, mean_conf, acc))
+        bins.append(CalibrationBin(count, mean_conf, acc))
     return tuple(bins)
 
 
@@ -117,5 +114,5 @@ def brier(batch: PredictionBatch) -> float:
 
 def reliability_report(batch: PredictionBatch) -> ReliabilityReport:
     bins = bin_predictions(batch)
-    return ReliabilityReport(bins, ece(bins), mce(bins), brier(batch), len(batch))
+    return ReliabilityReport(ece(bins), mce(bins), brier(batch))
 

@@ -45,14 +45,14 @@ class Relation(Enum):
 _RELATION_BY_NAME = {r.value: r for r in Relation}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class GroundPredicate:
     """A relation applied to concrete object ids, e.g. On(a, b).
 
     Symmetric relations are canonicalized so that the lexicographically
     smaller argument comes first; CloseTo(b, a) and CloseTo(a, b) are the
     same predicate.  Arguments must be distinct and match the relation's
-    arity.
+    arity.  Predicates have no ``<``: order them by :meth:`sort_key`.
     """
 
     relation: Relation
@@ -196,10 +196,6 @@ class ProbabilisticState:
 
     def confidence(self, pred: GroundPredicate) -> float:
         return float(self._p[self._positions()[pred]])
-
-    def get(self, pred: GroundPredicate, default: float | None = None) -> float | None:
-        k = self._positions().get(pred)
-        return default if k is None else float(self._p[k])
 
     def predicates(self) -> list[GroundPredicate]:
         return list(self._preds)

@@ -5,10 +5,11 @@ block.  Trial randomness derives from hashing (experiment seed, setting
 index, trial index) into independent seed sequences, so results are
 byte-identical across re-runs and worker counts; trials are embarrassingly
 parallel and assembled in index order.  All exported timings are modeled
-from the fixed per-operation costs in ``planner.MODELED_COST_MS`` rather
-than measured, keeping output files deterministic.  ``tests/test_golden.py``
-pins the digests of one small config per kind, so an output change between
-commits fails a test too.
+from the fixed per-operation costs in ``MODELED_COST_MS`` rather than
+measured, keeping output files deterministic; a planning episode's time
+follows from the counts it carries (rounds, info actions, A* expansions,
+plan length).  ``tests/test_golden.py`` pins the digests of one small
+config per kind, so an output change between commits fails a test too.
 
 The decay kinds (alpha-fit, convergence) read their beliefs from one
 full-attention observation loop and differ only in where they stop it; the
@@ -46,11 +47,9 @@ from beliefplan.mrf import (
 )
 from beliefplan.planner import (
     LOOK_CLOSER,
-    MODELED_COST_MS,
     Goal,
     PlannerOptions,
     convergence_bound,
-    modeled_episode_ms,
     plan_under_uncertainty,
 )
 from beliefplan.scene import (
@@ -86,6 +85,21 @@ EXPERIMENT_KINDS = (
 BP_DEVIATION_TOL = 0.05
 ECE_TOL = 0.02  # a calibration stream within it counts as calibrated
 
+# Modeled per-operation costs in milliseconds.  Every exported
+# ``modeled_time_ms`` is computed from this one table instead of measured,
+# so output files stay byte-identical across machines and runs.
+MODELED_COST_MS = {
+    "episode": 2.0,  # fixed cost of a planning episode or a decay trace
+    "observe": 1.5,  # one observation
+    "info_action": 4.0,  # one information-gathering action
+    "expansion": 0.02,  # one A* expansion
+    "plan_step": 0.5,  # one action of the executed plan
+    "calibration_run": 1.0,  # fixed cost of a calibration run
+    "calibration_sample": 0.01,  # one scored (confidence, label) pair
+    "mrf_graph": 1.0,  # fixed cost of one mrf-check graph
+    "mrf_node": 0.5,  # one node of that graph
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -109,9 +123,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        # a whole number given for a float field exports as a float, wherever it came from
+        # each value has its field's type, and a whole number given for a
+        # float field exports as a float, wherever it came from
         for f in fields(self):
             value = getattr(self, f.name)
+            if not _type_ok(value, f.type):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
             if f.type == "float":
                 object.__setattr__(self, f.name, float(value))
             elif f.type == "tuple[float, ...]":
@@ -141,11 +158,12 @@ class ExperimentConfig:
         )
 
 
-def _json_type_ok(value, type_name: str) -> bool:
-    """Whether a JSON value has the type an ``ExperimentConfig`` field declares."""
+def _type_ok(value, type_name: str) -> bool:
+    """Whether a value has the type an ``ExperimentConfig`` field declares;
+    ``taus`` may be a list (as JSON loads it) or a tuple of numbers."""
     if type_name == "tuple[float, ...]":
-        return isinstance(value, list) and all(_json_type_ok(v, "float") for v in value)
-    if isinstance(value, bool):  # true / false load as bool, a subclass of int
+        return isinstance(value, (list, tuple)) and all(_type_ok(v, "float") for v in value)
+    if isinstance(value, bool):  # True / False are a subclass of int
         return type_name == "bool"
     return isinstance(value, {"int": int, "float": (int, float), "str": str}.get(type_name, ()))
 
@@ -165,7 +183,7 @@ def config_from_file(path: str | Path) -> dict:
     if unknown:
         raise ValueError(f"unknown config fields in {path}: {sorted(unknown)}")
     for name, value in sorted(doc.items()):
-        if not _json_type_ok(value, types[name]):
+        if not _type_ok(value, types[name]):
             raise ValueError(
                 f"config field {name} in {path} must be {types[name]}, got {json.dumps(value)}"
             )
@@ -282,17 +300,37 @@ def _attention_rounds(scene, cfg: NoiseConfig, perception_seed: int):
         belief = fuse_observation(belief, env.observe())
 
 
+def modeled_episode_ms(
+    observes: int, infos: int, expansions: int = 0, plan_length: int = 0
+) -> float:
+    """Modeled time of an episode or decay trace, from ``MODELED_COST_MS``."""
+    cost = MODELED_COST_MS
+    return (
+        cost["episode"]
+        + cost["observe"] * observes
+        + cost["info_action"] * infos
+        + cost["expansion"] * expansions
+        + cost["plan_step"] * plan_length
+    )
+
+
 def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: float,
              info_enabled: bool = True):
-    """One closed-loop planning episode towards the default goal."""
+    """One closed-loop planning episode towards the default goal, and its
+    modeled time: one observation per round."""
     env = PlanningEnvironment(scene, config.noise(), perception_seed)
-    return plan_under_uncertainty(
+    episode = plan_under_uncertainty(
         env,
         default_goal(scene),
         tau_plan=tau_plan,
         max_retries=config.max_retries,
         options=PlannerOptions(refine_with_mrf=config.refine, info_enabled=info_enabled),
     )
+    modeled = modeled_episode_ms(
+        len(episode.iterations), episode.info_action_count, episode.expansions,
+        len(episode.plan) if episode.plan else 0,
+    )
+    return episode, modeled
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +366,15 @@ def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int
 
 def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
     scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
-    episode = _episode(config, scene, perception_seed, config.taus[setting_idx])
-    return int(episode.success), episode.modeled_time_ms
+    episode, modeled = _episode(config, scene, perception_seed, config.taus[setting_idx])
+    return int(episode.success), modeled
 
 
 def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
     scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
     out = []
     for policy, info_enabled in (("info_on", True), ("info_off", False)):
-        episode = _episode(config, scene, perception_seed, config.tau_plan, info_enabled)
+        episode, modeled = _episode(config, scene, perception_seed, config.tau_plan, info_enabled)
         out.append(
             (
                 policy,
@@ -344,7 +382,7 @@ def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
                 episode.info_action_count,
                 len(episode.plan) if episode.plan is not None else -1,
                 len(episode.iterations),
-                episode.modeled_time_ms,
+                modeled,
             )
         )
     return out
@@ -506,7 +544,7 @@ def _run_threshold_sweep(config: ExperimentConfig) -> ExperimentReport:
         mean_ms = float(np.mean([r[1] for r in chunk]))
         rate = successes / len(chunk)
         rows.append((float(tau), float(rate), mean_ms, len(chunk)))
-        samples.append(SweepSample(float(tau), rate, mean_ms, len(chunk)))
+        samples.append(SweepSample(float(tau), rate, mean_ms))
     summary: dict = {
         "n_trials_per_tau": config.trials,
         "tau_grid": list(config.taus),

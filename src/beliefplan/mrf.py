@@ -156,10 +156,9 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
     ons = [p for p in nodes if p.relation is Relation.ON]
 
     for on in ons:
-        a, b = on.args
-        clear_b = state.get(GroundPredicate(Relation.CLEAR, (b,)))
-        if clear_b is not None:
-            i, j = sorted((index[on], index[GroundPredicate(Relation.CLEAR, (b,))]))
+        clear_b = GroundPredicate(Relation.CLEAR, (on.args[1],))
+        if clear_b in state:
+            i, j = sorted((index[on], index[clear_b]))
             edges.append(mutex_edge(i, j))
 
     for on in ons:

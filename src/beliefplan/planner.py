@@ -19,7 +19,9 @@ perceived, never the symbolic state.  Their two kinds are named here, and
 both sharpen by the perception channel's one gain.  Certain-true On
 beliefs enter the symbolic state only as far as the core stacking rule
 admits them.  This module imports nothing from the scene simulator; the
-simulator executes plans with this module's actions.
+simulator executes plans with this module's actions.  It models no time
+either: an episode carries its counts (rounds, info actions, expansions,
+plan), from which the harness models the episode's time.
 """
 
 from __future__ import annotations
@@ -52,21 +54,6 @@ INFO_COST = 0.1  # the value-of-information gate's price of one info action
 # the two information-gathering action kinds
 LOOK_CLOSER = "look_closer"
 PUSH_OBSTACLE = "push_obstacle"
-
-# Modeled per-operation costs in milliseconds.  Every exported
-# ``modeled_time_ms`` is computed from this one table instead of measured,
-# so output files stay byte-identical across machines and runs.
-MODELED_COST_MS = {
-    "episode": 2.0,  # fixed cost of a planning episode or a decay trace
-    "observe": 1.5,  # one observation
-    "info_action": 4.0,  # one information-gathering action
-    "expansion": 0.02,  # one A* expansion
-    "plan_step": 0.5,  # one action of the executed plan
-    "calibration_run": 1.0,  # fixed cost of a calibration run
-    "calibration_sample": 0.01,  # one scored (confidence, label) pair
-    "mrf_graph": 1.0,  # fixed cost of one mrf-check graph
-    "mrf_node": 0.5,  # one node of that graph
-}
 
 Atom = tuple[str, ...]
 
@@ -560,22 +547,7 @@ class PlanningEpisode:
     info_action_count: int
     plan: list[GroundedAction] | None
     expansions: int
-    modeled_time_ms: float
     cap_hits: int  # searches stopped at MAX_EXPANSIONS; not exported
-
-
-def modeled_episode_ms(
-    observes: int, infos: int, expansions: int = 0, plan_length: int = 0
-) -> float:
-    """Modeled time of an episode or decay trace, from ``MODELED_COST_MS``."""
-    cost = MODELED_COST_MS
-    return (
-        cost["episode"]
-        + cost["observe"] * observes
-        + cost["info_action"] * infos
-        + cost["expansion"] * expansions
-        + cost["plan_step"] * plan_length
-    )
 
 
 def plan_under_uncertainty(
@@ -655,10 +627,6 @@ def plan_under_uncertainty(
         info_action_count=info_count,
         plan=final_plan,
         expansions=expansions_total,
-        modeled_time_ms=modeled_episode_ms(
-            len(records), info_count, expansions_total,
-            len(final_plan) if final_plan else 0,
-        ),
         cap_hits=cap_hits,
     )
 

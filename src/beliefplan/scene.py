@@ -72,7 +72,6 @@ class SceneObject:
 class Scene:
     objects: tuple[SceneObject, ...]
     support: tuple[tuple[str, str], ...]  # (upper, lower) pairs
-    image_dims: tuple[int, int] = DEFAULT_IMAGE_DIMS
     seed: int = 0
 
     def __post_init__(self):
@@ -551,7 +550,7 @@ def perceive(scene: Scene, cfg: NoiseConfig, seed: int) -> ProbabilisticState:
 def scene_to_json(scene: Scene) -> str:
     doc = {
         "seed": scene.seed,
-        "image_dims": list(scene.image_dims),
+        "image_dims": list(DEFAULT_IMAGE_DIMS),
         "objects": [
             {
                 "id": o.id,

@@ -16,7 +16,6 @@ reduction from observed U sequences via mean log ratios.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,7 +43,6 @@ class SweepSample:
     tau: float
     success_rate: float
     mean_time_ms: float
-    trials: int
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
@@ -53,8 +51,6 @@ class SweepSample:
             raise ValueError(f"success rate must lie in [0, 1], got {self.success_rate}")
         if self.mean_time_ms < 0:
             raise ValueError(f"mean time must be non-negative, got {self.mean_time_ms}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
 
 
 def _success_value(form: str, params: Sequence[float], tau: float) -> float:
@@ -132,12 +128,18 @@ class TimeFit:
         return _time_slope(self.form, self.params, tau)
 
 
-def _r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
-    ss_res = float(np.sum((observed - predicted) ** 2))
-    ss_tot = float(np.sum((observed - observed.mean()) ** 2))
+def _r2(ss_res: float, ss_tot: float) -> float:
+    """1 - ss_res / ss_tot; a constant target scores 1 on an exact fit, else 0."""
     if ss_tot == 0.0:
         return 1.0 if ss_res < 1e-18 else 0.0
     return 1.0 - ss_res / ss_tot
+
+
+def _r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
+    return _r2(
+        float(np.sum((observed - predicted) ** 2)),
+        float(np.sum((observed - observed.mean()) ** 2)),
+    )
 
 
 def _jacobian(params: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -319,34 +321,19 @@ class AlphaFit:
     n_dropped: int
 
 
-def _clean_trace(u_values: Sequence[float]) -> tuple[list[float], int]:
-    kept = []
-    dropped = 0
-    for u in u_values:
-        if u > 0:
-            kept.append(float(u))
-        else:
-            dropped += 1
-    if dropped:
-        warnings.warn(
-            f"dropped {dropped} non-positive uncertainty value(s) before log fit",
-            stacklevel=3,
-        )
-    return kept, dropped
-
-
 def fit_alpha_pooled(traces: Iterable[Sequence[float]]) -> AlphaFit:
     """Shared decay rate across episodes with per-episode starting levels.
 
     All step log-ratios pool into one mean; the fit is scored in log space
     with each trace anchored at its own first value, against the baseline
-    of per-trace means.
+    of per-trace means.  Non-positive values have no logarithm: they are
+    dropped, and ``n_dropped`` counts them over all traces.
     """
     cleaned: list[list[float]] = []
     dropped_total = 0
     for trace in traces:
-        kept, dropped = _clean_trace(trace)
-        dropped_total += dropped
+        kept = [float(u) for u in trace if u > 0]
+        dropped_total += len(trace) - len(kept)
         if len(kept) >= 2:
             cleaned.append(kept)
     if not cleaned:
@@ -361,8 +348,4 @@ def fit_alpha_pooled(traces: Iterable[Sequence[float]]) -> AlphaFit:
         predicted = logs[0] + mean_log * np.arange(len(logs))
         ss_res += float(np.sum((logs - predicted) ** 2))
         ss_tot += float(np.sum((logs - logs.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res < 1e-18 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return AlphaFit(alpha_hat, r2, dropped_total)
+    return AlphaFit(alpha_hat, _r2(ss_res, ss_tot), dropped_total)

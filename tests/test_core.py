@@ -62,6 +62,13 @@ class TestGroundPredicate:
             with pytest.raises(ValueError):
                 parse_predicate(bad)
 
+    def test_sort_key_is_the_one_order(self):
+        # no generated <, which would raise between two relations anyway
+        preds = [P("On(b,c)"), P("On(a,b)")]
+        with pytest.raises(TypeError):
+            sorted(preds)
+        assert sorted(preds, key=GroundPredicate.sort_key) == preds[::-1]
+
 
 class TestSupportCycle:
     def test_chains_ending_anywhere_are_acyclic(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -138,6 +139,13 @@ class TestConfig:
     def test_bad_scene_and_noise_ranges(self, field, value):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="plan-benchmark", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value", [("trials", 2.5), ("seed", True), ("refine", 1), ("taus", (0.5, "0.7"))]
+    )
+    def test_mistyped_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig(kind="alpha-fit", **{field: value})
 
     def test_taus_normalized(self):
         cfg = ExperimentConfig(kind="threshold-sweep", taus=[0.5, 0.7])
@@ -476,11 +484,14 @@ class TestCli:
 
     def test_fit_alpha_without_noise_reports_fit_error(self, capsys, tmp_path):
         # a noiseless channel gives all-zero traces, which no decay rate fits
-        with pytest.warns(UserWarning, match="non-positive"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["fit-alpha", "--noise-flip", "0", "--noise-sd", "0", "--trials", "3",
                        "--out-dir", str(tmp_path)])
         assert rc == 0
-        summary = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        summary = json.loads(out)
+        assert all(line.startswith("wrote ") for line in err.splitlines())
         assert "fit_error" in summary and "alpha_hat" not in summary
         assert summary["checks"] == {"alpha_within_band": False, "r_squared_ok": False}
         assert summary["n_episodes"] == 3

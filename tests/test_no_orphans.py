@@ -1,5 +1,6 @@
-"""Every definition in ``src/beliefplan`` has a caller in ``src/``, and every
-defaulted parameter a caller that passes another value.
+"""Every definition in ``src/beliefplan`` has a caller in ``src/``, every
+defaulted parameter a caller that passes another value, and every record
+field a reader.
 
 A top-level function or class, or a non-dunder method, counts as used when
 its name is loaded (as a plain name or an attribute) somewhere in the
@@ -63,8 +64,31 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _records(tree: ast.Module):
+    """(class node, field nodes in order) of each top-level dataclass and NamedTuple."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+            isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases
+        ):
+            yield node, [
+                item for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+
+
+def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
+    return {item.name: item for item in cls.body if isinstance(item, ast.FunctionDef)}
+
+
 def find_orphans() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     refs = {module: list(_references(tree)) for module, tree in trees.items()}
     exported = _exported(trees["__init__"])
     orphans = []
@@ -175,21 +199,33 @@ def find_unvaried() -> list[str]:
     """Defaulted parameters that no call in src/, matched by name, passes a
     value other than the default.
 
-    Passing the default expression itself counts as not varying it, and so
-    does forwarding a parameter of the caller that is itself unvaried with
-    the same default.  A starred argument counts as varying what it may hide.
+    The defaulted fields of a record without its own ``__init__`` count as
+    parameters of its constructor, and a ``replace(x, field=...)`` call
+    counts as passing that field.  Passing the default expression itself
+    counts as not varying it, and so does forwarding a parameter of the
+    caller that is itself unvaried with the same default.  A starred
+    argument counts as varying what it may hide.
     """
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     params = {}  # (function node, parameter name) -> qualified name
     default_of = {}  # qualified name -> dump of its default
-    entries = []  # (qualified name, called name, parameter, position, default, bound)
+    # (qualified name, parameter, default, [(called name, position, bound) of each way to pass it])
+    entries = []
     for module, tree in trees.items():
         for qualname, called_as, fn, bound in _functions(module, tree):
             for name, position, default in _defaulted(fn):
                 qualified = f"{qualname}.{name}"
                 params[(fn, name)] = qualified
                 default_of[qualified] = ast.dump(default)
-                entries.append((qualified, called_as, name, position, default, bound))
+                entries.append((qualified, name, default, [(called_as, position, bound)]))
+        for cls, fields in _records(tree):
+            if "__init__" in _methods(cls):
+                continue  # its own __init__ is checked above
+            for position, field in enumerate(fields):
+                if field.value is not None:
+                    name = field.target.id
+                    sites = [(cls.name, position, False), ("replace", None, False)]
+                    entries.append((f"{module}.{cls.name}.{name}", name, field.value, sites))
     calls = {}
     for tree in trees.values():
         for called, call, enclosing in _calls(tree):
@@ -197,9 +233,11 @@ def find_unvaried() -> list[str]:
     unvaried = {entry[0] for entry in entries}
 
     def is_default(expr, enclosing, default) -> bool:
+        if expr is ...:
+            return False
         if expr is None or ast.dump(expr) == ast.dump(default):
             return True
-        if expr is ... or not isinstance(expr, ast.Name) or enclosing is None:
+        if not isinstance(expr, ast.Name) or enclosing is None:
             return False
         forwarded = params.get((enclosing, expr.id))
         return forwarded in unvaried and default_of[forwarded] == ast.dump(default)
@@ -207,9 +245,10 @@ def find_unvaried() -> list[str]:
     changed = True
     while changed:  # forwarding makes one parameter's verdict depend on another's
         changed = False
-        for qualname, called_as, name, position, default, bound in entries:
+        for qualname, name, default, sites in entries:
             if qualname in unvaried and not all(
                 is_default(_passed(call, name, position, bound), enclosing, default)
+                for called_as, position, bound in sites
                 for call, enclosing in calls.get(called_as, ())
             ):
                 unvaried.discard(qualname)
@@ -225,3 +264,68 @@ def test_every_defaulted_parameter_is_varied():
 def test_unvaried_allowlist_names_only_unvaried_parameters():
     # an allowed parameter that gained a varying caller should leave the list
     assert sorted(set(UNVARIED_ALLOWED) - set(find_unvaried())) == []
+
+
+# ---------------------------------------------------------------------------
+# record fields
+
+_ROUND_TRACE = "ROADMAP item 4 plans to export each record as one line of a round trace"
+
+# Record fields that nothing in src/ reads but that stay on purpose, each with
+# the test or planned export that reads it.
+UNREAD_ALLOWED = {
+    "planner.IterationRecord.index": "test_planner reads it; " + _ROUND_TRACE,
+    "planner.IterationRecord.state_uncertainty": "test_planner reads it; " + _ROUND_TRACE,
+    "planner.IterationRecord.n_certain_true": _ROUND_TRACE,
+    "planner.IterationRecord.n_certain_false": _ROUND_TRACE,
+    "planner.IterationRecord.n_uncertain": _ROUND_TRACE,
+    "planner.IterationRecord.action_kind": "test_planner reads it; " + _ROUND_TRACE,
+    "planner.IterationRecord.action_target": _ROUND_TRACE,
+    "planner.IterationRecord.plan_length": _ROUND_TRACE,
+    "planner.PlanningEpisode.cap_hits": (
+        "test_cap_hit_gives_the_round_up reads it; ROADMAP item 4 plans to export it"
+    ),
+}
+
+
+def find_unread() -> list[str]:
+    """Fields of records in src/ that no attribute load in src/, matched by
+    name, reads.
+
+    Loads inside the record's own ``__init__`` or ``__post_init__`` do not
+    count: checking a value on construction is not a use of it.
+    """
+    trees = _trees()
+    loads = [
+        (module, node.attr, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for module, tree in trees.items():
+        for cls, fields in _records(tree):
+            methods = _methods(cls)
+            checks = [
+                (methods[m].lineno, methods[m].end_lineno)
+                for m in ("__init__", "__post_init__") if m in methods
+            ]
+            for field in fields:
+                name = field.target.id
+                if not any(
+                    attr == name
+                    and not (other == module and any(a <= line <= b for a, b in checks))
+                    for other, attr, line in loads
+                ):
+                    unread.append(f"{module}.{cls.name}.{name}")
+    return unread
+
+
+def test_every_record_field_is_read():
+    unread = [name for name in find_unread() if name not in UNREAD_ALLOWED]
+    assert unread == [], f"nothing in src/ reads: {unread}"
+
+
+def test_unread_allowlist_names_only_unread_fields():
+    # an allowed field that gained a reader should leave the list
+    assert sorted(set(UNREAD_ALLOWED) - set(find_unread())) == []

@@ -52,12 +52,12 @@ def _box(x, y, w=0.08, d=0.08, dims=(224, 224)):
     return ((x + 0.5) * sx, (y + 0.5) * sx, w * sx, d * sx)
 
 
-def small_stacked_scene(dims=(224, 224)):
+def small_stacked_scene():
     """Three objects: o1 sits on o0, o2 alone 0.3 m to the right."""
-    o0 = SceneObject("o0", (0.0, 0.0, 0.03), (0.08, 0.06, 0.08), _box(0.0, 0.0, 0.08, 0.08, dims))
-    o1 = SceneObject("o1", (0.0, 0.0, 0.09), (0.08, 0.06, 0.08), _box(0.0, 0.0, 0.08, 0.08, dims))
-    o2 = SceneObject("o2", (0.3, 0.0, 0.03), (0.08, 0.06, 0.08), _box(0.3, 0.0, 0.08, 0.08, dims))
-    return Scene((o0, o1, o2), (("o1", "o0"),), dims, seed=7)
+    o0 = SceneObject("o0", (0.0, 0.0, 0.03), (0.08, 0.06, 0.08), _box(0.0, 0.0))
+    o1 = SceneObject("o1", (0.0, 0.0, 0.09), (0.08, 0.06, 0.08), _box(0.0, 0.0))
+    o2 = SceneObject("o2", (0.3, 0.0, 0.03), (0.08, 0.06, 0.08), _box(0.3, 0.0))
+    return Scene((o0, o1, o2), (("o1", "o0"),), seed=7)
 
 
 class TestGeneration:
@@ -343,7 +343,7 @@ class TestSerialization:
     def test_round_trip(self):
         scene = generate_scene(6, stack_bias=0.6, seed=21)
         doc = json.loads(scene_to_json(scene))
-        assert (doc["seed"], tuple(doc["image_dims"])) == (scene.seed, scene.image_dims)
+        assert (doc["seed"], doc["image_dims"]) == (scene.seed, [224, 224])
         assert [tuple(pair) for pair in doc["support"]] == list(scene.support)
         for o, rec in zip(scene.objects, doc["objects"], strict=True):
             assert rec["id"] == o.id

@@ -7,6 +7,7 @@ dense-grid argmax oracle for every evaluable pair of forms.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,11 +31,11 @@ TAU_GRID = [round(0.1 + 0.05 * k, 3) for k in range(17)]  # 0.1 .. 0.9
 
 
 def success_samples(fn):
-    return [SweepSample(t, fn(t), 10.0, 50) for t in TAU_GRID]
+    return [SweepSample(t, fn(t), 10.0) for t in TAU_GRID]
 
 
 def time_samples(fn):
-    return [SweepSample(t, 0.5, fn(t), 50) for t in TAU_GRID]
+    return [SweepSample(t, 0.5, fn(t)) for t in TAU_GRID]
 
 
 def exp_curve(a, b):
@@ -44,13 +45,11 @@ def exp_curve(a, b):
 class TestSweepSample:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SweepSample(0.0, 0.5, 10.0, 50)
+            SweepSample(0.0, 0.5, 10.0)
         with pytest.raises(ValueError):
-            SweepSample(0.5, 1.5, 10.0, 50)
+            SweepSample(0.5, 1.5, 10.0)
         with pytest.raises(ValueError):
-            SweepSample(0.5, 0.5, -1.0, 50)
-        with pytest.raises(ValueError):
-            SweepSample(0.5, 0.5, 10.0, 0)
+            SweepSample(0.5, 0.5, -1.0)
 
 
 class TestSuccessFits:
@@ -65,7 +64,7 @@ class TestSuccessFits:
         rng = np.random.default_rng(4)
         curve = exp_curve(0.85, 5.0)
         samples = [
-            SweepSample(t, min(1.0, max(0.0, curve(t) + rng.normal(0, 0.02))), 10.0, 50)
+            SweepSample(t, min(1.0, max(0.0, curve(t) + rng.normal(0, 0.02))), 10.0)
             for t in TAU_GRID
         ]
         fit = fit_success(samples)
@@ -79,7 +78,7 @@ class TestSuccessFits:
         assert fit.params[0] <= 1.0
 
     def test_too_few_points_rejected(self):
-        samples = [SweepSample(0.5, 0.6, 10.0, 50)]
+        samples = [SweepSample(0.5, 0.6, 10.0)]
         with pytest.raises(FitError):
             fit_success(samples)
 
@@ -99,7 +98,7 @@ class TestTimeFits:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(FitError):
-            fit_time([SweepSample(0.5, 0.5, 10.0, 5)])
+            fit_time([SweepSample(0.5, 0.5, 10.0)])
 
 
 class TestEfficiency:
@@ -191,10 +190,11 @@ class TestAlphaFit:
         a2 = fit_alpha_pooled([[0.25 * u for u in trace]]).alpha_hat
         assert a1 == pytest.approx(a2, abs=1e-12)
 
-    def test_nonpositive_values_dropped_with_warning(self):
-        with pytest.warns(UserWarning, match="non-positive"):
-            fit = fit_alpha_pooled([[0.8, 0.56, 0.0, 0.392]])
-        assert fit.n_dropped == 1
+    def test_nonpositive_values_dropped_and_counted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # n_dropped is the one report
+            fit = fit_alpha_pooled([[0.8, 0.56, 0.0, 0.392], [0.5, -0.1, 0.35]])
+        assert fit.n_dropped == 2
         assert fit.alpha_hat == pytest.approx(0.3, abs=1e-9)
 
     def test_too_short_rejected(self):
