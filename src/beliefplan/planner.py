@@ -49,7 +49,6 @@ from beliefplan.core import (
 from beliefplan.mrf import CapacityError, build_mrf, loopy_bp, refined_state
 
 MAX_EXPANSIONS = 10**6
-INFO_COST = 0.1  # the value-of-information gate's price of one info action
 
 # the two information-gathering action kinds
 LOOK_CLOSER = "look_closer"
@@ -417,16 +416,7 @@ def astar(
 
 
 # ---------------------------------------------------------------------------
-# information value and convergence arithmetic
-
-
-def ig_value(state_uncertainty: float, info_gain: float, cost: float) -> bool:
-    """True when expected uncertainty reduction justifies the action cost."""
-    if not (0.0 <= state_uncertainty <= 1.0):
-        raise ValueError(f"state uncertainty must lie in [0, 1], got {state_uncertainty}")
-    if info_gain < 0 or cost < 0:
-        raise ValueError("info gain and cost must be non-negative")
-    return state_uncertainty * info_gain > cost
+# convergence arithmetic
 
 
 def convergence_bound(
@@ -476,17 +466,14 @@ class PlannerOptions:
 def choose_info_action(
     uncertain: Iterable[GroundPredicate],
     goal: Goal,
-    state_uncertainty: float,
     occluded: frozenset[str] | set[str],
-    gain: float,
 ) -> InfoAction | None:
     """Pick the information action for the most goal-critical object.
 
     The target is the object appearing in the most goal-relevant uncertain
     predicates (lexicographic tie-break); occluded targets get
-    push_obstacle, others look_closer, and either kind has the one
-    ``gain``.  Returns None when nothing is goal-critical or the
-    value-of-information gate rejects the action.
+    push_obstacle, others look_closer.  Returns None when nothing is
+    goal-critical.
     """
     goal_objs = goal.objects()
     counts: dict[str, int] = {}
@@ -498,8 +485,6 @@ def choose_info_action(
     if not counts:
         return None
     target = min(counts, key=lambda o: (-counts[o], o))
-    if not ig_value(state_uncertainty, gain, INFO_COST):
-        return None
     return InfoAction(PUSH_OBSTACLE if target in occluded else LOOK_CLOSER, target)
 
 
@@ -595,9 +580,7 @@ def plan_under_uncertainty(
         sizes = (len(part.certain_true), len(part.certain_false), len(part.uncertain))
 
         if options.info_enabled and round_idx < max_retries - 1:
-            action = choose_info_action(
-                part.uncertain, goal, u_state, env.occluded_ids(), env.cfg.gain
-            )
+            action = choose_info_action(part.uncertain, goal, env.occluded_ids())
             if action is not None:
                 env.apply_info(action.kind, action.target)
                 info_count += 1

@@ -36,7 +36,6 @@ from beliefplan.planner import (
     handempty,
     heuristic_unsat,
     holding,
-    ig_value,
     on,
     ontable,
     parse_goal,
@@ -368,19 +367,6 @@ class TestSearchMatchesReference:
         assert outcomes[12] != "capped" and outcomes[12][1] == 12
 
 
-class TestInfoValue:
-    def test_gate_examples(self):
-        assert ig_value(0.6, 0.3, 0.1) is True  # 0.18 > 0.1
-        assert ig_value(0.2, 0.3, 0.1) is False  # 0.06
-        assert ig_value(0.5, 0.2, 0.1) is False  # exactly at cost: strict
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ig_value(1.5, 0.3, 0.1)
-        with pytest.raises(ValueError):
-            ig_value(0.5, -0.1, 0.1)
-
-
 class TestConvergenceBound:
     # argument order: threshold, reduction rate, starting uncertainty, slack
 
@@ -425,26 +411,14 @@ class TestConvergenceBound:
 
 
 class TestChooseInfoAction:
-    GAIN = 0.3
-
     def test_occluded_target_gets_push(self):
         action = choose_info_action(
-            [parse_predicate("On(a,b)")],
-            parse_goal("On(a,b)"),
-            0.8,
-            frozenset({"a"}),
-            self.GAIN,
+            [parse_predicate("On(a,b)")], parse_goal("On(a,b)"), frozenset({"a"})
         )
         assert action == InfoAction("push_obstacle", "a")
 
     def test_visible_target_gets_look(self):
-        action = choose_info_action(
-            [parse_predicate("On(a,b)")],
-            parse_goal("On(a,b)"),
-            0.8,
-            frozenset(),
-            self.GAIN,
-        )
+        action = choose_info_action([parse_predicate("On(a,b)")], parse_goal("On(a,b)"), frozenset())
         assert action == InfoAction("look_closer", "a")
 
     def test_most_frequent_object_wins(self):
@@ -453,25 +427,11 @@ class TestChooseInfoAction:
             parse_predicate("On(b,c)"),
             parse_predicate("Clear(c)"),
         ]
-        action = choose_info_action(
-            uncertain, parse_goal("On(b,a) & Clear(c)"), 0.9, frozenset(), self.GAIN
-        )
+        action = choose_info_action(uncertain, parse_goal("On(b,a) & Clear(c)"), frozenset())
         assert action is not None and action.target == "b"
 
     def test_nothing_goal_critical(self):
-        action = choose_info_action(
-            [parse_predicate("On(x,y)")], parse_goal("On(a,b)"), 0.9, frozenset(), self.GAIN
-        )
-        assert action is None
-
-    def test_low_value_rejected_by_gate(self):
-        action = choose_info_action(
-            [parse_predicate("On(a,b)")],
-            parse_goal("On(a,b)"),
-            0.2,
-            frozenset(),
-            self.GAIN,
-        )
+        action = choose_info_action([parse_predicate("On(x,y)")], parse_goal("On(a,b)"), frozenset())
         assert action is None
 
 
