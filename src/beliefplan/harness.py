@@ -63,6 +63,7 @@ from beliefplan.scene import (
 )
 from beliefplan.threshold import (
     REFERENCE_OPERATING_TAU,
+    AlphaFitError,
     FitError,
     SweepSample,
     fit_alpha_pooled,
@@ -485,8 +486,9 @@ def _run_alpha_fit(config: ExperimentConfig) -> ExperimentReport:
     }
     try:
         fit = fit_alpha_pooled(traces)
-    except FitError as err:  # e.g. every trace all zeros on a noiseless channel
+    except AlphaFitError as err:  # e.g. every trace all zeros on a noiseless channel
         summary["fit_error"] = str(err)
+        summary["n_dropped"] = err.n_dropped
         summary["checks"] = {"alpha_within_band": False, "r_squared_ok": False}
     else:
         summary.update(

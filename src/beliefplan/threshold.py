@@ -36,6 +36,15 @@ class FitError(ValueError):
     """Raised when data cannot support the requested fit."""
 
 
+class AlphaFitError(FitError):
+    """No trace keeps two positive values; ``n_dropped`` counts the
+    non-positive values dropped over all traces."""
+
+    def __init__(self, message: str, n_dropped: int):
+        super().__init__(message)
+        self.n_dropped = n_dropped
+
+
 @dataclass(frozen=True)
 class SweepSample:
     """One threshold setting's aggregate outcome."""
@@ -327,7 +336,8 @@ def fit_alpha_pooled(traces: Iterable[Sequence[float]]) -> AlphaFit:
     All step log-ratios pool into one mean; the fit is scored in log space
     with each trace anchored at its own first value, against the baseline
     of per-trace means.  Non-positive values have no logarithm: they are
-    dropped, and ``n_dropped`` counts them over all traces.
+    dropped, and ``n_dropped`` counts them over all traces, also on the
+    :class:`AlphaFitError` raised when no trace keeps two values.
     """
     cleaned: list[list[float]] = []
     dropped_total = 0
@@ -337,7 +347,9 @@ def fit_alpha_pooled(traces: Iterable[Sequence[float]]) -> AlphaFit:
         if len(kept) >= 2:
             cleaned.append(kept)
     if not cleaned:
-        raise FitError("no trace contributed at least 2 positive uncertainty values")
+        raise AlphaFitError(
+            "no trace contributed at least 2 positive uncertainty values", dropped_total
+        )
     all_ratios = np.concatenate([np.diff(np.log(t)) for t in cleaned])
     mean_log = float(all_ratios.mean())
     alpha_hat = 1.0 - math.exp(mean_log)

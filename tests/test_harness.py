@@ -493,6 +493,7 @@ class TestCli:
         summary = json.loads(out)
         assert all(line.startswith("wrote ") for line in err.splitlines())
         assert "fit_error" in summary and "alpha_hat" not in summary
+        assert summary["n_dropped"] == 3 * 5  # every value of every trace
         assert summary["checks"] == {"alpha_within_band": False, "r_squared_ok": False}
         assert summary["n_episodes"] == 3
         rows = (tmp_path / "alpha-fit_rows.csv").read_text().splitlines()

@@ -200,6 +200,9 @@ class TestAlphaFit:
     def test_too_short_rejected(self):
         with pytest.raises(FitError):
             fit_alpha_pooled([[0.5], [0.4]])
+        with pytest.raises(FitError) as info:
+            fit_alpha_pooled([[0.5, 0.0], [0.0, -0.1, 0.0]])
+        assert info.value.n_dropped == 4
 
     def test_noisy_recovery(self):
         rng = np.random.default_rng(12)
