@@ -2,8 +2,10 @@
 
 The symbolic layer is classic STRIPS: ground atoms over on / ontable /
 clear / holding / handempty, a fixed set of move schemas (pick from table,
-unstack, place, putdown), and A* with an admissible goal-counting
-heuristic, so returned plans are guaranteed shortest.  The search runs
+unstack, place, putdown), and A* with the admissible must-move heuristic
+of Slaney and Thiébaux, which counts the blocks that must be picked and
+placed, buried ones included, so returned plans are guaranteed
+shortest.  The search runs
 over integer bitmasks with one bit per atom, on tables compiled once per
 object set, and generates successors from the state's structure (the
 clear blocks when the hand is empty, the places for the held block
@@ -253,21 +255,52 @@ def parse_goal(text: str) -> Goal:
 # search
 
 
-def heuristic_unsat(atoms: frozenset[Atom], goal_atoms: frozenset[Atom]) -> int:
-    """Admissible goal-count heuristic.
+def _must_move_rules(goal_atoms: frozenset[Atom]):
+    """The goal's side of the must-move heuristic: ``displaced(x, y)``,
+    whether a block x resting on y (None for the table) must move by the
+    first two rules, plus the blocks the goal names and wants clear."""
+    goal_lower = {a[1]: a[2] for a in goal_atoms if a[0] == "on"}
+    goal_upper = {a[2]: a[1] for a in goal_atoms if a[0] == "on"}
+    want_clear = {a[1] for a in goal_atoms if a[0] == "clear"}
+    named = {x for a in goal_atoms for x in a[1:]}
 
-    Counts unsatisfied goal atoms, except Clear targets that arrive for
-    free with an unsatisfied On target (placing x onto y yields clear(x)
-    in the same move), so no action can pay off two counted atoms at once.
-    The search evaluates the same count over bitmasks.
+    def displaced(x: str, y: str | None) -> bool:
+        if goal_lower.get(x, y) != y:
+            return True  # the goal puts x on another support
+        return y is not None and (y in want_clear or goal_upper.get(y, x) != x)
+
+    return displaced, named, want_clear
+
+
+def must_move_heuristic(atoms: frozenset[Atom], goal_atoms: frozenset[Atom]) -> int:
+    """Admissible must-move heuristic (Slaney and Thiébaux, "Blocks World
+    revisited", AIJ 125, 2001).
+
+    A placed block must move if the goal puts it on another support, if it
+    rests on a block the goal wants clear or wants another block on, or if
+    it rests on a block that must move.  Each such block costs a pick and a
+    place; a held block the goal names costs its place.  The goal does not
+    ask for an empty hand, so one block may end held: a block the goal does
+    not name, lifted off a wanted-clear block that stays, saves its place,
+    and the bound takes 1 off when such a block exists.  A block with no
+    support atom cannot be picked and never counts.  The search evaluates
+    the same value over bitmasks.
     """
-    unsat = goal_atoms - atoms
-    pending_uppers = {a[1] for a in unsat if a[0] == "on"}
-    h = 0
-    for a in unsat:
-        if a[0] == "clear" and a[1] in pending_uppers:
-            continue
-        h += 1
+    displaced, named, want_clear = _must_move_rules(goal_atoms)
+    lower_of = {a[1]: a[2] for a in atoms if a[0] == "on"}
+    placed = lower_of.keys() | {a[1] for a in atoms if a[0] == "ontable"}
+    memo: dict[str, bool] = {}
+
+    def must_move(x: str) -> bool:
+        if x not in memo:
+            y = lower_of.get(x)
+            memo[x] = x in placed and (displaced(x, y) or (y is not None and must_move(y)))
+        return memo[x]
+
+    h = 2 * sum(map(must_move, placed))
+    h += any(a[0] == "holding" and a[1] in named for a in atoms)
+    if any(x not in named and y in want_clear and not must_move(y) for x, y in lower_of.items()):
+        h -= 1
     return h
 
 
@@ -278,6 +311,7 @@ class _Domain(NamedTuple):
     ``s & keep | add``, with ``keep`` the complement of the delete mask.
     """
 
+    objects: tuple[str, ...]
     bit: dict[Atom, int]  # atom -> its single-bit mask
     handempty: int
     holding: int  # union of every holding(x) bit
@@ -285,6 +319,8 @@ class _Domain(NamedTuple):
     picks: tuple[tuple[int, int, dict[int, tuple]], ...]
     # holding(x) bit -> ((clear(y) bit, place(x, y) move) in y order..., (0, putdown(x) move))
     holds: dict[int, tuple[tuple[int, tuple], ...]]
+    # support bit of block x -> (x's bit in a mask of blocks, mask of every on(z, x) bit)
+    climb: dict[int, tuple[int, int]]
 
 
 @functools.lru_cache(maxsize=64)
@@ -293,7 +329,8 @@ def _compile_domain(objects: tuple[str, ...]) -> _Domain:
 
     Every atom a grounded move touches gets one bit.  The support mask of
     block x covers ontable(x) and each on(x, y); its pick table maps the
-    one support bit a valid state can hold to the matching pick move.
+    one support bit a valid state can hold to the matching pick move, and
+    its climb table the block and what can rest on it, for the heuristic.
     """
     moves = {(a.name, a.args): a for a in ground_domain(objects)}
     atoms = {handempty()}
@@ -311,14 +348,58 @@ def _compile_domain(objects: tuple[str, ...]) -> _Domain:
 
     picks = []
     holds = {}
-    for x in objects:
+    climb = {}
+    for i, x in enumerate(objects):
         others = [y for y in objects if y != x]
         support = {bit[ontable(x)]: move(("pick", (x,)))}
         support.update({bit[on(x, y)]: move(("pick", (x, y))) for y in others})
         picks.append((bit[clear(x)], sum(support), support))
         places = [(bit[clear(y)], move(("place", (x, y)))) for y in others]
         holds[bit[holding(x)]] = (*places, (0, move(("putdown", (x,)))))
-    return _Domain(bit, bit[handempty()], sum(holds), tuple(picks), holds)
+        onto = sum(bit[on(z, x)] for z in others)
+        climb.update((b, (1 << i, onto)) for b in support)
+    return _Domain(objects, bit, bit[handempty()], sum(holds), tuple(picks), holds, climb)
+
+
+@functools.lru_cache(maxsize=64)
+def _compile_heuristic(objects: tuple[str, ...], goal_atoms: frozenset[Atom]):
+    """:func:`must_move_heuristic` over the bitmasks of one sorted object
+    tuple, from the same rules: one mask of the support bits that make a
+    block move by the first two rules, then a walk up the stacks for the
+    third."""
+    domain = _compile_domain(objects)
+    bit, climb = domain.bit, domain.climb
+    displaced, named, want_clear = _must_move_rules(goal_atoms)
+    move = sum(bit[ontable(x)] for x in objects if displaced(x, None))
+    move += sum(bit[on(x, y)] for x in objects for y in objects if x != y and displaced(x, y))
+    held_named = sum(bit[holding(x)] for x in named)
+    # (on(x, y) bit, y's block bit) for each unnamed x on a wanted-clear y
+    ends_held = tuple(
+        (bit[on(x, y)], 1 << j)
+        for j, y in enumerate(objects) if y in want_clear
+        for x in objects if x != y and x not in named
+    )
+
+    def heuristic(s: int) -> int:
+        moving = 0  # a bit per block that must move
+        pending = s & move
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            block, onto = climb[low]
+            while not moving & block:  # mark it and every block resting on it
+                moving |= block
+                up = s & onto
+                if not up:
+                    break
+                block, onto = climb[up]
+        h = 2 * moving.bit_count() + bool(s & held_named)
+        for on_bit, lower in ends_held:
+            if s & on_bit and not moving & lower:
+                return h - 1
+        return h
+
+    return heuristic
 
 
 def _search(
@@ -338,26 +419,14 @@ def _search(
     every validated state has exactly one of holding / handempty and at
     most one support per block, and every move keeps both properties,
     this is exactly the applicable moves in sorted (name, args) order.
+    The must-move heuristic is admissible but not consistent, so a state
+    reached again on a smaller g is pushed again, which keeps plans
+    optimal.
     """
     bit = domain.bit
     start = sum(bit[atom] for atom in init_atoms)
     goal = sum(bit[atom] for atom in goal_atoms)
-    # heuristic_unsat's discount: Clear(x) is not counted while an On(x, .)
-    # target is unsatisfied
-    discounts = []
-    for a in goal_atoms:
-        if a[0] == "clear":
-            on_mask = sum(bit[b] for b in goal_atoms if b[0] == "on" and b[1] == a[1])
-            if on_mask:
-                discounts.append((bit[a], on_mask))
-
-    def heuristic(s: int) -> int:
-        unsat = goal & ~s
-        h = unsat.bit_count()
-        for clear_bit, on_mask in discounts:
-            if unsat & clear_bit and unsat & on_mask:
-                h -= 1
-        return h
+    heuristic = _compile_heuristic(domain.objects, goal_atoms)
 
     handempty_bit, holding_mask, picks, holds = (
         domain.handempty, domain.holding, domain.picks, domain.holds
@@ -404,7 +473,8 @@ def astar(
 ) -> list[GroundedAction] | None:
     """Shortest manipulation plan from init to goal, or None if unreachable.
 
-    A* over atom bitmasks with unit action costs; ties broken
+    A* over atom bitmasks with unit action costs, guided by
+    :func:`must_move_heuristic`; ties broken
     deterministically by expansion order with successors generated in
     sorted (name, args) action order, read off the state's structure (see
     ``_search`` for why that is exactly the applicable moves).  Raises

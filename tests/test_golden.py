@@ -38,8 +38,8 @@ GOLDEN = {
     "calibration": "fc71376865af42850570503a5e36a632e971738e75d988697ef26a9465ce7269",
     "alpha-fit": "805c904383fb21eedc0c7e233b94650673e5f9b5b15aa67f66c9f377d5aedf4e",
     "convergence": "e33b02a0dec221de3f83ef6d6f09175f15a14ad0073e719eef824170eb352078",
-    "threshold-sweep": "0550e06fe3d08703ad315f7785dc393c24bab1e1ed857796027e251bfc33e8f6",
-    "plan-benchmark": "115463105851915345df162518ba304937fb01f10aa63dbb178da39f7a2f3dee",
+    "threshold-sweep": "b1a96db23b3bd8f5958724d18acc59ecccc18c842d91c61b3681fa6ebdd8d2f1",
+    "plan-benchmark": "608e28985635942414552f9945f8366077fa411e9a186a5b3abfb4d941cbe899",
     "mrf-check": "50c3a36d0d0a369dc051d9549ee6de090c642b131a6eb2d4ab430a54a22f7247",
 }
 

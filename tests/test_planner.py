@@ -6,6 +6,7 @@ bound is 2.  With threshold 0.5 and rate 0.5 starting exactly at the 0.5
 target, the strict inequality forces one step (0.25 < 0.5), not zero.
 """
 
+import functools
 import heapq
 import itertools
 from collections import deque
@@ -34,7 +35,7 @@ from beliefplan.planner import (
     convergence_bound,
     ground_domain,
     handempty,
-    heuristic_unsat,
+    must_move_heuristic,
     holding,
     on,
     ontable,
@@ -75,13 +76,69 @@ def run_plan(state: SymbolicWorldState, plan) -> SymbolicWorldState:
     return state
 
 
-def _reference_search(init_atoms, goal_atoms, actions, max_expansions):
+def goal_distances(init: SymbolicWorldState, goal: Goal) -> dict:
+    """Breadth-first distance to the goal from every state reachable from
+    init (None where no goal state is reachable), over the explicit graph."""
+    actions = ground_domain(sorted(init.objects() | goal.objects()))
+    goal_atoms = goal.atoms()
+    sources = {init.atoms: []}  # state -> the states one move before it
+    queue = deque([init.atoms])
+    while queue:
+        s = queue.popleft()
+        for a in actions:
+            if a.preconditions <= s:
+                ns = (s - a.delete) | a.add
+                if ns not in sources:
+                    sources[ns] = []
+                    queue.append(ns)
+                sources[ns].append(s)
+    dist = {s: 0 for s in sources if goal_atoms <= s}
+    queue = deque(dist)
+    while queue:
+        s = queue.popleft()
+        for before in sources[s]:
+            if before not in dist:
+                dist[before] = dist[s] + 1
+                queue.append(before)
+    return {s: dist.get(s) for s in sources}
+
+
+def partial_starts():
+    """(state, goal, objects) with one atom dropped from a valid start: an
+    unsupported block, a block that is not clear, or a missing On link."""
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        start, goal = random_instance(rng, int(rng.integers(3, 6)))
+        objects = start.objects() | goal.objects()
+        for atom in sorted(start.atoms):
+            try:
+                partial = SymbolicWorldState(start.atoms - {atom})
+            except ValueError:
+                continue
+            yield partial, goal, objects
+
+
+def held_starts():
+    """(state, goal, objects) after the first pick a valid start allows."""
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        start, goal = random_instance(rng, int(rng.integers(3, 6)))
+        objects = sorted(start.objects())
+        pick = next(
+            a for a in ground_domain(objects)
+            if a.name == "pick" and a.preconditions <= start.atoms
+        )
+        yield apply(start, pick), goal, objects
+
+
+def _reference_search(init_atoms, goal_atoms, actions, max_expansions, popped=None):
     """A* over frozenset atom states, scanning every move for each expansion.
 
     The straightforward form of the planner's search, kept as the reference
-    that the bitmask search must match in plan and expansion count.
+    that the bitmask search must match in plan and expansion count.  Each
+    state it pops is appended to ``popped`` when given.
     """
-    h0 = heuristic_unsat(init_atoms, goal_atoms)
+    h0 = must_move_heuristic(init_atoms, goal_atoms)
     counter = itertools.count()
     frontier = [(h0, next(counter), 0, init_atoms)]
     best_g = {init_atoms: 0}
@@ -89,6 +146,8 @@ def _reference_search(init_atoms, goal_atoms, actions, max_expansions):
     expansions = 0
     while frontier:
         f, _, g, atoms = heapq.heappop(frontier)
+        if popped is not None:
+            popped.append(atoms)
         if g > best_g.get(atoms, g):
             continue  # superseded entry
         if goal_atoms <= atoms:
@@ -111,7 +170,7 @@ def _reference_search(init_atoms, goal_atoms, actions, max_expansions):
                 best_g[succ] = ng
                 parent[succ] = (atoms, action)
                 heapq.heappush(
-                    frontier, (ng + heuristic_unsat(succ, goal_atoms), next(counter), ng, succ)
+                    frontier, (ng + must_move_heuristic(succ, goal_atoms), next(counter), ng, succ)
                 )
     return None, expansions
 
@@ -209,16 +268,35 @@ class TestGoal:
 
 
 class TestHeuristic:
-    def test_counts_unsatisfied(self):
-        state = SymbolicWorldState.from_stacks([["a"], ["b"], ["c"]])
-        goal = parse_goal("On(a,b) & On(b,c)")
-        assert heuristic_unsat(state.atoms, goal.atoms()) == 2
+    def test_counts_blocks_that_must_move(self):
+        # a: the goal puts it on b; x: rests on b, which the goal wants a on;
+        # y: rests on x, which must move.  Each costs a pick and a place.
+        start = SymbolicWorldState.from_stacks([["b", "x", "y"], ["a"]])
+        goal = parse_goal("On(a,b)")
+        assert must_move_heuristic(start.atoms, goal.atoms()) == 6
+        assert bfs_optimal_length(start, goal) == 6
 
-    def test_discounts_clear_of_pending_upper(self):
-        # placing a onto b would satisfy both atoms in one move
-        state = SymbolicWorldState.from_stacks([["a"], ["b"]])
-        goal = parse_goal("On(a,b) & Clear(a)")
-        assert heuristic_unsat(state.atoms, goal.atoms()) == 1
+    def test_last_lifted_block_may_stay_held(self):
+        # the goal asks for no empty hand: lifting x off y ends the plan
+        for stacks, text, h in (
+            ([["y", "x"]], "Clear(y)", 1),
+            ([["w", "y", "x"]], "Clear(w)", 3),
+        ):
+            start = SymbolicWorldState.from_stacks(stacks)
+            goal = parse_goal(text)
+            assert must_move_heuristic(start.atoms, goal.atoms()) == h
+            assert bfs_optimal_length(start, goal) == h
+
+    def test_held_block_costs_its_place_only_when_named(self):
+        start = SymbolicWorldState.from_stacks([["c", "b"], ["a"]])
+        held = apply(start, next(a for a in ground_domain("abc") if str(a) == "pick(a)"))
+        assert must_move_heuristic(held.atoms, parse_goal("On(b,c)").atoms()) == 0
+        assert must_move_heuristic(held.atoms, parse_goal("On(a,b)").atoms()) == 1
+
+    def test_unsupported_block_never_counts(self):
+        start = SymbolicWorldState.from_stacks([["a"], ["b"]])
+        partial = SymbolicWorldState(start.atoms - {ontable("a")})
+        assert must_move_heuristic(partial.atoms, parse_goal("On(a,b)").atoms()) == 0
 
     def test_admissible_along_optimal_plans(self):
         # h <= the breadth-first distance at the start and at every state the
@@ -233,16 +311,47 @@ class TestHeuristic:
             for action in [None, *plan]:
                 if action is not None:
                     state = apply(state, action)
-                assert heuristic_unsat(state.atoms, goal.atoms()) <= bfs_optimal_length(state, goal)
+                h = must_move_heuristic(state.atoms, goal.atoms())
+                assert h <= bfs_optimal_length(state, goal)
         assert with_clear >= 5
 
     def test_admissible_on_random_instances(self):
+        # h <= the breadth-first distance on every state reachable from the
+        # start, held-block states included; a third of the goals get a
+        # Clear target on a block that no goal On stacks onto
         rng = np.random.default_rng(42)
-        for _ in range(300):
-            start, goal = random_instance(rng, int(rng.integers(3, 5)))
-            optimal = bfs_optimal_length(start, goal)
-            assert optimal is not None
-            assert heuristic_unsat(start.atoms, goal.atoms()) <= optimal
+        checked = with_clear = 0
+        for _ in range(60):
+            start, goal = random_instance(rng, int(rng.integers(3, 6)))
+            lowers = {p.args[1] for p in goal.predicates if p.relation is Relation.ON}
+            free = sorted(start.objects() - lowers)
+            if free and rng.uniform() < 0.35:
+                target = GroundPredicate(Relation.CLEAR, (free[int(rng.integers(len(free)))],))
+                goal = Goal(goal.predicates | {target})
+            with_clear += any(p.relation is Relation.CLEAR for p in goal.predicates)
+            for atoms, d in goal_distances(start, goal).items():
+                assert d is not None  # every instance is solvable from every state
+                assert must_move_heuristic(atoms, goal.atoms()) <= d
+                checked += 1
+        assert with_clear >= 20 and checked > 10_000
+
+    def test_admissible_from_held_and_partial_starts(self):
+        checked = 0
+        for start, goal, _ in itertools.chain(held_starts(), partial_starts()):
+            for atoms, d in goal_distances(start, goal).items():
+                if d is not None:
+                    assert must_move_heuristic(atoms, goal.atoms()) <= d
+                    checked += 1
+        assert checked > 5_000
+
+    def test_zero_exactly_at_goal_on_hand_empty_states(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            start, goal = random_instance(rng, int(rng.integers(3, 6)))
+            for atoms in goal_distances(start, goal):
+                if handempty() in atoms:
+                    h = must_move_heuristic(atoms, goal.atoms())
+                    assert (h == 0) == (goal.atoms() <= atoms)
 
 
 class TestAstar:
@@ -283,13 +392,16 @@ class TestSearchMatchesReference:
     """The bitmask search returns the reference's plan and expansion count."""
 
     def assert_same(self, init, goal_atoms, objects=None, cap=planner.MAX_EXPANSIONS):
-        """Run both searches, assert equal outcomes, return the reference's."""
+        """Run both searches, assert equal outcomes and the same heuristic
+        value in both forms on every state the reference pops; return the
+        reference's outcome."""
         if objects is None:
             objects = init.objects() | {x for a in goal_atoms for x in a[1:]}
         objects = tuple(sorted(set(objects)))
+        popped = []
         outcomes = []
         for search, domain in (
-            (_reference_search, ground_domain(objects)),
+            (functools.partial(_reference_search, popped=popped), ground_domain(objects)),
             (planner._search, planner._compile_domain(objects)),
         ):
             try:
@@ -297,6 +409,10 @@ class TestSearchMatchesReference:
             except CapacityError:
                 outcomes.append("capped")
         assert outcomes[1] == outcomes[0]
+        bit = planner._compile_domain(objects).bit
+        heuristic = planner._compile_heuristic(objects, goal_atoms)
+        for atoms in popped:
+            assert heuristic(sum(bit[a] for a in atoms)) == must_move_heuristic(atoms, goal_atoms)
         return outcomes[0]
 
     def test_random_instances(self):
@@ -307,32 +423,14 @@ class TestSearchMatchesReference:
             assert plan is not None
 
     def test_partial_states(self):
-        # one atom dropped from a valid start: an unsupported block, a block
-        # that is not clear, or a missing On link
-        rng = np.random.default_rng(5)
         checked = 0
-        for _ in range(12):
-            start, goal = random_instance(rng, int(rng.integers(3, 6)))
-            objects = start.objects() | goal.objects()
-            for atom in sorted(start.atoms):
-                try:
-                    partial = SymbolicWorldState(start.atoms - {atom})
-                except ValueError:
-                    continue
-                self.assert_same(partial, goal.atoms(), objects)
-                checked += 1
+        for partial, goal, objects in partial_starts():
+            self.assert_same(partial, goal.atoms(), objects)
+            checked += 1
         assert checked > 50
 
     def test_held_block_start(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            start, goal = random_instance(rng, int(rng.integers(3, 6)))
-            objects = sorted(start.objects())
-            pick = next(
-                a for a in ground_domain(objects)
-                if a.name == "pick" and a.preconditions <= start.atoms
-            )
-            held = apply(start, pick)
+        for held, goal, objects in held_starts():
             assert any(a[0] == "holding" for a in held.atoms)
             self.assert_same(held, goal.atoms(), objects)
 
@@ -347,24 +445,43 @@ class TestSearchMatchesReference:
         ):
             self.assert_same(start, parse_goal(text).atoms())
 
-    def test_projected_seven_object_scenes(self):
+    SEVEN_OBJECT_GOAL = parse_goal("On(o0,o1) & On(o1,o2)")
+
+    @staticmethod
+    def seven_object_worlds():
+        """(projected start, objects) of five noisy first observations."""
         cfg = NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0)
-        goal = parse_goal("On(o0,o1) & On(o1,o2)")
         for seed in range(5):
             env = PlanningEnvironment(generate_scene(7, stack_bias=0.4, seed=seed), cfg, seed)
             belief = env.observe()
             world = world_state_from_beliefs(
                 belief, classify(belief, 0.7).certain_true, env.object_ids()
             )
-            self.assert_same(world, goal.atoms(), env.object_ids())
+            yield world, tuple(sorted(env.object_ids()))
+
+    def test_projected_seven_object_scenes(self):
+        for world, objects in self.seven_object_worlds():
+            self.assert_same(world, self.SEVEN_OBJECT_GOAL.atoms(), objects)
+
+    def test_seven_object_search_effort(self):
+        # the must-move heuristic takes 157 expansions over these searches
+        # (goal counting took 1,831); a weaker heuristic fails here
+        total = 0
+        for world, objects in self.seven_object_worlds():
+            domain = planner._compile_domain(objects)
+            _, expansions = planner._search(
+                world.atoms, self.SEVEN_OBJECT_GOAL.atoms(), domain, planner.MAX_EXPANSIONS
+            )
+            total += expansions
+        assert total <= 170
 
     def test_capacity_error_at_the_same_cap(self):
-        # this search takes 12 expansions: every cap below that stops it
+        # this search takes 5 expansions: every cap below that stops it
         start = SymbolicWorldState.from_stacks([["a"], ["b"], ["c"]])
         goal = parse_goal("On(a,b) & On(b,c)")
-        outcomes = [self.assert_same(start, goal.atoms(), cap=cap) for cap in range(13)]
-        assert outcomes[:12] == ["capped"] * 12
-        assert outcomes[12] != "capped" and outcomes[12][1] == 12
+        outcomes = [self.assert_same(start, goal.atoms(), cap=cap) for cap in range(6)]
+        assert outcomes[:5] == ["capped"] * 5
+        assert outcomes[5] != "capped" and outcomes[5][1] == 5
 
 
 class TestConvergenceBound:
@@ -418,7 +535,9 @@ class TestChooseInfoAction:
         assert action == InfoAction("push_obstacle", "a")
 
     def test_visible_target_gets_look(self):
-        action = choose_info_action([parse_predicate("On(a,b)")], parse_goal("On(a,b)"), frozenset())
+        action = choose_info_action(
+            [parse_predicate("On(a,b)")], parse_goal("On(a,b)"), frozenset()
+        )
         assert action == InfoAction("look_closer", "a")
 
     def test_most_frequent_object_wins(self):
@@ -431,7 +550,9 @@ class TestChooseInfoAction:
         assert action is not None and action.target == "b"
 
     def test_nothing_goal_critical(self):
-        action = choose_info_action([parse_predicate("On(x,y)")], parse_goal("On(a,b)"), frozenset())
+        action = choose_info_action(
+            [parse_predicate("On(x,y)")], parse_goal("On(a,b)"), frozenset()
+        )
         assert action is None
 
 
