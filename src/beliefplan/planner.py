@@ -4,13 +4,13 @@ The symbolic layer is classic STRIPS: ground atoms over on / ontable /
 clear / holding / handempty, a fixed set of move schemas (pick from table,
 unstack, place, putdown), and A* with the admissible must-move heuristic
 of Slaney and Thiébaux, which counts the blocks that must be picked and
-placed, buried ones included, so returned plans are guaranteed
-shortest.  The search runs
-over integer bitmasks with one bit per atom, on tables compiled once per
-object set, and generates successors from the state's structure (the
-clear blocks when the hand is empty, the places for the held block
-otherwise) instead of testing every grounded move; it returns the plan
-and expansion count that a scan of all moves in sorted order would.
+placed, buried ones included, so returned plans are guaranteed shortest.
+The search runs over integer bitmasks with one bit per atom, on tables
+compiled once per object set, and generates successors from the state's
+structure (the clear blocks when the hand is empty, the places for the
+held block otherwise) instead of testing every grounded move; it returns
+the plan and expansion count that a scan of all moves in sorted order
+would.
 
 The belief layer decides when planning is safe: predicates classified
 certain-true become the symbolic state, and while goal-relevant predicates
@@ -34,7 +34,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -362,7 +362,9 @@ def _compile_domain(objects: tuple[str, ...]) -> _Domain:
 
 
 @functools.lru_cache(maxsize=64)
-def _compile_heuristic(objects: tuple[str, ...], goal_atoms: frozenset[Atom]):
+def _compile_heuristic(
+    objects: tuple[str, ...], goal_atoms: frozenset[Atom]
+) -> Callable[[int], int]:
     """:func:`must_move_heuristic` over the bitmasks of one sorted object
     tuple, from the same rules: one mask of the support bits that make a
     block move by the first two rules, then a walk up the stacks for the
