@@ -35,8 +35,8 @@ from beliefplan.planner import (
     convergence_bound,
     ground_domain,
     handempty,
-    must_move_heuristic,
     holding,
+    must_move_heuristic,
     on,
     ontable,
     parse_goal,
@@ -289,7 +289,7 @@ class TestHeuristic:
 
     def test_held_block_costs_its_place_only_when_named(self):
         start = SymbolicWorldState.from_stacks([["c", "b"], ["a"]])
-        held = apply(start, next(a for a in ground_domain("abc") if str(a) == "pick(a)"))
+        held = apply(start, next(a for a in ground_domain(["a", "b", "c"]) if str(a) == "pick(a)"))
         assert must_move_heuristic(held.atoms, parse_goal("On(b,c)").atoms()) == 0
         assert must_move_heuristic(held.atoms, parse_goal("On(a,b)").atoms()) == 1
 
