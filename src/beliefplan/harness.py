@@ -245,13 +245,15 @@ def cohens_d(xs: Sequence[float], ys: Sequence[float]) -> float:
     ys = np.asarray(ys, dtype=float)
     if len(xs) < 2 or len(ys) < 2:
         raise ValueError("both samples need at least 2 values")
+    # two constant samples have no spread, though a float mean one ulp off
+    # can give a variance of 1e-30 and so a huge d
+    if xs.max() == xs.min() and ys.max() == ys.min():
+        raise ValueError("both samples are constant; effect size undefined")
     var_x = float(np.var(xs, ddof=1))
     var_y = float(np.var(ys, ddof=1))
     pooled = math.sqrt(
         ((len(xs) - 1) * var_x + (len(ys) - 1) * var_y) / (len(xs) + len(ys) - 2)
     )
-    if pooled == 0.0:
-        raise ValueError("pooled standard deviation is zero; effect size undefined")
     return (float(xs.mean()) - float(ys.mean())) / pooled
 
 
@@ -612,7 +614,7 @@ def _run_plan_benchmark(config: ExperimentConfig) -> ExperimentReport:
     n = len(results)
     try:
         time_effect = cohens_d(on_times, off_times)
-    except ValueError:  # degenerate: all modeled times equal
+    except ValueError:  # degenerate: each policy's modeled times are constant
         time_effect = None
     summary = {
         "n_trials": n,

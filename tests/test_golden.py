@@ -39,7 +39,7 @@ GOLDEN = {
     "alpha-fit": "805c904383fb21eedc0c7e233b94650673e5f9b5b15aa67f66c9f377d5aedf4e",
     "convergence": "e33b02a0dec221de3f83ef6d6f09175f15a14ad0073e719eef824170eb352078",
     "threshold-sweep": "b1a96db23b3bd8f5958724d18acc59ecccc18c842d91c61b3681fa6ebdd8d2f1",
-    "plan-benchmark": "608e28985635942414552f9945f8366077fa411e9a186a5b3abfb4d941cbe899",
+    "plan-benchmark": "78043bec5103fa80fb56523899a722fd818009ceedd59eb92f34eeacd01dac92",
     "mrf-check": "50c3a36d0d0a369dc051d9549ee6de090c642b131a6eb2d4ab430a54a22f7247",
 }
 

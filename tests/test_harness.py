@@ -86,6 +86,8 @@ class TestCohensD:
             cohens_d([1.0], [2.0, 3.0])
         with pytest.raises(ValueError):
             cohens_d([2.0, 2.0], [2.0, 2.0])
+        with pytest.raises(ValueError):  # the float mean of [5.6] * 3 is one ulp off
+            cohens_d([16.6] * 3, [5.6] * 3)
 
 
 class TestUnimodal:
