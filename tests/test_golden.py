@@ -3,8 +3,9 @@
 The harness promises byte-identical outputs across re-runs, worker counts
 and hash seeds; these pins extend that promise across commits.  Each
 digest is the sha256 over the exported file names and bytes (csv rows plus
-summary json).  A change that alters outputs on purpose re-pins the
-affected digests and says so in CHANGES.md.
+summary json).  The scene files that ``gen-scenes`` writes are pinned the
+same way.  A change that alters outputs on purpose re-pins the affected
+digests and says so in CHANGES.md.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import beliefplan
-from beliefplan.harness import ExperimentConfig, export, run
+from beliefplan.harness import ExperimentConfig, export, generate_scene_files, run
 
 CONFIGS = {
     "calibration": ExperimentConfig("calibration", seed=3, samples=600),
@@ -44,14 +45,23 @@ GOLDEN = {
 }
 
 
+# generate_scene_files(2, 3, 0.4, 4, out)
+SCENE_FILES_GOLDEN = "51a790461e88ec1a2b1d215ab3fe450163234f28916333d6b22c77cb9d0cb5d6"
+
+
+def files_digest(paths) -> str:
+    """sha256 over the names and bytes of the files."""
+    h = hashlib.sha256()
+    for path in sorted(paths):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def output_digest(config: ExperimentConfig) -> str:
     """sha256 over the names and bytes of the files ``export`` writes."""
-    h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
-        for path in sorted(export(run(config), out)):
-            h.update(path.name.encode())
-            h.update(path.read_bytes())
-    return h.hexdigest()
+        return files_digest(export(run(config), out))
 
 
 def all_digests(workers: int = 1) -> dict[str, str]:
@@ -63,6 +73,10 @@ def all_digests(workers: int = 1) -> dict[str, str]:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_digests_pinned(workers):
     assert all_digests(workers) == GOLDEN
+
+
+def test_scene_files_pinned(tmp_path):
+    assert files_digest(generate_scene_files(2, 3, 0.4, 4, tmp_path)) == SCENE_FILES_GOLDEN
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "12345"])
