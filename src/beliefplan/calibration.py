@@ -3,56 +3,17 @@
 A perception stack that says "0.8" should be right about 80% of the time.
 This module scores that property on a stream of (confidence, label) pairs:
 reliability binning into ten equal-width bins, expected and maximum
-calibration error, and Brier score.  Bins and the report keep only what
-is read: counts, mean confidences, accuracies and the three scores.
+calibration error, and Brier score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 N_BINS = 10
-
-
-@dataclass(frozen=True)
-class PredictionBatch:
-    """Confidence/label pairs, validated on construction."""
-
-    confidences: np.ndarray
-    labels: np.ndarray
-
-    def __init__(self, confidences: Sequence[float], labels: Sequence[int]):
-        conf = np.asarray(confidences, dtype=float)
-        lab = np.asarray(labels)
-        if conf.ndim != 1 or lab.ndim != 1 or conf.shape != lab.shape:
-            raise ValueError("confidences and labels must be equal-length vectors")
-        if conf.size and (np.any(conf < 0) or np.any(conf > 1) or np.any(np.isnan(conf))):
-            raise ValueError("confidences must lie in [0, 1]")
-        if not np.all(np.isin(lab, (0, 1))):
-            raise ValueError("labels must be 0 or 1")
-        object.__setattr__(self, "confidences", conf)
-        object.__setattr__(self, "labels", lab.astype(np.int64))
-
-    def __len__(self) -> int:
-        return int(self.confidences.size)
-
-
-@dataclass(frozen=True)
-class CalibrationBin:
-    """One reliability bin's statistics; None where the bin is empty."""
-
-    count: int
-    mean_confidence: float | None
-    accuracy: float | None
-
-    @property
-    def gap(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return abs(self.accuracy - self.mean_confidence)
 
 
 @dataclass(frozen=True)
@@ -62,57 +23,37 @@ class ReliabilityReport:
     brier: float
 
 
-def bin_predictions(batch: PredictionBatch) -> tuple[CalibrationBin, ...]:
-    """Assign predictions to ``N_BINS`` equal-width confidence bins.
+def reliability_report(
+    confidences: Sequence[float], labels: Sequence[int]
+) -> ReliabilityReport:
+    """Score confidence/label pairs over ``N_BINS`` equal-width bins.
 
-    Bin m covers [(m-1)/M, m/M) with the final bin closed at 1 so that a
-    confidence of exactly 1.0 is counted.  Empty bins are kept in place with
-    undefined statistics.
+    Bin m covers [m/M, (m+1)/M), with the final bin closed at 1 so that a
+    confidence of exactly 1.0 is counted.  A bin's gap is |accuracy - mean
+    confidence|.  ECE is the count-weighted mean of the gaps, MCE the
+    largest gap over non-empty bins, and Brier the mean squared error
+    between confidences and labels.
     """
-    if len(batch) == 0:
-        raise ValueError("cannot bin an empty prediction batch")
+    conf = np.asarray(confidences, dtype=float)
+    lab = np.asarray(labels)
+    if conf.ndim != 1 or lab.ndim != 1 or conf.shape != lab.shape:
+        raise ValueError("confidences and labels must be equal-length vectors")
+    if conf.size == 0:
+        raise ValueError("cannot score an empty prediction batch")
+    if np.any(conf < 0) or np.any(conf > 1) or np.any(np.isnan(conf)):
+        raise ValueError("confidences must lie in [0, 1]")
+    if not np.all(np.isin(lab, (0, 1))):
+        raise ValueError("labels must be 0 or 1")
+    lab = lab.astype(np.int64)
     edges = np.array([i / N_BINS for i in range(N_BINS + 1)])
-    idx = np.searchsorted(edges, batch.confidences, side="right") - 1
-    idx = np.minimum(idx, N_BINS - 1)
-    bins = []
+    idx = np.minimum(np.searchsorted(edges, conf, side="right") - 1, N_BINS - 1)
+    ece = 0.0
+    mce = 0.0
     for m in range(N_BINS):
         mask = idx == m
         count = int(np.sum(mask))
         if count:
-            mean_conf = float(np.mean(batch.confidences[mask]))
-            acc = float(np.mean(batch.labels[mask]))
-        else:
-            mean_conf = None
-            acc = None
-        bins.append(CalibrationBin(count, mean_conf, acc))
-    return tuple(bins)
-
-
-def ece(bins: Iterable[CalibrationBin]) -> float:
-    """Expected calibration error: count-weighted mean of per-bin gaps."""
-    bins = tuple(bins)
-    total = sum(b.count for b in bins)
-    if total == 0:
-        raise ValueError("cannot score empty bins")
-    return sum((b.count / total) * b.gap for b in bins)
-
-
-def mce(bins: Iterable[CalibrationBin]) -> float:
-    """Maximum calibration error over non-empty bins."""
-    gaps = [b.gap for b in bins if b.count > 0]
-    if not gaps:
-        raise ValueError("cannot score empty bins")
-    return max(gaps)
-
-
-def brier(batch: PredictionBatch) -> float:
-    """Mean squared error between confidences and labels."""
-    if len(batch) == 0:
-        raise ValueError("cannot score an empty prediction batch")
-    return float(np.mean((batch.confidences - batch.labels) ** 2))
-
-
-def reliability_report(batch: PredictionBatch) -> ReliabilityReport:
-    bins = bin_predictions(batch)
-    return ReliabilityReport(ece(bins), mce(bins), brier(batch))
-
+            gap = abs(float(np.mean(lab[mask])) - float(np.mean(conf[mask])))
+            ece += (count / conf.size) * gap
+            mce = max(mce, gap)
+    return ReliabilityReport(ece, mce, float(np.mean((conf - lab) ** 2)))

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from beliefplan.calibration import PredictionBatch, reliability_report
+from beliefplan.calibration import reliability_report
 from beliefplan.core import (
     GroundPredicate,
     Relation,
@@ -65,7 +65,6 @@ from beliefplan.threshold import (
     REFERENCE_OPERATING_TAU,
     AlphaFitError,
     FitError,
-    SweepSample,
     fit_alpha_pooled,
     fit_success,
     fit_time,
@@ -447,8 +446,7 @@ def _run_calibration(config: ExperimentConfig) -> ExperimentReport:
     n_scenes = math.ceil(config.samples / per_scene)
     results = _map_units(config, _calibration_unit, [(0, t) for t in range(n_scenes)])
     pairs = [pair for chunk in results for pair in chunk][: config.samples]
-    batch = PredictionBatch([p for p, _ in pairs], [y for _, y in pairs])
-    rel = reliability_report(batch)
+    rel = reliability_report([p for p, _ in pairs], [y for _, y in pairs])
     summary = {
         "n_samples": len(pairs),
         "n_scenes": n_scenes,
@@ -541,22 +539,21 @@ def _run_threshold_sweep(config: ExperimentConfig) -> ExperimentReport:
     units = [(s, t) for s in range(len(config.taus)) for t in range(config.trials)]
     results = _map_units(config, _sweep_unit, units)
     rows = []
-    samples = []
     for setting_idx, tau in enumerate(config.taus):
         chunk = results[setting_idx * config.trials : (setting_idx + 1) * config.trials]
         successes = sum(r[0] for r in chunk)
         mean_ms = float(np.mean([r[1] for r in chunk]))
         rate = successes / len(chunk)
         rows.append((float(tau), float(rate), mean_ms, len(chunk)))
-        samples.append(SweepSample(float(tau), rate, mean_ms))
     summary: dict = {
         "n_trials_per_tau": config.trials,
         "tau_grid": list(config.taus),
         "modeled_time_ms": float(sum(r[2] * r[3] for r in rows)),
     }
+    taus = [r[0] for r in rows]
     try:
-        s_fit = fit_success(samples)
-        t_fit = fit_time(samples)
+        s_fit = fit_success(taus, [r[1] for r in rows])
+        t_fit = fit_time(taus, [r[2] for r in rows])
         optimum = optimize_threshold(s_fit, t_fit)
         shortcut = lambert_optimum(s_fit)
         summary.update(

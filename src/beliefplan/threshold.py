@@ -45,23 +45,6 @@ class AlphaFitError(FitError):
         self.n_dropped = n_dropped
 
 
-@dataclass(frozen=True)
-class SweepSample:
-    """One threshold setting's aggregate outcome."""
-
-    tau: float
-    success_rate: float
-    mean_time_ms: float
-
-    def __post_init__(self):
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if not (0.0 <= self.success_rate <= 1.0):
-            raise ValueError(f"success rate must lie in [0, 1], got {self.success_rate}")
-        if self.mean_time_ms < 0:
-            raise ValueError(f"mean time must be non-negative, got {self.mean_time_ms}")
-
-
 def _success_value(form: str, params: Sequence[float], tau: float) -> float:
     if form == "exponential":
         a, b = params
@@ -196,16 +179,17 @@ def _gauss_newton(
     return params, sse
 
 
-def fit_success(samples: Sequence[SweepSample]) -> SuccessFit:
-    """Fit the exponential success curve a * (1 - exp(-b * tau)) by
-    multi-start damped Gauss-Newton.
+def fit_success(taus: Sequence[float], rates: Sequence[float]) -> SuccessFit:
+    """Fit the exponential success curve a * (1 - exp(-b * tau)) to the
+    success rates at the thresholds ``taus`` by multi-start damped
+    Gauss-Newton.
 
     Nine starting points on a fixed (level, rate) grid guard against local
     minima; the best converged fit wins.  The fitted level is clamped into
     (0, 1] and the rate kept positive.
     """
-    taus = np.array([s.tau for s in samples], dtype=float)
-    ys = np.array([s.success_rate for s in samples], dtype=float)
+    taus = np.array(taus, dtype=float)
+    ys = np.array(rates, dtype=float)
     if len(set(taus.tolist())) < 2:
         raise FitError(
             f"exponential fit needs at least 2 distinct thresholds, got {len(set(taus.tolist()))}"
@@ -225,15 +209,16 @@ def fit_success(samples: Sequence[SweepSample]) -> SuccessFit:
     return SuccessFit("exponential", tuple(float(p) for p in params), r2)
 
 
-def fit_time(samples: Sequence[SweepSample]) -> TimeFit:
-    """Fit the linear time curve c + d * tau by closed-form least squares.
+def fit_time(taus: Sequence[float], times: Sequence[float]) -> TimeFit:
+    """Fit the linear time curve c + d * tau to the mean planning times at
+    the thresholds ``taus`` by closed-form least squares.
 
     Negative intercepts or slopes are clamped to zero with the remaining
     parameter refit, since planning time cannot be negative or improve
     with a stricter threshold.
     """
-    xs = np.array([s.tau for s in samples], dtype=float)
-    ys = np.array([s.mean_time_ms for s in samples], dtype=float)
+    xs = np.array(taus, dtype=float)
+    ys = np.array(times, dtype=float)
     if len(set(xs.tolist())) < 2:
         raise FitError("time fit needs at least 2 distinct thresholds")
     var = float(np.sum((xs - xs.mean()) ** 2))

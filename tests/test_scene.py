@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beliefplan.calibration import PredictionBatch, bin_predictions, ece
+from beliefplan.calibration import reliability_report
 from beliefplan.core import (
     GroundPredicate,
     Relation,
@@ -257,7 +257,7 @@ class TestPerceive:
             confs += [p for _, p in state.items()]
             labels += labs.tolist()
         assert len(confs) > 5000
-        assert ece(bin_predictions(PredictionBatch(confs, labels))) <= 0.03
+        assert reliability_report(confs, labels).ece <= 0.03
 
     def test_sharpening_hurts_calibration(self):
         plain = NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0)
@@ -274,8 +274,8 @@ class TestPerceive:
                 pooled1 += [p for _, p in s1.items()]
                 pooled2 += [p for _, p in s2.items()]
                 pooled_labels += l1.tolist()
-            e1 = ece(bin_predictions(PredictionBatch(pooled1, pooled_labels)))
-            e2 = ece(bin_predictions(PredictionBatch(pooled2, pooled_labels)))
+            e1 = reliability_report(pooled1, pooled_labels).ece
+            e2 = reliability_report(pooled2, pooled_labels).ece
             worse += e2 > e1
         assert worse >= 9
 

@@ -16,7 +16,6 @@ from beliefplan.threshold import (
     AlphaFit,
     FitError,
     SuccessFit,
-    SweepSample,
     TimeFit,
     efficiency,
     fit_alpha_pooled,
@@ -30,31 +29,17 @@ from beliefplan.threshold import (
 TAU_GRID = [round(0.1 + 0.05 * k, 3) for k in range(17)]  # 0.1 .. 0.9
 
 
-def success_samples(fn):
-    return [SweepSample(t, fn(t), 10.0) for t in TAU_GRID]
-
-
-def time_samples(fn):
-    return [SweepSample(t, 0.5, fn(t)) for t in TAU_GRID]
+def on_grid(fn):
+    return TAU_GRID, [fn(t) for t in TAU_GRID]
 
 
 def exp_curve(a, b):
     return lambda t: a * (1 - math.exp(-b * t))
 
 
-class TestSweepSample:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepSample(0.0, 0.5, 10.0)
-        with pytest.raises(ValueError):
-            SweepSample(0.5, 1.5, 10.0)
-        with pytest.raises(ValueError):
-            SweepSample(0.5, 0.5, -1.0)
-
-
 class TestSuccessFits:
     def test_exponential_recovery(self):
-        fit = fit_success(success_samples(exp_curve(0.89, 4.73)))
+        fit = fit_success(*on_grid(exp_curve(0.89, 4.73)))
         assert fit.form == "exponential"
         assert fit.params[0] == pytest.approx(0.89, abs=1e-3)
         assert fit.params[1] == pytest.approx(4.73, abs=1e-3)
@@ -63,42 +48,39 @@ class TestSuccessFits:
     def test_noisy_data_still_close(self):
         rng = np.random.default_rng(4)
         curve = exp_curve(0.85, 5.0)
-        samples = [
-            SweepSample(t, min(1.0, max(0.0, curve(t) + rng.normal(0, 0.02))), 10.0)
-            for t in TAU_GRID
-        ]
-        fit = fit_success(samples)
+        fit = fit_success(
+            *on_grid(lambda t: min(1.0, max(0.0, curve(t) + rng.normal(0, 0.02))))
+        )
         assert fit.params[0] == pytest.approx(0.85, abs=0.05)
         assert fit.params[1] == pytest.approx(5.0, abs=0.8)
         assert fit.r_squared >= 0.95
 
     def test_level_clamped_to_unit(self):
         # data saturating at 1.0 must not fit a level above 1
-        fit = fit_success(success_samples(exp_curve(1.0, 6.0)))
+        fit = fit_success(*on_grid(exp_curve(1.0, 6.0)))
         assert fit.params[0] <= 1.0
 
     def test_too_few_points_rejected(self):
-        samples = [SweepSample(0.5, 0.6, 10.0)]
         with pytest.raises(FitError):
-            fit_success(samples)
+            fit_success([0.5], [0.6])
 
 
 class TestTimeFits:
     def test_linear_recovery(self):
-        fit = fit_time(time_samples(lambda t: 8.2 + 12.5 * t))
+        fit = fit_time(*on_grid(lambda t: 8.2 + 12.5 * t))
         assert fit.form == "linear"
         assert fit.params[0] == pytest.approx(8.2, abs=1e-9)
         assert fit.params[1] == pytest.approx(12.5, abs=1e-9)
         assert fit.r_squared >= 0.999
 
     def test_negative_slope_clamped_flat(self):
-        fit = fit_time(time_samples(lambda t: 20.0 - 5.0 * t))
+        fit = fit_time(*on_grid(lambda t: 20.0 - 5.0 * t))
         assert fit.params[1] == 0.0
         assert fit.params[0] == pytest.approx(20.0 - 5.0 * float(np.mean(TAU_GRID)))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(FitError):
-            fit_time([SweepSample(0.5, 0.5, 10.0)])
+            fit_time([0.5], [10.0])
 
 
 class TestEfficiency:
