@@ -10,8 +10,6 @@ from beliefplan.core import (
     parse_predicate,
     predicate_uncertainty,
     reduction_law,
-    state_from_json,
-    state_to_json,
     state_uncertainty_independent,
 )
 
@@ -27,8 +25,6 @@ __all__ = [
     "parse_predicate",
     "predicate_uncertainty",
     "reduction_law",
-    "state_from_json",
-    "state_to_json",
     "state_uncertainty_independent",
     "__version__",
 ]

@@ -12,7 +12,6 @@ that scenes, symbolic states, goals and the belief projection share.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -313,37 +312,3 @@ def fuse_observation(
     keep = predicate_uncertainties(prior._p) < predicate_uncertainties(obs._p)
     return obs.with_confidences(np.where(keep, prior._p, obs._p))
 
-
-def state_to_json(state: ProbabilisticState) -> str:
-    """Serialize a state to a structured-text document.
-
-    One record per predicate: relation name, argument list, confidence.
-    Confidences round-trip exactly (repr-precision floats).
-    """
-    records = [
-        {"relation": pred.relation.value, "args": list(pred.args), "confidence": conf}
-        for pred, conf in state.items()
-    ]
-    return json.dumps(records, indent=2)
-
-
-def state_from_json(text: str) -> ProbabilisticState:
-    """Inverse of :func:`state_to_json`."""
-    try:
-        records = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"malformed state document: {e}") from e
-    if not isinstance(records, list):
-        raise ValueError("state document must be a list of records")
-    conf: dict[GroundPredicate, float] = {}
-    for rec in records:
-        try:
-            rel = _RELATION_BY_NAME[rec["relation"]]
-            pred = GroundPredicate(rel, rec["args"])
-            p = float(rec["confidence"])
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"malformed state record: {rec!r}") from e
-        if pred in conf:
-            raise ValueError(f"duplicate predicate in document: {pred}")
-        conf[pred] = p
-    return ProbabilisticState(conf)

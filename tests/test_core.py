@@ -19,8 +19,6 @@ from beliefplan.core import (
     parse_predicate,
     predicate_uncertainty,
     reduction_law,
-    state_from_json,
-    state_to_json,
     state_uncertainty_independent,
     support_map,
 )
@@ -288,34 +286,6 @@ class TestFusion:
                 state_uncertainty_independent(fused)
                 <= state_uncertainty_independent(prior) + 1e-12
             )
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            conf = {
-                GroundPredicate(Relation.ON, (f"a{i}", f"b{i}")): float(rng.uniform())
-                for i in range(int(rng.integers(0, 8)))
-            }
-            state = ProbabilisticState(conf)
-            again = state_from_json(state_to_json(state))
-            for p in conf:
-                assert abs(again.confidence(p) - state.confidence(p)) <= 1e-12
-
-    def test_malformed_documents_rejected(self):
-        for bad in ["{", "{}", '[{"relation": "Nope", "args": ["a","b"], "confidence": 0.5}]',
-                    '[{"relation": "On", "args": ["a","b"]}]']:
-            with pytest.raises(ValueError):
-                state_from_json(bad)
-
-    def test_duplicate_records_rejected(self):
-        doc = (
-            '[{"relation": "On", "args": ["a","b"], "confidence": 0.5, "known": false},'
-            ' {"relation": "On", "args": ["a","b"], "confidence": 0.6, "known": false}]'
-        )
-        with pytest.raises(ValueError):
-            state_from_json(doc)
 
 
 class TestStateValidation:
