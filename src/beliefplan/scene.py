@@ -59,13 +59,27 @@ class SceneObject:
     id: str
     position: tuple[float, float, float]  # center (x, y, z), meters
     size: tuple[float, float, float]  # (w, h, d): x, z, y extents, meters
-    bbox2d: tuple[float, float, float, float]  # (cx, cy, bw, bh), pixels
 
     def __post_init__(self):
         if any(s <= 0 for s in self.size):
             raise ValueError(f"object {self.id}: sizes must be strictly positive")
         if self.position[2] < 0:
             raise ValueError(f"object {self.id}: z must be non-negative")
+
+    @property
+    def bbox2d(self) -> tuple[float, float, float, float]:
+        """The top-down camera's box (cx, cy, bw, bh), in pixels."""
+        x, y, _ = self.position
+        w, _, d = self.size
+        w_img, h_img = DEFAULT_IMAGE_DIMS
+        scale_x = w_img / (2 * WORLD_HALF_EXTENT)
+        scale_y = h_img / (2 * WORLD_HALF_EXTENT)
+        return (
+            (x + WORLD_HALF_EXTENT) * scale_x,
+            (y + WORLD_HALF_EXTENT) * scale_y,
+            w * scale_x,
+            d * scale_y,
+        )
 
 
 @dataclass(frozen=True)
@@ -164,18 +178,6 @@ def apply_info_action(cfg: NoiseConfig, kind: str, target: str) -> NoiseConfig:
 # scene generation
 
 
-def _project_bbox(x: float, y: float, w: float, d: float) -> tuple[float, float, float, float]:
-    w_img, h_img = DEFAULT_IMAGE_DIMS
-    scale_x = w_img / (2 * WORLD_HALF_EXTENT)
-    scale_y = h_img / (2 * WORLD_HALF_EXTENT)
-    return (
-        (x + WORLD_HALF_EXTENT) * scale_x,
-        (y + WORLD_HALF_EXTENT) * scale_y,
-        w * scale_x,
-        d * scale_y,
-    )
-
-
 def check_scene_shape(n_objects: int, stack_bias: float) -> None:
     """Raise ValueError unless :func:`generate_scene` accepts these."""
     if not (3 <= n_objects <= 10):
@@ -226,9 +228,7 @@ def generate_scene(n_objects: int, stack_bias: float = 0.4, seed: int = 0) -> Sc
                 ):
                     break
             z = h / 2
-        objects.append(
-            SceneObject(oid, (x, y, z), (w, h, d), _project_bbox(x, y, w, d))
-        )
+        objects.append(SceneObject(oid, (x, y, z), (w, h, d)))
 
     return Scene(tuple(objects), tuple(support), seed=int(seed))
 

@@ -47,16 +47,11 @@ LEFT_OF = Relation.LEFT_OF
 CLOSE_TO = Relation.CLOSE_TO
 
 
-def _box(x, y, w=0.08, d=0.08, dims=(224, 224)):
-    sx = dims[0] / 1.0
-    return ((x + 0.5) * sx, (y + 0.5) * sx, w * sx, d * sx)
-
-
 def small_stacked_scene():
     """Three objects: o1 sits on o0, o2 alone 0.3 m to the right."""
-    o0 = SceneObject("o0", (0.0, 0.0, 0.03), (0.08, 0.06, 0.08), _box(0.0, 0.0))
-    o1 = SceneObject("o1", (0.0, 0.0, 0.09), (0.08, 0.06, 0.08), _box(0.0, 0.0))
-    o2 = SceneObject("o2", (0.3, 0.0, 0.03), (0.08, 0.06, 0.08), _box(0.3, 0.0))
+    o0 = SceneObject("o0", (0.0, 0.0, 0.03), (0.08, 0.06, 0.08))
+    o1 = SceneObject("o1", (0.0, 0.0, 0.09), (0.08, 0.06, 0.08))
+    o2 = SceneObject("o2", (0.3, 0.0, 0.03), (0.08, 0.06, 0.08))
     return Scene((o0, o1, o2), (("o1", "o0"),), seed=7)
 
 
@@ -395,7 +390,7 @@ class TestSupportPairs:
     def _column(self, n):
         """n boxes stacked straight up, o0 at the bottom (no support pairs yet)."""
         return tuple(
-            SceneObject(f"o{k}", (0.0, 0.0, 0.03 + 0.06 * k), (0.08, 0.06, 0.08), _box(0.0, 0.0))
+            SceneObject(f"o{k}", (0.0, 0.0, 0.03 + 0.06 * k), (0.08, 0.06, 0.08))
             for k in range(n)
         )
 
@@ -568,7 +563,7 @@ class TestPerceiveMatchesReference:
         stacked = Scene(stacked.objects, stacked.support)  # seed 0
         spread = Scene(
             tuple(
-                SceneObject(f"o{k}", (x, 0.0, 0.03), (0.08, 0.06, 0.08), _box(x, 0.0))
+                SceneObject(f"o{k}", (x, 0.0, 0.03), (0.08, 0.06, 0.08))
                 for k, x in enumerate((-0.3, 0.0, 0.3))
             ),
             (),
