@@ -5,8 +5,8 @@ field a reader.
 A top-level function or class, or a non-dunder method, counts as used when
 its name is loaded (as a plain name or an attribute) somewhere in the
 package outside its own definition; an export in ``beliefplan.__all__`` is
-not a use.  Matching is by name only, so the check can miss an orphan that shares
-its name with something used; it never flags code that is called.
+not a use.  Matching is by name only, so the check can miss an orphan that
+shares its name with something used; it never flags code that is called.
 """
 
 import ast
