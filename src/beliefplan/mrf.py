@@ -7,9 +7,10 @@ belief state into a small binary MRF whose unary potentials encode the raw
 confidences and whose pairwise potentials encode those structural rules,
 then re-estimates the node marginals by exact enumeration (small graphs) or
 loopy belief propagation.  Each structural rule pairs its own kind of
-predicates, so no node pair gets two edges.  Only node marginals are produced: refinement and
-the MAP readout read nothing else, and the dependency-aware uncertainty is
-computed exactly from the enumerated joint.
+predicates, so no node pair gets two edges; the rules read the node tuple
+alone, so its edges are built once and cached.  Only node marginals are
+produced: refinement and the MAP readout read nothing else, and the
+dependency-aware uncertainty is computed exactly from the enumerated joint.
 
 Energy convention: P(x) proportional to exp(-E(x)) with
 E(x) = sum_i psi_i(x_i) + sum_ij phi_ij(x_i, x_j).  Lower energy means more
@@ -18,6 +19,7 @@ probable.  All tables are indexed [false, true].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -101,13 +103,10 @@ class BeliefSet:
     iterations: int
 
 
-def _clamp(p: float) -> float:
-    return min(max(p, CONFIDENCE_CLAMP), 1.0 - CONFIDENCE_CLAMP)
-
-
 def unary_potentials(p: float) -> tuple[float, float]:
     """Energy pair [psi(false), psi(true)] for a confidence value."""
-    return (-math.log(_clamp(1.0 - p)), -math.log(_clamp(p)))
+    lo, hi = CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP
+    return (-math.log(min(max(1.0 - p, lo), hi)), -math.log(min(max(p, lo), hi)))
 
 
 def mutex_edge(i: int, j: int) -> Edge:
@@ -148,37 +147,31 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
 
     No two rules pair the same two nodes, so each pair gets at most one edge.
     """
-    nodes = tuple(state.predicates())
-    index = {pred: k for k, pred in enumerate(nodes)}
-    unary = np.array([unary_potentials(state.confidence(p)) for p in nodes], dtype=float)
+    nodes = tuple(state)
+    unary = np.array([unary_potentials(p) for _, p in state.items()], dtype=float)
+    return PredicateMrf(nodes, unary, _structural_edges(nodes))
 
+
+@functools.lru_cache(maxsize=8)
+def _structural_edges(nodes: tuple[GroundPredicate, ...]) -> tuple[Edge, ...]:
+    """The three rules' edges over ``nodes``, sorted by endpoints."""
+    index = {pred: k for k, pred in enumerate(nodes)}
     edges: list[Edge] = []
     ons = [p for p in nodes if p.relation is Relation.ON]
-
-    for on in ons:
-        clear_b = GroundPredicate(Relation.CLEAR, (on.args[1],))
-        if clear_b in state:
-            i, j = sorted((index[on], index[clear_b]))
-            edges.append(mutex_edge(i, j))
-
     for on in ons:
         a, b = on.args
+        clear_b = GroundPredicate(Relation.CLEAR, (b,))
+        if clear_b in index:
+            edges.append(mutex_edge(*sorted((index[on], index[clear_b]))))
         touching = GroundPredicate(Relation.TOUCHING, (a, b))
-        if touching in state:
-            ant, cons = index[on], index[touching]
-            i, j = sorted((ant, cons))
-            edges.append(implication_edge(i, j, ant))
-
-    for upper in ons:
-        a, b = upper.args
-        for lower in ons:
-            c, d = lower.args
-            if c == b and d != a:  # On(a, b) chained with On(b, d)
-                i, j = sorted((index[upper], index[lower]))
+        if touching in index:
+            edges.append(implication_edge(*sorted((index[on], index[touching])), index[on]))
+        for lower in ons:  # On(a, b) chained with On(b, d)
+            if lower.args[0] == b and lower.args[1] != a:
+                i, j = sorted((index[on], index[lower]))
                 edges.append(correlation_edge(i, j, DEFAULT_CORRELATION))
-
     edges.sort(key=lambda e: (e.i, e.j))
-    return PredicateMrf(nodes, unary, tuple(edges))
+    return tuple(edges)
 
 
 def energy(mrf: PredicateMrf, assignment: Sequence[bool] | Mapping[int, bool]) -> float:
@@ -249,26 +242,45 @@ def enumerate_beliefs(mrf: PredicateMrf) -> BeliefSet:
     return BeliefSet(node_marg, max_marg, True, 0)
 
 
-def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise log(exp(a) + exp(b)), rounded exactly as ``_logsumexp`` of a pair."""
+def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Element-wise log(exp(a) + exp(b)) as m + log(1 + exp(min(a, b) - m)), m = max(a, b)."""
     m = np.maximum(a, b)
-    return m + np.log(np.exp(a - m) + np.exp(b - m))
+    out = np.minimum(a, b, out=out)
+    out -= m
+    np.exp(out, out=out)
+    out += 1.0
+    np.log(out, out=out)
+    out += m
+    return out
 
 
 def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
     """Ragged index lists as one (len(rows), longest) array padded with ``fill``."""
     width = max(map(len, rows), default=0)
-    return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.intp).reshape(
-        len(rows), width
+    return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=8)
+def _schedule(n: int, edges: tuple[Edge, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only BP schedule: sources of the directed edges (i->j, then j->i
+    per edge), log factors ``[x_s, x_t, edge, family]``, and gather indexes
+    ``[column, edge]`` of the edges k->s (k != t) into each edge s->t and
+    ``[column, node]`` of those into each node, padded with the edge count."""
+    src = [v for e in edges for v in (e.i, e.j)]
+    dst = [v for e in edges for v in (e.j, e.i)]
+    oriented = -np.array([(e.table, tuple(zip(*e.table))) for e in edges], dtype=float)
+    inbound: list[list[int]] = [[] for _ in range(n)]
+    for k, t in enumerate(dst):
+        inbound[t].append(k)
+    schedule = (
+        np.array(src, dtype=np.intp),
+        np.repeat(oriented.reshape(-1, 2, 2).transpose(1, 2, 0)[..., None], 2, axis=3),
+        _padded([[k for k in inbound[s] if src[k] != t] for s, t in zip(src, dst)], len(src)).T,
+        _padded(inbound, len(src)).T,
     )
-
-
-def _gather_sum(base: np.ndarray, msgs: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """``base[r]`` plus messages ``msgs[:, gather[r, c]]``, added column by column."""
-    total = np.broadcast_to(base, (msgs.shape[0],) + base.shape)
-    for col in gather.T:
-        total = total + msgs[:, col]
-    return total
+    for a in schedule:
+        a.flags.writeable = False
+    return schedule
 
 
 def loopy_bp(
@@ -286,67 +298,55 @@ def loopy_bp(
     within ``max_iters`` sweeps.  The max-product family runs alongside for
     the MAP readout.
 
-    Messages sit in one array over the directed edges, each mrf edge (i, j)
-    giving i->j and then j->i, for both families at once, with a zero row
-    appended.  A padded gather index lists, for each edge s->t, the edges
-    k->s with k != t in a fixed order, padding pointing at the zero row;
-    each sweep adds those columns to the unary one at a time and runs the
-    two-term log-sum-exp element-wise.  Summing in that fixed order, rather
-    than taking a total over all inbound messages and subtracting, rounds
-    every message exactly as a per-edge loop over the same order does, so
-    results are bit-identical to it.
+    Messages are stored edge-major, ``[directed edge, family, x]`` with a
+    zero row appended, and family 0 is sum-product.  Each sweep takes the
+    rows of every edge's inbound messages in one step and adds them to the
+    unary one column at a time.  That order, not a sum over the gather axis,
+    rounds every message as a per-edge loop over the same order does, and
+    ``_logaddexp``'s m + log(1 + exp(min - m)) rounds as the loop's
+    m + log(exp(a - m) + exp(b - m)): one term is exp(0) == 1.0 exactly and
+    the other's argument is exactly min - m.  So results are bit-identical.
     """
     if not (0.0 <= damping < 1.0):
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
-    if tol <= 0 or max_iters < 1:
+    if not (tol > 0) or max_iters < 1:  # NaN fails tol > 0
         raise ValueError("tol must be positive and max_iters at least 1")
 
-    n = mrf.n_nodes
     log_unary = -mrf.unary  # log of unnormalized node factor
-
-    # directed edges s->t with their log factor oriented [x_s, x_t]
-    src: list[int] = []
-    dst: list[int] = []
-    log_phi: list[np.ndarray] = []
-    for e in mrf.edges:
-        tbl = -e.table_array()
-        src += [e.i, e.j]
-        dst += [e.j, e.i]
-        log_phi += [tbl, tbl.T]
+    src, log_phi, gather, node_gather = _schedule(mrf.n_nodes, mrf.edges)
     n_dir = len(src)
-    log_phi_arr = np.array(log_phi, dtype=float).reshape(n_dir, 2, 2)
-    inbound: list[list[int]] = [[] for _ in range(n)]  # directed edge ids into each node
-    for k, t in enumerate(dst):
-        inbound[t].append(k)
-    gather = _padded([[k for k in inbound[s] if src[k] != t] for s, t in zip(src, dst)], n_dir)
-    edge_unary = log_unary[src]
-
-    # msgs[0] sum-product, msgs[1] max-product; each message normalized to
-    # logsumexp zero; row n_dir stays zero for the padding
-    msgs = np.zeros((2, n_dir + 1, 2))
-    msgs[:, :n_dir] = -math.log(2.0)
+    edge_unary = np.repeat(log_unary[src][:, None], 2, axis=1)  # [edge, family, x_s]
+    msgs = np.full((n_dir + 1, 2, 2), -math.log(2.0))  # normalized to logsumexp zero
+    msgs[n_dir] = 0.0
+    old = msgs[:n_dir].transpose(2, 0, 1)
+    raw, new = np.empty((2, 2, n_dir, 2))  # [x_t, edge, family]: contiguous halves by x
 
     converged = not mrf.edges  # no messages to pass
     iterations = 1
     for sweep in range(0 if converged else max_iters):
         iterations = sweep + 1
-        pre = _gather_sum(edge_unary, msgs, gather)  # [family, edge, x_s]
-        cand = pre[..., None] + log_phi_arr  # [family, edge, x_s, x_t]
-        raw = np.empty((2, n_dir, 2))
-        raw[0] = _logaddexp(cand[0, :, 0], cand[0, :, 1])
-        raw[1] = np.maximum(cand[1, :, 0], cand[1, :, 1])
-        raw -= _logaddexp(raw[..., 0], raw[..., 1])[..., None]
-        old = msgs[:, :n_dir]
-        nxt = damping * old + (1.0 - damping) * raw
-        nxt -= _logaddexp(nxt[..., 0], nxt[..., 1])[..., None]
-        delta = float(np.max(np.abs(nxt - old)))
-        msgs[:, :n_dir] = nxt
+        pre = edge_unary.copy()  # [edge, family, x_s]
+        for inc in np.take(msgs, gather, axis=0):
+            pre += inc
+        cand = pre.transpose(2, 0, 1)[:, None] + log_phi  # [x_s, x_t, edge, family]
+        _logaddexp(cand[0], cand[1], out=raw)
+        np.maximum(cand[0, ..., 1], cand[1, ..., 1], out=raw[..., 1])  # max-product
+        raw -= _logaddexp(raw[0], raw[1])
+        np.multiply(old, damping, out=new)
+        raw *= 1.0 - damping
+        new += raw
+        new -= _logaddexp(new[0], new[1])
+        delta = float(abs(new - old).max())
+        old[...] = new
         if delta < tol:
             converged = True
             break
 
-    node = _gather_sum(log_unary, msgs, _padded(inbound, n_dir))  # [family, node, x]
-    node_marg, max_marg = np.exp(node - _logaddexp(node[..., 0], node[..., 1])[..., None])
+    node = np.repeat(log_unary[:, None], 2, axis=1)  # [node, family, x]
+    for inc in np.take(msgs, node_gather, axis=0):
+        node += inc
+    node -= _logaddexp(node[..., 0], node[..., 1])[..., None]
+    node_marg, max_marg = np.exp(node).swapaxes(0, 1)
     return BeliefSet(node_marg, max_marg, converged, iterations)
 
 

@@ -139,10 +139,10 @@ class NoiseConfig:
     def __post_init__(self):
         if not (0.0 <= self.base_flip_rate < 0.5):
             raise ValueError(f"base_flip_rate must lie in [0, 0.5), got {self.base_flip_rate}")
-        if self.logit_noise_sd < 0:
-            raise ValueError(f"logit_noise_sd must be non-negative, got {self.logit_noise_sd}")
-        if self.miscal_gamma <= 0:
-            raise ValueError(f"miscal_gamma must be positive, got {self.miscal_gamma}")
+        if not (0.0 <= self.logit_noise_sd < math.inf):  # NaN fails both comparisons
+            raise ValueError(f"logit_noise_sd must be finite and >= 0, got {self.logit_noise_sd}")
+        if not (0.0 < self.miscal_gamma < math.inf):
+            raise ValueError(f"miscal_gamma must be finite and positive, got {self.miscal_gamma}")
         if not (0.0 <= self.gain < 1.0):
             raise ValueError(f"gain must lie in [0, 1), got {self.gain}")
         for obj, r in self.focus:

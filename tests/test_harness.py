@@ -468,6 +468,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "0.7" in err
 
+    @pytest.mark.parametrize(
+        "flag,name",
+        [("--noise-sd", "logit_noise_sd"), ("--miscal-gamma", "miscal_gamma")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_exits_2(self, capsys, flag, name, value):
+        rc = main(["plan", "--trials", "1", flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and name in err
+
     def test_gen_scenes_bad_object_count_exits_2(self, capsys, tmp_path):
         rc = main(["gen-scenes", "--objects", "12", "--out-dir", str(tmp_path / "scenes")])
         assert rc == 2

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from beliefplan.core import GroundPredicate, ProbabilisticState, parse_predicate
+from beliefplan.core import GroundPredicate, ProbabilisticState, Relation, parse_predicate
 from beliefplan.mrf import (
     CapacityError,
     HARD_WEIGHT,
@@ -176,6 +176,29 @@ def _reference_loopy_bp(mrf, damping=0.5, tol=1e-8, max_iters=200):
     return node_beliefs(msgs), node_beliefs(max_msgs), converged, iterations
 
 
+def rule_edges(nodes):
+    """The three structural rules applied to every node pair directly:
+    (i, j, table) for each edge, sorted by endpoints."""
+    out = []
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        for ant, other in ((i, j), (j, i)):
+            p, q = nodes[ant], nodes[other]
+            if p.relation is not Relation.ON:
+                continue
+            a, b = p.args
+            if q == GroundPredicate(Relation.CLEAR, (b,)):
+                out.append((i, j, ((0.0, 0.0), (0.0, HARD_WEIGHT))))
+            elif q == GroundPredicate(Relation.TOUCHING, (a, b)):
+                # antecedent true with consequent false is the penalized cell
+                if ant == i:
+                    out.append((i, j, ((0.0, 0.0), (HARD_WEIGHT, 0.0))))
+                else:
+                    out.append((i, j, ((0.0, HARD_WEIGHT), (0.0, 0.0))))
+            elif q.relation is Relation.ON and q.args[0] == b and q.args[1] != a:
+                out.append((i, j, ((-0.5, 0.5), (0.5, -0.5))))
+    return sorted(out)
+
+
 def assert_matches_reference(mrf, **kwargs):
     bp = loopy_bp(mrf, **kwargs)
     node, max_node, converged, iterations = _reference_loopy_bp(mrf, **kwargs)
@@ -273,6 +296,37 @@ class TestBuildRules:
         mrf = build_mrf(state)
         assert mrf.unary[0, 1] == pytest.approx(-math.log(1 - 1e-6), abs=1e-15)
         assert mrf.unary[0, 0] == pytest.approx(-math.log(1e-6), abs=1e-9)
+
+
+    def test_edges_follow_the_node_tuple(self):
+        # same objects, different predicate sets: a cache keyed by the object
+        # set would hand the partial states the full state's edges
+        full = {
+            "On(a,b)": 0.8, "On(b,c)": 0.6, "On(c,a)": 0.3, "On(b,a)": 0.4,
+            "Clear(a)": 0.2, "Clear(b)": 0.3, "Clear(c)": 0.7,
+            "Touching(a,b)": 0.7, "Touching(b,c)": 0.6, "Touching(a,c)": 0.5,
+            "LeftOf(a,c)": 0.5,
+        }
+        partial = [
+            {k: v for k, v in full.items() if k not in drop}
+            for drop in (
+                {"Clear(b)"},
+                {"Touching(a,b)", "Touching(a,c)"},
+                {"Clear(a)", "Clear(b)", "Clear(c)", "Touching(b,c)"},
+                {"On(b,c)"},
+            )
+        ]
+        for conf in [full, *partial, full]:
+            mrf = build_mrf(make_state(conf))
+            assert [(e.i, e.j, e.table) for e in mrf.edges] == rule_edges(mrf.nodes)
+
+    def test_unary_fresh_on_each_call(self):
+        state = make_state({"On(a,b)": 0.8, "Clear(b)": 0.3})
+        first, second = build_mrf(state), build_mrf(state)
+        assert not np.shares_memory(first.unary, second.unary)
+        first.unary[:] = 0.0
+        assert np.array_equal(build_mrf(state).unary, second.unary)
+        assert second.unary[1, 1] == -math.log(0.8)
 
 
 class TestEnergy:
@@ -396,8 +450,9 @@ class TestLoopyBp:
         mrf = build_mrf(make_state({"On(a,b)": 0.8}))
         with pytest.raises(ValueError):
             loopy_bp(mrf, damping=1.0)
-        with pytest.raises(ValueError):
-            loopy_bp(mrf, tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                loopy_bp(mrf, tol=tol)
         with pytest.raises(ValueError):
             loopy_bp(mrf, max_iters=0)
 
@@ -440,6 +495,38 @@ class TestLoopyBpMatchesReference:
         scene = generate_scene(5, 0.6, 4)
         state = perceive(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), 9)
         assert_matches_reference(build_mrf(state), damping=0.0, max_iters=7)
+
+
+    def test_seven_object_scene(self):
+        # the sweep-large size: wider gathers than the 3-6 object cases
+        scene = generate_scene(7, 0.5, 3)
+        state = perceive(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), 103)
+        mrf = build_mrf(state)
+        assert mrf.n_nodes == 133
+        # On(a,b) meets Clear(b), Touching(a,b) and 2 * 5 chained supports;
+        # at 6 objects the widest node has 10 neighbours
+        assert max(map(len, mrf.neighbors())) == 12
+        assert_matches_reference(mrf)
+
+    def test_isolated_node_next_to_edges(self):
+        state = make_state(
+            {"On(a,b)": 0.8, "Clear(b)": 0.3, "Touching(a,b)": 0.6, "LeftOf(c,d)": 0.7}
+        )
+        mrf = build_mrf(state)
+        isolated = [k for k, adj in enumerate(mrf.neighbors()) if not adj]
+        assert [str(mrf.nodes[k]) for k in isolated] == ["LeftOf(c,d)"]
+        bp = assert_matches_reference(mrf)
+        np.testing.assert_allclose(bp.node_marginals[isolated[0]], [0.3, 0.7], atol=1e-12)
+
+    def test_shared_node_tuple_different_unaries(self):
+        scene = generate_scene(4, 0.5, 2)
+        cfg = NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0)
+        first, second = (build_mrf(perceive(scene, cfg, seed)) for seed in (11, 12))
+        assert first.nodes == second.nodes and first.edges == second.edges
+        assert not np.array_equal(first.unary, second.unary)
+        for order in ((first, second), (second, first)):
+            for mrf in order:
+                assert_matches_reference(mrf)
 
 
 class TestMapAssignment:
