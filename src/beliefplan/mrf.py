@@ -255,7 +255,7 @@ def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> n
 
 
 def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
-    """Ragged index lists as one (len(rows), longest) array padded with ``fill``."""
+    """Ragged index lists as one array, each row padded with ``fill`` to the longest."""
     width = max(map(len, rows), default=0)
     return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.intp)
 
