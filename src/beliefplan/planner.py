@@ -423,7 +423,9 @@ def _search(
     this is exactly the applicable moves in sorted (name, args) order.
     The must-move heuristic is admissible but not consistent, so a state
     reached again on a smaller g is pushed again, which keeps plans
-    optimal.
+    optimal.  Frontier entries are ``(f, -g, push order, state)``: f ties
+    go toward larger g, then push order, which skips most of a plateau
+    of equal f on the way to the goal.
     """
     bit = domain.bit
     start = sum(bit[atom] for atom in init_atoms)
@@ -434,12 +436,13 @@ def _search(
         domain.handempty, domain.holding, domain.picks, domain.holds
     )
     counter = itertools.count()
-    frontier: list[tuple[int, int, int, int]] = [(heuristic(start), next(counter), 0, start)]
+    frontier: list[tuple[int, int, int, int]] = [(heuristic(start), 0, next(counter), start)]
     best_g: dict[int, int] = {start: 0}
     parent: dict[int, tuple[int, GroundedAction]] = {}
     expansions = 0
     while frontier:
-        f, _, g, s = heapq.heappop(frontier)
+        _, neg_g, _, s = heapq.heappop(frontier)
+        g = -neg_g
         if g > best_g.get(s, g):
             continue  # superseded entry
         if (s & goal) == goal:
@@ -466,7 +469,7 @@ def _search(
             if ng < best_g.get(succ, ng + 1):
                 best_g[succ] = ng
                 parent[succ] = (s, action)
-                heapq.heappush(frontier, (ng + heuristic(succ), next(counter), ng, succ))
+                heapq.heappush(frontier, (ng + heuristic(succ), -ng, next(counter), succ))
     return None, expansions
 
 
@@ -476,8 +479,9 @@ def astar(
     """Shortest manipulation plan from init to goal, or None if unreachable.
 
     A* over atom bitmasks with unit action costs, guided by
-    :func:`must_move_heuristic`; ties broken
-    deterministically by expansion order with successors generated in
+    :func:`must_move_heuristic`; f ties broken toward larger g, then push
+    order (Asai and Fukunaga, "Tie-breaking strategies for cost-optimal
+    best first search", JAIR 58, 2017), with successors generated in
     sorted (name, args) action order, read off the state's structure (see
     ``_search`` for why that is exactly the applicable moves).  Raises
     CapacityError past the expansion cap.
