@@ -196,9 +196,6 @@ class ProbabilisticState:
     def confidence(self, pred: GroundPredicate) -> float:
         return float(self._p[self._positions()[pred]])
 
-    def predicates(self) -> list[GroundPredicate]:
-        return list(self._preds)
-
     def items(self) -> list[tuple[GroundPredicate, float]]:
         return list(zip(self._preds, self._p.tolist()))
 

@@ -142,6 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"tau_plan must lie in (0, 1), got {self.tau_plan}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not self.taus:
+            raise ValueError("taus must name at least one threshold")
         for t in self.taus:
             if not (0.0 < t < 1.0):
                 raise ValueError(f"sweep threshold must lie in (0, 1), got {t}")
@@ -363,7 +365,7 @@ def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int
     while classify(belief, config.tau_plan).uncertain and k_emp < k_bound + 2:
         belief = next(rounds)
         k_emp += 1
-    return u0, k_emp, k_bound
+    return u0, k_emp, k_bound, modeled_episode_ms(k_emp + 1, k_emp * len(scene.object_ids()))
 
 
 def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
@@ -511,7 +513,7 @@ def _run_convergence(config: ExperimentConfig) -> ExperimentReport:
     within = 0
     within_plus_one = 0
     gaps = []
-    for trial_idx, (u0, k_emp, k_bound) in enumerate(results):
+    for trial_idx, (u0, k_emp, k_bound, _) in enumerate(results):
         gap_pct = 100.0 * (k_bound - k_emp) / k_bound if k_bound > 0 else 0.0
         rows.append((trial_idx, float(u0), int(k_emp), int(k_bound), float(gap_pct)))
         within += k_emp <= k_bound
@@ -526,8 +528,7 @@ def _run_convergence(config: ExperimentConfig) -> ExperimentReport:
         "mean_gap_pct": float(np.mean(gaps)),
         "mean_k_empirical": float(np.mean([r[2] for r in rows])),
         "mean_k_bound": float(np.mean([r[3] for r in rows])),
-        # one observation and one info action per round
-        "modeled_time_ms": sum(modeled_episode_ms(r[2], r[2]) for r in rows),
+        "modeled_time_ms": sum(r[3] for r in results),
         "checks": {"all_within_bound_plus_one": within_plus_one == len(rows)},
     }
     return ExperimentReport(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +32,10 @@ CONFIDENCE_CLAMP = 1e-6
 HARD_WEIGHT = 20.0
 DEFAULT_CORRELATION = 0.5
 ENUMERATION_CAP = 20
+# loopy BP's fixed schedule: message damping, convergence tolerance, sweep cap
+BP_DAMPING = 0.5
+BP_TOL = 1e-8
+BP_MAX_ITERS = 200
 
 
 class CapacityError(RuntimeError):
@@ -174,19 +178,11 @@ def _structural_edges(nodes: tuple[GroundPredicate, ...]) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-def energy(mrf: PredicateMrf, assignment: Sequence[bool] | Mapping[int, bool]) -> float:
-    """Total energy of a full assignment (lower is more probable)."""
-    if isinstance(assignment, Mapping):
-        missing = [i for i in range(mrf.n_nodes) if i not in assignment]
-        if missing:
-            raise ValueError(f"assignment missing nodes {missing}")
-        bits = [bool(assignment[i]) for i in range(mrf.n_nodes)]
-    else:
-        if len(assignment) != mrf.n_nodes:
-            raise ValueError(
-                f"assignment covers {len(assignment)} of {mrf.n_nodes} nodes"
-            )
-        bits = [bool(v) for v in assignment]
+def energy(mrf: PredicateMrf, assignment: Sequence[bool]) -> float:
+    """Total energy of a full assignment, one bool per node (lower is more probable)."""
+    if len(assignment) != mrf.n_nodes:
+        raise ValueError(f"assignment covers {len(assignment)} of {mrf.n_nodes} nodes")
+    bits = [bool(v) for v in assignment]
     total = sum(mrf.unary[i, int(b)] for i, b in enumerate(bits))
     for e in mrf.edges:
         total += e.table[int(bits[e.i])][int(bits[e.j])]
@@ -283,20 +279,15 @@ def _schedule(n: int, edges: tuple[Edge, ...]) -> tuple[np.ndarray, ...]:
     return schedule
 
 
-def loopy_bp(
-    mrf: PredicateMrf,
-    damping: float = 0.5,
-    tol: float = 1e-8,
-    max_iters: int = 200,
-) -> BeliefSet:
+def loopy_bp(mrf: PredicateMrf) -> BeliefSet:
     """Sum-product belief propagation with synchronous flooding updates.
 
     Messages live in log space and are damped as
-    new = damping * old + (1 - damping) * computed.  Exact on trees; on
-    loopy graphs the returned marginals are the usual approximation, with
-    ``converged`` reporting whether the message change fell below ``tol``
-    within ``max_iters`` sweeps.  The max-product family runs alongside for
-    the MAP readout.
+    new = BP_DAMPING * old + (1 - BP_DAMPING) * computed.  Exact on trees;
+    on loopy graphs the returned marginals are the usual approximation,
+    with ``converged`` reporting whether the message change fell below
+    ``BP_TOL`` within ``BP_MAX_ITERS`` sweeps.  The max-product family runs
+    alongside for the MAP readout.
 
     Messages are stored edge-major, ``[directed edge, family, x]`` with a
     zero row appended, and family 0 is sum-product.  Each sweep takes the
@@ -307,11 +298,7 @@ def loopy_bp(
     m + log(exp(a - m) + exp(b - m)): one term is exp(0) == 1.0 exactly and
     the other's argument is exactly min - m.  So results are bit-identical.
     """
-    if not (0.0 <= damping < 1.0):
-        raise ValueError(f"damping must lie in [0, 1), got {damping}")
-    if not (tol > 0) or max_iters < 1:  # NaN fails tol > 0
-        raise ValueError("tol must be positive and max_iters at least 1")
-
+    damping, tol, max_iters = BP_DAMPING, BP_TOL, BP_MAX_ITERS
     log_unary = -mrf.unary  # log of unnormalized node factor
     src, log_phi, gather, node_gather = _schedule(mrf.n_nodes, mrf.edges)
     n_dir = len(src)

@@ -79,13 +79,9 @@ def handempty() -> Atom:
     return ("handempty",)
 
 
-def predicate_atom(pred: GroundPredicate) -> Atom | None:
-    """The STRIPS atom of an On or Clear predicate; None for other relations."""
-    if pred.relation is Relation.ON:
-        return on(*pred.args)
-    if pred.relation is Relation.CLEAR:
-        return clear(pred.args[0])
-    return None
+def predicate_atom(pred: GroundPredicate) -> Atom:
+    """The STRIPS atom of an On or Clear predicate, the two relations a goal names."""
+    return on(*pred.args) if pred.relation is Relation.ON else clear(pred.args[0])
 
 
 def support_atoms(lower_of: Mapping[str, str], objects: Iterable[str]) -> frozenset[Atom]:
@@ -405,12 +401,10 @@ def _compile_heuristic(
 
 
 def _search(
-    init_atoms: frozenset[Atom],
-    goal_atoms: frozenset[Atom],
-    domain: _Domain,
-    max_expansions: int,
+    init_atoms: frozenset[Atom], goal_atoms: frozenset[Atom], domain: _Domain
 ) -> tuple[list[GroundedAction] | None, int]:
-    """A* over atom bitmasks; returns (optimal plan or None, expansion count).
+    """A* over atom bitmasks; returns (optimal plan or None, expansion count),
+    or raises CapacityError past ``MAX_EXPANSIONS`` expansions.
 
     Start and goal may name only the domain's objects, so every atom they
     hold has a bit.  Successors come from structure rather than a scan of
@@ -427,6 +421,7 @@ def _search(
     go toward larger g, then push order, which skips most of a plateau
     of equal f on the way to the goal.
     """
+    cap = MAX_EXPANSIONS
     bit = domain.bit
     start = sum(bit[atom] for atom in init_atoms)
     goal = sum(bit[atom] for atom in goal_atoms)
@@ -453,8 +448,8 @@ def _search(
             plan.reverse()
             return plan, expansions
         expansions += 1
-        if expansions > max_expansions:
-            raise CapacityError(f"search capped at {max_expansions} expansions")
+        if expansions > cap:
+            raise CapacityError(f"search capped at {cap} expansions")
         if s & handempty_bit:
             moves = [
                 table[s & support]
@@ -473,9 +468,7 @@ def _search(
     return None, expansions
 
 
-def astar(
-    init: SymbolicWorldState, goal: Goal, max_expansions: int = MAX_EXPANSIONS
-) -> list[GroundedAction] | None:
+def astar(init: SymbolicWorldState, goal: Goal) -> list[GroundedAction] | None:
     """Shortest manipulation plan from init to goal, or None if unreachable.
 
     A* over atom bitmasks with unit action costs, guided by
@@ -484,10 +477,10 @@ def astar(
     best first search", JAIR 58, 2017), with successors generated in
     sorted (name, args) action order, read off the state's structure (see
     ``_search`` for why that is exactly the applicable moves).  Raises
-    CapacityError past the expansion cap.
+    CapacityError past ``MAX_EXPANSIONS`` expansions.
     """
     domain = _compile_domain(tuple(sorted(init.objects() | goal.objects())))
-    plan, _ = _search(init.atoms, goal.atoms(), domain, max_expansions)
+    plan, _ = _search(init.atoms, goal.atoms(), domain)
     return plan
 
 
@@ -667,7 +660,7 @@ def plan_under_uncertainty(
 
         world = world_state_from_beliefs(belief, part.certain_true, objects)
         try:
-            plan, expansions = _search(world.atoms, goal_atoms, domain, MAX_EXPANSIONS)
+            plan, expansions = _search(world.atoms, goal_atoms, domain)
         except CapacityError:
             plan, expansions = None, MAX_EXPANSIONS
             cap_hits += 1

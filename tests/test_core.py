@@ -199,7 +199,7 @@ class TestClassify:
             buckets = [part.certain_true, part.certain_false, part.uncertain]
             assert sum(len(b) for b in buckets) == n
             union = part.certain_true | part.certain_false | part.uncertain
-            assert union == frozenset(s.predicates())
+            assert union == frozenset(s)
 
     def test_tau_domain_checked(self):
         s = make_state({"On(a,b)": 0.5})
@@ -299,7 +299,7 @@ class TestStateValidation:
 
     def test_deterministic_iteration_order(self):
         s = make_state({"On(b,c)": 0.5, "Clear(a)": 0.5, "On(a,b)": 0.5})
-        assert [str(p) for p in s.predicates()] == ["Clear(a)", "On(a,b)", "On(b,c)"]
+        assert [str(p) for p in s] == ["Clear(a)", "On(a,b)", "On(b,c)"]
 
 
 # ---------------------------------------------------------------------------

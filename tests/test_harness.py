@@ -125,6 +125,8 @@ class TestConfig:
             ExperimentConfig(kind="calibration", alpha=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="threshold-sweep", taus=(0.5, 1.5))
+        with pytest.raises(ValueError, match="taus"):
+            ExperimentConfig(kind="threshold-sweep", taus=())
 
     @pytest.mark.parametrize(
         "field,value",
@@ -435,7 +437,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"taus": 0.5}, {"trials": "5"}, {"n_objects": 4.5}, {"refine": "no"}, {"seed": True}],
+        [
+            {"taus": 0.5}, {"trials": "5"}, {"n_objects": 4.5}, {"refine": "no"}, {"seed": True},
+            {"taus": []},
+        ],
     )
     def test_mistyped_config_value_exits_2(self, capsys, tmp_path, doc):
         cfg = tmp_path / "cfg.json"

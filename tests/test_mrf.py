@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import beliefplan.mrf
 from beliefplan.core import GroundPredicate, ProbabilisticState, Relation, parse_predicate
 from beliefplan.mrf import (
     CapacityError,
@@ -104,13 +105,14 @@ def _lse(values):
     return m + float(np.log(np.sum(np.exp(values - m))))
 
 
-def _reference_loopy_bp(mrf, damping=0.5, tol=1e-8, max_iters=200):
+def _reference_loopy_bp(mrf, max_iters=200):
     """Loopy BP as one Python loop over a dict of directed messages.
 
-    Same flooding schedule, damping, normalization and summation order as
-    :func:`loopy_bp`; returns (node, max-node marginals, converged,
+    Same flooding schedule, damping, tolerance, normalization and summation
+    order as :func:`loopy_bp`; returns (node, max-node marginals, converged,
     iterations).
     """
+    damping, tol = 0.5, 1e-8
     n = mrf.n_nodes
     log_unary = -mrf.unary
     tables = {(e.i, e.j): -e.table_array() for e in mrf.edges}
@@ -199,9 +201,13 @@ def rule_edges(nodes):
     return sorted(out)
 
 
-def assert_matches_reference(mrf, **kwargs):
-    bp = loopy_bp(mrf, **kwargs)
-    node, max_node, converged, iterations = _reference_loopy_bp(mrf, **kwargs)
+def assert_matches_reference(mrf, max_iters=200):
+    """Run both BPs with ``max_iters`` sweeps at most (the library's through
+    ``BP_MAX_ITERS``) and assert bit-equal results; return the library's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beliefplan.mrf, "BP_MAX_ITERS", max_iters)
+        bp = loopy_bp(mrf)
+    node, max_node, converged, iterations = _reference_loopy_bp(mrf, max_iters)
     assert np.array_equal(bp.node_marginals, node)
     assert np.array_equal(bp.max_node_marginals, max_node)
     assert bp.converged == converged
@@ -337,14 +343,12 @@ class TestEnergy:
         e_tt = -math.log(0.4) - math.log(0.8) + 20.0
         e_ft = -math.log(0.6) - math.log(0.8)
         assert energy(mrf, [True, True]) == pytest.approx(e_tt, abs=1e-12)
-        assert energy(mrf, {0: False, 1: True}) == pytest.approx(e_ft, abs=1e-12)
+        assert energy(mrf, (False, True)) == pytest.approx(e_ft, abs=1e-12)
 
     def test_partial_assignment_rejected(self):
         mrf = build_mrf(make_state({"On(a,b)": 0.8, "Clear(b)": 0.4}))
         with pytest.raises(ValueError):
             energy(mrf, [True])
-        with pytest.raises(ValueError):
-            energy(mrf, {0: True})
 
 
 class TestEnumeration:
@@ -403,15 +407,6 @@ class TestLoopyBp:
             bp = loopy_bp(mrf)
             np.testing.assert_allclose(bp.node_marginals.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_damping_choice_does_not_move_tree_marginals(self):
-        rng = np.random.default_rng(113)
-        mrf = random_tree_mrf(rng, n_lo=5, n_hi=8)
-        a = loopy_bp(mrf, damping=0.0)
-        b = loopy_bp(mrf, damping=0.5)
-        c = loopy_bp(mrf, damping=0.8)
-        np.testing.assert_allclose(a.node_marginals, b.node_marginals, atol=1e-6)
-        np.testing.assert_allclose(a.node_marginals, c.node_marginals, atol=1e-6)
-
     def test_implication_starves_forbidden_cell(self):
         mrf = build_mrf(make_state({"On(a,b)": 0.9, "Touching(a,b)": 0.1}))
         beliefs = loopy_bp(mrf)
@@ -446,16 +441,6 @@ class TestLoopyBp:
         assert bp.converged
         assert np.all(bp.node_marginals >= 0) and np.all(bp.node_marginals <= 1)
 
-    def test_parameter_validation(self):
-        mrf = build_mrf(make_state({"On(a,b)": 0.8}))
-        with pytest.raises(ValueError):
-            loopy_bp(mrf, damping=1.0)
-        for tol in (0.0, float("nan")):
-            with pytest.raises(ValueError):
-                loopy_bp(mrf, tol=tol)
-        with pytest.raises(ValueError):
-            loopy_bp(mrf, max_iters=0)
-
 
 class TestLoopyBpMatchesReference:
     """The edge-array BP rounds every value as the per-message loop does."""
@@ -486,15 +471,15 @@ class TestLoopyBpMatchesReference:
             bp = assert_matches_reference(mrf)
             assert bp.converged and bp.iterations == 1
 
-    def test_not_converged_and_undamped(self):
+    def test_not_converged(self):
         rng = np.random.default_rng(227)
         mrf = random_correlation_mrf(rng, 10)
         bp = assert_matches_reference(mrf, max_iters=3)
         assert not bp.converged and bp.iterations == 3
-        assert_matches_reference(mrf, damping=0.0)
         scene = generate_scene(5, 0.6, 4)
         state = perceive(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), 9)
-        assert_matches_reference(build_mrf(state), damping=0.0, max_iters=7)
+        bp = assert_matches_reference(build_mrf(state), max_iters=7)
+        assert not bp.converged and bp.iterations == 7
 
 
     def test_seven_object_scene(self):

@@ -2,9 +2,11 @@
 defaulted parameter a caller that passes another value, and every record
 field a reader.
 
-A top-level function or class, or a non-dunder method, counts as used when
-its name is loaded (as a plain name or an attribute) somewhere in the
-package outside its own definition; an export in ``beliefplan.__all__`` is
+A definition counts as used by a load somewhere in the package outside
+its own body: a top-level function or class when its name is loaded (as a
+plain name or an attribute), a property when it is loaded as an attribute,
+and any other non-dunder method only when it is called (``x.m(...)``) or
+loaded off its class (``Cls.m``).  An export in ``beliefplan.__all__`` is
 not a use.  Matching is by name only, so the check can miss an orphan that
 shares its name with something used; it never flags code that is called.
 """
@@ -33,30 +35,43 @@ ALLOWED = {
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, bare name, first line, last line) of each checked definition."""
+    """(qualified name, the references that use it, first line, last line)
+    of each checked definition; references are keys of :func:`_references`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name, node.lineno, node.end_lineno
+            uses = {("name", node.name), ("attribute", node.name)}
+            yield f"{module}.{node.name}", uses, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
+                    if any(isinstance(d, ast.Name) and d.id == "property"
+                           for d in item.decorator_list):
+                        uses = {("attribute", item.name)}
+                    else:
+                        uses = {("call", item.name), ("off", node.name, item.name)}
                     yield (
                         f"{module}.{node.name}.{item.name}",
-                        item.name,
+                        uses,
                         item.lineno,
                         item.end_lineno,
                     )
 
 
 def _references(tree: ast.Module):
-    """(name, line) of every name or attribute the module loads."""
+    """(key, line) of every load in the module: ``("name", n)`` for a plain
+    name, ``("attribute", a)`` for an attribute, ``("off", n, a)`` for an
+    attribute of a plain name, and ``("call", a)`` for a call of an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield ("name", node.id), node.lineno
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
+            yield ("attribute", node.attr), node.lineno
+            if isinstance(node.value, ast.Name):
+                yield ("off", node.value.id, node.attr), node.lineno
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield ("call", node.func.attr), node.lineno
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -87,9 +102,9 @@ def find_orphans() -> list[str]:
     refs = {module: list(_references(tree)) for module, tree in trees.items()}
     orphans = []
     for module, tree in trees.items():
-        for qualname, name, first, last in _definitions(module, tree):
+        for qualname, uses, first, last in _definitions(module, tree):
             used = any(
-                ref == name and not (other == module and first <= line <= last)
+                ref in uses and not (other == module and first <= line <= last)
                 for other, module_refs in refs.items()
                 for ref, line in module_refs
             )
@@ -115,10 +130,6 @@ def test_allowlist_names_only_orphans():
 # each with the test or gate that passes another value.
 UNVARIED_ALLOWED = {
     "cli.main.argv": "the CLI tests pass their argument lists",
-    "mrf.loopy_bp.damping": "the reference-equality tests run damped and undamped",
-    "mrf.loopy_bp.tol": "the parameter-validation test rejects a zero tolerance",
-    "mrf.loopy_bp.max_iters": "the reference-equality tests reach the non-converged branch",
-    "planner.astar.max_expansions": "test_expansion_cap stops a search at a small cap",
     "planner.convergence_bound.eps_cal": "gate 1 checks the calibration slack",
     "harness.wilson_ci.z": "gate 11 passes the z of its hand computation",
 }

@@ -384,33 +384,40 @@ class TestAstar:
             assert len(plan) == bfs_optimal_length(start, goal)
             assert goal.atoms() <= run_plan(start, plan).atoms
 
-    def test_expansion_cap(self):
+    def test_expansion_cap(self, monkeypatch):
+        monkeypatch.setattr(planner, "MAX_EXPANSIONS", 2)
         start = SymbolicWorldState.from_stacks([["a"], ["b"], ["c"], ["d"]])
         goal = parse_goal("On(a,b) & On(b,c) & On(c,d)")
         with pytest.raises(CapacityError):
-            astar(start, goal, max_expansions=2)
+            astar(start, goal)
 
 
 class TestSearchMatchesReference:
     """The bitmask search returns the reference's plan and expansion count."""
 
     def assert_same(self, init, goal_atoms, objects=None, cap=planner.MAX_EXPANSIONS):
-        """Run both searches, assert equal outcomes and the same heuristic
-        value in both forms on every state the reference pops; return the
-        reference's outcome."""
+        """Run both searches at expansion cap ``cap`` (the bitmask search's
+        through ``MAX_EXPANSIONS``), assert equal outcomes and the same
+        heuristic value in both forms on every state the reference pops;
+        return the reference's outcome."""
         if objects is None:
             objects = init.objects() | {x for a in goal_atoms for x in a[1:]}
         objects = tuple(sorted(set(objects)))
         popped = []
         outcomes = []
-        for search, domain in (
-            (functools.partial(_reference_search, popped=popped), ground_domain(objects)),
-            (planner._search, planner._compile_domain(objects)),
-        ):
-            try:
-                outcomes.append(search(init.atoms, goal_atoms, domain, cap))
-            except CapacityError:
-                outcomes.append("capped")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "MAX_EXPANSIONS", cap)
+            for search in (
+                functools.partial(
+                    _reference_search, actions=ground_domain(objects), max_expansions=cap,
+                    popped=popped,
+                ),
+                functools.partial(planner._search, domain=planner._compile_domain(objects)),
+            ):
+                try:
+                    outcomes.append(search(init.atoms, goal_atoms))
+                except CapacityError:
+                    outcomes.append("capped")
         assert outcomes[1] == outcomes[0]
         bit = planner._compile_domain(objects).bit
         heuristic = planner._compile_heuristic(objects, goal_atoms)
@@ -467,7 +474,7 @@ class TestSearchMatchesReference:
         """(plan length, expansions) of the bitmask search on each world."""
         for world, objects, goal in worlds:
             plan, expansions = planner._search(
-                world.atoms, goal.atoms(), planner._compile_domain(objects), planner.MAX_EXPANSIONS
+                world.atoms, goal.atoms(), planner._compile_domain(objects)
             )
             yield len(plan), expansions
 

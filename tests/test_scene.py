@@ -172,7 +172,7 @@ class TestOcclusion:
         p_clr = perceive(scene, cleared, seed=5)
         truths = ground_truth_state(scene)
         logit = lambda p: math.log(p / (1 - p))
-        for pred in p_occ.predicates():
+        for pred in p_occ:
             t = 1.0 if pred in truths else 0.0
             l_t = logit(t * (1 - eta) + (1 - t) * eta)
             if "o0" in pred.args:
@@ -203,7 +203,7 @@ class TestPerceive:
         before = perceive(scene, cfg, seed=9)
         after = perceive(scene, apply_info_action(cfg, "look_closer", "o1"), seed=9)
         changed = 0
-        for pred in before.predicates():
+        for pred in before:
             if "o1" in pred.args:
                 changed += before.confidence(pred) != after.confidence(pred)
             else:
@@ -224,7 +224,7 @@ class TestPerceive:
         sharp = NoiseConfig(base_flip_rate=0.2, logit_noise_sd=0.5, miscal_gamma=2.0)
         p1 = perceive(scene, plain, seed=3)
         p2 = perceive(scene, sharp, seed=3)
-        for pred in p1.predicates():
+        for pred in p1:
             a, b = p1.confidence(pred), p2.confidence(pred)
             # gamma > 1 pushes confidences away from 1/2, same side
             if a > 0.5:
@@ -304,7 +304,7 @@ class TestInfoActions:
             apply_info_action(apply_info_action(cfg, "look_closer", "o0"), "look_closer", "o0"),
             seed=3,
         )
-        for pred in before.predicates():
+        for pred in before:
             u0 = predicate_uncertainty(before.confidence(pred))
             u1 = predicate_uncertainty(once.confidence(pred))
             u2 = predicate_uncertainty(twice.confidence(pred))
@@ -324,7 +324,7 @@ class TestInfoActions:
             scene = generate_scene(3, stack_bias=0.0, seed=seed)
             before = perceive(scene, cfg, seed=seed)
             after = perceive(scene, apply_info_action(cfg, "look_closer", "o0"), seed=seed)
-            for pred in before.predicates():
+            for pred in before:
                 if "o0" not in pred.args:
                     continue
                 u0 = predicate_uncertainty(before.confidence(pred))
@@ -472,12 +472,12 @@ def _reference_perceive_with_labels(scene, cfg, seed):
 
 
 def _assert_same_observation(state, labels, ref_conf, ref_labels):
-    assert state.predicates() == sorted(ref_conf, key=GroundPredicate.sort_key)
+    assert list(state) == sorted(ref_conf, key=GroundPredicate.sort_key)
     got = np.array([p for _, p in state.items()])
-    want = np.array([ref_conf[pred] for pred in state.predicates()])
+    want = np.array([ref_conf[pred] for pred in state])
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
     assert labels.dtype.kind == "i"
-    assert labels.tolist() == [ref_labels[pred] for pred in state.predicates()]
+    assert labels.tolist() == [ref_labels[pred] for pred in state]
 
 
 class TestPerceiveMatchesReference:
