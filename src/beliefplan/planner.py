@@ -252,7 +252,7 @@ def parse_goal(text: str) -> Goal:
 
 
 def _must_move_rules(goal_atoms: frozenset[Atom]):
-    """The goal's side of the must-move heuristic: ``displaced(x, y)``,
+    """The goal's side of :func:`_compile_heuristic`: ``displaced(x, y)``,
     whether a block x resting on y (None for the table) must move by the
     first two rules, plus the blocks the goal names and wants clear."""
     goal_lower = {a[1]: a[2] for a in goal_atoms if a[0] == "on"}
@@ -266,38 +266,6 @@ def _must_move_rules(goal_atoms: frozenset[Atom]):
         return y is not None and (y in want_clear or goal_upper.get(y, x) != x)
 
     return displaced, named, want_clear
-
-
-def must_move_heuristic(atoms: frozenset[Atom], goal_atoms: frozenset[Atom]) -> int:
-    """Admissible must-move heuristic (Slaney and Thiébaux, "Blocks World
-    revisited", AIJ 125, 2001).
-
-    A placed block must move if the goal puts it on another support, if it
-    rests on a block the goal wants clear or wants another block on, or if
-    it rests on a block that must move.  Each such block costs a pick and a
-    place; a held block the goal names costs its place.  The goal does not
-    ask for an empty hand, so one block may end held: a block the goal does
-    not name, lifted off a wanted-clear block that stays, saves its place,
-    and the bound takes 1 off when such a block exists.  A block with no
-    support atom cannot be picked and never counts.  The search evaluates
-    the same value over bitmasks.
-    """
-    displaced, named, want_clear = _must_move_rules(goal_atoms)
-    lower_of = {a[1]: a[2] for a in atoms if a[0] == "on"}
-    placed = lower_of.keys() | {a[1] for a in atoms if a[0] == "ontable"}
-    memo: dict[str, bool] = {}
-
-    def must_move(x: str) -> bool:
-        if x not in memo:
-            y = lower_of.get(x)
-            memo[x] = x in placed and (displaced(x, y) or (y is not None and must_move(y)))
-        return memo[x]
-
-    h = 2 * sum(map(must_move, placed))
-    h += any(a[0] == "holding" and a[1] in named for a in atoms)
-    if any(x not in named and y in want_clear and not must_move(y) for x, y in lower_of.items()):
-        h -= 1
-    return h
 
 
 class _Domain(NamedTuple):
@@ -361,10 +329,21 @@ def _compile_domain(objects: tuple[str, ...]) -> _Domain:
 def _compile_heuristic(
     objects: tuple[str, ...], goal_atoms: frozenset[Atom]
 ) -> Callable[[int], int]:
-    """:func:`must_move_heuristic` over the bitmasks of one sorted object
-    tuple, from the same rules: one mask of the support bits that make a
-    block move by the first two rules, then a walk up the stacks for the
-    third."""
+    """The admissible must-move heuristic (Slaney and Thiébaux, "Blocks
+    World revisited", AIJ 125, 2001) over the bitmasks of one sorted object
+    tuple.
+
+    A placed block must move if the goal puts it on another support, if it
+    rests on a block the goal wants clear or wants another block on, or if
+    it rests on a block that must move.  Each such block costs a pick and a
+    place; a held block the goal names costs its place.  The goal does not
+    ask for an empty hand, so one block may end held: a block the goal does
+    not name, lifted off a wanted-clear block that stays, saves its place,
+    and the bound takes 1 off when such a block exists.  A block with no
+    support atom cannot be picked and never counts.  Here that is one mask
+    of the support bits that make a block move by the first two rules, then
+    a walk up the stacks for the third.
+    """
     domain = _compile_domain(objects)
     bit, climb = domain.bit, domain.climb
     displaced, named, want_clear = _must_move_rules(goal_atoms)
@@ -471,13 +450,13 @@ def _search(
 def astar(init: SymbolicWorldState, goal: Goal) -> list[GroundedAction] | None:
     """Shortest manipulation plan from init to goal, or None if unreachable.
 
-    A* over atom bitmasks with unit action costs, guided by
-    :func:`must_move_heuristic`; f ties broken toward larger g, then push
-    order (Asai and Fukunaga, "Tie-breaking strategies for cost-optimal
-    best first search", JAIR 58, 2017), with successors generated in
-    sorted (name, args) action order, read off the state's structure (see
-    ``_search`` for why that is exactly the applicable moves).  Raises
-    CapacityError past ``MAX_EXPANSIONS`` expansions.
+    A* over atom bitmasks with unit action costs, guided by the must-move
+    heuristic of :func:`_compile_heuristic`; f ties broken toward larger
+    g, then push order (Asai and Fukunaga, "Tie-breaking strategies for
+    cost-optimal best first search", JAIR 58, 2017), with successors
+    generated in sorted (name, args) action order, read off the state's
+    structure (see ``_search`` for why that is exactly the applicable
+    moves).  Raises CapacityError past ``MAX_EXPANSIONS`` expansions.
     """
     domain = _compile_domain(tuple(sorted(init.objects() | goal.objects())))
     plan, _ = _search(init.atoms, goal.atoms(), domain)

@@ -14,11 +14,17 @@ Everything is a pure function of its inputs and seed.
 What does not change between observations is computed once: one sorted
 predicate index per object set, each scene's truth vector and occlusion
 set, and each (perception seed, scene seed) pair's noise draws, which an
-episode's re-observations reuse.  The caches are bounded.  Those draws are
-the stream of one ``default_rng([seed, scene seed, k])`` per predicate k,
-but the seeds of all k are derived in one batched ``SeedSequence`` pass
-and drawn from one reused PCG64; NEP 19 keeps both of the reimplemented
-seeding steps fixed across numpy releases.
+episode's re-observations reuse.  The caches are bounded.  Truths and
+occlusion come from array operations over the objects' positions, sizes
+and boxes, one relation table per scene.  The draws are the stream of one
+``default_rng([seed, scene seed, k])`` per predicate k, but the seeded
+PCG64 states of all k are derived in one vectorized pass and loaded in
+turn into one PCG64 that draws them.  NEP 19 fixes the two reimplemented
+steps, SeedSequence hashing and PCG64 seeding, across numpy releases.  It
+does not fix the layout of PCG64's state struct, which the states are
+written into through ``bitgen.ctypes``: that write is checked against the
+``bitgen.state`` setter on first use, and the setter loads the states
+wherever the check fails.
 
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
@@ -28,7 +34,9 @@ orthographic projection of the [-0.5, 0.5] square meter workspace onto a
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -243,8 +251,13 @@ class _PredicateIndex:
 
     ids: tuple[str, ...]
     preds: tuple[GroundPredicate, ...]  # sorted by GroundPredicate.sort_key
+    relation: np.ndarray  # each predicate's _RELATION_CODE
     first: np.ndarray  # position in ids of each predicate's first argument
     last: np.ndarray  # ... and of its last one (the same for Clear)
+
+
+# the plane of each relation in a scene's relation table
+_RELATION_CODE = {r: k for k, r in enumerate(Relation)}
 
 
 @functools.lru_cache(maxsize=64)
@@ -264,6 +277,7 @@ def _predicate_index(ids: tuple[str, ...]) -> _PredicateIndex:
     return _PredicateIndex(
         ids,
         ordered,
+        np.array([_RELATION_CODE[p.relation] for p in ordered], dtype=np.intp),
         np.array([at[p.args[0]] for p in ordered], dtype=np.intp),
         np.array([at[p.args[-1]] for p in ordered], dtype=np.intp),
     )
@@ -274,93 +288,84 @@ def candidate_predicates(object_ids: Iterable[str]) -> tuple[GroundPredicate, ..
     return _predicate_index(tuple(sorted(set(object_ids)))).preds
 
 
-def _surface_gap(a: SceneObject, b: SceneObject) -> float:
-    """Largest per-axis face separation of two axis-aligned boxes."""
-    gaps = []
-    for axis, (sa, sb) in zip(
-        range(3),
-        (
-            (a.size[0], b.size[0]),  # x extents
-            (a.size[2], b.size[2]),  # y extents (depth)
-            (a.size[1], b.size[1]),  # z extents (height)
-        ),
-    ):
-        delta = abs(a.position[axis] - b.position[axis])
-        gaps.append(delta - (sa + sb) / 2)
-    return max(gaps)
+def _relation_table(
+    support: tuple[tuple[str, str], ...], ids: tuple[str, ...], pos: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """The (relation, first, last) truth table over sorted ids, from the
+    support pairs and the (n, 3) position and size arrays in ids order.
+
+    Plane ``_RELATION_CODE[r]`` holds relation r: On from the support
+    pairs, Clear on the diagonal, and the geometric relations with the
+    float operations of their rules, in the rules' order.  Touching: the
+    largest per-axis face separation is under ``CONTACT_EPS``.  CloseTo:
+    the xy center distance is under ``CLOSE_DIST``, taken per pair with
+    ``math.hypot``, whose last bit ``np.hypot`` does not always match.
+    LeftOf: a's right face lies left of b's left face.  Only the entries
+    the predicate index reads are meaningful.
+    """
+    n = len(ids)
+    at = {obj: k for k, obj in enumerate(ids)}
+    table = np.zeros((len(_RELATION_CODE), n, n), dtype=bool)
+
+    upper = [at[u] for u, _ in support]
+    lower = [at[low] for _, low in support]
+    table[_RELATION_CODE[Relation.ON], upper, lower] = True
+    clear = table[_RELATION_CODE[Relation.CLEAR]]
+    np.fill_diagonal(clear, True)
+    clear[lower, lower] = False  # something rests on it
+
+    extent = size[:, [0, 2, 1]]  # along x, y (depth), z (height)
+    gap = np.abs(pos[:, None] - pos[None]) - (extent[:, None] + extent[None]) / 2
+    table[_RELATION_CODE[Relation.TOUCHING]] = gap.max(axis=2) < CONTACT_EPS
+
+    xy = pos[:, :2].tolist()
+    close = table[_RELATION_CODE[Relation.CLOSE_TO]]
+    for i, j in itertools.combinations(range(n), 2):
+        close[i, j] = math.hypot(xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]) < CLOSE_DIST
+
+    half = size[:, 0] / 2
+    right, left = pos[:, 0] + half, pos[:, 0] - half
+    table[_RELATION_CODE[Relation.LEFT_OF]] = right[:, None] < left[None]
+    return table
 
 
-def ground_truth_state(scene: Scene) -> frozenset[GroundPredicate]:
-    """The predicates that actually hold, from support pairs and geometry."""
-    by_id = scene.object_map()
-    has_upper = {lower for _, lower in scene.support}
-    truths: set[GroundPredicate] = set()
+def _occluded(ids: tuple[str, ...], z: np.ndarray, boxes: np.ndarray) -> frozenset[str]:
+    """The ids under a higher object whose top-down box overlaps theirs by
+    an IoU above ``OCCLUSION_IOU``; ``z`` and the (n, 4) pixel boxes
+    (cx, cy, bw, bh) are in ids order.
 
-    ids = scene.object_ids()
-    for a in ids:
-        if a not in has_upper:
-            truths.add(GroundPredicate(Relation.CLEAR, (a,)))
-    for upper, lower in scene.support:
-        truths.add(GroundPredicate(Relation.ON, (upper, lower)))
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            oa, ob = by_id[a], by_id[b]
-            if _surface_gap(oa, ob) < CONTACT_EPS:
-                truths.add(GroundPredicate(Relation.TOUCHING, (a, b)))
-            dxy = math.hypot(
-                oa.position[0] - ob.position[0], oa.position[1] - ob.position[1]
-            )
-            if dxy < CLOSE_DIST:
-                truths.add(GroundPredicate(Relation.CLOSE_TO, (a, b)))
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            oa, ob = by_id[a], by_id[b]
-            if oa.position[0] + oa.size[0] / 2 < ob.position[0] - ob.size[0] / 2:
-                truths.add(GroundPredicate(Relation.LEFT_OF, (a, b)))
-    return frozenset(truths)
-
-
-def iou_2d(
-    box_a: tuple[float, float, float, float], box_b: tuple[float, float, float, float]
-) -> float:
-    """Intersection over union of two center-size pixel boxes."""
-    ax, ay, aw, ah = box_a
-    bx, by, bw, bh = box_b
-    ix = min(ax + aw / 2, bx + bw / 2) - max(ax - aw / 2, bx - bw / 2)
-    iy = min(ay + ah / 2, by + bh / 2) - max(ay - ah / 2, by - bh / 2)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union
-
-
-def occluded_objects(scene: Scene) -> frozenset[str]:
-    """Objects hidden under another box in the top-down view."""
-    occluded = set()
-    for a in scene.objects:
-        for b in scene.objects:
-            if a.id == b.id:
-                continue
-            if b.position[2] > a.position[2] and iou_2d(a.bbox2d, b.bbox2d) > OCCLUSION_IOU:
-                occluded.add(a.id)
-                break
-    return frozenset(occluded)
+    Overlaps are clipped at 0, which leaves the IoU of every overlapping
+    pair as the center-size formula gives it and makes the others 0.
+    """
+    center, extent = boxes[:, :2], boxes[:, 2:]
+    half = extent / 2
+    hi, lo = center + half, center - half
+    overlap = np.minimum(hi[:, None], hi[None]) - np.maximum(lo[:, None], lo[None])
+    overlap = np.maximum(overlap, 0.0)
+    inter = overlap[..., 0] * overlap[..., 1]
+    area = extent[:, 0] * extent[:, 1]
+    iou = inter / (area[:, None] + area[None] - inter)
+    hidden = ((z[None] > z[:, None]) & (iou > OCCLUSION_IOU)).any(axis=1)
+    return frozenset(ids[k] for k in np.flatnonzero(hidden))
 
 
 @functools.lru_cache(maxsize=8)
 def _scene_facts(scene: Scene) -> tuple[_PredicateIndex, np.ndarray, frozenset[str]]:
     """A scene's predicate index, 0/1 truth vector over it, and occluded objects.
 
-    Keyed on the whole scene, not its seed: hand-built scenes share seeds.
+    The truth of each predicate is the relation table's entry at its
+    relation, first argument and last one.  Keyed on the whole scene, not
+    its seed: hand-built scenes share seeds.
     """
     index = _predicate_index(scene.object_ids())
-    truths = ground_truth_state(scene)
-    truth = np.array([p in truths for p in index.preds], dtype=float)
+    by_id = scene.object_map()
+    objs = [by_id[obj] for obj in index.ids]
+    pos = np.array([o.position for o in objs])
+    table = _relation_table(scene.support, index.ids, pos, np.array([o.size for o in objs]))
+    truth = table[index.relation, index.first, index.last].astype(float)
     truth.flags.writeable = False
-    return index, truth, occluded_objects(scene)
+    occluded = _occluded(index.ids, pos[:, 2], np.array([o.bbox2d for o in objs]))
+    return index, truth, occluded
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +378,8 @@ _SS_POOL_SIZE = 4
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -396,6 +400,14 @@ def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarr
         consts.append(consts[-1] * mult & _MASK32)
     col = np.array(consts, dtype=np.uint32)[:, None]
     return col[:-1], col[1:]
+
+
+# The constant columns, built once.  Entropy of w >= 4 words takes 4 * w
+# entropy-side hashes; the prebuilt column covers seed pairs of up to 16
+# words, and a longer pair builds its own.
+_SS_WORDS_PREBUILT = 16
+_HASH_A = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * _SS_WORDS_PREBUILT)
+_HASH_B = _hash_consts(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)
 
 
 def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -423,8 +435,10 @@ def _seed_words(seed: int, scene_seed: int, n: int) -> np.ndarray:
     entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
     entropy[len(prefix)] = np.arange(n, dtype=np.uint32)
 
-    extra = max(n_words - _SS_POOL_SIZE, 0)
-    xor, mul = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * (_SS_POOL_SIZE + extra))
+    if n_words <= _SS_WORDS_PREBUILT:
+        xor, mul = _HASH_A
+    else:
+        xor, mul = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * n_words)
     pool = _hashmix(entropy[:_SS_POOL_SIZE], xor[:_SS_POOL_SIZE], mul[:_SS_POOL_SIZE])
     at = _SS_POOL_SIZE
     for src in range(_SS_POOL_SIZE):  # every pool word into every other one
@@ -437,10 +451,75 @@ def _seed_words(seed: int, scene_seed: int, n: int) -> np.ndarray:
         pool = _mix(pool, _hashmix(entropy[src], xor[step], mul[step]))
         at += _SS_POOL_SIZE
 
-    xor, mul = _hash_consts(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)
     # eight 32-bit output words, cycling through the pool; pairs make uint64s
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mul).astype(np.uint64)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
     return state[0::2] | (state[1::2] << np.uint64(32))
+
+
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    mid = (lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
+    return a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
+
+
+def _seeded_states(words: np.ndarray) -> np.ndarray:
+    """PCG64's seeded state and increment for each column of
+    :func:`_seed_words`, as an (n, 4) uint64 array of rows (state low,
+    state high, increment low, increment high).
+
+    PCG64 reads the words as the 128-bit initstate w0:w1 and initseq
+    w2:w3 (high:low), sets inc = initseq << 1 | 1 and steps twice from 0:
+    state = (inc + initstate) * MULT + inc, mod 2**128.  Here that runs
+    over all columns at once in 64-bit limbs, with carries.
+    """
+    s_hi, s_lo, q_hi, q_lo = words
+    inc_lo = (q_lo << 1) | 1
+    inc_hi = (q_hi << 1) | (q_lo >> 63)
+    t_lo = s_lo + inc_lo
+    t_hi = s_hi + inc_hi + (t_lo < inc_lo)
+    # t * MULT mod 2**128: the cross terms only reach the high limb
+    p_lo = t_lo * _PCG64_MULT_LO
+    p_hi = _mulhi64(t_lo, _PCG64_MULT_LO) + t_lo * _PCG64_MULT_HI + t_hi * _PCG64_MULT_LO
+    lo = p_lo + inc_lo
+    hi = p_hi + inc_hi + (lo < inc_lo)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_words(bitgen: np.random.PCG64) -> ctypes.Array:
+    """The four uint64 words of ``bitgen``'s 32-byte ``pcg64_random_t``,
+    which ``bitgen.ctypes.state_address`` reaches through a pointer."""
+    struct = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return (ctypes.c_uint64 * 4).from_address(struct)
+
+
+def _state_dict(row: list[int]) -> dict:
+    """The ``bitgen.state`` value of one row of :func:`_seeded_states`."""
+    s_lo, s_hi, i_lo, i_hi = row
+    state = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+
+
+@functools.cache
+def _direct_write_ok() -> bool:
+    """Whether a row of :func:`_seeded_states` written to
+    :func:`_state_words` loads PCG64 as the ``bitgen.state`` setter does.
+
+    NEP 19 does not fix numpy's internal ``pcg64_state``, so the layout is
+    checked on the running numpy, once per process on first use: after
+    each of a few seeded states, loaded both ways, the next raw words of
+    two generators this check makes must agree.
+    """
+    direct, setter = np.random.PCG64(0), np.random.PCG64(0)
+    words = _state_words(direct)
+    for row in _seeded_states(_seed_words(2**64 + 3, 2**32, 4)).tolist():
+        words[:] = row
+        setter.state = _state_dict(row)
+        if direct.random_raw(4).tolist() != setter.random_raw(4).tolist():
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=8)
@@ -448,27 +527,30 @@ def _noise_draws(seed: int, scene_seed: int, n: int) -> tuple[np.ndarray, np.nda
     """The (g, label_draw) pair of candidate predicates 0..n-1, each pair the
     first normal and uniform of ``default_rng([seed, scene_seed, k])``.
 
-    Instead of building n generators, the n seed states are derived in one
-    batched pass (:func:`_seed_words`), and each is loaded in turn into one
-    PCG64 made for this call, exactly as PCG64 seeds itself.  ``random()``
-    gives the bits of ``uniform()``.  The reimplemented steps, SeedSequence
-    hashing and PCG64 seeding, are fixed across numpy releases by NEP 19,
-    and the draws still come from numpy's own Generator, so the stream is
-    the same as that of the n generators.  Seeds must be non-negative.
+    Instead of building n generators, the n seeded PCG64 states are derived
+    in one vectorized pass (:func:`_seed_words`, :func:`_seeded_states`),
+    and each is loaded in turn into one PCG64 made for this call, which
+    then draws with numpy's own ``standard_normal()`` and ``random()`` (the
+    bits of ``uniform()``).  NEP 19 fixes the two reimplemented steps,
+    SeedSequence hashing and PCG64 seeding, across numpy releases, so the
+    stream is that of the n generators.  It does not fix the layout of
+    PCG64's state struct, which the states are written into directly:
+    :func:`_direct_write_ok` checks that write on first use, and where it
+    fails the ``bitgen.state`` setter loads each state instead.  This
+    generator only ever draws 64-bit words, so its buffered 32-bit half
+    stays empty and the write covers the 128-bit state and increment
+    alone.  Seeds must be non-negative.
     """
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+    words = _state_words(bitgen) if _direct_write_ok() else None
     g = np.empty(n)
     label_draw = np.empty(n)
-    for k, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*_seed_words(seed, scene_seed, n).tolist())):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for k, row in enumerate(_seeded_states(_seed_words(seed, scene_seed, n)).tolist()):
+        if words is None:
+            bitgen.state = _state_dict(row)
+        else:
+            words[:] = row
         g[k] = rng.standard_normal()
         label_draw[k] = rng.random()
     g.flags.writeable = False
@@ -575,10 +657,12 @@ class PlanningEnvironment:
     The perception seed is fixed for the episode, so repeated observation
     refines the same noise draws (via the attention state in the config)
     rather than resampling the world.  The draws are made on the first
-    observation and reused by every later one of the episode; their seeds
-    are derived in one batched pass and drawn from one reused PCG64, which
-    gives the same stream as one generator per predicate (NEP 19 keeps
-    that seeding fixed).  Plan execution applies the planner's own grounded
+    observation and reused by every later one of the episode.  They give
+    the stream of one generator per predicate: the seeded states are
+    derived in one vectorized pass by the SeedSequence hashing and PCG64
+    seeding that NEP 19 fixes, and written into one PCG64's state struct,
+    whose layout NEP 19 does not fix and which is checked on first use,
+    with the ``bitgen.state`` setter as the fallback.  Plan execution applies the planner's own grounded
     actions to the true support atoms, failing on the first action whose
     preconditions do not actually hold.
     """

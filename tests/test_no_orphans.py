@@ -23,9 +23,6 @@ ALLOWED = {
     "planner.parse_goal": "the same gate writes its four-move goal as text",
     "planner.random_instance": "the same gate draws its instances from it",
     "planner.apply": "the same gate's breadth-first oracle steps through it",
-    "planner.must_move_heuristic": (
-        "the reference search and the admissibility tests score with it"
-    ),
     "mrf.map_assignment": "test_bp_matches_enumeration_on_trees reads the MAP assignment with it",
     "mrf.energy": "the same gate scores that assignment with it",
     "scene.NoiseConfig.residual_for": "the reference perception loop in the scene tests uses it",

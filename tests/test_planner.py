@@ -37,7 +37,6 @@ from beliefplan.planner import (
     ground_domain,
     handempty,
     holding,
-    must_move_heuristic,
     on,
     ontable,
     parse_goal,
@@ -130,6 +129,43 @@ def held_starts():
             if a.name == "pick" and a.preconditions <= start.atoms
         )
         yield apply(start, pick), goal, objects
+
+
+def must_move_heuristic(atoms, goal_atoms):
+    """The must-move heuristic over atom sets (Slaney and Thiébaux, AIJ 125,
+    2001), written out on its own as the oracle that the planner's bitmask
+    form is checked against.
+
+    A placed block must move if the goal puts it on another support, if it
+    rests on a block the goal wants clear or wants another block on, or if
+    it rests on a block that must move; each costs a pick and a place.  A
+    held block the goal names costs its place.  A block the goal does not
+    name, resting on a wanted-clear block that stays, may end the plan
+    held, saving one place.  A block with no support atom never counts.
+    """
+    goal_lower = {a[1]: a[2] for a in goal_atoms if a[0] == "on"}
+    goal_upper = {a[2]: a[1] for a in goal_atoms if a[0] == "on"}
+    want_clear = {a[1] for a in goal_atoms if a[0] == "clear"}
+    named = {x for a in goal_atoms for x in a[1:]}
+    lower_of = {a[1]: a[2] for a in atoms if a[0] == "on"}
+    placed = lower_of.keys() | {a[1] for a in atoms if a[0] == "ontable"}
+
+    @functools.cache
+    def must_move(x):
+        if x not in placed:
+            return False
+        y = lower_of.get(x)  # None on the table
+        if goal_lower.get(x, y) != y:
+            return True
+        if y is None:
+            return False
+        return y in want_clear or goal_upper.get(y, x) != x or must_move(y)
+
+    h = 2 * sum(map(must_move, placed))
+    h += any(a[0] == "holding" and a[1] in named for a in atoms)
+    if any(x not in named and y in want_clear and not must_move(y) for x, y in lower_of.items()):
+        h -= 1
+    return h
 
 
 def _reference_search(init_atoms, goal_atoms, actions, max_expansions, popped=None):
