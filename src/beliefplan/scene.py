@@ -393,21 +393,16 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiply) constant columns of ``count`` successive hashes."""
+    """The read-only (xor, multiply) constant columns of ``count`` successive
+    hashes, built once per argument triple."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
     col = np.array(consts, dtype=np.uint32)[:, None]
+    col.flags.writeable = False
     return col[:-1], col[1:]
-
-
-# The constant columns, built once.  Entropy of w >= 4 words takes 4 * w
-# entropy-side hashes; the prebuilt column covers seed pairs of up to 16
-# words, and a longer pair builds its own.
-_SS_WORDS_PREBUILT = 16
-_HASH_A = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * _SS_WORDS_PREBUILT)
-_HASH_B = _hash_consts(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)
 
 
 def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -435,10 +430,7 @@ def _seed_words(seed: int, scene_seed: int, n: int) -> np.ndarray:
     entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
     entropy[len(prefix)] = np.arange(n, dtype=np.uint32)
 
-    if n_words <= _SS_WORDS_PREBUILT:
-        xor, mul = _HASH_A
-    else:
-        xor, mul = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * n_words)
+    xor, mul = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * max(n_words, _SS_POOL_SIZE))
     pool = _hashmix(entropy[:_SS_POOL_SIZE], xor[:_SS_POOL_SIZE], mul[:_SS_POOL_SIZE])
     at = _SS_POOL_SIZE
     for src in range(_SS_POOL_SIZE):  # every pool word into every other one
@@ -452,7 +444,8 @@ def _seed_words(seed: int, scene_seed: int, n: int) -> np.ndarray:
         at += _SS_POOL_SIZE
 
     # eight 32-bit output words, cycling through the pool; pairs make uint64s
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
+    out_consts = _hash_consts(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *out_consts).astype(np.uint64)
     return state[0::2] | (state[1::2] << np.uint64(32))
 
 
@@ -508,13 +501,31 @@ def _direct_write_ok() -> bool:
     :func:`_state_words` loads PCG64 as the ``bitgen.state`` setter does.
 
     NEP 19 does not fix numpy's internal ``pcg64_state``, so the layout is
-    checked on the running numpy, once per process on first use: after
-    each of a few seeded states, loaded both ways, the next raw words of
-    two generators this check makes must agree.
+    checked on the running numpy, once per process on first use, and
+    nothing is written before it reads as expected.  On a generator this
+    check makes, the pointer at ``state_address`` must stay put while the
+    setter loads a few seeded states, and the four words behind it must
+    read back each row the setter loaded.  Only then is each row written
+    directly into a second generator, whose next raw words must match
+    those of a third loaded by the setter.
     """
+    rows = _seeded_states(_seed_words(2**64 + 3, 2**32, 4)).tolist()
+    probe = np.random.PCG64(0)
+    pointer = ctypes.c_void_p.from_address(probe.ctypes.state_address)
+    targets = set()
+    for row in rows:
+        probe.state = _state_dict(row)
+        targets.add(pointer.value)
+    if len(targets) != 1 or not pointer.value:  # moves with the state: not a pointer
+        return False
+    for row in rows:
+        probe.state = _state_dict(row)
+        if _state_words(probe)[:] != row:
+            return False
+
     direct, setter = np.random.PCG64(0), np.random.PCG64(0)
     words = _state_words(direct)
-    for row in _seeded_states(_seed_words(2**64 + 3, 2**32, 4)).tolist():
+    for row in rows:
         words[:] = row
         setter.state = _state_dict(row)
         if direct.random_raw(4).tolist() != setter.random_raw(4).tolist():

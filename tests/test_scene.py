@@ -807,8 +807,22 @@ def test_direct_state_write_passes_its_check():
     assert scene_module._direct_write_ok.__wrapped__()
 
 
-def test_seeds_past_the_prebuilt_hash_constants():
-    # two 2^300 seeds take 21 entropy words, more than the prebuilt columns cover
+def test_state_check_reads_before_it_writes(monkeypatch):
+    # words that do not read back the loaded state must refuse the write path
+    # before anything is written through them
+    class Unwritable:
+        def __getitem__(self, key):
+            return [0, 0, 0, 0]
+
+        def __setitem__(self, key, value):
+            raise AssertionError("state words written before they were read")
+
+    monkeypatch.setattr(scene_module, "_state_words", lambda bitgen: Unwritable())
+    assert not scene_module._direct_write_ok.__wrapped__()
+
+
+def test_seed_pairs_of_many_words():
+    # two 2^300 seeds take 21 entropy words, past the 4-word pool
     _assert_same_draws(
         _noise_draws.__wrapped__(2**300, 2**300 + 1, 27),
         _reference_noise_draws(2**300, 2**300 + 1, 27),
