@@ -289,10 +289,11 @@ def candidate_predicates(object_ids: Iterable[str]) -> tuple[GroundPredicate, ..
 
 
 def _relation_table(
-    support: tuple[tuple[str, str], ...], ids: tuple[str, ...], pos: np.ndarray, size: np.ndarray
+    support: tuple[tuple[str, str], ...], ids: tuple[str, ...], pos: np.ndarray, extent: np.ndarray
 ) -> np.ndarray:
     """The (relation, first, last) truth table over sorted ids, from the
-    support pairs and the (n, 3) position and size arrays in ids order.
+    support pairs, the (n, 3) positions and the (n, 3) extents along x, y
+    (depth) and z (height), in ids order.
 
     Plane ``_RELATION_CODE[r]`` holds relation r: On from the support
     pairs, Clear on the diagonal, and the geometric relations with the
@@ -307,25 +308,24 @@ def _relation_table(
     at = {obj: k for k, obj in enumerate(ids)}
     table = np.zeros((len(_RELATION_CODE), n, n), dtype=bool)
 
-    upper = [at[u] for u, _ in support]
-    lower = [at[low] for _, low in support]
-    table[_RELATION_CODE[Relation.ON], upper, lower] = True
-    clear = table[_RELATION_CODE[Relation.CLEAR]]
-    np.fill_diagonal(clear, True)
-    clear[lower, lower] = False  # something rests on it
+    on, clear = table[_RELATION_CODE[Relation.ON]], table[_RELATION_CODE[Relation.CLEAR]]
+    for k in range(n):
+        clear[k, k] = True
+    for upper, lower in support:  # a few pairs: scalar writes beat fancy indexing
+        on[at[upper], at[lower]] = True
+        clear[at[lower], at[lower]] = False  # something rests on it
 
-    extent = size[:, [0, 2, 1]]  # along x, y (depth), z (height)
     gap = np.abs(pos[:, None] - pos[None]) - (extent[:, None] + extent[None]) / 2
-    table[_RELATION_CODE[Relation.TOUCHING]] = gap.max(axis=2) < CONTACT_EPS
+    np.less(gap.max(axis=2), CONTACT_EPS, out=table[_RELATION_CODE[Relation.TOUCHING]])
 
     xy = pos[:, :2].tolist()
     close = table[_RELATION_CODE[Relation.CLOSE_TO]]
     for i, j in itertools.combinations(range(n), 2):
         close[i, j] = math.hypot(xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]) < CLOSE_DIST
 
-    half = size[:, 0] / 2
+    half = extent[:, 0] / 2
     right, left = pos[:, 0] + half, pos[:, 0] - half
-    table[_RELATION_CODE[Relation.LEFT_OF]] = right[:, None] < left[None]
+    np.less(right[:, None], left[None], out=table[_RELATION_CODE[Relation.LEFT_OF]])
     return table
 
 
@@ -341,12 +341,12 @@ def _occluded(ids: tuple[str, ...], z: np.ndarray, boxes: np.ndarray) -> frozens
     half = extent / 2
     hi, lo = center + half, center - half
     overlap = np.minimum(hi[:, None], hi[None]) - np.maximum(lo[:, None], lo[None])
-    overlap = np.maximum(overlap, 0.0)
+    np.maximum(overlap, 0.0, out=overlap)
     inter = overlap[..., 0] * overlap[..., 1]
     area = extent[:, 0] * extent[:, 1]
     iou = inter / (area[:, None] + area[None] - inter)
-    hidden = ((z[None] > z[:, None]) & (iou > OCCLUSION_IOU)).any(axis=1)
-    return frozenset(ids[k] for k in np.flatnonzero(hidden))
+    under, _ = np.nonzero((z[None] > z[:, None]) & (iou > OCCLUSION_IOU))
+    return frozenset(ids[k] for k in under.tolist())
 
 
 @functools.lru_cache(maxsize=8)
@@ -360,8 +360,9 @@ def _scene_facts(scene: Scene) -> tuple[_PredicateIndex, np.ndarray, frozenset[s
     index = _predicate_index(scene.object_ids())
     by_id = scene.object_map()
     objs = [by_id[obj] for obj in index.ids]
-    pos = np.array([o.position for o in objs])
-    table = _relation_table(scene.support, index.ids, pos, np.array([o.size for o in objs]))
+    geometry = np.array([(*o.position, o.size[0], o.size[2], o.size[1]) for o in objs])
+    pos, extent = geometry[:, :3], geometry[:, 3:]
+    table = _relation_table(scene.support, index.ids, pos, extent)
     truth = table[index.relation, index.first, index.last].astype(float)
     truth.flags.writeable = False
     occluded = _occluded(index.ids, pos[:, 2], np.array([o.bbox2d for o in objs]))
