@@ -14,17 +14,15 @@ Everything is a pure function of its inputs and seed.
 What does not change between observations is computed once: one sorted
 predicate index per object set, each scene's truth vector and occlusion
 set, and each (perception seed, scene seed) pair's noise draws, which an
-episode's re-observations reuse.  The caches are bounded.  Truths and
-occlusion come from array operations over the objects' positions, sizes
-and boxes, one relation table per scene.  The draws are the stream of one
-``default_rng([seed, scene seed, k])`` per predicate k, but the seeded
-PCG64 states of all k are derived in one vectorized pass and loaded in
-turn into one PCG64 that draws them.  NEP 19 fixes the two reimplemented
-steps, SeedSequence hashing and PCG64 seeding, across numpy releases.  It
-does not fix the layout of PCG64's state struct, which the states are
-written into through ``bitgen.ctypes``: that write is checked against the
-``bitgen.state`` setter on first use, and the setter loads the states
-wherever the check fails.
+episode's re-observations reuse.  The caches are bounded.  The draws are
+the stream of one ``default_rng([seed, scene seed, k])`` per predicate k,
+but the seeded PCG64 states of all k are derived in one vectorized pass
+and loaded in turn into one PCG64 that draws them.  NEP 19 fixes the two
+reimplemented steps, SeedSequence hashing and PCG64 seeding, across numpy
+releases.  It does not fix the layout of PCG64's state struct, which the
+states are written into through ``bitgen.ctypes``: that write is checked
+against the ``bitgen.state`` setter on first use, and the setter loads the
+states wherever the check fails.
 
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -251,13 +248,8 @@ class _PredicateIndex:
 
     ids: tuple[str, ...]
     preds: tuple[GroundPredicate, ...]  # sorted by GroundPredicate.sort_key
-    relation: np.ndarray  # each predicate's _RELATION_CODE
     first: np.ndarray  # position in ids of each predicate's first argument
     last: np.ndarray  # ... and of its last one (the same for Clear)
-
-
-# the plane of each relation in a scene's relation table
-_RELATION_CODE = {r: k for k, r in enumerate(Relation)}
 
 
 @functools.lru_cache(maxsize=64)
@@ -277,7 +269,6 @@ def _predicate_index(ids: tuple[str, ...]) -> _PredicateIndex:
     return _PredicateIndex(
         ids,
         ordered,
-        np.array([_RELATION_CODE[p.relation] for p in ordered], dtype=np.intp),
         np.array([at[p.args[0]] for p in ordered], dtype=np.intp),
         np.array([at[p.args[-1]] for p in ordered], dtype=np.intp),
     )
@@ -288,85 +279,93 @@ def candidate_predicates(object_ids: Iterable[str]) -> tuple[GroundPredicate, ..
     return _predicate_index(tuple(sorted(set(object_ids)))).preds
 
 
-def _relation_table(
-    support: tuple[tuple[str, str], ...], ids: tuple[str, ...], pos: np.ndarray, extent: np.ndarray
-) -> np.ndarray:
-    """The (relation, first, last) truth table over sorted ids, from the
-    support pairs, the (n, 3) positions and the (n, 3) extents along x, y
-    (depth) and z (height), in ids order.
-
-    Plane ``_RELATION_CODE[r]`` holds relation r: On from the support
-    pairs, Clear on the diagonal, and the geometric relations with the
-    float operations of their rules, in the rules' order.  Touching: the
-    largest per-axis face separation is under ``CONTACT_EPS``.  CloseTo:
-    the xy center distance is under ``CLOSE_DIST``, taken per pair with
-    ``math.hypot``, whose last bit ``np.hypot`` does not always match.
-    LeftOf: a's right face lies left of b's left face.  Only the entries
-    the predicate index reads are meaningful.
-    """
-    n = len(ids)
-    at = {obj: k for k, obj in enumerate(ids)}
-    table = np.zeros((len(_RELATION_CODE), n, n), dtype=bool)
-
-    on, clear = table[_RELATION_CODE[Relation.ON]], table[_RELATION_CODE[Relation.CLEAR]]
-    for k in range(n):
-        clear[k, k] = True
-    for upper, lower in support:  # a few pairs: scalar writes beat fancy indexing
-        on[at[upper], at[lower]] = True
-        clear[at[lower], at[lower]] = False  # something rests on it
-
-    gap = np.abs(pos[:, None] - pos[None]) - (extent[:, None] + extent[None]) / 2
-    np.less(gap.max(axis=2), CONTACT_EPS, out=table[_RELATION_CODE[Relation.TOUCHING]])
-
-    xy = pos[:, :2].tolist()
-    close = table[_RELATION_CODE[Relation.CLOSE_TO]]
-    for i, j in itertools.combinations(range(n), 2):
-        close[i, j] = math.hypot(xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]) < CLOSE_DIST
-
-    half = extent[:, 0] / 2
-    right, left = pos[:, 0] + half, pos[:, 0] - half
-    np.less(right[:, None], left[None], out=table[_RELATION_CODE[Relation.LEFT_OF]])
-    return table
+def _surface_gap(a: SceneObject, b: SceneObject) -> float:
+    """Largest per-axis face separation of two axis-aligned boxes."""
+    gaps = []
+    for axis, (sa, sb) in zip(
+        range(3),
+        (
+            (a.size[0], b.size[0]),  # x extents
+            (a.size[2], b.size[2]),  # y extents (depth)
+            (a.size[1], b.size[1]),  # z extents (height)
+        ),
+    ):
+        delta = abs(a.position[axis] - b.position[axis])
+        gaps.append(delta - (sa + sb) / 2)
+    return max(gaps)
 
 
-def _occluded(ids: tuple[str, ...], z: np.ndarray, boxes: np.ndarray) -> frozenset[str]:
-    """The ids under a higher object whose top-down box overlaps theirs by
-    an IoU above ``OCCLUSION_IOU``; ``z`` and the (n, 4) pixel boxes
-    (cx, cy, bw, bh) are in ids order.
+def ground_truth_state(scene: Scene) -> frozenset[GroundPredicate]:
+    """The predicates that actually hold, from support pairs and geometry."""
+    by_id = scene.object_map()
+    has_upper = {lower for _, lower in scene.support}
+    truths: set[GroundPredicate] = set()
 
-    Overlaps are clipped at 0, which leaves the IoU of every overlapping
-    pair as the center-size formula gives it and makes the others 0.
-    """
-    center, extent = boxes[:, :2], boxes[:, 2:]
-    half = extent / 2
-    hi, lo = center + half, center - half
-    overlap = np.minimum(hi[:, None], hi[None]) - np.maximum(lo[:, None], lo[None])
-    np.maximum(overlap, 0.0, out=overlap)
-    inter = overlap[..., 0] * overlap[..., 1]
-    area = extent[:, 0] * extent[:, 1]
-    iou = inter / (area[:, None] + area[None] - inter)
-    under, _ = np.nonzero((z[None] > z[:, None]) & (iou > OCCLUSION_IOU))
-    return frozenset(ids[k] for k in under.tolist())
+    ids = scene.object_ids()
+    for a in ids:
+        if a not in has_upper:
+            truths.add(GroundPredicate(Relation.CLEAR, (a,)))
+    for upper, lower in scene.support:
+        truths.add(GroundPredicate(Relation.ON, (upper, lower)))
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            oa, ob = by_id[a], by_id[b]
+            if _surface_gap(oa, ob) < CONTACT_EPS:
+                truths.add(GroundPredicate(Relation.TOUCHING, (a, b)))
+            dxy = math.hypot(
+                oa.position[0] - ob.position[0], oa.position[1] - ob.position[1]
+            )
+            if dxy < CLOSE_DIST:
+                truths.add(GroundPredicate(Relation.CLOSE_TO, (a, b)))
+    for a in ids:
+        for b in ids:
+            if a == b:
+                continue
+            oa, ob = by_id[a], by_id[b]
+            if oa.position[0] + oa.size[0] / 2 < ob.position[0] - ob.size[0] / 2:
+                truths.add(GroundPredicate(Relation.LEFT_OF, (a, b)))
+    return frozenset(truths)
+
+
+def iou_2d(
+    box_a: tuple[float, float, float, float], box_b: tuple[float, float, float, float]
+) -> float:
+    """Intersection over union of two center-size pixel boxes."""
+    ax, ay, aw, ah = box_a
+    bx, by, bw, bh = box_b
+    ix = min(ax + aw / 2, bx + bw / 2) - max(ax - aw / 2, bx - bw / 2)
+    iy = min(ay + ah / 2, by + bh / 2) - max(ay - ah / 2, by - bh / 2)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    return inter / union
+
+
+def occluded_objects(scene: Scene) -> frozenset[str]:
+    """Objects hidden under another box in the top-down view."""
+    occluded = set()
+    for a in scene.objects:
+        for b in scene.objects:
+            if a.id == b.id:
+                continue
+            if b.position[2] > a.position[2] and iou_2d(a.bbox2d, b.bbox2d) > OCCLUSION_IOU:
+                occluded.add(a.id)
+                break
+    return frozenset(occluded)
 
 
 @functools.lru_cache(maxsize=8)
 def _scene_facts(scene: Scene) -> tuple[_PredicateIndex, np.ndarray, frozenset[str]]:
     """A scene's predicate index, 0/1 truth vector over it, and occluded objects.
 
-    The truth of each predicate is the relation table's entry at its
-    relation, first argument and last one.  Keyed on the whole scene, not
-    its seed: hand-built scenes share seeds.
+    Keyed on the whole scene, not its seed: hand-built scenes share seeds.
     """
     index = _predicate_index(scene.object_ids())
-    by_id = scene.object_map()
-    objs = [by_id[obj] for obj in index.ids]
-    geometry = np.array([(*o.position, o.size[0], o.size[2], o.size[1]) for o in objs])
-    pos, extent = geometry[:, :3], geometry[:, 3:]
-    table = _relation_table(scene.support, index.ids, pos, extent)
-    truth = table[index.relation, index.first, index.last].astype(float)
+    truths = ground_truth_state(scene)
+    truth = np.array([p in truths for p in index.preds], dtype=float)
     truth.flags.writeable = False
-    occluded = _occluded(index.ids, pos[:, 2], np.array([o.bbox2d for o in objs]))
-    return index, truth, occluded
+    return index, truth, occluded_objects(scene)
 
 
 # ---------------------------------------------------------------------------

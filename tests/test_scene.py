@@ -3,7 +3,6 @@
 import json
 import math
 from dataclasses import replace
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -26,18 +25,17 @@ from beliefplan.planner import (
 )
 from beliefplan import scene as scene_module
 from beliefplan.scene import (
-    CLOSE_DIST,
-    CONTACT_EPS,
-    OCCLUSION_IOU,
     NoiseConfig,
     PlanningEnvironment,
     Scene,
     SceneObject,
     _noise_draws,
-    _scene_facts,
     apply_info_action,
     candidate_predicates,
     generate_scene,
+    ground_truth_state,
+    iou_2d,
+    occluded_objects,
     perceive,
     perceive_with_labels,
     scene_to_json,
@@ -58,96 +56,6 @@ def small_stacked_scene():
     return Scene((o0, o1, o2), (("o1", "o0"),), seed=7)
 
 
-def truths_of(scene):
-    """The predicates that hold in a scene, read off the shipped truth vector."""
-    index, truth, _ = _scene_facts(scene)
-    return frozenset(compress(index.preds, truth))
-
-
-def occluded_of(scene):
-    """The scene's occluded objects, as perception computes them."""
-    return _scene_facts(scene)[2]
-
-
-# ---------------------------------------------------------------------------
-# ground truth by a loop over object pairs: the independent reference that
-# the array form in perception is checked against
-
-
-def _surface_gap(a, b):
-    """Largest per-axis face separation of two axis-aligned boxes."""
-    gaps = []
-    for axis, (sa, sb) in zip(
-        range(3),
-        (
-            (a.size[0], b.size[0]),  # x extents
-            (a.size[2], b.size[2]),  # y extents (depth)
-            (a.size[1], b.size[1]),  # z extents (height)
-        ),
-    ):
-        delta = abs(a.position[axis] - b.position[axis])
-        gaps.append(delta - (sa + sb) / 2)
-    return max(gaps)
-
-
-def ground_truth_state(scene):
-    """The predicates that actually hold, from support pairs and geometry."""
-    by_id = scene.object_map()
-    has_upper = {lower for _, lower in scene.support}
-    truths = set()
-
-    ids = scene.object_ids()
-    for a in ids:
-        if a not in has_upper:
-            truths.add(GroundPredicate(CLEAR, (a,)))
-    for upper, lower in scene.support:
-        truths.add(GroundPredicate(ON, (upper, lower)))
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            oa, ob = by_id[a], by_id[b]
-            if _surface_gap(oa, ob) < CONTACT_EPS:
-                truths.add(GroundPredicate(TOUCHING, (a, b)))
-            dxy = math.hypot(
-                oa.position[0] - ob.position[0], oa.position[1] - ob.position[1]
-            )
-            if dxy < CLOSE_DIST:
-                truths.add(GroundPredicate(CLOSE_TO, (a, b)))
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            oa, ob = by_id[a], by_id[b]
-            if oa.position[0] + oa.size[0] / 2 < ob.position[0] - ob.size[0] / 2:
-                truths.add(GroundPredicate(LEFT_OF, (a, b)))
-    return frozenset(truths)
-
-
-def iou_2d(box_a, box_b):
-    """Intersection over union of two center-size pixel boxes."""
-    ax, ay, aw, ah = box_a
-    bx, by, bw, bh = box_b
-    ix = min(ax + aw / 2, bx + bw / 2) - max(ax - aw / 2, bx - bw / 2)
-    iy = min(ay + ah / 2, by + bh / 2) - max(ay - ah / 2, by - bh / 2)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union
-
-
-def occluded_objects(scene):
-    """Objects hidden under another box in the top-down view."""
-    occluded = set()
-    for a in scene.objects:
-        for b in scene.objects:
-            if a.id == b.id:
-                continue
-            if b.position[2] > a.position[2] and iou_2d(a.bbox2d, b.bbox2d) > OCCLUSION_IOU:
-                occluded.add(a.id)
-                break
-    return frozenset(occluded)
-
-
 class TestGeneration:
     def test_deterministic_for_same_inputs(self):
         assert generate_scene(5, 0.4, seed=11) == generate_scene(5, 0.4, seed=11)
@@ -163,7 +71,7 @@ class TestGeneration:
         for seed in range(30):
             scene = generate_scene(4, stack_bias=0.0, seed=seed)
             assert scene.support == ()
-            truths = truths_of(scene)
+            truths = ground_truth_state(scene)
             for oid in scene.object_ids():
                 assert GroundPredicate(CLEAR, (oid,)) in truths
 
@@ -207,7 +115,7 @@ class TestGroundTruth:
         assert list(preds) == sorted(preds, key=GroundPredicate.sort_key)
 
     def test_stacked_scene_truths(self):
-        truths = truths_of(small_stacked_scene())
+        truths = ground_truth_state(small_stacked_scene())
         assert parse_predicate("On(o1,o0)") in truths
         assert parse_predicate("On(o0,o1)") not in truths
         assert parse_predicate("Touching(o0,o1)") in truths
@@ -222,7 +130,7 @@ class TestGroundTruth:
     def test_on_implies_touching_and_not_clear(self):
         for seed in range(25):
             scene = generate_scene(6, stack_bias=0.7, seed=seed)
-            truths = truths_of(scene)
+            truths = ground_truth_state(scene)
             for pred in truths:
                 if pred.relation is ON:
                     a, b = pred.args
@@ -231,7 +139,7 @@ class TestGroundTruth:
 
     def test_left_of_antisymmetric(self):
         for seed in range(25):
-            truths = truths_of(generate_scene(6, seed=seed))
+            truths = ground_truth_state(generate_scene(6, seed=seed))
             for pred in truths:
                 if pred.relation is LEFT_OF:
                     a, b = pred.args
@@ -240,11 +148,11 @@ class TestGroundTruth:
 
 class TestOcclusion:
     def test_lower_of_stack_occluded(self):
-        assert occluded_of(small_stacked_scene()) == frozenset({"o0"})
+        assert occluded_objects(small_stacked_scene()) == frozenset({"o0"})
 
     def test_spread_scene_unoccluded(self):
         for seed in range(10):
-            assert occluded_of(generate_scene(5, stack_bias=0.0, seed=seed)) == frozenset()
+            assert occluded_objects(generate_scene(5, stack_bias=0.0, seed=seed)) == frozenset()
 
     def test_iou_identical_boxes(self):
         assert iou_2d((10, 10, 4, 4), (10, 10, 4, 4)) == pytest.approx(1.0)
@@ -263,7 +171,7 @@ class TestOcclusion:
         cleared = NoiseConfig(base_flip_rate=eta, logit_noise_sd=0.8, cleared=("o0",))
         p_occ = perceive(scene, base, seed=5)
         p_clr = perceive(scene, cleared, seed=5)
-        truths = truths_of(scene)
+        truths = ground_truth_state(scene)
         logit = lambda p: math.log(p / (1 - p))
         for pred in p_occ:
             t = 1.0 if pred in truths else 0.0
@@ -276,87 +184,11 @@ class TestOcclusion:
                 assert p_occ.confidence(pred) == p_clr.confidence(pred)
 
 
-def _pair(a_pos, a_size, b_pos, b_size, support=()):
-    return Scene((SceneObject("a", a_pos, a_size), SceneObject("b", b_pos, b_size)), support)
-
-
-def _held(pred, scene):
-    """(shipped, oracle) verdicts on one predicate."""
-    return pred in truths_of(scene), pred in ground_truth_state(scene)
-
-
-class TestFactsMatchOracle:
-    """The truth vector and occlusion set equal the pair loops' above."""
-
-    @pytest.mark.parametrize("n", range(3, 11))
-    @pytest.mark.parametrize("bias", [0.0, 0.35, 0.7, 1.0])
-    def test_generated_scenes(self, n, bias):
-        stacked = occluded = 0
-        for seed in range(100):
-            scene = generate_scene(n, stack_bias=bias, seed=seed)
-            index, truth, hidden = _scene_facts.__wrapped__(scene)
-            oracle = ground_truth_state(scene)
-            assert truth.tolist() == [float(p in oracle) for p in index.preds]
-            assert hidden == occluded_objects(scene)
-            stacked += bool(scene.support)
-            occluded += bool(hidden)
-        if bias > 0:
-            assert stacked > 0 and occluded > 0
-
-    def test_face_gap_at_exactly_contact_eps(self):
-        # 2^-9 m boxes: only boxes under about 5.6 mm let the float gap land
-        # on CONTACT_EPS itself; the face gap must be strictly smaller
-        side = 2.0**-9
-        size = (side, side, side)
-        touching = GroundPredicate(TOUCHING, ("a", "b"))
-        at = CONTACT_EPS + side
-        for x, expected in ((at, False), (math.nextafter(at, 0.0), True)):
-            scene = _pair((0.0, 0.0, side / 2), size, (x, 0.0, side / 2), size)
-            gap = _surface_gap(*scene.objects)
-            assert (gap == CONTACT_EPS) == (not expected)
-            assert _held(touching, scene) == (expected, expected)
-
-    def test_center_distance_one_ulp_each_side_of_close_dist(self):
-        close = GroundPredicate(CLOSE_TO, ("a", "b"))
-        size = (0.05, 0.05, 0.05)
-        below, above = math.nextafter(CLOSE_DIST, 0.0), math.nextafter(CLOSE_DIST, 1.0)
-        for target, expected in ((below, True), (CLOSE_DIST, False), (above, False)):
-            x = 0.09  # a 3-4-5 triangle with dy = 0.12
-            for _ in range(64):
-                d = math.hypot(0.0 - x, 0.0 - 0.12)
-                if d == target:
-                    break
-                x = math.nextafter(x, 1.0 if d < target else 0.0)
-            assert d == target
-            scene = _pair((0.0, 0.0, 0.025), size, (x, 0.12, 0.025), size)
-            assert _held(close, scene) == (expected, expected)
-
-    def test_left_of_edges_that_meet_exactly(self):
-        size = (0.1, 0.05, 0.05)
-        for gap, expected in ((0.0, False), (2.0**-20, True)):
-            scene = _pair((-0.05, 0.0, 0.025), size, (0.05 + gap, 0.0, 0.025), size)
-            a, b = scene.objects
-            assert (a.position[0] + a.size[0] / 2 == b.position[0] - b.size[0] / 2) == (gap == 0)
-            assert _held(GroundPredicate(LEFT_OF, ("a", "b")), scene) == (expected, expected)
-            assert _held(GroundPredicate(LEFT_OF, ("b", "a")), scene) == (False, False)
-
-    def test_iou_of_exactly_occlusion_iou(self):
-        # 45.5 x 14 px boxes 24.5 px apart: intersection 294, union 980, so
-        # IoU is 0.3 to the bit; occlusion needs strictly more
-        size = (0.203125, 0.05, 0.0625)
-        for shift, expected in ((0.0, False), (-(2.0**-20), True), (2.0**-20, False)):
-            scene = _pair((0.0, 0.0, 0.025), size, (0.109375 + shift, 0.0, 0.075), size)
-            a, b = scene.objects
-            assert (iou_2d(a.bbox2d, b.bbox2d) == OCCLUSION_IOU) == (shift == 0)
-            want = frozenset({"a"}) if expected else frozenset()
-            assert occluded_of(scene) == occluded_objects(scene) == want
-
-
 class TestPerceive:
     def test_noiseless_equals_truth_exactly(self):
         scene = small_stacked_scene()
         state = perceive(scene, NoiseConfig(), seed=0)
-        truths = truths_of(scene)
+        truths = ground_truth_state(scene)
         for pred, p in state.items():
             assert p == (1.0 if pred in truths else 0.0)
 
@@ -383,7 +215,7 @@ class TestPerceive:
         # sd = 0: confidence is exactly the smoothed truth
         scene = small_stacked_scene()
         state = perceive(scene, NoiseConfig(base_flip_rate=0.2), seed=0)
-        truths = truths_of(scene)
+        truths = ground_truth_state(scene)
         for pred, p in state.items():
             assert p == pytest.approx(0.8 if pred in truths else 0.2, abs=1e-12)
 
@@ -461,7 +293,7 @@ class TestInfoActions:
         cfg = apply_info_action(NoiseConfig(), "push_obstacle", "o0")
         assert cfg.cleared == ("o0",)
         env_scene = small_stacked_scene()
-        assert "o0" not in (occluded_of(env_scene) - set(cfg.cleared))
+        assert "o0" not in (occluded_objects(env_scene) - set(cfg.cleared))
 
     def test_exact_mode_reduction_is_multiplicative(self):
         scene = generate_scene(4, seed=12)
@@ -549,7 +381,7 @@ class TestEnvironment:
         scene = generate_scene(4, stack_bias=0.5, seed=8)
         cfg = NoiseConfig(base_flip_rate=0.05, logit_noise_sd=0.4)
         part = classify(perceive(scene, cfg, seed=2), 0.7)
-        truths = truths_of(scene)
+        truths = ground_truth_state(scene)
         # light noise: most certain-true calls are actually true
         right = sum(1 for p in part.certain_true if p in truths)
         assert right >= 0.9 * len(part.certain_true)
