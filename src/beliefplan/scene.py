@@ -673,9 +673,9 @@ class PlanningEnvironment:
     derived in one vectorized pass by the SeedSequence hashing and PCG64
     seeding that NEP 19 fixes, and written into one PCG64's state struct,
     whose layout NEP 19 does not fix and which is checked on first use,
-    with the ``bitgen.state`` setter as the fallback.  Plan execution applies the planner's own grounded
-    actions to the true support atoms, failing on the first action whose
-    preconditions do not actually hold.
+    with the ``bitgen.state`` setter as the fallback.  Plan execution
+    applies the planner's own grounded actions to the true support atoms,
+    failing on the first action whose preconditions do not actually hold.
     """
 
     def __init__(self, scene: Scene, cfg: NoiseConfig, seed: int):
