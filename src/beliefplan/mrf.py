@@ -2,15 +2,15 @@
 
 Perception scores every predicate independently, but predicates are not
 independent: a block with something on it is not clear, a block resting on
-another touches it, and stacking patterns correlate.  This module turns a
-belief state into a small binary MRF whose unary potentials encode the raw
-confidences and whose pairwise potentials encode those structural rules,
-then re-estimates the node marginals by exact enumeration (small graphs) or
-loopy belief propagation.  Each structural rule pairs its own kind of
-predicates, so no node pair gets two edges; the rules read the node tuple
-alone, so its edges are built once and cached.  Only node marginals are
-produced: refinement and the MAP readout read nothing else, and the
-dependency-aware uncertainty is computed exactly from the enumerated joint.
+another touches it.  This module turns a belief state into a small binary
+MRF whose unary potentials encode the raw confidences and whose pairwise
+potentials encode those two hard rules, then re-estimates the node
+marginals by exact enumeration (small graphs) or loopy belief propagation.
+Each rule pairs its own kind of predicates, so no node pair gets two edges;
+the rules read the node tuple alone, so its edges are built once and
+cached.  Only node marginals are produced: refinement and the MAP readout
+read nothing else, and the dependency-aware uncertainty is computed exactly
+from the enumerated joint.
 
 Energy convention: P(x) proportional to exp(-E(x)) with
 E(x) = sum_i psi_i(x_i) + sum_ij phi_ij(x_i, x_j).  Lower energy means more
@@ -30,7 +30,6 @@ from beliefplan.core import GroundPredicate, ProbabilisticState, Relation
 
 CONFIDENCE_CLAMP = 1e-6
 HARD_WEIGHT = 20.0
-DEFAULT_CORRELATION = 0.5
 ENUMERATION_CAP = 20
 # loopy BP's fixed schedule: message damping, convergence tolerance, sweep cap
 BP_DAMPING = 0.5
@@ -141,15 +140,14 @@ def correlation_edge(i: int, j: int, rho: float) -> Edge:
 def build_mrf(state: ProbabilisticState) -> PredicateMrf:
     """Construct the dependency MRF for a belief state.
 
-    One node per predicate, unary energies from the confidences, and three
-    structural edge rules:
+    One node per predicate, unary energies from the confidences, and two
+    hard edge rules:
 
     * mutual exclusion between On(A, B) and Clear(B),
-    * implication from On(A, B) to Touching(A, B),
-    * correlation of strength ``DEFAULT_CORRELATION`` between chained
-      supports On(A, B) and On(B, C).
+    * implication from On(A, B) to Touching(A, B).
 
-    No two rules pair the same two nodes, so each pair gets at most one edge.
+    No two rules pair the same two nodes, so each pair gets at most one edge,
+    and no edge joins two On nodes.
     """
     nodes = tuple(state)
     unary = np.array([unary_potentials(p) for _, p in state.items()], dtype=float)
@@ -158,11 +156,10 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
 
 @functools.lru_cache(maxsize=8)
 def _structural_edges(nodes: tuple[GroundPredicate, ...]) -> tuple[Edge, ...]:
-    """The three rules' edges over ``nodes``, sorted by endpoints."""
+    """The two rules' edges over ``nodes``, sorted by endpoints."""
     index = {pred: k for k, pred in enumerate(nodes)}
     edges: list[Edge] = []
-    ons = [p for p in nodes if p.relation is Relation.ON]
-    for on in ons:
+    for on in (p for p in nodes if p.relation is Relation.ON):
         a, b = on.args
         clear_b = GroundPredicate(Relation.CLEAR, (b,))
         if clear_b in index:
@@ -170,10 +167,6 @@ def _structural_edges(nodes: tuple[GroundPredicate, ...]) -> tuple[Edge, ...]:
         touching = GroundPredicate(Relation.TOUCHING, (a, b))
         if touching in index:
             edges.append(implication_edge(*sorted((index[on], index[touching])), index[on]))
-        for lower in ons:  # On(a, b) chained with On(b, d)
-            if lower.args[0] == b and lower.args[1] != a:
-                i, j = sorted((index[on], index[lower]))
-                edges.append(correlation_edge(i, j, DEFAULT_CORRELATION))
     edges.sort(key=lambda e: (e.i, e.j))
     return tuple(edges)
 

@@ -344,15 +344,12 @@ def iou_2d(
 
 def occluded_objects(scene: Scene) -> frozenset[str]:
     """Objects hidden under another box in the top-down view."""
-    occluded = set()
-    for a in scene.objects:
-        for b in scene.objects:
-            if a.id == b.id:
-                continue
-            if b.position[2] > a.position[2] and iou_2d(a.bbox2d, b.bbox2d) > OCCLUSION_IOU:
-                occluded.add(a.id)
-                break
-    return frozenset(occluded)
+    boxes = [(o.id, o.position[2], o.bbox2d) for o in scene.objects]
+    return frozenset(
+        a_id
+        for a_id, a_z, a_box in boxes
+        if any(b_z > a_z and iou_2d(a_box, b_box) > OCCLUSION_IOU for _, b_z, b_box in boxes)
+    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -533,6 +530,14 @@ def _direct_write_ok() -> bool:
     return True
 
 
+@functools.cache
+def _draw_generator() -> tuple[np.random.PCG64, np.random.Generator]:
+    """The one PCG64, and its Generator, that :func:`_noise_draws` loads
+    every seeded state into; made once per process."""
+    bitgen = np.random.PCG64(0)
+    return bitgen, np.random.Generator(bitgen)
+
+
 @functools.lru_cache(maxsize=8)
 def _noise_draws(seed: int, scene_seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (g, label_draw) pair of candidate predicates 0..n-1, each pair the
@@ -540,20 +545,19 @@ def _noise_draws(seed: int, scene_seed: int, n: int) -> tuple[np.ndarray, np.nda
 
     Instead of building n generators, the n seeded PCG64 states are derived
     in one vectorized pass (:func:`_seed_words`, :func:`_seeded_states`),
-    and each is loaded in turn into one PCG64 made for this call, which
-    then draws with numpy's own ``standard_normal()`` and ``random()`` (the
-    bits of ``uniform()``).  NEP 19 fixes the two reimplemented steps,
+    and each is loaded in turn into one PCG64 (:func:`_draw_generator`),
+    which then draws with numpy's own ``standard_normal()`` and
+    ``random()`` (the bits of ``uniform()``).  NEP 19 fixes the two reimplemented steps,
     SeedSequence hashing and PCG64 seeding, across numpy releases, so the
     stream is that of the n generators.  It does not fix the layout of
     PCG64's state struct, which the states are written into directly:
     :func:`_direct_write_ok` checks that write on first use, and where it
     fails the ``bitgen.state`` setter loads each state instead.  This
     generator only ever draws 64-bit words, so its buffered 32-bit half
-    stays empty and the write covers the 128-bit state and increment
-    alone.  Seeds must be non-negative.
+    stays empty and each write, covering the 128-bit state and increment,
+    leaves nothing of the previous one.  Seeds must be non-negative.
     """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
+    bitgen, rng = _draw_generator()
     words = _state_words(bitgen) if _direct_write_ok() else None
     g = np.empty(n)
     label_draw = np.empty(n)

@@ -40,7 +40,7 @@ GOLDEN = {
     "alpha-fit": "805c904383fb21eedc0c7e233b94650673e5f9b5b15aa67f66c9f377d5aedf4e",
     "convergence": "96f5ccc6858033ddfeb9d4693daeef5618405bec0f6b9a4e40cb297667f2cd6f",
     "threshold-sweep": "9b17b72a2a2fd10267dce8fc8f767bf28075fcc791aa1b43f11424fed57e5791",
-    "plan-benchmark": "78043bec5103fa80fb56523899a722fd818009ceedd59eb92f34eeacd01dac92",
+    "plan-benchmark": "278bb3b724bbf928c03743c7a5b243647edbee2179c68568334489c19b68591b",
     "mrf-check": "50c3a36d0d0a369dc051d9549ee6de090c642b131a6eb2d4ab430a54a22f7247",
 }
 

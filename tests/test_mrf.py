@@ -28,6 +28,7 @@ from beliefplan.mrf import (
     implication_edge,
     loopy_bp,
     map_assignment,
+    mutex_edge,
     refined_state,
     unary_potentials,
 )
@@ -179,7 +180,7 @@ def _reference_loopy_bp(mrf, max_iters=200):
 
 
 def rule_edges(nodes):
-    """The three structural rules applied to every node pair directly:
+    """The two structural rules applied to every node pair directly:
     (i, j, table) for each edge, sorted by endpoints."""
     out = []
     for i, j in itertools.combinations(range(len(nodes)), 2):
@@ -196,8 +197,6 @@ def rule_edges(nodes):
                     out.append((i, j, ((0.0, 0.0), (HARD_WEIGHT, 0.0))))
                 else:
                     out.append((i, j, ((0.0, HARD_WEIGHT), (0.0, 0.0))))
-            elif q.relation is Relation.ON and q.args[0] == b and q.args[1] != a:
-                out.append((i, j, ((-0.5, 0.5), (0.5, -0.5))))
     return sorted(out)
 
 
@@ -230,13 +229,13 @@ def random_correlation_mrf(rng, n):
 
 
 class TestBuildRules:
-    def test_all_three_edge_kinds_appear(self):
+    def test_both_edge_kinds_appear(self):
         state = make_state(
             {"On(a,b)": 0.8, "Clear(b)": 0.3, "Touching(a,b)": 0.7, "On(b,c)": 0.6}
         )
         mrf = build_mrf(state)
         kinds = sorted(edge_kind(e) for e in mrf.edges)
-        assert kinds == ["correlation", "implication", "mutual_exclusion"]
+        assert kinds == ["implication", "mutual_exclusion"]
 
     def test_mutex_pairs_on_with_clear_of_base(self):
         state = make_state({"On(a,b)": 0.8, "Clear(b)": 0.3, "Clear(a)": 0.9})
@@ -261,12 +260,17 @@ class TestBuildRules:
         assert str(mrf.nodes[cons]) == "Touching(a,b)"
         assert sorted(v for row in e.table for v in row) == [0.0, 0.0, 0.0, 20.0]
 
-    def test_correlation_links_support_chains(self):
-        state = make_state({"On(a,b)": 0.7, "On(b,c)": 0.6, "On(c,d)": 0.5})
+    def test_no_edge_joins_two_on_nodes(self):
+        # chained supports On(a,b), On(b,c) and a support cycle stay unlinked
+        state = make_state({"On(a,b)": 0.7, "On(b,c)": 0.6, "On(c,d)": 0.5, "On(c,a)": 0.4})
+        assert build_mrf(state).edges == ()
+        scene = generate_scene(5, 0.5, 0)
+        state = perceive(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), 100)
         mrf = build_mrf(state)
-        assert len(mrf.edges) == 2
+        assert mrf.edges
         for e in mrf.edges:
-            assert e.table == ((-0.5, 0.5), (0.5, -0.5))
+            relations = {mrf.nodes[e.i].relation, mrf.nodes[e.j].relation}
+            assert relations in ({Relation.ON, Relation.CLEAR}, {Relation.ON, Relation.TOUCHING})
 
     def test_deterministic_and_complete(self):
         state = make_state(
@@ -274,11 +278,10 @@ class TestBuildRules:
         )
         mrf = build_mrf(state)
         assert build_mrf(state).edges == mrf.edges
-        assert mrf.n_nodes == 4 and len(mrf.edges) == 3
+        assert mrf.n_nodes == 4 and len(mrf.edges) == 2
         by_kind = {edge_kind(e): e for e in mrf.edges}
-        assert set(by_kind) == {"correlation", "implication", "mutual_exclusion"}
+        assert set(by_kind) == {"implication", "mutual_exclusion"}
         assert str(mrf.nodes[antecedent(by_kind["implication"])]) == "On(a,b)"
-        assert by_kind["correlation"].table == ((-0.5, 0.5), (0.5, -0.5))
 
     def test_two_cycle_of_on_predicates_not_linked(self):
         # On(a,b) with On(b,a) shares both objects, not a support chain
@@ -418,10 +421,11 @@ class TestLoopyBp:
         assert p_on < p_touching + 1e-6
 
     def test_loopy_graph_close_to_enumeration(self):
-        # support cycle a-b-c-a gives a 3-cycle of correlation edges
+        # a 3-cycle of correlation edges over the support cycle a-b-c-a
         state = make_state({"On(a,b)": 0.75, "On(b,c)": 0.65, "On(c,a)": 0.55})
-        mrf = build_mrf(state)
-        assert len(mrf.edges) == 3
+        base = build_mrf(state)
+        edges = tuple(correlation_edge(i, j, 0.5) for i, j in ((0, 1), (0, 2), (1, 2)))
+        mrf = PredicateMrf(base.nodes, base.unary, edges)
         bp = loopy_bp(mrf)
         exact = enumerate_beliefs(mrf)
         assert bp.converged
@@ -430,13 +434,30 @@ class TestLoopyBp:
         )
 
     def test_hard_edge_cycle_stays_stable(self):
-        # four-cycle through two exclusion edges and two correlations: BP is
-        # approximate here, but must converge and keep marginals in range
+        # five-cycle through two exclusion edges, two correlations and an
+        # implication: BP is approximate here, but must converge and keep
+        # marginals in range
         state = make_state(
-            {"On(a,b)": 0.8, "On(x,b)": 0.6, "On(b,z)": 0.7, "Clear(b)": 0.4}
+            {"On(a,b)": 0.8, "On(x,b)": 0.6, "On(b,z)": 0.7, "Clear(b)": 0.4, "Touching(b,z)": 0.3}
         )
-        mrf = build_mrf(state)
-        assert len(mrf.edges) >= 4
+        base = build_mrf(state)
+        k = {str(p): i for i, p in enumerate(base.nodes)}
+
+        def pair(p, q):
+            return sorted((k[p], k[q]))
+
+        edges = sorted(
+            [
+                mutex_edge(*pair("On(a,b)", "Clear(b)")),
+                mutex_edge(*pair("On(x,b)", "Clear(b)")),
+                correlation_edge(*pair("On(a,b)", "On(b,z)"), 0.5),
+                implication_edge(*pair("On(b,z)", "Touching(b,z)"), k["On(b,z)"]),
+                correlation_edge(*pair("Touching(b,z)", "On(x,b)"), 0.5),
+            ],
+            key=lambda e: (e.i, e.j),
+        )
+        mrf = PredicateMrf(base.nodes, base.unary, tuple(edges))
+        assert all(len(adj) == 2 for adj in mrf.neighbors())
         bp = loopy_bp(mrf)
         assert bp.converged
         assert np.all(bp.node_marginals >= 0) and np.all(bp.node_marginals <= 1)
@@ -450,9 +471,7 @@ class TestLoopyBpMatchesReference:
         scene = generate_scene(n_objects, 0.5, seed)
         state = perceive(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), seed + 100)
         mrf = build_mrf(state)
-        assert {edge_kind(e) for e in mrf.edges} == {
-            "correlation", "implication", "mutual_exclusion"
-        }
+        assert {edge_kind(e) for e in mrf.edges} == {"implication", "mutual_exclusion"}
         assert_matches_reference(mrf)
 
     def test_random_correlation_graphs(self):
@@ -488,9 +507,9 @@ class TestLoopyBpMatchesReference:
         state = perceive(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), 103)
         mrf = build_mrf(state)
         assert mrf.n_nodes == 133
-        # On(a,b) meets Clear(b), Touching(a,b) and 2 * 5 chained supports;
-        # at 6 objects the widest node has 10 neighbours
-        assert max(map(len, mrf.neighbors())) == 12
+        # Clear(b) excludes On(x,b) for each of the 6 other objects; at 6
+        # objects the widest node has 5 neighbours
+        assert max(map(len, mrf.neighbors())) == 6
         assert_matches_reference(mrf)
 
     def test_isolated_node_next_to_edges(self):
