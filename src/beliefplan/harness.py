@@ -41,6 +41,7 @@ from beliefplan.mrf import (
     PredicateMrf,
     conditional_uncertainty,
     correlation_edge,
+    entropy,
     enumerate_beliefs,
     loopy_bp,
     unary_potentials,
@@ -392,11 +393,6 @@ def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
     return out
 
 
-def _binary_entropy(p: float) -> float:
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
-    return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
-
-
 def _mrf_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
     scene_seed, _ = _trial_seeds(config.seed, setting_idx, trial_idx)
     rng = np.random.default_rng([scene_seed, trial_idx])
@@ -424,7 +420,7 @@ def _mrf_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
     u_dep = conditional_uncertainty(mrf)
     # baseline uses the joint's own marginals so edgeless graphs land on
     # exact equality (conditioning on nothing changes nothing)
-    u_indep = sum(_binary_entropy(float(p)) for p in exact.node_marginals[:, 1])
+    u_indep = sum(entropy(pair) for pair in exact.node_marginals)
     return n, len(edges), int(bp.converged), max_dev, u_dep, u_indep
 
 

@@ -330,7 +330,8 @@ def loopy_bp(mrf: PredicateMrf) -> BeliefSet:
     return BeliefSet(node_marg, max_marg, converged, iterations)
 
 
-def _entropy(p: np.ndarray) -> float:
+def entropy(p: np.ndarray) -> float:
+    """Shannon entropy of a distribution's probabilities, in nats; zeros add nothing."""
     p = np.asarray(p, dtype=float).ravel()
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log(nz)))
@@ -354,7 +355,7 @@ def conditional_uncertainty(mrf: PredicateMrf) -> float:
         for t, s in enumerate(nodes_subset):
             keys |= ((idx >> s) & 1) << t
         dist = np.bincount(keys, weights=w, minlength=1 << len(nodes_subset))
-        return _entropy(dist)
+        return entropy(dist)
 
     total = 0.0
     for i in range(n):

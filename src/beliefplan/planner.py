@@ -129,13 +129,11 @@ class SymbolicWorldState:
     @classmethod
     def from_stacks(cls, stacks: Sequence[Sequence[str]]) -> "SymbolicWorldState":
         """Build a hand-empty state from stacks listed bottom-first."""
-        atoms: set[Atom] = {handempty()}
-        for stack in stacks:
-            atoms.add(ontable(stack[0]))
-            for lower, upper in zip(stack, stack[1:]):
-                atoms.add(on(upper, lower))
-            atoms.add(clear(stack[-1]))
-        return cls(frozenset(atoms))
+        objects = [x for stack in stacks for x in stack]
+        if len(set(objects)) != len(objects):
+            raise ValueError(f"stacks list an object twice: {stacks}")
+        pairs = [(upper, lower) for stack in stacks for lower, upper in zip(stack, stack[1:])]
+        return cls(support_atoms(support_map(pairs), objects))
 
 
 @dataclass(frozen=True)

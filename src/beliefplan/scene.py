@@ -1,15 +1,16 @@
 """Synthetic tabletop scenes and a tunable noisy perception oracle.
 
 The simulator stands in for a learned scene-to-predicates translator: it
-generates seeded tabletop scenes with optional stacking, derives the
-ground-truth predicate set from geometry, and emits per-predicate
-confidences through a configurable noise channel (label smoothing, logit
-noise, miscalibration, occlusion).  Information-gathering actions, of
-the planner's two kinds, sharpen subsequent observations of a chosen
-object by the channel's one gain.  Support pairs obey the core stacking
-rule, and plans execute with the planner's own STRIPS actions over the
-scene's true support atoms, so the blocks-world rules live in one place.
-Everything is a pure function of its inputs and seed.
+generates seeded tabletop scenes with optional stacking, writes each
+scene's truth vector over its predicate index from support pairs and
+geometry, and emits per-predicate confidences through a configurable
+noise channel (label smoothing, logit noise, miscalibration, occlusion).
+Information-gathering actions, of the planner's two kinds, sharpen
+subsequent observations of a chosen object by the channel's one gain.
+Support pairs obey the core stacking rule, and plans execute with the
+planner's own STRIPS actions over the scene's true support atoms, so the
+blocks-world rules live in one place.  Everything is a pure function of
+its inputs and seed.
 
 What does not change between observations is computed once: one sorted
 predicate index per object set, each scene's truth vector and occlusion
@@ -250,6 +251,7 @@ class _PredicateIndex:
     preds: tuple[GroundPredicate, ...]  # sorted by GroundPredicate.sort_key
     first: np.ndarray  # position in ids of each predicate's first argument
     last: np.ndarray  # ... and of its last one (the same for Clear)
+    slot: dict[tuple[Relation, int, int], int]  # (relation, first, last) -> position
 
 
 @functools.lru_cache(maxsize=64)
@@ -266,11 +268,14 @@ def _predicate_index(ids: tuple[str, ...]) -> _PredicateIndex:
             preds.add(GroundPredicate(Relation.TOUCHING, (a, b)))
     ordered = tuple(sorted(preds, key=GroundPredicate.sort_key))
     at = {obj: k for k, obj in enumerate(ids)}
+    first = [at[p.args[0]] for p in ordered]
+    last = [at[p.args[-1]] for p in ordered]
     return _PredicateIndex(
         ids,
         ordered,
-        np.array([at[p.args[0]] for p in ordered], dtype=np.intp),
-        np.array([at[p.args[-1]] for p in ordered], dtype=np.intp),
+        np.array(first, dtype=np.intp),
+        np.array(last, dtype=np.intp),
+        {(p.relation, i, j): k for k, (p, i, j) in enumerate(zip(ordered, first, last))},
     )
 
 
@@ -281,50 +286,13 @@ def candidate_predicates(object_ids: Iterable[str]) -> tuple[GroundPredicate, ..
 
 def _surface_gap(a: SceneObject, b: SceneObject) -> float:
     """Largest per-axis face separation of two axis-aligned boxes."""
-    gaps = []
-    for axis, (sa, sb) in zip(
-        range(3),
-        (
-            (a.size[0], b.size[0]),  # x extents
-            (a.size[2], b.size[2]),  # y extents (depth)
-            (a.size[1], b.size[1]),  # z extents (height)
-        ),
-    ):
-        delta = abs(a.position[axis] - b.position[axis])
-        gaps.append(delta - (sa + sb) / 2)
-    return max(gaps)
-
-
-def ground_truth_state(scene: Scene) -> frozenset[GroundPredicate]:
-    """The predicates that actually hold, from support pairs and geometry."""
-    by_id = scene.object_map()
-    has_upper = {lower for _, lower in scene.support}
-    truths: set[GroundPredicate] = set()
-
-    ids = scene.object_ids()
-    for a in ids:
-        if a not in has_upper:
-            truths.add(GroundPredicate(Relation.CLEAR, (a,)))
-    for upper, lower in scene.support:
-        truths.add(GroundPredicate(Relation.ON, (upper, lower)))
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            oa, ob = by_id[a], by_id[b]
-            if _surface_gap(oa, ob) < CONTACT_EPS:
-                truths.add(GroundPredicate(Relation.TOUCHING, (a, b)))
-            dxy = math.hypot(
-                oa.position[0] - ob.position[0], oa.position[1] - ob.position[1]
-            )
-            if dxy < CLOSE_DIST:
-                truths.add(GroundPredicate(Relation.CLOSE_TO, (a, b)))
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            oa, ob = by_id[a], by_id[b]
-            if oa.position[0] + oa.size[0] / 2 < ob.position[0] - ob.size[0] / 2:
-                truths.add(GroundPredicate(Relation.LEFT_OF, (a, b)))
-    return frozenset(truths)
+    (ax, ay, az), (bx, by, bz) = a.position, b.position
+    (aw, ah, ad), (bw, bh, bd) = a.size, b.size  # sizes are (x, z, y) extents
+    return max(
+        abs(ax - bx) - (aw + bw) / 2,
+        abs(ay - by) - (ad + bd) / 2,
+        abs(az - bz) - (ah + bh) / 2,
+    )
 
 
 def iou_2d(
@@ -354,13 +322,39 @@ def occluded_objects(scene: Scene) -> frozenset[str]:
 
 @functools.lru_cache(maxsize=8)
 def _scene_facts(scene: Scene) -> tuple[_PredicateIndex, np.ndarray, frozenset[str]]:
-    """A scene's predicate index, 0/1 truth vector over it, and occluded objects.
+    """A scene's predicate index, its truth vector written over that index
+    from support pairs and geometry, and its occluded objects.
 
-    Keyed on the whole scene, not its seed: hand-built scenes share seeds.
+    The truths are On for each support pair, Clear where nothing rests on
+    an object, Touching where the surfaces lie under ``CONTACT_EPS`` apart,
+    CloseTo where the xy centers lie under ``CLOSE_DIST`` apart, and LeftOf
+    where one box ends before the other begins along x.  Each is written as
+    1.0 at its (relation, first, last) position key in the index.  Keyed on
+    the whole scene, not its seed: hand-built scenes share seeds.
     """
     index = _predicate_index(scene.object_ids())
-    truths = ground_truth_state(scene)
-    truth = np.array([p in truths for p in index.preds], dtype=float)
+    at = {obj: k for k, obj in enumerate(index.ids)}
+    by_id = scene.object_map()
+    objs = [by_id[obj] for obj in index.ids]
+    facts = [(Relation.ON, at[upper], at[lower]) for upper, lower in scene.support]
+    has_upper = {at[lower] for _, lower in scene.support}
+    left = [o.position[0] - o.size[0] / 2 for o in objs]
+    right = [o.position[0] + o.size[0] / 2 for o in objs]
+    for i, a in enumerate(objs):
+        if i not in has_upper:
+            facts.append((Relation.CLEAR, i, i))
+        for j in range(i + 1, len(objs)):
+            b = objs[j]
+            if _surface_gap(a, b) < CONTACT_EPS:
+                facts.append((Relation.TOUCHING, i, j))
+            dxy = math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
+            if dxy < CLOSE_DIST:
+                facts.append((Relation.CLOSE_TO, i, j))
+        facts += [
+            (Relation.LEFT_OF, i, j) for j, lo in enumerate(left) if j != i and right[i] < lo
+        ]
+    truth = np.zeros(len(index.preds))
+    truth[[index.slot[key] for key in facts]] = 1.0
     truth.flags.writeable = False
     return index, truth, occluded_objects(scene)
 
@@ -671,15 +665,9 @@ class PlanningEnvironment:
 
     The perception seed is fixed for the episode, so repeated observation
     refines the same noise draws (via the attention state in the config)
-    rather than resampling the world.  The draws are made on the first
-    observation and reused by every later one of the episode.  They give
-    the stream of one generator per predicate: the seeded states are
-    derived in one vectorized pass by the SeedSequence hashing and PCG64
-    seeding that NEP 19 fixes, and written into one PCG64's state struct,
-    whose layout NEP 19 does not fix and which is checked on first use,
-    with the ``bitgen.state`` setter as the fallback.  Plan execution
-    applies the planner's own grounded actions to the true support atoms,
-    failing on the first action whose preconditions do not actually hold.
+    rather than resampling the world.  Plan execution applies the
+    planner's own grounded actions to the true support atoms, failing on
+    the first action whose preconditions do not actually hold.
     """
 
     def __init__(self, scene: Scene, cfg: NoiseConfig, seed: int):

@@ -221,6 +221,14 @@ class TestWorldState:
             {ontable("a"), on("b", "a"), clear("b"), ontable("c"), clear("c"), handempty()}
         )
 
+    @pytest.mark.parametrize(
+        "stacks",
+        [[["a"], ["a", "b"]], [["a", "b"], ["b"]], [["a", "b"], ["a", "c"]], [["a"], ["a"]]],
+    )
+    def test_from_stacks_rejects_an_object_listed_twice(self, stacks):
+        with pytest.raises(ValueError):
+            SymbolicWorldState.from_stacks(stacks)
+
     def test_double_support_rejected(self):
         with pytest.raises(ValueError):
             SymbolicWorldState(

@@ -25,15 +25,19 @@ from beliefplan.planner import (
 )
 from beliefplan import scene as scene_module
 from beliefplan.scene import (
+    CLOSE_DIST,
+    CONTACT_EPS,
     NoiseConfig,
     PlanningEnvironment,
     Scene,
     SceneObject,
     _noise_draws,
+    _predicate_index,
+    _scene_facts,
+    _surface_gap,
     apply_info_action,
     candidate_predicates,
     generate_scene,
-    ground_truth_state,
     iou_2d,
     occluded_objects,
     perceive,
@@ -54,6 +58,38 @@ def small_stacked_scene():
     o1 = SceneObject("o1", (0.0, 0.0, 0.09), (0.08, 0.06, 0.08))
     o2 = SceneObject("o2", (0.3, 0.0, 0.03), (0.08, 0.06, 0.08))
     return Scene((o0, o1, o2), (("o1", "o0"),), seed=7)
+
+
+def ground_truth_state(scene: Scene) -> frozenset[GroundPredicate]:
+    """The predicates that actually hold, from support pairs and geometry."""
+    by_id = scene.object_map()
+    has_upper = {lower for _, lower in scene.support}
+    truths: set[GroundPredicate] = set()
+
+    ids = scene.object_ids()
+    for a in ids:
+        if a not in has_upper:
+            truths.add(GroundPredicate(Relation.CLEAR, (a,)))
+    for upper, lower in scene.support:
+        truths.add(GroundPredicate(Relation.ON, (upper, lower)))
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            oa, ob = by_id[a], by_id[b]
+            if _surface_gap(oa, ob) < CONTACT_EPS:
+                truths.add(GroundPredicate(Relation.TOUCHING, (a, b)))
+            dxy = math.hypot(
+                oa.position[0] - ob.position[0], oa.position[1] - ob.position[1]
+            )
+            if dxy < CLOSE_DIST:
+                truths.add(GroundPredicate(Relation.CLOSE_TO, (a, b)))
+    for a in ids:
+        for b in ids:
+            if a == b:
+                continue
+            oa, ob = by_id[a], by_id[b]
+            if oa.position[0] + oa.size[0] / 2 < ob.position[0] - ob.size[0] / 2:
+                truths.add(GroundPredicate(Relation.LEFT_OF, (a, b)))
+    return frozenset(truths)
 
 
 class TestGeneration:
@@ -144,6 +180,87 @@ class TestGroundTruth:
                 if pred.relation is LEFT_OF:
                     a, b = pred.args
                     assert GroundPredicate(LEFT_OF, (b, a)) not in truths
+
+
+def _vector_truths(scene):
+    """The predicates that the scene's truth vector marks true."""
+    index, truth, _ = _scene_facts(scene)
+    assert set(truth.tolist()) <= {0.0, 1.0}
+    return {pred for pred, t in zip(index.preds, truth) if t == 1.0}
+
+
+def _pair(b_position, size=(0.08, 0.06, 0.08)):
+    """Two boxes of one size, o0 at the origin and o1 at ``b_position``,
+    with no support pair."""
+    objects = (SceneObject("o0", (0.0, 0.0, 0.0), size), SceneObject("o1", b_position, size))
+    return Scene(objects, ())
+
+
+class TestTruthVector:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_the_oracle_on_generated_scenes(self, n):
+        seen = set()
+        for bias in (0.0, 0.4, 1.0):
+            for seed in range(25):
+                scene = generate_scene(n, stack_bias=bias, seed=seed)
+                truths = ground_truth_state(scene)
+                assert _vector_truths(scene) == truths
+                candidates = candidate_predicates(scene.object_ids())
+                seen |= {(p.relation, p in truths) for p in candidates}
+        assert seen == {(rel, t) for rel in Relation for t in (False, True)}
+
+    def test_surface_gap_of_exactly_contact_eps_is_not_touching(self):
+        # extents of 2**-9 along the tested axis make gap + half-extent sum exact
+        edge = 2.0**-9
+        delta = CONTACT_EPS + edge
+        assert delta - edge == CONTACT_EPS
+        for axis, extent in ((0, 0), (1, 2), (2, 1)):  # position axis, size index
+            size = [0.08, 0.06, 0.08]
+            size[extent] = edge
+            for offset, touching in ((delta, False), (math.nextafter(delta, 0.0), True)):
+                position = [0.0, 0.0, 0.0]
+                position[axis] = offset
+                scene = _pair(tuple(position), tuple(size))
+                assert _vector_truths(scene) == ground_truth_state(scene)
+                assert (parse_predicate("Touching(o0,o1)") in _vector_truths(scene)) == touching
+
+    def test_centre_distance_of_exactly_close_dist_is_not_close(self):
+        for axis in (0, 1):
+            for offset, close in ((CLOSE_DIST, False), (math.nextafter(CLOSE_DIST, 0.0), True)):
+                position = [0.0, 0.0, 0.0]
+                position[axis] = offset
+                scene = _pair(tuple(position))
+                assert _vector_truths(scene) == ground_truth_state(scene)
+                assert (parse_predicate("CloseTo(o0,o1)") in _vector_truths(scene)) == close
+
+    def test_faces_that_exactly_meet_are_not_left_of(self):
+        # o0 spans [-0.08, 0.0] along x; o1 starts at 0.0, then one ulp later
+        for x, left_of in ((0.04, False), (math.nextafter(0.04, 1.0), True)):
+            scene = Scene(
+                (
+                    SceneObject("o0", (-0.04, 0.0, 0.03), (0.08, 0.06, 0.08)),
+                    SceneObject("o1", (x, 0.0, 0.03), (0.08, 0.06, 0.08)),
+                ),
+                (),
+            )
+            truths = _vector_truths(scene)
+            assert truths == ground_truth_state(scene)
+            assert (parse_predicate("LeftOf(o0,o1)") in truths) == left_of
+            assert parse_predicate("LeftOf(o1,o0)") not in truths
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_position_keys_cover_each_candidate_once(self, n):
+        ids = tuple(f"o{k}" for k in range(n))
+        index = _predicate_index(ids)
+        assert sorted(index.slot.values()) == list(range(len(index.preds)))
+        for k, pred in enumerate(index.preds):
+            key = (pred.relation, ids.index(pred.args[0]), ids.index(pred.args[-1]))
+            assert index.slot[key] == k
+
+    def test_vector_is_read_only(self):
+        _, truth, _ = _scene_facts(small_stacked_scene())
+        with pytest.raises(ValueError):
+            truth[0] = 1.0
 
 
 class TestOcclusion:
