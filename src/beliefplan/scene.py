@@ -16,14 +16,15 @@ What does not change between observations is computed once: one sorted
 predicate index per object set, each scene's truth vector and occlusion
 set, and each (perception seed, scene seed) pair's noise draws, which an
 episode's re-observations reuse.  The caches are bounded.  The draws are
-the stream of one ``default_rng([seed, scene seed, k])`` per predicate k,
-but the seeded PCG64 states of all k are derived in one vectorized pass
-and loaded in turn into one PCG64 that draws them.  NEP 19 fixes the two
-reimplemented steps, SeedSequence hashing and PCG64 seeding, across numpy
-releases.  It does not fix the layout of PCG64's state struct, which the
-states are written into through ``bitgen.ctypes``: that write is checked
-against the ``bitgen.state`` setter on first use, and the setter loads the
-states wherever the check fails.
+the first normal and uniform of one ``default_rng([seed, scene seed, k])``
+per predicate k, made for all k in one vectorized pass.  SeedSequence
+hashing and PCG64 seeding and output, which NEP 19 fixes across numpy
+releases, give each generator's first two 64-bit words; numpy's ziggurat
+fast path and ``random()`` turn them into the two draws.  The ziggurat
+tables come through numpy's public random C-API and are checked against
+``Generator.standard_normal`` on first use.  A draw off the fast path
+(about 1.5%), or every draw if the tables fail their check, is made by
+numpy itself from that generator's seeded state.
 
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
@@ -56,6 +57,9 @@ WORLD_HALF_EXTENT = 0.5  # meters; the projected workspace is [-0.5, 0.5]^2
 CONTACT_EPS = 0.005  # surfaces closer than 5 mm count as touching
 CLOSE_DIST = 0.15  # xy center distance below which CloseTo holds
 OCCLUSION_IOU = 0.3
+# the camera's pixels per meter along x and y: 224 / 1.0, exactly
+_PIXELS_PER_M_X = DEFAULT_IMAGE_DIMS[0] / (2 * WORLD_HALF_EXTENT)
+_PIXELS_PER_M_Y = DEFAULT_IMAGE_DIMS[1] / (2 * WORLD_HALF_EXTENT)
 
 _TINY = 1e-12
 
@@ -77,14 +81,11 @@ class SceneObject:
         """The top-down camera's box (cx, cy, bw, bh), in pixels."""
         x, y, _ = self.position
         w, _, d = self.size
-        w_img, h_img = DEFAULT_IMAGE_DIMS
-        scale_x = w_img / (2 * WORLD_HALF_EXTENT)
-        scale_y = h_img / (2 * WORLD_HALF_EXTENT)
         return (
-            (x + WORLD_HALF_EXTENT) * scale_x,
-            (y + WORLD_HALF_EXTENT) * scale_y,
-            w * scale_x,
-            d * scale_y,
+            (x + WORLD_HALF_EXTENT) * _PIXELS_PER_M_X,
+            (y + WORLD_HALF_EXTENT) * _PIXELS_PER_M_Y,
+            w * _PIXELS_PER_M_X,
+            d * _PIXELS_PER_M_Y,
         )
 
 
@@ -295,28 +296,29 @@ def _surface_gap(a: SceneObject, b: SceneObject) -> float:
     )
 
 
-def iou_2d(
-    box_a: tuple[float, float, float, float], box_b: tuple[float, float, float, float]
-) -> float:
-    """Intersection over union of two center-size pixel boxes."""
-    ax, ay, aw, ah = box_a
-    bx, by, bw, bh = box_b
-    ix = min(ax + aw / 2, bx + bw / 2) - max(ax - aw / 2, bx - bw / 2)
-    iy = min(ay + ah / 2, by + bh / 2) - max(ay - ah / 2, by - bh / 2)
+def _box_edges(box: tuple[float, float, float, float]) -> tuple[float, float, float, float, float]:
+    """A center-size pixel box's (left, right, bottom, top, area)."""
+    x, y, w, h = box
+    return x - w / 2, x + w / 2, y - h / 2, y + h / 2, w * h
+
+
+def _edges_iou(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """Intersection over union of two boxes given by :func:`_box_edges`."""
+    ix = min(a[1], b[1]) - max(a[0], b[0])
+    iy = min(a[3], b[3]) - max(a[2], b[2])
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union
+    return inter / (a[4] + b[4] - inter)
 
 
 def occluded_objects(scene: Scene) -> frozenset[str]:
     """Objects hidden under another box in the top-down view."""
-    boxes = [(o.id, o.position[2], o.bbox2d) for o in scene.objects]
+    boxes = [(o.id, o.position[2], _box_edges(o.bbox2d)) for o in scene.objects]
     return frozenset(
         a_id
-        for a_id, a_z, a_box in boxes
-        if any(b_z > a_z and iou_2d(a_box, b_box) > OCCLUSION_IOU for _, b_z, b_box in boxes)
+        for a_id, a_z, a in boxes
+        if any(b_z > a_z and _edges_iou(a, b) > OCCLUSION_IOU for _, b_z, b in boxes)
     )
 
 
@@ -364,13 +366,16 @@ def _scene_facts(scene: Scene) -> tuple[_PredicateIndex, np.ndarray, frozenset[s
 
 
 # numpy's SeedSequence hashing (numpy/random/bit_generator.pyx) and PCG64
-# seeding (pcg64_srandom_r) constants
+# seeding and stepping (numpy/random/src/pcg64) constants
 _SS_POOL_SIZE = 4
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
+_MASK52 = (1 << 52) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -385,19 +390,31 @@ def _uint32_words(n: int) -> list[int]:
 
 
 @functools.cache
-def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only (xor, multiply) constant columns of ``count`` successive
-    hashes, built once per argument triple."""
+def _hash_consts(init: int, mult: int, count: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The ``count + 1`` successive constants of ``count`` hashes, as ints
+    and as a read-only uint32 column: hash i xors with constant i and
+    multiplies by constant i + 1.  Built once per argument triple."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
     col = np.array(consts, dtype=np.uint32)[:, None]
     col.flags.writeable = False
-    return col[:-1], col[1:]
+    return tuple(consts), col
+
+
+def _hash32(value: int, consts: tuple[int, ...], at: int) -> int:
+    """SeedSequence's hashmix of one word, by hash ``at`` of ``consts``."""
+    value = (value ^ consts[at]) * consts[at + 1] & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix32(x: int, y: int) -> int:
+    out = _SS_MIX_L * x - _SS_MIX_R * y & _MASK32
+    return out ^ (out >> 16)
 
 
 def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix, one hash per row of constants."""
+    """SeedSequence's hashmix of uint32 arrays, one hash per row of constants."""
     values = (values ^ xor) * mul
     return values ^ (values >> 16)
 
@@ -411,123 +428,255 @@ def _seed_words(seed: int, scene_seed: int, n: int) -> np.ndarray:
     """``SeedSequence([seed, scene_seed, k]).generate_state(4, np.uint64)``
     for every k < n, as a (4, n) uint64 array.
 
-    The hash constants do not depend on the data, so each step of the
-    mixing runs once over all k: a row of the pool, or of the entropy,
-    holds that word for every k.
+    The hash constants do not depend on the data, and a pool word that k's
+    entropy word has not been mixed into is the same for every k: such
+    words are hashed once, as Python ints.  k's word, and each pool word it
+    reaches, is an array over all k, and each step runs once over it.
     """
-    prefix = _uint32_words(seed) + _uint32_words(scene_seed)
-    n_words = len(prefix) + 1
-    entropy = np.zeros((max(n_words, _SS_POOL_SIZE), n), dtype=np.uint32)
-    entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[len(prefix)] = np.arange(n, dtype=np.uint32)
+    entropy = _uint32_words(seed) + _uint32_words(scene_seed)
+    at_k = len(entropy)  # k's word comes last, third or later
+    n_words = max(at_k + 1, _SS_POOL_SIZE)
+    consts, col = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * n_words)
+    entropy += [0] * (n_words - at_k)  # k's word is hashed apart
+    pool: list | np.ndarray = [
+        _hash32(word, consts, i) for i, word in enumerate(entropy[:_SS_POOL_SIZE])
+    ]
+    k_row = np.arange(n, dtype=np.uint32)
+    if at_k < _SS_POOL_SIZE:
+        k_row = _hashmix(k_row, col[at_k], col[at_k + 1])
 
-    xor, mul = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * max(n_words, _SS_POOL_SIZE))
-    pool = _hashmix(entropy[:_SS_POOL_SIZE], xor[:_SS_POOL_SIZE], mul[:_SS_POOL_SIZE])
     at = _SS_POOL_SIZE
     for src in range(_SS_POOL_SIZE):  # every pool word into every other one
-        dst = [d for d in range(_SS_POOL_SIZE) if d != src]
-        step = slice(at, at + len(dst))
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step], mul[step]))
-        at += len(dst)
+        if src < at_k:  # the same for every k, but for k's own word
+            for dst in (d for d in range(_SS_POOL_SIZE) if d != src):
+                h = _hash32(pool[src], consts, at)
+                if dst == at_k:  # h as a uint32 array, so that _mix wraps its product
+                    k_row = _mix(k_row, np.array(h, dtype=np.uint32))
+                else:
+                    pool[dst] = _mix32(pool[dst], h)
+                at += 1
+        elif src == at_k:  # k's word into the rest: from here the pool is one array
+            h = _hashmix(k_row, col[at : at + 3], col[at + 1 : at + 4])
+            rest = _mix(np.array(pool[:src] + pool[src + 1 :], dtype=np.uint32)[:, None], h)
+            pool = np.concatenate((rest[:src], k_row[None], rest[src:]))
+            at += 3
+        else:  # src is the last word, after k's: the rest are the rows before it
+            h = _hashmix(pool[src], col[at : at + 3], col[at + 1 : at + 4])
+            pool[:src] = _mix(pool[:src], h)
+            at += 3
     for src in range(_SS_POOL_SIZE, n_words):  # entropy past the pool into every word
-        step = slice(at, at + _SS_POOL_SIZE)
-        pool = _mix(pool, _hashmix(entropy[src], xor[step], mul[step]))
+        if src < at_k:
+            pool = [_mix32(w, _hash32(entropy[src], consts, at + i)) for i, w in enumerate(pool)]
+        else:  # k's word, the last
+            h = _hashmix(k_row, col[at : at + 4], col[at + 1 : at + 5])
+            pool = _mix(np.array(pool, dtype=np.uint32)[:, None], h)
         at += _SS_POOL_SIZE
 
     # eight 32-bit output words, cycling through the pool; pairs make uint64s
-    out_consts = _hash_consts(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *out_consts).astype(np.uint64)
-    return state[0::2] | (state[1::2] << np.uint64(32))
+    out = _hash_consts(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)[1]
+    state = _hashmix(np.concatenate((pool, pool)), out[:-1], out[1:]).astype(np.uint64)
+    return state[0::2] | (state[1::2] << 32)
 
 
-def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64 bits of each 128-bit product a * b, from 32-bit halves."""
+def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (low, high) 64-bit limbs of 128-bit ints, as uint64 columns."""
+    lo = np.array([v & _MASK64 for v in values], dtype=np.uint64)[:, None]
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)[:, None]
+    return lo, hi
+
+
+# PCG64 seeds s0 = (S + inc) M + inc from initstate S and increment
+# inc = 2 initseq + 1, and steps s -> s M + inc before each output, so output
+# j draws on s_j = S M^(j+1) + inc (1 + M + ... + M^(j+1)), mod 2**128.  With
+# sum_j the bracket, that is S M^(j+1) + initseq (2 sum_j) + sum_j: for
+# j = 1, 2, _STEP_MULT holds the multipliers of S (first row) and initseq
+# (second), and _STEP_ADD the sums.
+_STEP_SUMS = [sum(_PCG64_MULT**i for i in range(j + 2)) & _MASK128 for j in (1, 2)]
+_STEP_MULT = tuple(
+    limb.reshape(2, 2, 1)
+    for limb in _limbs(
+        [_PCG64_MULT**2 & _MASK128, _PCG64_MULT**3 & _MASK128]
+        + [2 * s & _MASK128 for s in _STEP_SUMS]
+    )
+)
+_STEP_ADD = _limbs(_STEP_SUMS)
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from 32-bit halves;
+    no partial sum overflows 64 bits."""
     a_lo, a_hi = a & _MASK32, a >> 32
     b_lo, b_hi = b & _MASK32, b >> 32
-    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
-    mid = (lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
-    return a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
+    t = a_hi * b_lo + (a_lo * b_lo >> 32)
+    u = a_lo * b_hi + (t & _MASK32)
+    return a_hi * b_hi + (t >> 32) + (u >> 32)
 
 
-def _seeded_states(words: np.ndarray) -> np.ndarray:
-    """PCG64's seeded state and increment for each column of
-    :func:`_seed_words`, as an (n, 4) uint64 array of rows (state low,
-    state high, increment low, increment high).
+def _first_outputs(words: np.ndarray) -> np.ndarray:
+    """PCG64's first two 64-bit outputs for each column of
+    :func:`_seed_words`, as a (2, n) uint64 array.
 
-    PCG64 reads the words as the 128-bit initstate w0:w1 and initseq
-    w2:w3 (high:low), sets inc = initseq << 1 | 1 and steps twice from 0:
-    state = (inc + initstate) * MULT + inc, mod 2**128.  Here that runs
-    over all columns at once in 64-bit limbs, with carries.
+    PCG64 reads the words as the 128-bit initstate w0:w1 and initseq w2:w3
+    (high:low).  Each of the two states is a sum of two 128-bit products
+    and a constant (see ``_STEP_MULT``): the four products run as one
+    broadcast pass over 64-bit limbs, the sums carry, and each output is
+    the XSL-RR of its state.
     """
-    s_hi, s_lo, q_hi, q_lo = words
-    inc_lo = (q_lo << 1) | 1
-    inc_hi = (q_hi << 1) | (q_lo >> 63)
-    t_lo = s_lo + inc_lo
-    t_hi = s_hi + inc_hi + (t_lo < inc_lo)
-    # t * MULT mod 2**128: the cross terms only reach the high limb
-    p_lo = t_lo * _PCG64_MULT_LO
-    p_hi = _mulhi64(t_lo, _PCG64_MULT_LO) + t_lo * _PCG64_MULT_HI + t_hi * _PCG64_MULT_LO
-    lo = p_lo + inc_lo
-    hi = p_hi + inc_hi + (lo < inc_lo)
-    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+    lo, hi = words[1::2, None], words[0::2, None]  # rows: initstate, initseq
+    m_lo, m_hi = _STEP_MULT
+    # each product mod 2**128: the cross terms only reach the high limb
+    p_lo = lo * m_lo
+    p_hi = _mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo
+    s_lo = p_lo[0] + p_lo[1]
+    s_hi = p_hi[0] + p_hi[1] + (s_lo < p_lo[1])
+    a_lo, a_hi = _STEP_ADD
+    s_lo += a_lo
+    s_hi += a_hi + (s_lo < a_lo)
+    # XSL-RR: the xor of the two halves, rotated right by the top six bits
+    x = s_hi ^ s_lo
+    rot = s_hi >> 58
+    return (x >> rot) | (x << (-rot & 63))
 
 
-def _state_words(bitgen: np.random.PCG64) -> ctypes.Array:
-    """The four uint64 words of ``bitgen``'s 32-byte ``pcg64_random_t``,
-    which ``bitgen.ctypes.state_address`` reaches through a pointer."""
-    struct = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
-    return (ctypes.c_uint64 * 4).from_address(struct)
+def _fast_normals(
+    r: np.ndarray, tables: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat fast path on 64-bit words: the normal of each, and
+    whether the fast path accepts it.
 
-
-def _state_dict(row: list[int]) -> dict:
-    """The ``bitgen.state`` value of one row of :func:`_seeded_states`."""
-    s_lo, s_hi, i_lo, i_hi = row
-    state = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
-    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-
-
-@functools.cache
-def _direct_write_ok() -> bool:
-    """Whether a row of :func:`_seeded_states` written to
-    :func:`_state_words` loads PCG64 as the ``bitgen.state`` setter does.
-
-    NEP 19 does not fix numpy's internal ``pcg64_state``, so the layout is
-    checked on the running numpy, once per process on first use, and
-    nothing is written before it reads as expected.  On a generator this
-    check makes, the pointer at ``state_address`` must stay put while the
-    setter loads a few seeded states, and the four words behind it must
-    read back each row the setter loaded.  Only then is each row written
-    directly into a second generator, whose next raw words must match
-    those of a third loaded by the setter.
+    A word's low 8 bits pick the layer and bit 8 the sign; the next 52
+    bits are rabs, and x = +-rabs * wi[layer] is accepted iff rabs <
+    ki[layer].  ``tables`` holds +-wi and ki over the nine low bits.
     """
-    rows = _seeded_states(_seed_words(2**64 + 3, 2**32, 4)).tolist()
-    probe = np.random.PCG64(0)
-    pointer = ctypes.c_void_p.from_address(probe.ctypes.state_address)
-    targets = set()
-    for row in rows:
-        probe.state = _state_dict(row)
-        targets.add(pointer.value)
-    if len(targets) != 1 or not pointer.value:  # moves with the state: not a pointer
-        return False
-    for row in rows:
-        probe.state = _state_dict(row)
-        if _state_words(probe)[:] != row:
+    w, k = tables
+    at = r & 0x1FF
+    rabs = (r >> 9) & _MASK52
+    return rabs * w[at], rabs < k[at]
+
+
+_NEXT_UINT64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_NEXT_UINT32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _BitGen(ctypes.Structure):
+    """numpy's ``bitgen_t`` (numpy/random/bitgen.h), through which its C
+    distributions draw."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", _NEXT_UINT64),
+        ("next_uint32", _NEXT_UINT32),
+        ("next_double", _NEXT_DOUBLE),
+        ("next_raw", _NEXT_UINT64),
+    ]
+
+
+def _least_refused(accepts, guess: int) -> int:
+    """The least rabs below 2**52 that ``accepts`` refuses, 2**52 if none,
+    for an ``accepts`` true exactly below it: a bisection, which starts
+    from [guess - 1, guess + 1] where ``accepts`` brackets it there."""
+    top = 1 << 52
+    lo, hi = guess - 1, guess + 1  # accepted at lo, refused at hi
+    if not (0 <= lo < top and accepts(lo)):
+        lo = -1
+    if not (0 <= hi < top and not accepts(hi)):
+        hi = top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return hi
+
+
+def _check_tables(tables: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether 32 seeded ``Generator``s draw what ``tables`` predict from
+    their raw words: one normal per word up to the first word off the fast
+    path, and then, from that word, a ``random()`` of (word >> 11) * 2**-53."""
+    for seed in range(32):
+        raw = np.random.PCG64(seed).random_raw(129)
+        x, fast = _fast_normals(raw[:-1], tables)
+        stop = len(x) if fast.all() else int(fast.argmin())
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if rng.standard_normal(stop).tobytes() != x[:stop].tobytes():
             return False
-
-    direct, setter = np.random.PCG64(0), np.random.PCG64(0)
-    words = _state_words(direct)
-    for row in rows:
-        words[:] = row
-        setter.state = _state_dict(row)
-        if direct.random_raw(4).tolist() != setter.random_raw(4).tolist():
+        if rng.random() != (int(raw[stop]) >> 11) * 2.0**-53:
             return False
     return True
 
 
 @functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray] | None:
+    """numpy's ziggurat tables for ``standard_normal``, in the form
+    :func:`_fast_normals` reads, or None where they cannot be read or fail
+    :func:`_check_tables`.  Read once per process, on first use.
+
+    numpy's random C-API exports ``random_standard_normal``.  Here it draws
+    through a ``bitgen_t`` whose ``next_uint64`` hands out one chosen word
+    and then 0s, and whose ``next_double`` returns 0.5.  A 0 word (layer 0,
+    rabs 0) is accepted or goes to the tail, whose loop 0.5 ends at once,
+    so every call ends.  A word with rabs = 1 returns wi[layer] itself if
+    it takes no other word and, in layer 0, whose other exit is the tail,
+    no double.  ki[layer] is the least rabs that calls ``next_double``; the
+    search starts at wi[layer - 1] / wi[layer] * 2**52 (layer -1 is 255),
+    which ki equals or exceeds by one in every layer but layer 1, where ki
+    is 0.
+    """
+    try:
+        normal = ctypes.CDLL(np.random._generator.__file__).random_standard_normal
+    except (OSError, AttributeError):
+        return None
+    normal.argtypes = [ctypes.POINTER(_BitGen)]
+    normal.restype = ctypes.c_double
+    fed: list[int] = []
+    taken = [0, 0]  # next_uint64 and next_double calls
+
+    def next_uint64(_):
+        taken[0] += 1
+        return fed.pop() if fed else 0
+
+    def next_double(_):
+        taken[1] += 1
+        return 0.5
+
+    bitgen = _BitGen(
+        None, _NEXT_UINT64(next_uint64), _NEXT_UINT32(lambda _: 0),
+        _NEXT_DOUBLE(next_double), _NEXT_UINT64(next_uint64),
+    )
+
+    def draw(word: int) -> tuple[float, int, int]:
+        fed[:], taken[:] = [word], [0, 0]
+        return normal(ctypes.byref(bitgen)), *taken
+
+    wi = []
+    for layer in range(256):
+        x, words, doubles = draw(layer | 1 << 9)
+        if words != 1 or (layer == 0 and doubles) or not x > 0.0:
+            return None
+        wi.append(x)
+    ki = [
+        _least_refused(
+            lambda r: draw(layer | r << 9)[2] == 0, int(wi[layer - 1] / wi[layer] * 2**52)
+        )
+        for layer in range(256)
+    ]
+    tables = (np.array(wi + [-x for x in wi]), np.array(ki + ki, dtype=np.uint64))
+    return tables if _check_tables(tables) else None
+
+
+def _seeded_state(column: list[int]) -> dict:
+    """The ``bitgen.state`` of PCG64 seeded from one column of
+    :func:`_seed_words`."""
+    initstate = column[0] << 64 | column[1]
+    inc = (column[2] << 65 | column[3] << 1 | 1) & _MASK128
+    state = {"state": ((initstate + inc) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+
+
+@functools.cache
 def _draw_generator() -> tuple[np.random.PCG64, np.random.Generator]:
-    """The one PCG64, and its Generator, that :func:`_noise_draws` loads
-    every seeded state into; made once per process."""
+    """The one PCG64, and its Generator, that :func:`_noise_draws` loads a
+    seeded state into for each draw off the fast path; made once per
+    process."""
     bitgen = np.random.PCG64(0)
     return bitgen, np.random.Generator(bitgen)
 
@@ -537,31 +686,36 @@ def _noise_draws(seed: int, scene_seed: int, n: int) -> tuple[np.ndarray, np.nda
     """The (g, label_draw) pair of candidate predicates 0..n-1, each pair the
     first normal and uniform of ``default_rng([seed, scene_seed, k])``.
 
-    Instead of building n generators, the n seeded PCG64 states are derived
-    in one vectorized pass (:func:`_seed_words`, :func:`_seeded_states`),
-    and each is loaded in turn into one PCG64 (:func:`_draw_generator`),
-    which then draws with numpy's own ``standard_normal()`` and
-    ``random()`` (the bits of ``uniform()``).  NEP 19 fixes the two reimplemented steps,
-    SeedSequence hashing and PCG64 seeding, across numpy releases, so the
-    stream is that of the n generators.  It does not fix the layout of
-    PCG64's state struct, which the states are written into directly:
-    :func:`_direct_write_ok` checks that write on first use, and where it
-    fails the ``bitgen.state`` setter loads each state instead.  This
-    generator only ever draws 64-bit words, so its buffered 32-bit half
-    stays empty and each write, covering the 128-bit state and increment,
-    leaves nothing of the previous one.  Seeds must be non-negative.
+    Instead of building n generators, one vectorized pass derives each
+    generator's first two 64-bit outputs (:func:`_seed_words`,
+    :func:`_first_outputs`).  NEP 19 fixes what that pass reimplements,
+    SeedSequence hashing and PCG64 seeding and output, across numpy
+    releases.  The normal comes from the first output by numpy's ziggurat
+    fast path (:func:`_fast_normals`), and the uniform from the second as
+    ``random()`` makes it.  The ziggurat tables come through numpy's public
+    random C-API and are checked against ``Generator.standard_normal`` on
+    first use (:func:`_ziggurat_tables`).  A draw off the fast path, or
+    every draw if the tables fail their check, is made by numpy itself:
+    its seeded state is loaded into one PCG64 (:func:`_draw_generator`)
+    through the ``bitgen.state`` setter, which then draws
+    ``standard_normal()`` and ``random()``.  Seeds must be non-negative.
     """
-    bitgen, rng = _draw_generator()
-    words = _state_words(bitgen) if _direct_write_ok() else None
-    g = np.empty(n)
-    label_draw = np.empty(n)
-    for k, row in enumerate(_seeded_states(_seed_words(seed, scene_seed, n)).tolist()):
-        if words is None:
-            bitgen.state = _state_dict(row)
-        else:
-            words[:] = row
-        g[k] = rng.standard_normal()
-        label_draw[k] = rng.random()
+    words = _seed_words(seed, scene_seed, n)
+    tables = _ziggurat_tables()
+    if tables is None:
+        g, label_draw = np.empty(n), np.empty(n)
+        slow = range(n)
+    else:
+        r = _first_outputs(words)
+        g, fast = _fast_normals(r[0], tables)
+        label_draw = (r[1] >> 11) * 2.0**-53
+        slow = np.flatnonzero(~fast).tolist()
+    if slow:
+        bitgen, rng = _draw_generator()
+        for k in slow:
+            bitgen.state = _seeded_state(words[:, k].tolist())
+            g[k] = rng.standard_normal()
+            label_draw[k] = rng.random()
     g.flags.writeable = False
     label_draw.flags.writeable = False
     return g, label_draw

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from beliefplan.scene import (
     PlanningEnvironment,
     Scene,
     SceneObject,
+    _box_edges,
+    _edges_iou,
     _noise_draws,
     _predicate_index,
     _scene_facts,
@@ -38,7 +44,6 @@ from beliefplan.scene import (
     apply_info_action,
     candidate_predicates,
     generate_scene,
-    iou_2d,
     occluded_objects,
     perceive,
     perceive_with_labels,
@@ -261,6 +266,11 @@ class TestTruthVector:
         _, truth, _ = _scene_facts(small_stacked_scene())
         with pytest.raises(ValueError):
             truth[0] = 1.0
+
+
+def iou_2d(box_a, box_b):
+    """IoU of two center-size pixel boxes, as the occlusion test takes it."""
+    return _edges_iou(_box_edges(box_a), _box_edges(box_b))
 
 
 class TestOcclusion:
@@ -741,33 +751,66 @@ class TestNoiseDrawsMatchReference:
 
 
 class TestNoiseDrawsThroughTheStateSetter(TestNoiseDrawsMatchReference):
-    """The same draws when the direct state write is refused."""
+    """The same draws when the ziggurat tables are refused, so that numpy
+    draws every predicate from a state loaded by the setter."""
 
     @pytest.fixture(autouse=True)
-    def _refuse_direct_write(self, monkeypatch):
-        monkeypatch.setattr(scene_module, "_direct_write_ok", lambda: False)
+    def _refuse_tables(self, monkeypatch):
+        monkeypatch.setattr(scene_module, "_ziggurat_tables", lambda: None)
         _noise_draws.cache_clear()
         yield
         _noise_draws.cache_clear()
 
 
-def test_direct_state_write_passes_its_check():
-    # so that a silent fallback to the slower setter cannot go unnoticed
-    assert scene_module._direct_write_ok.__wrapped__()
+def test_ziggurat_tables_load_and_pass_their_check():
+    # so that a silent fallback to drawing every predicate through the
+    # state setter cannot go unnoticed
+    tables = scene_module._ziggurat_tables.__wrapped__()
+    assert tables is not None
+    _, fast = scene_module._fast_normals(np.random.PCG64(7).random_raw(20000), tables)
+    assert 0.98 < fast.mean() < 0.995  # numpy's ziggurat leaves its fast path ~1.5% of the time
 
 
-def test_state_check_reads_before_it_writes(monkeypatch):
-    # words that do not read back the loaded state must refuse the write path
-    # before anything is written through them
-    class Unwritable:
-        def __getitem__(self, key):
-            return [0, 0, 0, 0]
+def test_tables_that_fail_their_check_are_refused(monkeypatch):
+    monkeypatch.setattr(scene_module, "_check_tables", lambda tables: False)
+    assert scene_module._ziggurat_tables.__wrapped__() is None
 
-        def __setitem__(self, key, value):
-            raise AssertionError("state words written before they were read")
 
-    monkeypatch.setattr(scene_module, "_state_words", lambda bitgen: Unwritable())
-    assert not scene_module._direct_write_ok.__wrapped__()
+def test_importing_the_scene_module_reads_no_table():
+    # the tables are read on the first draw, so importing costs nothing more
+    src = str(Path(scene_module.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "from beliefplan import scene; read = scene._ziggurat_tables.cache_info; "
+        "before = read().currsize; scene._noise_draws(1, 2, 3); print(before, read().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
+# Draws off numpy's ziggurat fast path, found by a search over seed pairs:
+# branch -> (perception seed, scene seed, predicate)
+FAST_PATH_EXITS = {
+    "wedge": (3, 0, 22),  # layer 86 with rabs >= ki[86]: the wedge test
+    "tail": (0, 0, 2),  # layer 0 with rabs >= ki[0]: the tail beyond r
+}
+
+
+@pytest.mark.parametrize("branch", sorted(FAST_PATH_EXITS))
+def test_draws_off_the_fast_path(branch):
+    seed, scene_seed, k = FAST_PATH_EXITS[branch]
+    words = scene_module._seed_words(seed, scene_seed, k + 1)
+    first = scene_module._first_outputs(words)[0]
+    _, fast = scene_module._fast_normals(first, scene_module._ziggurat_tables())
+    assert not fast[k] and (int(first[k]) & 0xFF == 0) == (branch == "tail")
+    _assert_same_draws(
+        _noise_draws.__wrapped__(seed, scene_seed, k + 1),
+        _reference_noise_draws(seed, scene_seed, k + 1),
+    )
 
 
 def test_seed_pairs_of_many_words():
