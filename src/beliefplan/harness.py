@@ -3,13 +3,19 @@
 Every experiment kind maps a config to per-trial rows plus a summary
 block.  Trial randomness derives from hashing (experiment seed, setting
 index, trial index) into independent seed sequences, so results are
-byte-identical across re-runs and worker counts; trials are embarrassingly
-parallel and assembled in index order.  All exported timings are modeled
-from the fixed per-operation costs in ``MODELED_COST_MS`` rather than
-measured, keeping output files deterministic; a planning episode's time
-follows from the counts it carries (rounds, info actions, A* expansions,
-plan length).  ``tests/test_golden.py`` pins the digests of one small
-config per kind, so an output change between commits fails a test too.
+byte-identical across re-runs, worker counts and batch sizes.  Trials run
+in batches, each one task of the process pool when there are workers, and
+are assembled in index order.  A batch takes every trial's seeds from one
+column-wise SeedSequence pass and, for the kinds that perceive, asks for
+every first observation's noise draws in one more pass before its trials
+run, so that a trial pays no fixed per-call cost for either.
+
+All exported timings are modeled from the fixed per-operation costs in
+``MODELED_COST_MS`` rather than measured, keeping output files
+deterministic; a planning episode's time follows from the counts it
+carries (rounds, info actions, A* expansions, plan length).
+``tests/test_golden.py`` pins the digests of one small config per kind, so
+an output change between commits fails a test too.
 
 The decay kinds (alpha-fit, convergence) read their beliefs from one
 full-attention observation loop and differ only in where they stop it; the
@@ -56,6 +62,9 @@ from beliefplan.planner import (
 from beliefplan.scene import (
     NoiseConfig,
     PlanningEnvironment,
+    _noise_draws,
+    _seed_words,
+    _uint32_words,
     candidate_predicates,
     check_scene_shape,
     generate_scene,
@@ -263,10 +272,22 @@ def cohens_d(xs: Sequence[float], ys: Sequence[float]) -> float:
 # per-trial seeding and episodes
 
 
-def _trial_seeds(config_seed: int, setting_idx: int, trial_idx: int) -> tuple[int, int]:
-    ss = np.random.SeedSequence([config_seed, setting_idx, trial_idx])
-    scene_seed, perception_seed = ss.generate_state(2, np.uint32)
-    return int(scene_seed), int(perception_seed)
+def _trial_seeds(config_seed: int, units: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (scene seed, perception seed) of each (setting, trial) index pair:
+    the first two 32-bit words of ``SeedSequence([config_seed, setting,
+    trial])``, from one :func:`_seed_words` pass per entropy length."""
+    head = _uint32_words(config_seed)
+    by_length: dict[int, list] = {}
+    for at, (setting_idx, trial_idx) in enumerate(units):
+        words = head + _uint32_words(setting_idx) + _uint32_words(trial_idx)
+        by_length.setdefault(len(words), []).append((at, words))
+    seeds = [(0, 0)] * len(units)
+    for group in by_length.values():
+        ats, columns = zip(*group)
+        words = _seed_words(np.array(columns, dtype=np.uint32).T, 2).tolist()
+        for at, scene_seed, perception_seed in zip(ats, *words):
+            seeds[at] = (scene_seed, perception_seed)
+    return seeds
 
 
 def default_goal(scene) -> Goal:
@@ -283,9 +304,9 @@ def default_goal(scene) -> Goal:
     )
 
 
-def _trial_scene(config: ExperimentConfig, setting_idx: int, trial_idx: int):
+def _trial_scene(config: ExperimentConfig, seeds: tuple[int, int]):
     """The trial's generated scene and its perception seed."""
-    scene_seed, perception_seed = _trial_seeds(config.seed, setting_idx, trial_idx)
+    scene_seed, perception_seed = seeds
     return generate_scene(config.n_objects, config.stack_bias, scene_seed), perception_seed
 
 
@@ -341,23 +362,28 @@ def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: fl
 # ---------------------------------------------------------------------------
 # experiment units (module-level for process pools)
 
+# Units run in batches of at most this many.  It stays within the scene
+# module's draw cache (``_DRAWS_KEPT`` keys), so that every unit finds the
+# draws its batch asked for.
+_BATCH_UNITS = 32
 
-def _calibration_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
-    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
+
+def _calibration_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
+    scene, perception_seed = _trial_scene(config, seeds)
     state, labels = perceive_with_labels(scene, config.noise(), perception_seed)
     return [(p, y) for (_, p), y in zip(state.items(), labels.tolist())]
 
 
-def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
-    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
+def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
+    scene, perception_seed = _trial_scene(config, seeds)
     rounds = _attention_rounds(scene, config.noise(exact_reduction=True), perception_seed)
     trace = [state_uncertainty_independent(b) for b in itertools.islice(rounds, config.steps + 1)]
     n_objs = len(scene.object_ids())
     return trace, modeled_episode_ms(config.steps + 1, config.steps * n_objs)
 
 
-def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
-    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
+def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
+    scene, perception_seed = _trial_scene(config, seeds)
     rounds = _attention_rounds(scene, config.noise(exact_reduction=True), perception_seed)
     belief = next(rounds)
     u0 = state_uncertainty_independent(belief)
@@ -369,14 +395,14 @@ def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int
     return u0, k_emp, k_bound, modeled_episode_ms(k_emp + 1, k_emp * len(scene.object_ids()))
 
 
-def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
-    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
+def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
+    scene, perception_seed = _trial_scene(config, seeds)
     episode, modeled = _episode(config, scene, perception_seed, config.taus[setting_idx])
     return int(episode.success), modeled
 
 
-def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
-    scene, perception_seed = _trial_scene(config, setting_idx, trial_idx)
+def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
+    scene, perception_seed = _trial_scene(config, seeds)
     out = []
     for policy, info_enabled in (("info_on", True), ("info_off", False)):
         episode, modeled = _episode(config, scene, perception_seed, config.tau_plan, info_enabled)
@@ -393,8 +419,8 @@ def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
     return out
 
 
-def _mrf_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
-    scene_seed, _ = _trial_seeds(config.seed, setting_idx, trial_idx)
+def _mrf_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
+    scene_seed, _ = seeds
     rng = np.random.default_rng([scene_seed, trial_idx])
     n = int(rng.integers(2, 11))
     preds = tuple(GroundPredicate(Relation.CLEAR, (f"n{k:02d}",)) for k in range(n))
@@ -424,15 +450,33 @@ def _mrf_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int):
     return n, len(edges), int(bp.converged), max_dev, u_dep, u_indep
 
 
+def _run_batch(config: ExperimentConfig, unit, batch: list[tuple[int, int]]) -> list:
+    """``unit(config, s, t, seeds)`` for each (setting, trial) index pair of
+    a batch, in order.  Every trial's seeds come from one pass and, for the
+    kinds that perceive, every first observation's noise draws from
+    another, asked for before any unit runs; the units then find them
+    cached."""
+    seeds = _trial_seeds(config.seed, batch)
+    if config.kind != "mrf-check":
+        n = len(candidate_predicates(str(k) for k in range(config.n_objects)))
+        _noise_draws([(perception_seed, scene_seed, n) for scene_seed, perception_seed in seeds])
+    return [unit(config, s, t, pair) for (s, t), pair in zip(batch, seeds)]
+
+
 def _map_units(config: ExperimentConfig, unit, units: list[tuple]) -> list:
-    """``unit(config, s, t)`` for each (setting, trial) index pair, in order."""
-    workers = min(config.workers, len(units))  # no process without a unit to run
+    """``unit(config, s, t, seeds)`` for each (setting, trial) index pair, in
+    order, run in batches of at most ``_BATCH_UNITS`` (see
+    :func:`_run_batch`).  With workers, each batch is one task of the pool,
+    and batches shrink so that every worker gets one."""
+    size = min(_BATCH_UNITS, -(-len(units) // config.workers))
+    batches = [units[i : i + size] for i in range(0, len(units), size)]
+    workers = min(config.workers, len(batches))  # no process without a batch to run
     if workers <= 1:
-        return [unit(config, s, t) for s, t in units]
-    settings, trials = zip(*units)
-    chunksize = max(1, len(units) // (4 * workers))
+        return [out for batch in batches for out in _run_batch(config, unit, batch)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(unit, [config] * len(units), settings, trials, chunksize=chunksize))
+        n = len(batches)
+        done = pool.map(_run_batch, [config] * n, [unit] * n, batches, chunksize=1)
+        return [out for outs in done for out in outs]
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +806,7 @@ def generate_scene_files(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for k in range(count):
-        scene_seed, _ = _trial_seeds(seed, 0, k)
+    for k, (scene_seed, _) in enumerate(_trial_seeds(seed, [(0, k) for k in range(count)])):
         scene = generate_scene(n_objects, stack_bias, scene_seed)
         path = out / f"scene_{seed}_{k:04d}.json"
         path.write_text(scene_to_json(scene) + "\n")

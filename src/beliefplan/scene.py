@@ -17,14 +17,16 @@ predicate index per object set, each scene's truth vector and occlusion
 set, and each (perception seed, scene seed) pair's noise draws, which an
 episode's re-observations reuse.  The caches are bounded.  The draws are
 the first normal and uniform of one ``default_rng([seed, scene seed, k])``
-per predicate k, made for all k in one vectorized pass.  SeedSequence
-hashing and PCG64 seeding and output, which NEP 19 fixes across numpy
-releases, give each generator's first two 64-bit words; numpy's ziggurat
-fast path and ``random()`` turn them into the two draws.  The ziggurat
-tables come through numpy's public random C-API and are checked against
-``Generator.standard_normal`` on first use.  A draw off the fast path
-(about 1.5%), or every draw if the tables fail their check, is made by
-numpy itself from that generator's seeded state.
+per predicate k.  They are made for every k of many pairs at once, in
+one vectorized pass, when a batch of trials asks for them before its
+trials run, or for one pair on its first observation.  A column-wise
+SeedSequence and PCG64's seeding and output, which NEP 19 fixes across
+numpy releases, give each generator's first two 64-bit words; numpy's
+ziggurat fast path and ``random()`` turn them into the two draws.  The
+ziggurat tables come through numpy's public random C-API and are checked
+against ``Generator.standard_normal`` on first use.  A draw off the fast
+path (about 1.5%), or every draw if the tables fail their check, is made
+by numpy itself from that generator's seeded state.
 
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
@@ -390,27 +392,16 @@ def _uint32_words(n: int) -> list[int]:
 
 
 @functools.cache
-def _hash_consts(init: int, mult: int, count: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The ``count + 1`` successive constants of ``count`` hashes, as ints
-    and as a read-only uint32 column: hash i xors with constant i and
-    multiplies by constant i + 1.  Built once per argument triple."""
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The ``count + 1`` successive constants of ``count`` hashes, as a
+    read-only uint32 column: hash i xors with constant i and multiplies by
+    constant i + 1.  Built once per argument triple."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
     col = np.array(consts, dtype=np.uint32)[:, None]
     col.flags.writeable = False
-    return tuple(consts), col
-
-
-def _hash32(value: int, consts: tuple[int, ...], at: int) -> int:
-    """SeedSequence's hashmix of one word, by hash ``at`` of ``consts``."""
-    value = (value ^ consts[at]) * consts[at + 1] & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix32(x: int, y: int) -> int:
-    out = _SS_MIX_L * x - _SS_MIX_R * y & _MASK32
-    return out ^ (out >> 16)
+    return col
 
 
 def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -424,58 +415,33 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> 16)
 
 
-def _seed_words(seed: int, scene_seed: int, n: int) -> np.ndarray:
-    """``SeedSequence([seed, scene_seed, k]).generate_state(4, np.uint64)``
-    for every k < n, as a (4, n) uint64 array.
+def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy[:, i].tolist()).generate_state(n_words,
+    np.uint32)`` for every column i of a (words, N) uint32 entropy array, as
+    an (n_words, N) uint32 array.
 
-    The hash constants do not depend on the data, and a pool word that k's
-    entropy word has not been mixed into is the same for every k: such
-    words are hashed once, as Python ints.  k's word, and each pool word it
-    reaches, is an array over all k, and each step runs once over it.
+    A column is one sequence's entropy, its ints' 32-bit words in order, so
+    every column has as many words: keys whose entropy differs in length
+    go in separate passes.  Each of SeedSequence's pool hashes and mixes
+    runs once over the whole array, and the hash constants, which do not
+    depend on the data, are built once per word count.
     """
-    entropy = _uint32_words(seed) + _uint32_words(scene_seed)
-    at_k = len(entropy)  # k's word comes last, third or later
-    n_words = max(at_k + 1, _SS_POOL_SIZE)
-    consts, col = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * n_words)
-    entropy += [0] * (n_words - at_k)  # k's word is hashed apart
-    pool: list | np.ndarray = [
-        _hash32(word, consts, i) for i, word in enumerate(entropy[:_SS_POOL_SIZE])
-    ]
-    k_row = np.arange(n, dtype=np.uint32)
-    if at_k < _SS_POOL_SIZE:
-        k_row = _hashmix(k_row, col[at_k], col[at_k + 1])
-
+    n_entropy, n_columns = entropy.shape
+    col = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * max(n_entropy, _SS_POOL_SIZE))
+    pool = np.zeros((_SS_POOL_SIZE, n_columns), dtype=np.uint32)  # short entropy pads with 0s
+    pool[: min(n_entropy, _SS_POOL_SIZE)] = entropy[:_SS_POOL_SIZE]
+    pool = _hashmix(pool, col[:_SS_POOL_SIZE], col[1 : _SS_POOL_SIZE + 1])
     at = _SS_POOL_SIZE
-    for src in range(_SS_POOL_SIZE):  # every pool word into every other one
-        if src < at_k:  # the same for every k, but for k's own word
-            for dst in (d for d in range(_SS_POOL_SIZE) if d != src):
-                h = _hash32(pool[src], consts, at)
-                if dst == at_k:  # h as a uint32 array, so that _mix wraps its product
-                    k_row = _mix(k_row, np.array(h, dtype=np.uint32))
-                else:
-                    pool[dst] = _mix32(pool[dst], h)
-                at += 1
-        elif src == at_k:  # k's word into the rest: from here the pool is one array
-            h = _hashmix(k_row, col[at : at + 3], col[at + 1 : at + 4])
-            rest = _mix(np.array(pool[:src] + pool[src + 1 :], dtype=np.uint32)[:, None], h)
-            pool = np.concatenate((rest[:src], k_row[None], rest[src:]))
-            at += 3
-        else:  # src is the last word, after k's: the rest are the rows before it
-            h = _hashmix(pool[src], col[at : at + 3], col[at + 1 : at + 4])
-            pool[:src] = _mix(pool[:src], h)
-            at += 3
-    for src in range(_SS_POOL_SIZE, n_words):  # entropy past the pool into every word
-        if src < at_k:
-            pool = [_mix32(w, _hash32(entropy[src], consts, at + i)) for i, w in enumerate(pool)]
-        else:  # k's word, the last
-            h = _hashmix(k_row, col[at : at + 4], col[at + 1 : at + 5])
-            pool = _mix(np.array(pool, dtype=np.uint32)[:, None], h)
+    for src in range(_SS_POOL_SIZE):  # every pool word into every other one, in order
+        h = _hashmix(pool[src], col[at : at + 3], col[at + 1 : at + 4])
+        pool[:src] = _mix(pool[:src], h[:src])
+        pool[src + 1 :] = _mix(pool[src + 1 :], h[src:])
+        at += 3
+    for word in entropy[_SS_POOL_SIZE:]:  # entropy past the pool into every word
+        pool = _mix(pool, _hashmix(word, col[at : at + 4], col[at + 1 : at + 5]))
         at += _SS_POOL_SIZE
-
-    # eight 32-bit output words, cycling through the pool; pairs make uint64s
-    out = _hash_consts(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)[1]
-    state = _hashmix(np.concatenate((pool, pool)), out[:-1], out[1:]).astype(np.uint64)
-    return state[0::2] | (state[1::2] << 32)
+    out = _hash_consts(_SS_INIT_B, _SS_MULT_B, n_words)  # output words cycle through the pool
+    return _hashmix(pool[np.arange(n_words) % _SS_POOL_SIZE], out[:-1], out[1:])
 
 
 def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -681,30 +647,31 @@ def _draw_generator() -> tuple[np.random.PCG64, np.random.Generator]:
     return bitgen, np.random.Generator(bitgen)
 
 
-@functools.lru_cache(maxsize=8)
-def _noise_draws(seed: int, scene_seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (g, label_draw) pair of candidate predicates 0..n-1, each pair the
-    first normal and uniform of ``default_rng([seed, scene_seed, k])``.
+# The most predicates one pass draws for, which bounds the pass's arrays,
+# and the most keys whose draws stay cached: at least a harness batch, whose
+# units read back the draws the batch asked for.
+_PASS_COLUMNS = 8192
+_DRAWS_KEPT = 64
+_draws: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    Instead of building n generators, one vectorized pass derives each
-    generator's first two 64-bit outputs (:func:`_seed_words`,
-    :func:`_first_outputs`).  NEP 19 fixes what that pass reimplements,
-    SeedSequence hashing and PCG64 seeding and output, across numpy
-    releases.  The normal comes from the first output by numpy's ziggurat
-    fast path (:func:`_fast_normals`), and the uniform from the second as
-    ``random()`` makes it.  The ziggurat tables come through numpy's public
-    random C-API and are checked against ``Generator.standard_normal`` on
-    first use (:func:`_ziggurat_tables`).  A draw off the fast path, or
-    every draw if the tables fail their check, is made by numpy itself:
-    its seeded state is loaded into one PCG64 (:func:`_draw_generator`)
-    through the ``bitgen.state`` setter, which then draws
-    ``standard_normal()`` and ``random()``.  Seeds must be non-negative.
-    """
-    words = _seed_words(seed, scene_seed, n)
+
+def _draw_pass(entries: list[tuple[tuple[int, int, int], list[int]]]) -> dict:
+    """The draws of each key from one pass: an entry is a (perception seed,
+    scene seed, n) key and its two seeds' 32-bit words, as many for every
+    entry.  Each key's predicates k < n are that many entropy columns."""
+    keys, prefixes = zip(*entries)
+    counts = [n for _, _, n in keys]
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    entropy = np.empty((len(prefixes[0]) + 1, total), dtype=np.uint32)
+    entropy[:-1] = np.repeat(np.array(prefixes, dtype=np.uint32).T, counts, axis=1)
+    entropy[-1] = np.arange(total) - np.repeat(ends - counts, counts)
+    words = _seed_words(entropy, 2 * _SS_POOL_SIZE).astype(np.uint64)
+    words = words[0::2] | words[1::2] << 32  # pairs of 32-bit words, low first, make uint64s
     tables = _ziggurat_tables()
     if tables is None:
-        g, label_draw = np.empty(n), np.empty(n)
-        slow = range(n)
+        g, label_draw = np.empty(total), np.empty(total)
+        slow = range(total)
     else:
         r = _first_outputs(words)
         g, fast = _fast_normals(r[0], tables)
@@ -712,13 +679,62 @@ def _noise_draws(seed: int, scene_seed: int, n: int) -> tuple[np.ndarray, np.nda
         slow = np.flatnonzero(~fast).tolist()
     if slow:
         bitgen, rng = _draw_generator()
-        for k in slow:
-            bitgen.state = _seeded_state(words[:, k].tolist())
+        for k, column in zip(slow, words[:, slow].T.tolist()):
+            bitgen.state = _seeded_state(column)
             g[k] = rng.standard_normal()
             label_draw[k] = rng.random()
     g.flags.writeable = False
     label_draw.flags.writeable = False
-    return g, label_draw
+    ends = ends.tolist()
+    return {
+        key: (g[start:end], label_draw[start:end])
+        for key, start, end in zip(keys, [0] + ends[:-1], ends)
+    }
+
+
+def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (g, label_draw) pair of each (perception seed, scene seed, n) key:
+    for each candidate predicate k < n, the first normal and uniform of
+    ``default_rng([perception seed, scene seed, k])``.
+
+    Keys not in the cache are drawn together, in passes of at most
+    ``_PASS_COLUMNS`` predicates over keys whose seeds take as many 32-bit
+    words, instead of building a generator per predicate.  A pass derives
+    each generator's first two 64-bit outputs (:func:`_seed_words`,
+    :func:`_first_outputs`); NEP 19 fixes what it reimplements, SeedSequence
+    hashing and PCG64 seeding and output, across numpy releases.  The
+    normal comes from the first output by numpy's ziggurat fast path
+    (:func:`_fast_normals`), and the uniform from the second as ``random()``
+    makes it.  The ziggurat tables come through numpy's public random C-API
+    and are checked against ``Generator.standard_normal`` on first use
+    (:func:`_ziggurat_tables`).  A draw off the fast path, or every draw if
+    the tables fail their check, is made by numpy itself: the pass's words
+    for it are loaded into one PCG64 (:func:`_draw_generator`) through the
+    ``bitgen.state`` setter, which then draws ``standard_normal()`` and
+    ``random()``.  The last ``_DRAWS_KEPT`` keys drawn stay cached, so later
+    observations, and units whose batch asked first, draw nothing.
+    Seeds must be non-negative; the arrays are read-only.
+    """
+    by_length: dict[int, list] = {}
+    for key in dict.fromkeys(keys):
+        if key not in _draws:
+            words = _uint32_words(key[0]) + _uint32_words(key[1])
+            by_length.setdefault(len(words), []).append((key, words))
+    drawn = {}
+    for group in by_length.values():
+        entries, columns = [], 0
+        for entry in group:
+            if entries and columns + entry[0][2] > _PASS_COLUMNS:
+                drawn.update(_draw_pass(entries))
+                entries, columns = [], 0
+            entries.append(entry)
+            columns += entry[0][2]
+        drawn.update(_draw_pass(entries))
+    out = [drawn[key] if key in drawn else _draws[key] for key in keys]
+    _draws.update(drawn)
+    while len(_draws) > _DRAWS_KEPT:  # the oldest go first
+        del _draws[next(iter(_draws))]
+    return out
 
 
 def _sharpen(p: float, gamma: float) -> float:
@@ -741,15 +757,16 @@ def perceive_with_labels(
     The underlying noise draws depend only on (scene, seed, predicate), not
     on the config, so re-perceiving under a sharper attention state refines
     the same observation instead of rolling new dice.  They are drawn on
-    the first observation and reused by the next ones (a bounded cache), as
-    are the scene's truths and occlusion set.  Logs, exponentials and powers
-    are taken one float at a time with ``math`` and ``**``, whose results
-    numpy's vector forms do not always match bit for bit.
+    the first observation, unless a batch of trials asked for them first,
+    and reused by the next ones (a bounded cache), as are the scene's truths
+    and occlusion set.  Logs, exponentials and powers are taken one float
+    at a time with ``math`` and ``**``, whose results numpy's vector forms
+    do not always match bit for bit; the log once per distinct odds value.
     """
     if seed < 0:
         raise ValueError(f"perception seed must be non-negative, got {seed}")
     index, truth, occluded = _scene_facts(scene)
-    g, label_draw = _noise_draws(int(seed), scene.seed, len(index.preds))
+    g, label_draw = _noise_draws([(int(seed), scene.seed, len(index.preds))])[0]
 
     residual_of = dict(cfg.focus)
     per_obj = np.array([residual_of.get(obj, 1.0) for obj in index.ids])
@@ -767,9 +784,11 @@ def perceive_with_labels(
     noisy = sd != 0.0  # elsewhere sigmoid(logit(p)) == p; skip the roundtrip
     if noisy.any():
         ts = np.clip(p[noisy], _TINY, 1.0 - _TINY)
-        x = np.array([math.log(v) for v in (ts / (1.0 - ts)).tolist()]) + sd[noisy] * g[noisy]
+        odds = (ts / (1.0 - ts)).tolist()  # a few distinct values: one per residual level
+        log_of = {v: math.log(v) for v in set(odds)}
+        x = np.fromiter(map(log_of.__getitem__, odds), float, len(odds)) + sd[noisy] * g[noisy]
         # sigmoid(x) from e = exp(-|x|), which cannot overflow
-        e = np.array([math.exp(v) for v in (-np.abs(x)).tolist()])
+        e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), float, len(x))
         p[noisy] = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     labels = (label_draw < p).astype(int)
 

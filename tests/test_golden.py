@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import beliefplan
+from beliefplan import harness
 from beliefplan.harness import ExperimentConfig, export, generate_scene_files, run
 
 CONFIGS = {
@@ -72,6 +73,14 @@ def all_digests(workers: int = 1) -> dict[str, str]:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_digests_pinned(workers):
+    assert all_digests(workers) == GOLDEN
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch", [1, 10**6])
+def test_batch_size_invisible(monkeypatch, batch, workers):
+    # one unit per batch, and every unit in one batch (one per worker at two)
+    monkeypatch.setattr(harness, "_BATCH_UNITS", batch)
     assert all_digests(workers) == GOLDEN
 
 

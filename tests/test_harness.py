@@ -26,7 +26,15 @@ from beliefplan.harness import (
     wilson_ci,
     _trial_seeds,
 )
+from beliefplan import scene as scene_module
 from beliefplan.scene import generate_scene, scene_to_json
+
+
+def _reference_trial_seeds(config_seed, setting_idx, trial_idx):
+    """One SeedSequence per trial, as the harness seeded trials before."""
+    ss = np.random.SeedSequence([config_seed, setting_idx, trial_idx])
+    scene_seed, perception_seed = ss.generate_state(2, np.uint32)
+    return int(scene_seed), int(perception_seed)
 
 
 class TestWilson:
@@ -189,10 +197,20 @@ class TestConfig:
 
 class TestSeeds:
     def test_deterministic_and_distinct(self):
-        a = _trial_seeds(3, 0, 5)
-        assert a == _trial_seeds(3, 0, 5)
-        seen = {_trial_seeds(3, s, t) for s in range(4) for t in range(50)}
-        assert len(seen) == 200
+        units = [(s, t) for s in range(4) for t in range(50)]
+        seeds = _trial_seeds(3, units)
+        assert seeds == _trial_seeds(3, units)
+        assert seeds[5] == _trial_seeds(3, [(0, 5)])[0]
+        assert len(set(seeds)) == 200
+
+    @pytest.mark.parametrize("config_seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_batched_seeds_match_one_sequence_per_trial(self, config_seed):
+        # indices of one, two and three words make passes of their own
+        units = [(s, t) for s in (0, 4) for t in range(40)]
+        units += [(2**32, 7), (1, 2**64 + 3), (0, 2**32)]
+        seeds = _trial_seeds(config_seed, units)
+        assert seeds == [_reference_trial_seeds(config_seed, s, t) for s, t in units]
+        assert all(type(v) is int for pair in seeds for v in pair)
 
 
 class TestDefaultGoal:
@@ -348,6 +366,39 @@ class TestDeterminism:
         assert summary_to_json(seq.summary) == summary_to_json(par.summary)
 
 
+class TestBatching:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The (entropy shape, output words) of every ``_seed_words`` pass."""
+        seen = []
+        seed_words = scene_module._seed_words
+
+        def counted(entropy, n_words):
+            seen.append((entropy.shape, n_words))
+            return seed_words(entropy, n_words)
+
+        monkeypatch.setattr(scene_module, "_seed_words", counted)
+        monkeypatch.setattr(harness, "_seed_words", counted)
+        scene_module._draws.clear()
+        return seen
+
+    def test_one_seed_pass_and_one_draw_pass_per_batch(self, passes):
+        # 100 units in batches of 32, 32, 32 and 4; a unit's 40 predicates are
+        # drawn with its batch, and its episode's re-observations draw nothing
+        run(ExperimentConfig(kind="threshold-sweep", seed=2, trials=20, noise_flip=0.15))
+        assert harness._BATCH_UNITS == 32
+        batches = [32, 32, 32, 4]
+        assert passes == [p for b in batches for p in (((3, b), 2), ((3, 40 * b), 8))]
+
+    def test_both_policies_read_one_draw(self, passes):
+        run(ExperimentConfig(kind="plan-benchmark", seed=2, trials=40, noise_flip=0.15))
+        assert passes == [((3, 32), 2), ((3, 1280), 8), ((3, 8), 2), ((3, 320), 8)]
+
+    def test_mrf_check_draws_nothing(self, passes):
+        run(ExperimentConfig(kind="mrf-check", seed=2, trials=3))
+        assert passes == [((3, 3), 2)]
+
+
 class TestExport:
     def test_csv_files(self, tmp_path):
         rep = run(ExperimentConfig(kind="mrf-check", seed=1, trials=3))
@@ -395,7 +446,7 @@ class TestSceneFiles:
         paths = generate_scene_files(3, 4, 0.4, 17, tmp_path)
         assert len(paths) == 3
         for k, p in enumerate(paths):
-            scene = generate_scene(4, 0.4, _trial_seeds(17, 0, k)[0])
+            scene = generate_scene(4, 0.4, _reference_trial_seeds(17, 0, k)[0])
             assert len(scene.objects) == 4
             assert p.read_text() == scene_to_json(scene) + "\n"
 
@@ -524,7 +575,7 @@ class TestCli:
         files = sorted((tmp_path / "scenes").iterdir())
         assert len(files) == 2
         for k, f in enumerate(files):
-            scene = generate_scene(3, 0.4, _trial_seeds(4, 0, k)[0])
+            scene = generate_scene(3, 0.4, _reference_trial_seeds(4, 0, k)[0])
             assert f.read_text() == scene_to_json(scene) + "\n"
 
     def test_missing_command(self):

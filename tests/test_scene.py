@@ -723,6 +723,13 @@ def _assert_same_draws(got, want):
         assert a.tobytes() == b.tobytes()
 
 
+def _fresh_draws(keys):
+    """``_noise_draws(keys)`` with the cache emptied first, so that every
+    key is drawn anew."""
+    scene_module._draws.clear()
+    return _noise_draws(keys)
+
+
 class TestNoiseDrawsMatchReference:
     SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3)
 
@@ -730,21 +737,22 @@ class TestNoiseDrawsMatchReference:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_predicate_bit_identical(self, seed, n):
         for scene_seed in self.SEEDS:
-            _assert_same_draws(
-                _noise_draws.__wrapped__(seed, scene_seed, n),
-                _reference_noise_draws(seed, scene_seed, n),
-            )
+            (got,) = _fresh_draws([(seed, scene_seed, n)])
+            _assert_same_draws(got, _reference_noise_draws(seed, scene_seed, n))
+
+    def test_one_request_mixing_entropy_lengths(self):
+        keys = [(3, 11, 52), (0, 2**64 + 3, 27), (2**300, 2**300 + 1, 27)]
+        for key, got in zip(keys, _fresh_draws(keys)):
+            _assert_same_draws(got, _reference_noise_draws(*key))
 
     def test_interleaved_calls_share_no_state(self):
         # uncached, so a repeated pair is drawn again after other pairs' draws
         for seed, scene_seed in [(3, 11), (2**32, 5), (3, 11), (0, 2**64 + 3), (2**32, 5)]:
-            _assert_same_draws(
-                _noise_draws.__wrapped__(seed, scene_seed, 52),
-                _reference_noise_draws(seed, scene_seed, 52),
-            )
+            (got,) = _fresh_draws([(seed, scene_seed, 52)])
+            _assert_same_draws(got, _reference_noise_draws(seed, scene_seed, 52))
 
     def test_outputs_read_only(self):
-        for arr in _noise_draws(9, 4, 27):
+        for arr in _noise_draws([(9, 4, 27)])[0]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.5
@@ -757,9 +765,56 @@ class TestNoiseDrawsThroughTheStateSetter(TestNoiseDrawsMatchReference):
     @pytest.fixture(autouse=True)
     def _refuse_tables(self, monkeypatch):
         monkeypatch.setattr(scene_module, "_ziggurat_tables", lambda: None)
-        _noise_draws.cache_clear()
+        scene_module._draws.clear()
         yield
-        _noise_draws.cache_clear()
+        scene_module._draws.clear()
+
+
+def test_seed_words_match_seed_sequence():
+    # entropy shorter than, as long as and longer than the 4-word pool
+    rng = np.random.default_rng(5)
+    for n_entropy in (1, 2, 3, 4, 5, 21):
+        entropy = rng.integers(0, 2**32, size=(n_entropy, 9), dtype=np.uint32)
+        for n_words in (1, 2, 8, 9):
+            want = [
+                np.random.SeedSequence(column).generate_state(n_words, np.uint32)
+                for column in entropy.T.tolist()
+            ]
+            got = scene_module._seed_words(entropy, n_words)
+            assert got.dtype == np.uint32
+            assert got.T.tobytes() == np.array(want).tobytes()
+
+
+def test_requests_past_the_cache_cap():
+    kept = scene_module._DRAWS_KEPT
+    keys = [(seed, 7, 27) for seed in range(kept + 9)]
+    got = _fresh_draws(keys)
+    assert len(scene_module._draws) == kept
+    assert list(scene_module._draws) == keys[-kept:]  # the last keys drawn stay
+    for key, draws in zip(keys, got):
+        _assert_same_draws(draws, _reference_noise_draws(*key))
+    # evicted keys are drawn again and cached ones read back, the same
+    again = keys[:3] + keys[-3:] + [(kept + 9, 7, 27)]
+    for key, draws in zip(again, _noise_draws(again)):
+        _assert_same_draws(draws, _reference_noise_draws(*key))
+    assert len(scene_module._draws) == kept
+    assert list(scene_module._draws)[-4:] == keys[:3] + [(kept + 9, 7, 27)]
+
+
+def test_a_pass_holds_at_most_its_columns(monkeypatch):
+    widths = []
+    seed_words = scene_module._seed_words
+
+    def counted(entropy, n_words):
+        widths.append(entropy.shape[1])
+        return seed_words(entropy, n_words)
+
+    monkeypatch.setattr(scene_module, "_seed_words", counted)
+    monkeypatch.setattr(scene_module, "_PASS_COLUMNS", 100)
+    keys = [(seed, 3, 40) for seed in range(5)] + [(9, 3, 130)]
+    for key, draws in zip(keys, _fresh_draws(keys)):
+        _assert_same_draws(draws, _reference_noise_draws(*key))
+    assert widths == [80, 80, 40, 130]  # keys stay whole; one past the cap is a pass of its own
 
 
 def test_ziggurat_tables_load_and_pass_their_check():
@@ -783,7 +838,7 @@ def test_importing_the_scene_module_reads_no_table():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "from beliefplan import scene; read = scene._ziggurat_tables.cache_info; "
-        "before = read().currsize; scene._noise_draws(1, 2, 3); print(before, read().currsize)"
+        "before = read().currsize; scene._noise_draws([(1, 2, 3)]); print(before, read().currsize)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
@@ -803,22 +858,19 @@ FAST_PATH_EXITS = {
 @pytest.mark.parametrize("branch", sorted(FAST_PATH_EXITS))
 def test_draws_off_the_fast_path(branch):
     seed, scene_seed, k = FAST_PATH_EXITS[branch]
-    words = scene_module._seed_words(seed, scene_seed, k + 1)
-    first = scene_module._first_outputs(words)[0]
+    words = np.array([[seed] * (k + 1), [scene_seed] * (k + 1), range(k + 1)], dtype=np.uint32)
+    words = scene_module._seed_words(words, 8).astype(np.uint64)
+    first = scene_module._first_outputs(words[0::2] | words[1::2] << 32)[0]
     _, fast = scene_module._fast_normals(first, scene_module._ziggurat_tables())
     assert not fast[k] and (int(first[k]) & 0xFF == 0) == (branch == "tail")
-    _assert_same_draws(
-        _noise_draws.__wrapped__(seed, scene_seed, k + 1),
-        _reference_noise_draws(seed, scene_seed, k + 1),
-    )
+    (got,) = _fresh_draws([(seed, scene_seed, k + 1)])
+    _assert_same_draws(got, _reference_noise_draws(seed, scene_seed, k + 1))
 
 
 def test_seed_pairs_of_many_words():
     # two 2^300 seeds take 21 entropy words, past the 4-word pool
-    _assert_same_draws(
-        _noise_draws.__wrapped__(2**300, 2**300 + 1, 27),
-        _reference_noise_draws(2**300, 2**300 + 1, 27),
-    )
+    (got,) = _fresh_draws([(2**300, 2**300 + 1, 27)])
+    _assert_same_draws(got, _reference_noise_draws(2**300, 2**300 + 1, 27))
 
 
 # ---------------------------------------------------------------------------
