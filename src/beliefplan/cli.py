@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from beliefplan.harness import (
     ExperimentConfig,
@@ -118,6 +119,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {len(paths)} scene files to {args.out_dir}")
             return 0
         config = _build_config(_SUBCOMMAND_KINDS[args.command], args)
+        if args.out_dir is not None:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -22,11 +22,11 @@ one vectorized pass, when a batch of trials asks for them before its
 trials run, or for one pair on its first observation.  A column-wise
 SeedSequence and PCG64's seeding and output, which NEP 19 fixes across
 numpy releases, give each generator's first two 64-bit words; numpy's
-ziggurat fast path and ``random()`` turn them into the two draws.  The
-ziggurat tables come through numpy's public random C-API and are checked
-against ``Generator.standard_normal`` on first use.  A draw off the fast
-path (about 1.5%), or every draw if the tables fail their check, is made
-by numpy itself from that generator's seeded state.
+ziggurat fast path and ``random()`` turn them into the two draws.  numpy
+is entered through one door, the ``bitgen.state`` setter: the ziggurat
+tables are read through it and checked against ``Generator.standard_normal``
+on first use, and numpy itself draws from the seeded state it loads for a
+draw off the fast path (about 1.5%), or for every draw if the tables fail.
 
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
@@ -36,7 +36,6 @@ orthographic projection of the [-0.5, 0.5] square meter workspace onto a
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import json
 import math
@@ -374,6 +373,7 @@ _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
 _MASK32 = 0xFFFFFFFF
 _MASK52 = (1 << 52) - 1
 _MASK64 = (1 << 64) - 1
@@ -520,24 +520,6 @@ def _fast_normals(
     return rabs * w[at], rabs < k[at]
 
 
-_NEXT_UINT64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
-_NEXT_UINT32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
-_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
-
-
-class _BitGen(ctypes.Structure):
-    """numpy's ``bitgen_t`` (numpy/random/bitgen.h), through which its C
-    distributions draw."""
-
-    _fields_ = [
-        ("state", ctypes.c_void_p),
-        ("next_uint64", _NEXT_UINT64),
-        ("next_uint32", _NEXT_UINT32),
-        ("next_double", _NEXT_DOUBLE),
-        ("next_raw", _NEXT_UINT64),
-    ]
-
-
 def _least_refused(accepts, guess: int) -> int:
     """The least rabs below 2**52 that ``accepts`` refuses, 2**52 if none,
     for an ``accepts`` true exactly below it: a bisection, which starts
@@ -571,86 +553,62 @@ def _check_tables(tables: tuple[np.ndarray, np.ndarray]) -> bool:
 
 
 @functools.cache
+def _draw_generator() -> np.random.Generator:
+    """The one Generator that :func:`_generator_at` sets, made on first use."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _generator_at(state: int, inc: int) -> np.random.Generator:
+    """:func:`_draw_generator` with its PCG64 set to a 128-bit state and
+    increment through the ``bitgen.state`` setter: its next output is the
+    XSL-RR of ``state * M + inc``."""
+    rng = _draw_generator()
+    rng.bit_generator.state = dict(
+        bit_generator="PCG64", state={"state": state, "inc": inc}, has_uint32=0, uinteger=0
+    )
+    return rng
+
+
+@functools.cache
 def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray] | None:
     """numpy's ziggurat tables for ``standard_normal``, in the form
-    :func:`_fast_normals` reads, or None where they cannot be read or fail
+    :func:`_fast_normals` reads, or None where they fail
     :func:`_check_tables`.  Read once per process, on first use.
 
-    numpy's random C-API exports ``random_standard_normal``.  Here it draws
-    through a ``bitgen_t`` whose ``next_uint64`` hands out one chosen word
-    and then 0s, and whose ``next_double`` returns 0.5.  A 0 word (layer 0,
-    rabs 0) is accepted or goes to the tail, whose loop 0.5 ends at once,
-    so every call ends.  A word with rabs = 1 returns wi[layer] itself if
-    it takes no other word and, in layer 0, whose other exit is the tail,
-    no double.  ki[layer] is the least rabs that calls ``next_double``; the
-    search starts at wi[layer - 1] / wi[layer] * 2**52 (layer -1 is 255),
-    which ki equals or exceeds by one in every layer but layer 1, where ki
-    is 0.
+    They come through the ``bitgen.state`` setter (:func:`_generator_at`).
+    At inc = s - w M and state (w - inc) M^-1 mod 2**128, a PCG64 outputs a
+    chosen word w and then s = 2**63 (| 1 for an odd inc where w is even),
+    since XSL-RR outputs a state with a high half of 0 as it is.  A
+    ``standard_normal()`` from there draws w, then, off the fast path, a
+    ``random()`` of 0.5 from s; the state it leaves shows how many words it
+    took.  At rabs = 1 it returns wi[layer] if it takes at most those two
+    (only w in layer 0, whose other exit is the tail).  ki[layer] is the
+    least rabs whose draw takes more than w, searched from wi[layer - 1] /
+    wi[layer] * 2**52 (layer -1 is 255): ki equals that or exceeds it by one
+    in every layer but layer 1, where ki is 0.
     """
-    try:
-        normal = ctypes.CDLL(np.random._generator.__file__).random_standard_normal
-    except (OSError, AttributeError):
-        return None
-    normal.argtypes = [ctypes.POINTER(_BitGen)]
-    normal.restype = ctypes.c_double
-    fed: list[int] = []
-    taken = [0, 0]  # next_uint64 and next_double calls
 
-    def next_uint64(_):
-        taken[0] += 1
-        return fed.pop() if fed else 0
-
-    def next_double(_):
-        taken[1] += 1
-        return 0.5
-
-    bitgen = _BitGen(
-        None, _NEXT_UINT64(next_uint64), _NEXT_UINT32(lambda _: 0),
-        _NEXT_DOUBLE(next_double), _NEXT_UINT64(next_uint64),
-    )
-
-    def draw(word: int) -> tuple[float, int, int]:
-        fed[:], taken[:] = [word], [0, 0]
-        return normal(ctypes.byref(bitgen)), *taken
+    def draw(word: int) -> tuple[float, int]:
+        second = 1 << 63 | (~word & 1)
+        inc = (second - word * _PCG64_MULT) & _MASK128
+        rng = _generator_at((word - inc) * _PCG64_MULT_INV & _MASK128, inc)
+        x = rng.standard_normal()
+        return x, {word: 1, second: 2}.get(rng.bit_generator.state["state"]["state"], 3)
 
     wi = []
     for layer in range(256):
-        x, words, doubles = draw(layer | 1 << 9)
-        if words != 1 or (layer == 0 and doubles) or not x > 0.0:
+        x, taken = draw(layer | 1 << 9)
+        if taken > (1 if layer == 0 else 2) or not x > 0.0:
             return None
         wi.append(x)
-    ki = [
-        _least_refused(
-            lambda r: draw(layer | r << 9)[2] == 0, int(wi[layer - 1] / wi[layer] * 2**52)
-        )
-        for layer in range(256)
-    ]
+    guess = [int(wi[k - 1] / wi[k] * 2**52) for k in range(256)]
+    ki = [_least_refused(lambda r: draw(k | r << 9)[1] == 1, guess[k]) for k in range(256)]
     tables = (np.array(wi + [-x for x in wi]), np.array(ki + ki, dtype=np.uint64))
     return tables if _check_tables(tables) else None
 
 
-def _seeded_state(column: list[int]) -> dict:
-    """The ``bitgen.state`` of PCG64 seeded from one column of
-    :func:`_seed_words`."""
-    initstate = column[0] << 64 | column[1]
-    inc = (column[2] << 65 | column[3] << 1 | 1) & _MASK128
-    state = {"state": ((initstate + inc) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
-    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-
-
-@functools.cache
-def _draw_generator() -> tuple[np.random.PCG64, np.random.Generator]:
-    """The one PCG64, and its Generator, that :func:`_noise_draws` loads a
-    seeded state into for each draw off the fast path; made once per
-    process."""
-    bitgen = np.random.PCG64(0)
-    return bitgen, np.random.Generator(bitgen)
-
-
-# The most predicates one pass draws for, which bounds the pass's arrays,
-# and the most keys whose draws stay cached: at least a harness batch, whose
+# The most keys whose draws stay cached: at least a harness batch, whose
 # units read back the draws the batch asked for.
-_PASS_COLUMNS = 8192
 _DRAWS_KEPT = 64
 _draws: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -677,12 +635,11 @@ def _draw_pass(entries: list[tuple[tuple[int, int, int], list[int]]]) -> dict:
         g, fast = _fast_normals(r[0], tables)
         label_draw = (r[1] >> 11) * 2.0**-53
         slow = np.flatnonzero(~fast).tolist()
-    if slow:
-        bitgen, rng = _draw_generator()
-        for k, column in zip(slow, words[:, slow].T.tolist()):
-            bitgen.state = _seeded_state(column)
-            g[k] = rng.standard_normal()
-            label_draw[k] = rng.random()
+    for k, (w0, w1, w2, w3) in zip(slow, words[:, slow].T.tolist()):
+        inc = (w2 << 65 | w3 << 1 | 1) & _MASK128  # initstate w0:w1, initseq w2:w3
+        rng = _generator_at(((w0 << 64 | w1) + inc) * _PCG64_MULT + inc & _MASK128, inc)
+        g[k] = rng.standard_normal()
+        label_draw[k] = rng.random()
     g.flags.writeable = False
     label_draw.flags.writeable = False
     ends = ends.tolist()
@@ -697,22 +654,19 @@ def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.
     for each candidate predicate k < n, the first normal and uniform of
     ``default_rng([perception seed, scene seed, k])``.
 
-    Keys not in the cache are drawn together, in passes of at most
-    ``_PASS_COLUMNS`` predicates over keys whose seeds take as many 32-bit
-    words, instead of building a generator per predicate.  A pass derives
-    each generator's first two 64-bit outputs (:func:`_seed_words`,
-    :func:`_first_outputs`); NEP 19 fixes what it reimplements, SeedSequence
-    hashing and PCG64 seeding and output, across numpy releases.  The
-    normal comes from the first output by numpy's ziggurat fast path
-    (:func:`_fast_normals`), and the uniform from the second as ``random()``
-    makes it.  The ziggurat tables come through numpy's public random C-API
-    and are checked against ``Generator.standard_normal`` on first use
-    (:func:`_ziggurat_tables`).  A draw off the fast path, or every draw if
-    the tables fail their check, is made by numpy itself: the pass's words
-    for it are loaded into one PCG64 (:func:`_draw_generator`) through the
-    ``bitgen.state`` setter, which then draws ``standard_normal()`` and
-    ``random()``.  The last ``_DRAWS_KEPT`` keys drawn stay cached, so later
-    observations, and units whose batch asked first, draw nothing.
+    Keys not in the cache are drawn together, one pass per group of keys
+    whose seeds take as many 32-bit words.  A pass derives each generator's
+    first two 64-bit outputs (:func:`_seed_words`, :func:`_first_outputs`);
+    NEP 19 fixes what it reimplements, SeedSequence hashing and PCG64
+    seeding and output, across numpy releases.  The normal comes from the
+    first output by numpy's ziggurat fast path (:func:`_fast_normals`), the
+    uniform from the second as ``random()`` makes it.  numpy is entered
+    through one door, the ``bitgen.state`` setter (:func:`_generator_at`):
+    it reads the ziggurat tables, checked on first use
+    (:func:`_ziggurat_tables`), and loads the seeded state from which numpy
+    itself makes each draw off the fast path, or every draw if the tables
+    fail their check.  The last ``_DRAWS_KEPT`` keys drawn stay cached, so
+    later observations, and units whose batch asked first, draw nothing.
     Seeds must be non-negative; the arrays are read-only.
     """
     by_length: dict[int, list] = {}
@@ -721,14 +675,7 @@ def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.
             words = _uint32_words(key[0]) + _uint32_words(key[1])
             by_length.setdefault(len(words), []).append((key, words))
     drawn = {}
-    for group in by_length.values():
-        entries, columns = [], 0
-        for entry in group:
-            if entries and columns + entry[0][2] > _PASS_COLUMNS:
-                drawn.update(_draw_pass(entries))
-                entries, columns = [], 0
-            entries.append(entry)
-            columns += entry[0][2]
+    for entries in by_length.values():
         drawn.update(_draw_pass(entries))
     out = [drawn[key] if key in drawn else _draws[key] for key in keys]
     _draws.update(drawn)

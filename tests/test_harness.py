@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefplan import harness
+from beliefplan import cli, harness
 from beliefplan.cli import main
 from beliefplan.harness import (
     ExperimentConfig,
@@ -550,6 +550,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
         assert not out.exists()
+
+    def test_out_dir_naming_a_file_exits_2_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run", ran.append)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["calibrate", "--samples", "50", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(out) in err
+        assert ran == [] and out.read_text() == ""
 
     def test_fit_alpha_without_noise_reports_fit_error(self, capsys, tmp_path):
         # a noiseless channel gives all-zero traces, which no decay rate fits

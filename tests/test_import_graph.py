@@ -1,4 +1,5 @@
-"""The ``beliefplan`` modules import each other without a cycle.
+"""The ``beliefplan`` modules import each other without a cycle, and
+nothing outside the standard library but numpy.
 
 Every import of a ``beliefplan`` module counts, at the top of a module or
 inside a function body, since a cycle broken only by a deferred import is
@@ -6,6 +7,7 @@ still two modules that each need the other.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "beliefplan"
@@ -67,3 +69,22 @@ def test_cycle_finder_sees_deferred_imports():
     tree = ast.parse("def f():\n    from beliefplan.b import x\n")
     graph = {"a": _imported_modules(tree), "b": {"a"}}
     assert find_cycle(graph) == ["a", "b", "a"]
+
+
+def _top_level_imports(tree: ast.Module) -> set[str]:
+    """The top-level package of every absolute import anywhere in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+    return found
+
+
+def test_numpy_is_the_only_dependency():
+    # ctypes is standard library, but a door into numpy's internals
+    allowed = (set(sys.stdlib_module_names) - {"ctypes"}) | {"numpy", "beliefplan"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        outside = _top_level_imports(ast.parse(path.read_text())) - allowed
+        assert not outside, f"{path.name} imports {sorted(outside)}"

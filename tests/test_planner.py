@@ -436,6 +436,28 @@ class TestAstar:
             astar(start, goal)
 
 
+# The first observations that the search tests plan from, written out:
+# generate_scene(n, 0.4, seed) perceived at flip 0.15 and sd 1.0 with
+# perception seed = scene seed, classified at tau 0.7 and projected by
+# world_state_from_beliefs, for seeds 0-4 at seven objects and 0-39 at
+# eight.  Each world is its stacks, bottom-first, object o<k> written as
+# the digit k; each goal is default_goal's, the same at every seed.
+SEVEN_OBJECT_WORLDS = (
+    "0 1 2 3 4 5 6", "0 12 3 45 6", "012 5 634", "1 204 356", "10 2 3 4 5 6",
+)
+EIGHT_OBJECT_WORLDS = (
+    "1 27 304 5 6", "0 167 25 43", "3 41206 57", "4 51230 6 7", "0537 1 24 6", "0 2 54 631 7",
+    "056 1 2 3 4 7", "13 5024 6 7", "0 14 2 3 5 6 7", "1256 3 40 7", "012 436 5 7", "5 601 7234",
+    "2 3 401 5 6 7", "0 123 4 56 7", "013 2 4 5 6 7", "16 2 34 507", "0 1 2 3 5 647",
+    "04 1 56 723", "145 20 37 6", "2 3 4016 5 7", "04 312 5 67", "1 32045 6 7", "4 513 602 7",
+    "0 137 2 4 5 6", "05 2 3 417 6", "0 12 37 4 5 6", "12403 5 6 7", "1 27 40356",
+    "0 17 2 3 4 5 6", "0 1342 5 6 7", "15 23407 6", "1 206 3 45 7", "1 205 3 4 6 7",
+    "17 2 3 4 50 6", "01 27 43 5 6", "04 1 2 3 5 6 7", "0 156 27 3 4", "0 127 3 4 5 6",
+    "05 16 2 3 4 7", "0 1 2 3 4 5 6 7",
+)
+DEFAULT_GOAL = "On(o0,o1) & On(o1,o2)"
+
+
 class TestSearchMatchesReference:
     """The bitmask search returns the reference's plan and expansion count."""
 
@@ -514,6 +536,20 @@ class TestSearchMatchesReference:
             yield world, tuple(sorted(env.object_ids())), default_goal(scene)
 
     @staticmethod
+    def literal_worlds(texts):
+        """(start, objects, goal) of worlds written as in ``SEVEN_OBJECT_WORLDS``."""
+        for text in texts:
+            stacks = [[f"o{k}" for k in stack] for stack in text.split()]
+            objects = tuple(sorted(x for stack in stacks for x in stack))
+            yield SymbolicWorldState.from_stacks(stacks), objects, parse_goal(DEFAULT_GOAL)
+
+    def test_perception_still_projects_to_the_literal_worlds(self):
+        # moves only when the perception stream moves: re-pin it with the digests
+        for n, texts in ((7, SEVEN_OBJECT_WORLDS), (8, EIGHT_OBJECT_WORLDS)):
+            projected = list(self.projected_worlds(n, range(len(texts))))
+            assert projected == list(self.literal_worlds(texts))
+
+    @staticmethod
     def search_outcomes(worlds):
         """(plan length, expansions) of the bitmask search on each world."""
         for world, objects, goal in worlds:
@@ -523,21 +559,21 @@ class TestSearchMatchesReference:
             yield len(plan), expansions
 
     def test_projected_seven_object_scenes(self):
-        for world, objects, goal in self.projected_worlds(7, range(5)):
+        for world, objects, goal in self.literal_worlds(SEVEN_OBJECT_WORLDS):
             self.assert_same(world, goal.atoms(), objects)
 
     def test_seven_object_search_effort(self):
         # 157 expansions over these searches with the must-move heuristic
         # alone, 47 with f ties broken toward larger g (goal counting took
         # 1,831); a weaker heuristic or tie order fails here
-        total = sum(e for _, e in self.search_outcomes(self.projected_worlds(7, range(5))))
+        total = sum(e for _, e in self.search_outcomes(self.literal_worlds(SEVEN_OBJECT_WORLDS)))
         assert total <= 50
 
     def test_eight_object_plans_keep_their_length(self):
         # the summed length is the optimum, 322 before and after the tie
         # order changed; the worst search takes 68 expansions (1,423 with
         # f ties broken by push order alone)
-        lengths, expansions = zip(*self.search_outcomes(self.projected_worlds(8, range(40))))
+        lengths, expansions = zip(*self.search_outcomes(self.literal_worlds(EIGHT_OBJECT_WORLDS)))
         assert sum(lengths) == 322
         assert max(expansions) <= 70
 

@@ -733,7 +733,11 @@ def _fresh_draws(keys):
 class TestNoiseDrawsMatchReference:
     SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3)
 
-    @pytest.mark.parametrize("n", [27, 370])  # candidates at 3 and at 10 objects
+    # candidates at 3 and at 10 objects, then 27 and 370, which no object set
+    # has: they count CloseTo and Touching both ways
+    @pytest.mark.parametrize(
+        "n", [len(candidate_predicates(f"o{k}" for k in range(m))) for m in (3, 10)] + [27, 370]
+    )
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_predicate_bit_identical(self, seed, n):
         for scene_seed in self.SEEDS:
@@ -801,7 +805,8 @@ def test_requests_past_the_cache_cap():
     assert list(scene_module._draws)[-4:] == keys[:3] + [(kept + 9, 7, 27)]
 
 
-def test_a_pass_holds_at_most_its_columns(monkeypatch):
+def test_a_batch_at_ten_objects_is_one_pass(monkeypatch):
+    # the largest request a harness batch makes: 32 units of 280 predicates
     widths = []
     seed_words = scene_module._seed_words
 
@@ -810,11 +815,11 @@ def test_a_pass_holds_at_most_its_columns(monkeypatch):
         return seed_words(entropy, n_words)
 
     monkeypatch.setattr(scene_module, "_seed_words", counted)
-    monkeypatch.setattr(scene_module, "_PASS_COLUMNS", 100)
-    keys = [(seed, 3, 40) for seed in range(5)] + [(9, 3, 130)]
+    n = len(candidate_predicates(f"o{k}" for k in range(10)))
+    keys = [(seed, 3, n) for seed in range(32)]
     for key, draws in zip(keys, _fresh_draws(keys)):
         _assert_same_draws(draws, _reference_noise_draws(*key))
-    assert widths == [80, 80, 40, 130]  # keys stay whole; one past the cap is a pass of its own
+    assert n == 280 and widths == [32 * 280]
 
 
 def test_ziggurat_tables_load_and_pass_their_check():
