@@ -5,10 +5,9 @@ block.  Trial randomness derives from hashing (experiment seed, setting
 index, trial index) into independent seed sequences, so results are
 byte-identical across re-runs, worker counts and batch sizes.  Trials run
 in batches, each one task of the process pool when there are workers, and
-are assembled in index order.  A batch takes every trial's seeds from one
-column-wise SeedSequence pass and, for the kinds that perceive, asks for
-every first observation's noise draws in one more pass before its trials
-run, so that a trial pays no fixed per-call cost for either.
+are assembled in index order.  For the kinds that perceive, a batch asks
+for every first observation's noise draws in one pass before its trials
+run, so that a trial pays no fixed per-call cost for them.
 
 All exported timings are modeled from the fixed per-operation costs in
 ``MODELED_COST_MS`` rather than measured, keeping output files
@@ -63,8 +62,6 @@ from beliefplan.scene import (
     NoiseConfig,
     PlanningEnvironment,
     _noise_draws,
-    _seed_words,
-    _uint32_words,
     candidate_predicates,
     check_scene_shape,
     generate_scene,
@@ -81,15 +78,6 @@ from beliefplan.threshold import (
     lambert_optimum,
     optimize_threshold,
     plateau_relative_change,
-)
-
-EXPERIMENT_KINDS = (
-    "calibration",
-    "alpha-fit",
-    "convergence",
-    "threshold-sweep",
-    "plan-benchmark",
-    "mrf-check",
 )
 
 BP_DEVIATION_TOL = 0.05
@@ -131,8 +119,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
+        if self.kind not in _DRIVERS:
+            raise ValueError(f"kind must be one of {tuple(_DRIVERS)}, got {self.kind!r}")
         # each value has its field's type, and a whole number given for a
         # float field exports as a float, wherever it came from
         for f in fields(self):
@@ -275,19 +263,11 @@ def cohens_d(xs: Sequence[float], ys: Sequence[float]) -> float:
 def _trial_seeds(config_seed: int, units: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """The (scene seed, perception seed) of each (setting, trial) index pair:
     the first two 32-bit words of ``SeedSequence([config_seed, setting,
-    trial])``, from one :func:`_seed_words` pass per entropy length."""
-    head = _uint32_words(config_seed)
-    by_length: dict[int, list] = {}
-    for at, (setting_idx, trial_idx) in enumerate(units):
-        words = head + _uint32_words(setting_idx) + _uint32_words(trial_idx)
-        by_length.setdefault(len(words), []).append((at, words))
-    seeds = [(0, 0)] * len(units)
-    for group in by_length.values():
-        ats, columns = zip(*group)
-        words = _seed_words(np.array(columns, dtype=np.uint32).T, 2).tolist()
-        for at, scene_seed, perception_seed in zip(ats, *words):
-            seeds[at] = (scene_seed, perception_seed)
-    return seeds
+    trial])``."""
+    return [
+        tuple(np.random.SeedSequence([config_seed, s, t]).generate_state(2, np.uint32).tolist())
+        for s, t in units
+    ]
 
 
 def default_goal(scene) -> Goal:
@@ -452,10 +432,9 @@ def _mrf_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds)
 
 def _run_batch(config: ExperimentConfig, unit, batch: list[tuple[int, int]]) -> list:
     """``unit(config, s, t, seeds)`` for each (setting, trial) index pair of
-    a batch, in order.  Every trial's seeds come from one pass and, for the
-    kinds that perceive, every first observation's noise draws from
-    another, asked for before any unit runs; the units then find them
-    cached."""
+    a batch, in order.  For the kinds that perceive, every first
+    observation's noise draws come from one pass, asked for before any
+    unit runs; the units then find them cached."""
     seeds = _trial_seeds(config.seed, batch)
     if config.kind != "mrf-check":
         n = len(candidate_predicates(str(k) for k in range(config.n_objects)))

@@ -157,9 +157,6 @@ class NoiseConfig:
             if not (0.0 < r <= 1.0):
                 raise ValueError(f"focus residual for {obj} must lie in (0, 1], got {r}")
 
-    def residual_for(self, obj: str) -> float:
-        return dict(self.focus).get(obj, 1.0)
-
 
 def apply_info_action(cfg: NoiseConfig, kind: str, target: str) -> NoiseConfig:
     """Attention update after an information-gathering action on ``target``.
@@ -174,7 +171,9 @@ def apply_info_action(cfg: NoiseConfig, kind: str, target: str) -> NoiseConfig:
     if cfg.gain == 0.0:
         return cfg
     residuals = dict(cfg.focus)
-    residuals[target] = residuals.get(target, 1.0) * (1.0 - cfg.gain)
+    # floored at the least positive float, so that attention saturates
+    # instead of reaching 0.0, which no residual may be
+    residuals[target] = max(residuals.get(target, 1.0) * (1.0 - cfg.gain), math.ulp(0.0))
     focus = tuple(sorted(residuals.items()))
     cleared = cfg.cleared
     if kind == PUSH_OBSTACLE and target not in cleared:
@@ -685,8 +684,15 @@ def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.
 
 
 def _sharpen(p: float, gamma: float) -> float:
+    """p**gamma / (p**gamma + (1 - p)**gamma).  Where both powers underflow
+    to 0.0, the same value as the sigmoid of gamma times p's log-odds."""
     num = p**gamma
-    return num / (num + (1.0 - p) ** gamma)
+    total = num + (1.0 - p) ** gamma
+    if total != 0.0:
+        return num / total
+    x = gamma * (math.log(p) - math.log1p(-p))
+    e = math.exp(-abs(x))  # sigmoid(x) from e = exp(-|x|), which cannot overflow
+    return 1.0 / (1.0 + e) if x >= 0 else e / (1.0 + e)
 
 
 def perceive_with_labels(

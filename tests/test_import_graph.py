@@ -1,5 +1,6 @@
-"""The ``beliefplan`` modules import each other without a cycle, and
-nothing outside the standard library but numpy.
+"""The ``beliefplan`` modules import each other without a cycle, no
+module's private names but the allowed ones, and nothing outside the
+standard library but numpy.
 
 Every import of a ``beliefplan`` module counts, at the top of a module or
 inside a function body, since a cycle broken only by a deferred import is
@@ -88,3 +89,37 @@ def test_numpy_is_the_only_dependency():
     for path in sorted(PACKAGE.glob("*.py")):
         outside = _top_level_imports(ast.parse(path.read_text())) - allowed
         assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+# Underscore names one ``beliefplan`` module may import from another, as
+# (importer, "module.name"), each with the reason it crosses the boundary.
+PRIVATE_IMPORTS_ALLOWED = {
+    ("harness", "scene._noise_draws"):
+        "the batch prefetch draws a batch's first observations in one pass",
+}
+
+
+def private_imports() -> set[tuple[str, str]]:
+    """(importer, "module.name") of every underscore name a ``beliefplan``
+    module imports from another, anywhere in its body."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("beliefplan."):
+                source = node.module.split(".")[1]
+                found |= {
+                    (path.stem, f"{source}.{alias.name}")
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                }
+    return found
+
+
+def test_no_private_names_cross_modules():
+    crossing = sorted(private_imports() - set(PRIVATE_IMPORTS_ALLOWED))
+    assert crossing == [], f"private names imported across modules: {crossing}"
+
+
+def test_private_allowlist_names_only_imports():
+    # an allowed import that went away should leave the list
+    assert sorted(set(PRIVATE_IMPORTS_ALLOWED) - private_imports()) == []

@@ -40,6 +40,7 @@ from beliefplan.scene import (
     _noise_draws,
     _predicate_index,
     _scene_facts,
+    _sharpen,
     _surface_gap,
     apply_info_action,
     candidate_predicates,
@@ -362,6 +363,13 @@ class TestPerceive:
             else:
                 assert b == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("p", [0.5, 0.5001, 0.6])
+    def test_sharpening_survives_underflow(self, p):
+        # at gamma 2000 both p**gamma and (1 - p)**gamma underflow to 0.0
+        gamma = 2000.0
+        assert p**gamma + (1.0 - p) ** gamma == 0.0
+        assert _sharpen(p, gamma) == pytest.approx(1.0 / (1.0 + ((1.0 - p) / p) ** gamma))
+
     def test_labels_match_confidence_stream(self):
         scene = generate_scene(4, seed=6)
         cfg = NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0)
@@ -415,6 +423,18 @@ class TestInfoActions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             apply_info_action(NoiseConfig(), "teleport", "o1")
+
+    def test_attention_saturates_above_zero(self):
+        # at gain 0.9 the 324th look would multiply the residual to 0.0
+        scene = small_stacked_scene()
+        cfg = NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.8, gain=0.9)
+        for _ in range(400):
+            cfg = apply_info_action(cfg, "look_closer", "o1")
+        assert cfg.focus == (("o1", math.ulp(0.0)),)
+        state = perceive(scene, cfg, seed=3)
+        for pred, p in state.items():
+            if "o1" in pred.args:
+                assert predicate_uncertainty(p) < 1e-11  # at the logit clip
 
     def test_push_clears_occlusion(self):
         cfg = apply_info_action(NoiseConfig(), "push_obstacle", "o0")
@@ -572,7 +592,7 @@ def _reference_perceive_with_labels(scene, cfg, seed):
         label_draw = float(rng.uniform())
 
         t = 1.0 if pred in truths else 0.0
-        residual = min(cfg.residual_for(a) for a in pred.args)
+        residual = min(dict(cfg.focus).get(a, 1.0) for a in pred.args)
         occ_mult = 2.0 if any(a in occl for a in pred.args) else 1.0
         if cfg.exact_reduction:
             eta = cfg.base_flip_rate
@@ -649,7 +669,7 @@ class TestPerceiveMatchesReference:
         scene = small_stacked_scene()  # o0 sits under o1, so it starts occluded
         focus = apply_info_action(NoiseConfig(logit_noise_sd=1.0), "look_closer", "o2")
         cleared = apply_info_action(NoiseConfig(logit_noise_sd=1.0), "push_obstacle", "o0")
-        assert focus.residual_for("o2") < 1.0 and focus.residual_for("o0") == 1.0
+        assert dict(focus.focus).get("o2", 1.0) < 1.0 and dict(focus.focus).get("o0", 1.0) == 1.0
         assert cleared.cleared == ("o0",)
         exact = replace(focus, exact_reduction=True)
         for cfg in (focus, cleared, exact, replace(exact, miscal_gamma=3.0), NoiseConfig()):
