@@ -5,9 +5,10 @@ block.  Trial randomness derives from hashing (experiment seed, setting
 index, trial index) into independent seed sequences, so results are
 byte-identical across re-runs, worker counts and batch sizes.  Trials run
 in batches, each one task of the process pool when there are workers, and
-are assembled in index order.  For the kinds that perceive, a batch asks
-for every first observation's noise draws in one pass before its trials
-run, so that a trial pays no fixed per-call cost for them.
+are assembled in index order.  For the kinds that perceive, a batch has
+``scene.prefetch_draws`` draw every first observation's noise in one pass
+before its trials run, which find it cached, so that a trial pays no fixed
+per-call cost for it.
 
 All exported timings are modeled from the fixed per-operation costs in
 ``MODELED_COST_MS`` rather than measured, keeping output files
@@ -61,11 +62,11 @@ from beliefplan.planner import (
 from beliefplan.scene import (
     NoiseConfig,
     PlanningEnvironment,
-    _noise_draws,
     candidate_predicates,
     check_scene_shape,
     generate_scene,
     perceive_with_labels,
+    prefetch_draws,
     scene_to_json,
 )
 from beliefplan.threshold import (
@@ -342,9 +343,9 @@ def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: fl
 # ---------------------------------------------------------------------------
 # experiment units (module-level for process pools)
 
-# Units run in batches of at most this many.  It stays within the scene
-# module's draw cache (``_DRAWS_KEPT`` keys), so that every unit finds the
-# draws its batch asked for.
+# Units run in batches of at most this many.  A batch's first observations
+# are drawn in one ``prefetch_draws`` pass, which the scene module keeps,
+# whatever its size, until the next request that draws.
 _BATCH_UNITS = 32
 
 
@@ -433,12 +434,11 @@ def _mrf_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds)
 def _run_batch(config: ExperimentConfig, unit, batch: list[tuple[int, int]]) -> list:
     """``unit(config, s, t, seeds)`` for each (setting, trial) index pair of
     a batch, in order.  For the kinds that perceive, every first
-    observation's noise draws come from one pass, asked for before any
-    unit runs; the units then find them cached."""
+    observation's noise draws come from one :func:`prefetch_draws` pass,
+    asked for before any unit runs; the units then find them cached."""
     seeds = _trial_seeds(config.seed, batch)
     if config.kind != "mrf-check":
-        n = len(candidate_predicates(str(k) for k in range(config.n_objects)))
-        _noise_draws([(perception_seed, scene_seed, n) for scene_seed, perception_seed in seeds])
+        prefetch_draws(config.n_objects, seeds)
     return [unit(config, s, t, pair) for (s, t), pair in zip(batch, seeds)]
 
 
@@ -711,8 +711,6 @@ def run(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -45,6 +45,7 @@ from beliefplan.core import (
     classify,
     fuse_observation,
     parse_predicate,
+    reduction_law,
     state_uncertainty_independent,
     support_map,
 )
@@ -486,9 +487,9 @@ def convergence_bound(
     if u0 < target:  # target > 0, so this covers u0 == 0
         return 0
     k = max(0, math.ceil(math.log(target / u0) / math.log(1.0 - alpha)))
-    while u0 * (1.0 - alpha) ** k >= target:
+    while reduction_law(u0, alpha, k) >= target:
         k += 1
-    while k > 0 and u0 * (1.0 - alpha) ** (k - 1) < target:
+    while k > 0 and reduction_law(u0, alpha, k - 1) < target:
         k -= 1
     return k
 

@@ -15,18 +15,19 @@ its inputs and seed.
 What does not change between observations is computed once: one sorted
 predicate index per object set, each scene's truth vector and occlusion
 set, and each (perception seed, scene seed) pair's noise draws, which an
-episode's re-observations reuse.  The caches are bounded.  The draws are
-the first normal and uniform of one ``default_rng([seed, scene seed, k])``
-per predicate k.  They are made for every k of many pairs at once, in
-one vectorized pass, when a batch of trials asks for them before its
-trials run, or for one pair on its first observation.  A column-wise
-SeedSequence and PCG64's seeding and output, which NEP 19 fixes across
-numpy releases, give each generator's first two 64-bit words; numpy's
-ziggurat fast path and ``random()`` turn them into the two draws.  numpy
-is entered through one door, the ``bitgen.state`` setter: the ziggurat
-tables are read through it and checked against ``Generator.standard_normal``
-on first use, and numpy itself draws from the seeded state it loads for a
-draw off the fast path (about 1.5%), or for every draw if the tables fail.
+episode's re-observations reuse.  The draws are the first normal and
+uniform of one ``default_rng([seed, scene seed, k])`` per predicate k,
+made in one vectorized pass for one pair on its first observation, or
+for every pair of a batch of trials that asks first (``prefetch_draws``).
+The draws of the last request that drew stay cached; the other caches
+are bounded.  A column-wise SeedSequence and PCG64's seeding and output,
+which NEP 19 fixes across numpy releases, give each generator's first
+two 64-bit words; numpy's ziggurat fast path and ``random()`` turn them
+into the two draws.  numpy is entered through one door, the
+``bitgen.state`` setter: the ziggurat tables are read through it and
+checked against ``Generator.standard_normal`` on first use, and numpy
+itself draws from the seeded state it loads for a draw off the fast path
+(about 1.5%), or for every draw if the tables fail.
 
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
@@ -420,10 +421,9 @@ def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
     an (n_words, N) uint32 array.
 
     A column is one sequence's entropy, its ints' 32-bit words in order, so
-    every column has as many words: keys whose entropy differs in length
-    go in separate passes.  Each of SeedSequence's pool hashes and mixes
-    runs once over the whole array, and the hash constants, which do not
-    depend on the data, are built once per word count.
+    every column has as many words.  Each of SeedSequence's pool hashes and
+    mixes runs once over the whole array, and the hash constants, which do
+    not depend on the data, are built once per word count.
     """
     n_entropy, n_columns = entropy.shape
     col = _hash_consts(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * max(n_entropy, _SS_POOL_SIZE))
@@ -606,23 +606,24 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray] | None:
     return tables if _check_tables(tables) else None
 
 
-# The most keys whose draws stay cached: at least a harness batch, whose
-# units read back the draws the batch asked for.
-_DRAWS_KEPT = 64
+# The draws of the last request that drew: one observation's, or one
+# batch's, which its units then read back.
 _draws: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _draw_pass(entries: list[tuple[tuple[int, int, int], list[int]]]) -> dict:
-    """The draws of each key from one pass: an entry is a (perception seed,
-    scene seed, n) key and its two seeds' 32-bit words, as many for every
-    entry.  Each key's predicates k < n are that many entropy columns."""
-    keys, prefixes = zip(*entries)
-    counts = [n for _, _, n in keys]
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-    entropy = np.empty((len(prefixes[0]) + 1, total), dtype=np.uint32)
-    entropy[:-1] = np.repeat(np.array(prefixes, dtype=np.uint32).T, counts, axis=1)
-    entropy[-1] = np.arange(total) - np.repeat(ends - counts, counts)
+def _draw_pass(keys: list[tuple[int, int, int]]) -> dict:
+    """The draws of each (perception seed, scene seed, n) key from one pass,
+    whose keys, one observation's or one batch's, share n and have seeds of
+    as many 32-bit words in all (ValueError otherwise).  Key i's predicate k
+    is entropy column i * n + k: its seed words, repeated, over k, tiled."""
+    words = [_uint32_words(seed) + _uint32_words(scene_seed) for seed, scene_seed, _ in keys]
+    if len({n for _, _, n in keys}) != 1 or len({len(w) for w in words}) != 1:
+        raise ValueError("one draw pass needs keys of one n whose seeds take as many words")
+    n = keys[0][2]
+    total = len(keys) * n
+    entropy = np.empty((len(words[0]) + 1, total), dtype=np.uint32)
+    entropy[:-1] = np.repeat(np.array(words, dtype=np.uint32).T, n, axis=1)
+    entropy[-1] = np.tile(np.arange(n), len(keys))
     words = _seed_words(entropy, 2 * _SS_POOL_SIZE).astype(np.uint64)
     words = words[0::2] | words[1::2] << 32  # pairs of 32-bit words, low first, make uint64s
     tables = _ziggurat_tables()
@@ -641,11 +642,7 @@ def _draw_pass(entries: list[tuple[tuple[int, int, int], list[int]]]) -> dict:
         label_draw[k] = rng.random()
     g.flags.writeable = False
     label_draw.flags.writeable = False
-    ends = ends.tolist()
-    return {
-        key: (g[start:end], label_draw[start:end])
-        for key, start, end in zip(keys, [0] + ends[:-1], ends)
-    }
+    return dict(zip(keys, zip(g.reshape(-1, n), label_draw.reshape(-1, n))))
 
 
 def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -653,42 +650,43 @@ def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.
     for each candidate predicate k < n, the first normal and uniform of
     ``default_rng([perception seed, scene seed, k])``.
 
-    Keys not in the cache are drawn together, one pass per group of keys
-    whose seeds take as many 32-bit words.  A pass derives each generator's
-    first two 64-bit outputs (:func:`_seed_words`, :func:`_first_outputs`);
-    NEP 19 fixes what it reimplements, SeedSequence hashing and PCG64
-    seeding and output, across numpy releases.  The normal comes from the
-    first output by numpy's ziggurat fast path (:func:`_fast_normals`), the
-    uniform from the second as ``random()`` makes it.  numpy is entered
-    through one door, the ``bitgen.state`` setter (:func:`_generator_at`):
-    it reads the ziggurat tables, checked on first use
-    (:func:`_ziggurat_tables`), and loads the seeded state from which numpy
-    itself makes each draw off the fast path, or every draw if the tables
-    fail their check.  The last ``_DRAWS_KEPT`` keys drawn stay cached, so
-    later observations, and units whose batch asked first, draw nothing.
-    Seeds must be non-negative; the arrays are read-only.
+    Keys not in the cache are drawn together in one :func:`_draw_pass`.  A
+    pass derives each generator's first two 64-bit outputs
+    (:func:`_seed_words`, :func:`_first_outputs`); NEP 19 fixes what it
+    reimplements, SeedSequence hashing and PCG64 seeding and output, across
+    numpy releases.  The normal comes from the first output by numpy's
+    ziggurat fast path (:func:`_fast_normals`), the uniform from the second
+    as ``random()`` makes it.  numpy is entered through one door, the
+    ``bitgen.state`` setter (:func:`_generator_at`): it reads the ziggurat
+    tables, checked on first use (:func:`_ziggurat_tables`), and loads the
+    seeded state from which numpy itself makes each draw off the fast path,
+    or every draw if the tables fail.  A request that draws replaces the
+    cache with its keys' draws, so later observations of one pair, and the
+    units of the batch that asked first, draw nothing.  Seeds must be
+    non-negative; the arrays are read-only.
     """
-    by_length: dict[int, list] = {}
-    for key in dict.fromkeys(keys):
-        if key not in _draws:
-            words = _uint32_words(key[0]) + _uint32_words(key[1])
-            by_length.setdefault(len(words), []).append((key, words))
-    drawn = {}
-    for entries in by_length.values():
-        drawn.update(_draw_pass(entries))
-    out = [drawn[key] if key in drawn else _draws[key] for key in keys]
-    _draws.update(drawn)
-    while len(_draws) > _DRAWS_KEPT:  # the oldest go first
-        del _draws[next(iter(_draws))]
-    return out
+    missing = [key for key in dict.fromkeys(keys) if key not in _draws]
+    if missing:
+        drawn = {key: _draws[key] for key in keys if key in _draws} | _draw_pass(missing)
+        _draws.clear()
+        _draws.update(drawn)
+    return [_draws[key] for key in keys]
+
+
+def prefetch_draws(n_objects: int, trials: Iterable[tuple[int, int]]) -> None:
+    """Draw in one pass the first observations of trials, each a (scene
+    seed, perception seed) of a generated ``n_objects``-object scene, which
+    then find their draws cached until the next request that draws."""
+    n = len(candidate_predicates(f"o{k}" for k in range(n_objects)))
+    _noise_draws([(seed, scene_seed, n) for scene_seed, seed in trials])
 
 
 def _sharpen(p: float, gamma: float) -> float:
-    """p**gamma / (p**gamma + (1 - p)**gamma).  Where both powers underflow
-    to 0.0, the same value as the sigmoid of gamma times p's log-odds."""
+    """p**gamma / (p**gamma + (1 - p)**gamma).  Where that sum is subnormal
+    or 0.0, the same value as the sigmoid of gamma times p's log-odds."""
     num = p**gamma
     total = num + (1.0 - p) ** gamma
-    if total != 0.0:
+    if total >= 2.0**-1022:
         return num / total
     x = gamma * (math.log(p) - math.log1p(-p))
     e = math.exp(-abs(x))  # sigmoid(x) from e = exp(-|x|), which cannot overflow
@@ -711,10 +709,11 @@ def perceive_with_labels(
     on the config, so re-perceiving under a sharper attention state refines
     the same observation instead of rolling new dice.  They are drawn on
     the first observation, unless a batch of trials asked for them first,
-    and reused by the next ones (a bounded cache), as are the scene's truths
-    and occlusion set.  Logs, exponentials and powers are taken one float
-    at a time with ``math`` and ``**``, whose results numpy's vector forms
-    do not always match bit for bit; the log once per distinct odds value.
+    and reused by the next ones until another pair draws, as are the
+    scene's truths and occlusion set (bounded caches).  Logs, exponentials
+    and powers are taken one float at a time with ``math`` and ``**``,
+    whose results numpy's vector forms do not always match bit for bit;
+    the log once per distinct odds value.
     """
     if seed < 0:
         raise ValueError(f"perception seed must be non-negative, got {seed}")

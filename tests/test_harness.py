@@ -388,6 +388,47 @@ class TestBatching:
         run(ExperimentConfig(kind="mrf-check", seed=2, trials=3))
         assert passes == []
 
+    @pytest.fixture
+    def traffic(self, monkeypatch):
+        """The keys of every draw pass, and the (scene seed, perception seed)
+        pairs of every batch, in order."""
+        passes, batches = [], []
+        draw_pass, run_batch = scene_module._draw_pass, harness._run_batch
+
+        def counted_pass(keys):
+            passes.append(list(keys))
+            return draw_pass(keys)
+
+        def counted_batch(config, unit, batch):
+            batches.append(_trial_seeds(config.seed, batch))
+            return run_batch(config, unit, batch)
+
+        monkeypatch.setattr(scene_module, "_draw_pass", counted_pass)
+        monkeypatch.setattr(harness, "_run_batch", counted_batch)
+        scene_module._draws.clear()
+        return passes, batches
+
+    @pytest.mark.parametrize("seed", [2, 2**64 + 3])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(kind="calibration", samples=2000),
+            ExperimentConfig(kind="alpha-fit", trials=40, steps=2),
+            ExperimentConfig(kind="convergence", trials=40),
+        ],
+        ids=lambda c: c.kind,
+    )
+    def test_every_draw_pass_is_one_batch(self, traffic, config, seed):
+        # 50 scenes, or 40 trials: batches of 32 and of the rest
+        passes, batches = traffic
+        run(replace(config, seed=seed))
+        n = 40  # the candidate predicates of 4 objects
+        assert [len(b) for b in batches] in ([32, 18], [32, 8])
+        assert passes == [[(p, s, n) for s, p in batch] for batch in batches]
+        for keys in passes:
+            assert {k for _, _, k in keys} == {n}
+            assert all(max(p, s) < 2**32 for p, s, _ in keys)  # one 32-bit word each
+
 
 class TestExport:
     def test_csv_files(self, tmp_path):

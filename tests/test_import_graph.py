@@ -93,10 +93,7 @@ def test_numpy_is_the_only_dependency():
 
 # Underscore names one ``beliefplan`` module may import from another, as
 # (importer, "module.name"), each with the reason it crosses the boundary.
-PRIVATE_IMPORTS_ALLOWED = {
-    ("harness", "scene._noise_draws"):
-        "the batch prefetch draws a batch's first observations in one pass",
-}
+PRIVATE_IMPORTS_ALLOWED: dict[tuple[str, str], str] = {}
 
 
 def private_imports() -> set[tuple[str, str]]:

@@ -25,7 +25,6 @@ ALLOWED = {
     "planner.apply": "the same gate's breadth-first oracle steps through it",
     "mrf.map_assignment": "test_bp_matches_enumeration_on_trees reads the MAP assignment with it",
     "mrf.energy": "the same gate scores that assignment with it",
-    "core.reduction_law": "test_bound_and_decay_worked_examples checks the decay law with it",
     "core.predicate_uncertainty": "the reference perception loop in the scene tests uses it",
 }
 

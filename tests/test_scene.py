@@ -370,6 +370,15 @@ class TestPerceive:
         assert p**gamma + (1.0 - p) ** gamma == 0.0
         assert _sharpen(p, gamma) == pytest.approx(1.0 / (1.0 + ((1.0 - p) / p) ** gamma))
 
+    @pytest.mark.parametrize("gamma", [1060.0, 1070.0, 1074.0, 1075.0])
+    def test_sharpening_with_a_subnormal_sum(self, gamma):
+        # p**gamma + (1 - p)**gamma is subnormal here, and at 1074 and 1075
+        # one of the two powers underflows on its own
+        p = 0.5001
+        assert p**gamma + (1.0 - p) ** gamma < 2.0**-1022
+        x = gamma * (math.log(p) - math.log1p(-p))
+        assert abs(_sharpen(p, gamma) - 1.0 / (1.0 + math.exp(-x))) <= 1e-12
+
     def test_labels_match_confidence_stream(self):
         scene = generate_scene(4, seed=6)
         cfg = NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0)
@@ -764,10 +773,20 @@ class TestNoiseDrawsMatchReference:
             (got,) = _fresh_draws([(seed, scene_seed, n)])
             _assert_same_draws(got, _reference_noise_draws(seed, scene_seed, n))
 
-    def test_one_request_mixing_entropy_lengths(self):
-        keys = [(3, 11, 52), (0, 2**64 + 3, 27), (2**300, 2**300 + 1, 27)]
-        for key, got in zip(keys, _fresh_draws(keys)):
-            _assert_same_draws(got, _reference_noise_draws(*key))
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [(3, 11, 52), (0, 2**64 + 3, 27), (2**300, 2**300 + 1, 27)],
+            [(3, 11, 52), (4, 11, 27)],  # one n each
+            [(3, 11, 27), (3, 2**32, 27)],  # one word count each
+        ],
+    )
+    def test_one_request_mixing_n_or_word_counts_raises(self, keys):
+        # a pass lays its keys out by one n and one word count
+        _fresh_draws([(9, 4, 27)])
+        with pytest.raises(ValueError):
+            _noise_draws(keys)
+        assert list(scene_module._draws) == [(9, 4, 27)]  # the cache stays
 
     def test_interleaved_calls_share_no_state(self):
         # uncached, so a repeated pair is drawn again after other pairs' draws
@@ -809,20 +828,21 @@ def test_seed_words_match_seed_sequence():
             assert got.T.tobytes() == np.array(want).tobytes()
 
 
-def test_requests_past_the_cache_cap():
-    kept = scene_module._DRAWS_KEPT
-    keys = [(seed, 7, 27) for seed in range(kept + 9)]
-    got = _fresh_draws(keys)
-    assert len(scene_module._draws) == kept
-    assert list(scene_module._draws) == keys[-kept:]  # the last keys drawn stay
-    for key, draws in zip(keys, got):
+def test_the_cache_keeps_the_last_request_that_drew():
+    keys = [(seed, 7, 27) for seed in range(73)]
+    for key, draws in zip(keys, _fresh_draws(keys)):
         _assert_same_draws(draws, _reference_noise_draws(*key))
-    # evicted keys are drawn again and cached ones read back, the same
-    again = keys[:3] + keys[-3:] + [(kept + 9, 7, 27)]
+    assert list(scene_module._draws) == keys  # all 73 keys, whatever the size
+    # a request whose keys are all cached draws nothing and keeps the cache
+    cached = keys[40:] + keys[:3]
+    for key, draws in zip(cached, _noise_draws(cached)):
+        _assert_same_draws(draws, _reference_noise_draws(*key))
+    assert list(scene_module._draws) == keys
+    # the next request that draws replaces them with its own keys
+    again = keys[:2] + [(73, 7, 27)]
     for key, draws in zip(again, _noise_draws(again)):
         _assert_same_draws(draws, _reference_noise_draws(*key))
-    assert len(scene_module._draws) == kept
-    assert list(scene_module._draws)[-4:] == keys[:3] + [(kept + 9, 7, 27)]
+    assert list(scene_module._draws) == again
 
 
 def test_a_batch_at_ten_objects_is_one_pass(monkeypatch):
