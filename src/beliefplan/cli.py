@@ -64,7 +64,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--retries", type=int, default=None, dest="max_retries",
                      help="max perception-plan rounds per episode")
     sub.add_argument("--taus", type=float, nargs="+", default=None,
-                     help="threshold grid for sweeps")
+                     help="threshold grid for sweeps, strictly increasing")
     sub.add_argument("--refine", action="store_true", default=None,
                      help="refine observations with the dependency model")
     sub.add_argument("--workers", type=int, default=None,

@@ -4,10 +4,10 @@ A perception front end emits, for every candidate relation between objects,
 a confidence in [0, 1] that the relation holds.  This module holds the
 symbolic side of that picture: ground predicates, belief states mapping
 predicates to confidences, the per-predicate and state-level uncertainty
-measures, threshold classification into certain/uncertain partitions, and
-the fusion rule used when a fresh observation is folded into an existing
-belief state.  It also holds the one stacking rule (:func:`support_map`)
-that scenes, symbolic states, goals and the belief projection share.
+measures, certain/uncertain classification at a threshold, the decay law
+with its one look rule, the fusion of a fresh observation into a belief
+state, and the one stacking rule (:func:`support_map`) that scenes,
+symbolic states, goals and the belief projection share.
 """
 
 from __future__ import annotations
@@ -292,6 +292,24 @@ def reduction_law(u0: float, alpha: float, k: int) -> float:
     if k < 0 or int(k) != k:
         raise ValueError(f"k must be a non-negative integer, got {k}")
     return u0 * (1.0 - alpha) ** int(k)
+
+
+def next_residual(residual: float, gain: float) -> float:
+    """An attention residual after one more look at this gain, floored at
+    the least positive float so that attention saturates above 0.0."""
+    return max(residual * (1.0 - gain), math.ulp(0.0))
+
+
+def shrink_uncertainty(state: ProbabilisticState, r: float) -> ProbabilisticState:
+    """The state with each uncertainty scaled by r in [0, 1] and each
+    confidence on its side of 0.5 (0.5 on the true side): at the residual
+    of k steps, :func:`reduction_law` for every predicate.  r = 1 keeps it."""
+    if not (0.0 <= r <= 1.0):
+        raise ValueError(f"r must lie in [0, 1], got {r}")
+    if r == 1.0:
+        return state
+    u = predicate_uncertainties(state._p) * r
+    return state.with_confidences(np.where(state._p >= 0.5, 1.0 - u, u))
 
 
 def fuse_observation(

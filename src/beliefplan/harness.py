@@ -17,10 +17,10 @@ carries (rounds, info actions, A* expansions, plan length).
 ``tests/test_golden.py`` pins the digests of one small config per kind, so
 an output change between commits fails a test too.
 
-The decay kinds (alpha-fit, convergence) read their beliefs from one
-full-attention observation loop and differ only in where they stop it; the
-planning kinds (threshold-sweep, plan-benchmark) run every episode through
-one runner on the trial's scene.
+The decay kinds (alpha-fit, convergence) perceive the trial's scene once,
+shrink that observation's uncertainties round by round by the decay law,
+and differ only in where they stop; the planning kinds (threshold-sweep,
+plan-benchmark) run every episode through one runner on the trial's scene.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from beliefplan.core import (
     GroundPredicate,
     Relation,
     classify,
-    fuse_observation,
+    next_residual,
+    shrink_uncertainty,
     state_uncertainty_independent,
 )
 from beliefplan.mrf import (
@@ -53,7 +54,6 @@ from beliefplan.mrf import (
     unary_potentials,
 )
 from beliefplan.planner import (
-    LOOK_CLOSER,
     Goal,
     PlannerOptions,
     convergence_bound,
@@ -62,10 +62,10 @@ from beliefplan.planner import (
 from beliefplan.scene import (
     NoiseConfig,
     PlanningEnvironment,
-    candidate_predicates,
     check_scene_shape,
     generate_scene,
     perceive_with_labels,
+    predicate_count,
     prefetch_draws,
     scene_to_json,
 )
@@ -143,19 +143,20 @@ class ExperimentConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.taus:
             raise ValueError("taus must name at least one threshold")
+        if any(a >= b for a, b in zip(self.taus, self.taus[1:])):
+            raise ValueError(f"taus must be strictly increasing, got {list(self.taus)}")
         for t in self.taus:
             if not (0.0 < t < 1.0):
                 raise ValueError(f"sweep threshold must lie in (0, 1), got {t}")
         check_scene_shape(self.n_objects, self.stack_bias)
         self.noise()  # NoiseConfig checks noise_flip, noise_sd and miscal_gamma
 
-    def noise(self, exact_reduction: bool = False) -> NoiseConfig:
+    def noise(self) -> NoiseConfig:
         return NoiseConfig(
             base_flip_rate=self.noise_flip,
             logit_noise_sd=self.noise_sd,
             miscal_gamma=self.miscal_gamma,
             gain=self.alpha,
-            exact_reduction=exact_reduction,
         )
 
 
@@ -291,20 +292,17 @@ def _trial_scene(config: ExperimentConfig, seeds: tuple[int, int]):
     return generate_scene(config.n_objects, config.stack_bias, scene_seed), perception_seed
 
 
-def _attention_rounds(scene, cfg: NoiseConfig, perception_seed: int):
-    """Beliefs after the first observation and after each full-attention round.
-
-    Each round focuses every object once and re-observes, so the
-    per-predicate reduction law applies to the whole state.  The rounds
-    never end on their own: the caller stops taking them.
-    """
-    env = PlanningEnvironment(scene, cfg, perception_seed)
-    belief = env.observe()
+def _attention_rounds(config: ExperimentConfig, seeds: tuple[int, int]):
+    """Beliefs about the trial's scene after its one observation and after
+    each full-attention round, which looks at every object once: that
+    observation with every uncertainty scaled by the round's residual,
+    stepped by ``next_residual``.  The caller stops taking rounds."""
+    scene, perception_seed = _trial_scene(config, seeds)
+    first, _ = perceive_with_labels(scene, config.noise(), perception_seed)
+    r = 1.0
     while True:
-        yield belief
-        for obj in env.object_ids():
-            env.apply_info(LOOK_CLOSER, obj)
-        belief = fuse_observation(belief, env.observe())
+        yield shrink_uncertainty(first, r)
+        r = next_residual(r, config.alpha)
 
 
 def modeled_episode_ms(
@@ -356,16 +354,13 @@ def _calibration_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int
 
 
 def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    scene, perception_seed = _trial_scene(config, seeds)
-    rounds = _attention_rounds(scene, config.noise(exact_reduction=True), perception_seed)
+    rounds = _attention_rounds(config, seeds)
     trace = [state_uncertainty_independent(b) for b in itertools.islice(rounds, config.steps + 1)]
-    n_objs = len(scene.object_ids())
-    return trace, modeled_episode_ms(config.steps + 1, config.steps * n_objs)
+    return trace, modeled_episode_ms(config.steps + 1, config.steps * config.n_objects)
 
 
 def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    scene, perception_seed = _trial_scene(config, seeds)
-    rounds = _attention_rounds(scene, config.noise(exact_reduction=True), perception_seed)
+    rounds = _attention_rounds(config, seeds)
     belief = next(rounds)
     u0 = state_uncertainty_independent(belief)
     k_bound = convergence_bound(config.tau_plan, config.alpha, u0)
@@ -373,7 +368,7 @@ def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int
     while classify(belief, config.tau_plan).uncertain and k_emp < k_bound + 2:
         belief = next(rounds)
         k_emp += 1
-    return u0, k_emp, k_bound, modeled_episode_ms(k_emp + 1, k_emp * len(scene.object_ids()))
+    return u0, k_emp, k_bound, modeled_episode_ms(k_emp + 1, k_emp * config.n_objects)
 
 
 def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
@@ -463,8 +458,7 @@ def _map_units(config: ExperimentConfig, unit, units: list[tuple]) -> list:
 
 
 def _run_calibration(config: ExperimentConfig) -> ExperimentReport:
-    per_scene = len(candidate_predicates(str(k) for k in range(config.n_objects)))
-    n_scenes = math.ceil(config.samples / per_scene)
+    n_scenes = math.ceil(config.samples / predicate_count(config.n_objects))
     results = _map_units(config, _calibration_unit, [(0, t) for t in range(n_scenes)])
     pairs = [pair for chunk in results for pair in chunk][: config.samples]
     rel = reliability_report([p for p, _ in pairs], [y for _, y in pairs])
@@ -491,19 +485,17 @@ def _run_calibration(config: ExperimentConfig) -> ExperimentReport:
 
 def _run_alpha_fit(config: ExperimentConfig) -> ExperimentReport:
     results = _map_units(config, _alpha_unit, [(0, t) for t in range(config.trials)])
-    rows = []
-    traces = []
-    modeled_total = 0.0
-    for episode_id, (trace, modeled) in enumerate(results):
-        traces.append(trace)
-        modeled_total += modeled
-        for step, u in enumerate(trace):
-            rows.append((episode_id, step, float(u), "observe" if step == 0 else "look_closer"))
+    traces = [trace for trace, _ in results]
+    rows = [
+        (episode_id, step, float(u), "observe" if step == 0 else "look_closer")
+        for episode_id, trace in enumerate(traces)
+        for step, u in enumerate(trace)
+    ]
     summary: dict = {
         "alpha_configured": config.alpha,
         "n_episodes": len(traces),
         "steps_per_episode": config.steps,
-        "modeled_time_ms": modeled_total,
+        "modeled_time_ms": sum(modeled for _, modeled in results),
     }
     try:
         fit = fit_alpha_pooled(traces)
@@ -528,23 +520,20 @@ def _run_alpha_fit(config: ExperimentConfig) -> ExperimentReport:
 
 def _run_convergence(config: ExperimentConfig) -> ExperimentReport:
     results = _map_units(config, _convergence_unit, [(0, t) for t in range(config.trials)])
-    rows = []
-    within = 0
-    within_plus_one = 0
-    gaps = []
-    for trial_idx, (u0, k_emp, k_bound, _) in enumerate(results):
-        gap_pct = 100.0 * (k_bound - k_emp) / k_bound if k_bound > 0 else 0.0
-        rows.append((trial_idx, float(u0), int(k_emp), int(k_bound), float(gap_pct)))
-        within += k_emp <= k_bound
-        within_plus_one += k_emp <= k_bound + 1
-        gaps.append(gap_pct)
+    rows = [
+        (trial_idx, float(u0), int(k_emp), int(k_bound),
+         100.0 * (k_bound - k_emp) / k_bound if k_bound > 0 else 0.0)
+        for trial_idx, (u0, k_emp, k_bound, _) in enumerate(results)
+    ]
+    within = sum(k_emp <= k_bound for _, _, k_emp, k_bound, _ in rows)
+    within_plus_one = sum(k_emp <= k_bound + 1 for _, _, k_emp, k_bound, _ in rows)
     summary = {
         "n_trials": len(rows),
         "alpha": config.alpha,
         "tau_plan": config.tau_plan,
         "frac_within_bound": within / len(rows),
         "frac_within_bound_plus_one": within_plus_one / len(rows),
-        "mean_gap_pct": float(np.mean(gaps)),
+        "mean_gap_pct": float(np.mean([r[4] for r in rows])),
         "mean_k_empirical": float(np.mean([r[2] for r in rows])),
         "mean_k_bound": float(np.mean([r[3] for r in rows])),
         "modeled_time_ms": sum(r[3] for r in results),

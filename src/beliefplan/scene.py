@@ -49,7 +49,7 @@ from beliefplan.core import (
     GroundPredicate,
     ProbabilisticState,
     Relation,
-    predicate_uncertainties,
+    next_residual,
     support_map,
 )
 from beliefplan.planner import LOOK_CLOSER, PUSH_OBSTACLE, predicate_atom, support_atoms
@@ -130,18 +130,15 @@ class NoiseConfig:
     action a no-op.
 
     ``focus`` carries the accumulated per-object noise residual from info
-    actions (1.0 = untouched); ``cleared`` lists objects whose occlusion
-    penalty has been pushed away.  With ``exact_reduction`` the residual is
-    applied directly to the emitted uncertainty instead of to the noise
-    parameters, making repeated observation shrink uncertainty by exactly
-    (1 - gain) per application.
+    actions (1.0 = untouched), which scales the flip rate and logit noise
+    of every predicate that mentions the object; ``cleared`` lists objects
+    whose occlusion penalty has been pushed away.
     """
 
     base_flip_rate: float = 0.0
     logit_noise_sd: float = 0.0
     miscal_gamma: float = 1.0
     gain: float = 0.3
-    exact_reduction: bool = False
     focus: tuple[tuple[str, float], ...] = ()
     cleared: tuple[str, ...] = ()
 
@@ -162,19 +159,17 @@ class NoiseConfig:
 def apply_info_action(cfg: NoiseConfig, kind: str, target: str) -> NoiseConfig:
     """Attention update after an information-gathering action on ``target``.
 
-    Re-perceiving with the returned config shrinks the uncertainty of
-    predicates that mention the target multiplicatively by (1 - gain);
-    push_obstacle additionally clears the target's occlusion penalty.  A
-    zero gain returns the config unchanged.
+    The target's residual steps by :func:`core.next_residual`, so that
+    re-perceiving shrinks the uncertainty of predicates that mention it by
+    about (1 - gain); push_obstacle also clears the target's occlusion
+    penalty.  A zero gain returns the config unchanged.
     """
     if kind not in (LOOK_CLOSER, PUSH_OBSTACLE):
         raise ValueError(f"unknown info action kind {kind!r}")
     if cfg.gain == 0.0:
         return cfg
     residuals = dict(cfg.focus)
-    # floored at the least positive float, so that attention saturates
-    # instead of reaching 0.0, which no residual may be
-    residuals[target] = max(residuals.get(target, 1.0) * (1.0 - cfg.gain), math.ulp(0.0))
+    residuals[target] = next_residual(residuals.get(target, 1.0), cfg.gain)
     focus = tuple(sorted(residuals.items()))
     cleared = cfg.cleared
     if kind == PUSH_OBSTACLE and target not in cleared:
@@ -284,6 +279,11 @@ def _predicate_index(ids: tuple[str, ...]) -> _PredicateIndex:
 def candidate_predicates(object_ids: Iterable[str]) -> tuple[GroundPredicate, ...]:
     """Every predicate perception scores for this object set, sorted."""
     return _predicate_index(tuple(sorted(set(object_ids)))).preds
+
+
+def predicate_count(n_objects: int) -> int:
+    """How many predicates perception scores in a generated ``n_objects`` scene."""
+    return len(candidate_predicates(f"o{k}" for k in range(n_objects)))
 
 
 def _surface_gap(a: SceneObject, b: SceneObject) -> float:
@@ -677,7 +677,7 @@ def prefetch_draws(n_objects: int, trials: Iterable[tuple[int, int]]) -> None:
     """Draw in one pass the first observations of trials, each a (scene
     seed, perception seed) of a generated ``n_objects``-object scene, which
     then find their draws cached until the next request that draws."""
-    n = len(candidate_predicates(f"o{k}" for k in range(n_objects)))
+    n = predicate_count(n_objects)
     _noise_draws([(seed, scene_seed, n) for scene_seed, seed in trials])
 
 
@@ -725,12 +725,8 @@ def perceive_with_labels(
     residual = np.minimum(per_obj[index.first], per_obj[index.last])
     hidden = np.array([obj in occluded and obj not in cfg.cleared for obj in index.ids])
     occ_mult = np.where(hidden[index.first] | hidden[index.last], 2.0, 1.0)
-    if cfg.exact_reduction:
-        eta = cfg.base_flip_rate
-        sd = cfg.logit_noise_sd * occ_mult
-    else:
-        eta = cfg.base_flip_rate * residual
-        sd = cfg.logit_noise_sd * residual * occ_mult
+    eta = cfg.base_flip_rate * residual
+    sd = cfg.logit_noise_sd * residual * occ_mult
 
     p = truth * (1.0 - eta) + (1.0 - truth) * eta
     noisy = sd != 0.0  # elsewhere sigmoid(logit(p)) == p; skip the roundtrip
@@ -746,10 +742,6 @@ def perceive_with_labels(
 
     if cfg.miscal_gamma != 1.0:
         p = np.array([_sharpen(q, cfg.miscal_gamma) for q in p.tolist()])
-    if cfg.exact_reduction:
-        u = predicate_uncertainties(p) * residual
-        p = np.where(residual < 1.0, np.where(p >= 0.5, 1.0 - u, u), p)
-    p = np.clip(p, 0.0, 1.0)
     return ProbabilisticState.from_arrays(index.preds, p), labels
 
 

@@ -16,9 +16,11 @@ from beliefplan.core import (
     classify,
     fuse_observation,
     has_support_cycle,
+    next_residual,
     parse_predicate,
     predicate_uncertainty,
     reduction_law,
+    shrink_uncertainty,
     state_uncertainty_independent,
     support_map,
 )
@@ -233,6 +235,55 @@ class TestReductionLaw:
             reduction_law(0.5, 1.0, 1)
         with pytest.raises(ValueError):
             reduction_law(0.5, 0.3, -1)
+
+
+def _spread_state():
+    """Confidences across [0, 1], the two ends, 0.5 and both sides of it included."""
+    rng = np.random.default_rng(12)
+    confs = [*rng.uniform(0.0, 1.0, 200).tolist(), 0.0, 1.0, 0.5, 0.5 - 2**-54, 1e-13, 0.999]
+    preds = tuple(GroundPredicate(Relation.CLEAR, (f"o{k:03d}",)) for k in range(len(confs)))
+    return ProbabilisticState.from_arrays(preds, confs)
+
+
+class TestShrinkUncertainty:
+    def test_reduction_is_multiplicative(self):
+        before = _spread_state()
+        once = shrink_uncertainty(before, next_residual(1.0, 0.3))
+        twice = shrink_uncertainty(before, next_residual(next_residual(1.0, 0.3), 0.3))
+        for pred in before:
+            p0 = before.confidence(pred)
+            u0 = predicate_uncertainty(p0)
+            u1 = predicate_uncertainty(once.confidence(pred))
+            u2 = predicate_uncertainty(twice.confidence(pred))
+            if u0 > 1e-12:
+                assert u1 / u0 == pytest.approx(0.7, abs=1e-9)
+                assert u2 / u0 == pytest.approx(0.49, abs=1e-9)
+            # direction preserved, 0.5 on the true side
+            for shrunk in (once, twice):
+                assert (shrunk.confidence(pred) >= 0.5) == (p0 >= 0.5)
+
+    def test_residual_of_one_keeps_the_confidences(self):
+        before = _spread_state()
+        kept = shrink_uncertainty(before, 1.0)
+        assert list(kept) == list(before)
+        assert np.array([p for _, p in kept.items()]).tobytes() == np.array(
+            [p for _, p in before.items()]
+        ).tobytes()
+
+    def test_residual_of_zero_makes_every_call_certain(self):
+        assert {p for _, p in shrink_uncertainty(_spread_state(), 0.0).items()} == {0.0, 1.0}
+
+    @pytest.mark.parametrize("r", [-0.1, 1.5, float("nan")])
+    def test_residual_out_of_range_rejected(self, r):
+        with pytest.raises(ValueError, match="r must lie in"):
+            shrink_uncertainty(_spread_state(), r)
+
+    def test_residual_saturates_at_the_least_positive_float(self):
+        r = 1.0
+        for _ in range(400):
+            r = next_residual(r, 0.9)
+        assert r == math.ulp(0.0)
+        assert next_residual(0.5, 0.0) == 0.5
 
 
 class TestFusion:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from beliefplan import cli, harness
 from beliefplan.cli import main
+from beliefplan.core import ProbabilisticState, fuse_observation, predicate_uncertainty
 from beliefplan.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -27,7 +29,7 @@ from beliefplan.harness import (
     _trial_seeds,
 )
 from beliefplan import scene as scene_module
-from beliefplan.scene import generate_scene, scene_to_json
+from beliefplan.scene import apply_info_action, generate_scene, scene_to_json
 
 
 def _reference_trial_seeds(config_seed, setting_idx, trial_idx):
@@ -159,6 +161,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig(kind="alpha-fit", **{field: value})
 
+    @pytest.mark.parametrize("taus", [(0.9, 0.5, 0.7, 0.6, 0.8), (0.5, 0.5), (0.6, 0.8, 0.7)])
+    def test_taus_must_increase(self, taus):
+        # the sweep's shape check reads the success rates in grid order
+        with pytest.raises(ValueError, match="taus must be strictly increasing"):
+            ExperimentConfig(kind="threshold-sweep", taus=taus)
+
     def test_taus_normalized(self):
         cfg = ExperimentConfig(kind="threshold-sweep", taus=[0.5, 0.7])
         assert cfg.taus == (0.5, 0.7)
@@ -167,12 +175,11 @@ class TestConfig:
         cfg = ExperimentConfig(
             kind="alpha-fit", noise_flip=0.05, noise_sd=0.4, miscal_gamma=2.0, alpha=0.25
         )
-        noise = cfg.noise(exact_reduction=True)
+        noise = cfg.noise()
         assert noise.base_flip_rate == 0.05
         assert noise.logit_noise_sd == 0.4
         assert noise.miscal_gamma == 2.0
         assert noise.gain == 0.25
-        assert noise.exact_reduction
 
     def test_config_file_roundtrip(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -226,6 +233,14 @@ class TestCalibrationKind:
         assert set(rep.summary["checks"]) == {"ece_within_tol", "brier_within_tol"}
 
 
+class TestCalibrationIndex:
+    def test_calibration_builds_only_the_scenes_index(self):
+        # the per-scene predicate count reuses the generated scenes' index
+        scene_module._predicate_index.cache_clear()
+        run(ExperimentConfig(kind="calibration", seed=4, samples=300))
+        assert scene_module._predicate_index.cache_info().currsize == 1
+
+
 class TestAlphaFitKind:
     def test_schema_and_decay(self):
         cfg = ExperimentConfig(
@@ -261,6 +276,105 @@ class TestConvergenceKind:
             if k_bound > 0:
                 assert abs(gap - 100.0 * (k_bound - k_emp) / k_bound) < 1e-9
         assert rep.summary["checks"]["all_within_bound_plus_one"]
+
+
+def _reference_sigmoid(x):
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _reference_attention_rounds(config, seeds):
+    """The decay kinds' beliefs as first defined: each round looks at every
+    object once, then re-perceives in exact-reduction mode and fuses.
+
+    Exact-reduction perception ignores the attention residual in the flip
+    rate and logit noise and scales each emitted uncertainty by it instead,
+    keeping the confidence on its side of 0.5; a residual of 1 leaves the
+    confidence as it is.  One generator per predicate, as perception had.
+    """
+    scene, seed = harness._trial_scene(config, seeds)
+    cfg = config.noise()
+    index, truth, occluded = scene_module._scene_facts(scene)
+    draws = []
+    for k in range(len(index.preds)):
+        rng = np.random.default_rng([seed, scene.seed, k])
+        draws.append(float(rng.standard_normal()))
+
+    def observe(cfg):
+        conf = {}
+        for pred, t, g in zip(index.preds, truth.tolist(), draws):
+            residual = min(dict(cfg.focus).get(a, 1.0) for a in pred.args)
+            eta = cfg.base_flip_rate
+            sd = cfg.logit_noise_sd * (2.0 if set(pred.args) & occluded else 1.0)
+            p = t * (1.0 - eta) + (1.0 - t) * eta
+            if sd != 0.0:
+                ts = min(max(p, 1e-12), 1.0 - 1e-12)
+                p = _reference_sigmoid(math.log(ts / (1.0 - ts)) + sd * g)
+            if cfg.miscal_gamma != 1.0:
+                num = p**cfg.miscal_gamma
+                p = num / (num + (1.0 - p) ** cfg.miscal_gamma)
+            if residual < 1.0:
+                u = predicate_uncertainty(p) * residual
+                p = 1.0 - u if p >= 0.5 else u
+            conf[pred] = min(max(p, 0.0), 1.0)
+        return ProbabilisticState(conf)
+
+    belief = observe(cfg)
+    while True:
+        yield belief
+        for obj in scene.object_ids():
+            cfg = apply_info_action(cfg, "look_closer", obj)
+        belief = fuse_observation(belief, observe(cfg))
+
+
+class TestDecayMatchesReference:
+    CONFIGS = [
+        ExperimentConfig(kind="alpha-fit", seed=0, trials=6),
+        ExperimentConfig(kind="convergence", seed=1, trials=6),
+        ExperimentConfig(kind="alpha-fit", seed=2, trials=4, noise_flip=0.0, noise_sd=0.0),
+        ExperimentConfig(kind="convergence", seed=2, trials=4, noise_flip=0.0, noise_sd=0.0),
+        ExperimentConfig(
+            kind="alpha-fit", seed=3, trials=4, steps=30, alpha=0.9, n_objects=7, miscal_gamma=2.0
+        ),
+        ExperimentConfig(kind="convergence", seed=3, trials=4, alpha=0.9, n_objects=7,
+                         miscal_gamma=2.0),
+        ExperimentConfig(kind="convergence", seed=4, trials=6, noise_flip=0.3, noise_sd=3.0,
+                         alpha=0.05, tau_plan=0.95),
+        ExperimentConfig(kind="alpha-fit", seed=5, trials=4, steps=12, noise_flip=0.2,
+                         noise_sd=1.5, miscal_gamma=0.5, stack_bias=0.9),
+        # the residual saturates at the least positive float from the 324th look
+        ExperimentConfig(kind="alpha-fit", seed=6, trials=2, steps=400, alpha=0.9),
+        ExperimentConfig(kind="convergence", seed=2**64 + 3, trials=4, alpha=0.6,
+                         tau_plan=0.999, miscal_gamma=1.5),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.kind}-{c.seed}")
+    def test_rows_and_summary_byte_identical(self, monkeypatch, config):
+        got = run(config)
+        monkeypatch.setattr(harness, "_attention_rounds", _reference_attention_rounds)
+        want = run(config)
+        assert rows_to_csv(got.header, got.rows) == rows_to_csv(want.header, want.rows)
+        assert summary_to_json(got.summary) == summary_to_json(want.summary)
+
+    @pytest.mark.parametrize("unit", [harness._alpha_unit, harness._convergence_unit])
+    def test_a_decay_unit_perceives_once(self, monkeypatch, unit):
+        calls = []
+        perceive = scene_module.perceive_with_labels
+
+        def counted(*args):
+            calls.append(args)
+            return perceive(*args)
+
+        for name, module in list(sys.modules.items()):  # every binding of the function
+            if name.split(".")[0] == "beliefplan" and vars(module).get(
+                "perceive_with_labels"
+            ) is perceive:
+                monkeypatch.setattr(module, "perceive_with_labels", counted)
+        config = ExperimentConfig(kind="alpha-fit", trials=1, steps=6, tau_plan=0.99)
+        unit(config, 0, 0, _trial_seeds(config.seed, [(0, 0)])[0])
+        assert len(calls) == 1
 
 
 class TestSweepKind:
@@ -635,6 +749,13 @@ class TestCli:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_unsorted_taus_exit_2(self, capsys):
+        rc = main(["sweep-threshold", "--trials", "2", "--taus", "0.9", "0.5", "0.7"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "strictly increasing" in err
+        assert err.count("\n") == 1
 
     def test_sweep_cli_taus(self, capsys):
         rc = main(["sweep-threshold", "--trials", "2", "--taus", "0.6", "0.8",

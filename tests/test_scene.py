@@ -451,28 +451,6 @@ class TestInfoActions:
         env_scene = small_stacked_scene()
         assert "o0" not in (occluded_objects(env_scene) - set(cfg.cleared))
 
-    def test_exact_mode_reduction_is_multiplicative(self):
-        scene = generate_scene(4, seed=12)
-        cfg = NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.8, exact_reduction=True)
-        before = perceive(scene, cfg, seed=3)
-        once = perceive(scene, apply_info_action(cfg, "look_closer", "o0"), seed=3)
-        twice = perceive(
-            scene,
-            apply_info_action(apply_info_action(cfg, "look_closer", "o0"), "look_closer", "o0"),
-            seed=3,
-        )
-        for pred in before:
-            u0 = predicate_uncertainty(before.confidence(pred))
-            u1 = predicate_uncertainty(once.confidence(pred))
-            u2 = predicate_uncertainty(twice.confidence(pred))
-            if "o0" in pred.args and u0 > 1e-12:
-                assert u1 / u0 == pytest.approx(0.7, abs=1e-9)
-                assert u2 / u0 == pytest.approx(0.49, abs=1e-9)
-                # direction preserved
-                assert (before.confidence(pred) >= 0.5) == (once.confidence(pred) >= 0.5)
-            elif "o0" not in pred.args:
-                assert u1 == u0
-
     def test_realistic_mode_mean_reduction_near_gain(self):
         # look gain 0.3 should shrink uncertainty by roughly that factor
         ratios = []
@@ -603,12 +581,8 @@ def _reference_perceive_with_labels(scene, cfg, seed):
         t = 1.0 if pred in truths else 0.0
         residual = min(dict(cfg.focus).get(a, 1.0) for a in pred.args)
         occ_mult = 2.0 if any(a in occl for a in pred.args) else 1.0
-        if cfg.exact_reduction:
-            eta = cfg.base_flip_rate
-            sd = cfg.logit_noise_sd * occ_mult
-        else:
-            eta = cfg.base_flip_rate * residual
-            sd = cfg.logit_noise_sd * residual * occ_mult
+        eta = cfg.base_flip_rate * residual
+        sd = cfg.logit_noise_sd * residual * occ_mult
 
         t_soft = t * (1.0 - eta) + (1.0 - t) * eta
         if sd == 0.0:
@@ -621,9 +595,6 @@ def _reference_perceive_with_labels(scene, cfg, seed):
         if cfg.miscal_gamma != 1.0:
             num = p**cfg.miscal_gamma
             p = num / (num + (1.0 - p) ** cfg.miscal_gamma)
-        if cfg.exact_reduction and residual < 1.0:
-            u = predicate_uncertainty(p) * residual
-            p = 1.0 - u if p >= 0.5 else u
         conf[pred] = min(max(p, 0.0), 1.0)
     return conf, labels
 
@@ -645,8 +616,6 @@ class TestPerceiveMatchesReference:
         NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0, miscal_gamma=2.0),
         NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.8, miscal_gamma=0.6),
         NoiseConfig(base_flip_rate=0.05, logit_noise_sd=12.0),  # logits far past +-30
-        NoiseConfig(base_flip_rate=0.05, logit_noise_sd=1.0, exact_reduction=True),
-        NoiseConfig(base_flip_rate=0.1, exact_reduction=True, miscal_gamma=1.5),
     ]
 
     @staticmethod
@@ -680,8 +649,7 @@ class TestPerceiveMatchesReference:
         cleared = apply_info_action(NoiseConfig(logit_noise_sd=1.0), "push_obstacle", "o0")
         assert dict(focus.focus).get("o2", 1.0) < 1.0 and dict(focus.focus).get("o0", 1.0) == 1.0
         assert cleared.cleared == ("o0",)
-        exact = replace(focus, exact_reduction=True)
-        for cfg in (focus, cleared, exact, replace(exact, miscal_gamma=3.0), NoiseConfig()):
+        for cfg in (focus, cleared, replace(focus, miscal_gamma=3.0), NoiseConfig()):
             state, labels = perceive_with_labels(scene, cfg, 4)
             _assert_same_observation(state, labels, *_reference_perceive_with_labels(scene, cfg, 4))
 
