@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -437,14 +438,20 @@ def _run_batch(config: ExperimentConfig, unit, batch: list[tuple[int, int]]) -> 
     return [unit(config, s, t, pair) for (s, t), pair in zip(batch, seeds)]
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _map_units(config: ExperimentConfig, unit, units: list[tuple]) -> list:
     """``unit(config, s, t, seeds)`` for each (setting, trial) index pair, in
     order, run in batches of at most ``_BATCH_UNITS`` (see
-    :func:`_run_batch`).  With workers, each batch is one task of the pool,
-    and batches shrink so that every worker gets one."""
-    size = min(_BATCH_UNITS, -(-len(units) // config.workers))
+    :func:`_run_batch`).  With workers, capped at the usable CPUs, each batch
+    is one task of the pool, and batches shrink so that every worker gets one."""
+    workers = min(config.workers, _usable_cpus())
+    size = min(_BATCH_UNITS, -(-len(units) // workers))
     batches = [units[i : i + size] for i in range(0, len(units), size)]
-    workers = min(config.workers, len(batches))  # no process without a batch to run
+    workers = min(workers, len(batches))  # no process without a batch to run
     if workers <= 1:
         return [out for batch in batches for out in _run_batch(config, unit, batch)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -40,8 +40,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class Scene:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Perception noise channel plus per-episode attention state.
+    """Perception noise channel, with no episode state.
 
     ``base_flip_rate`` smooths the binary truth toward its opposite,
     ``logit_noise_sd`` jitters the confidence in logit space, and
@@ -128,19 +128,12 @@ class NoiseConfig:
     construction.  ``gain`` sets the multiplicative uncertainty reduction
     of one info action, of either kind; a gain of 0 makes every info
     action a no-op.
-
-    ``focus`` carries the accumulated per-object noise residual from info
-    actions (1.0 = untouched), which scales the flip rate and logit noise
-    of every predicate that mentions the object; ``cleared`` lists objects
-    whose occlusion penalty has been pushed away.
     """
 
     base_flip_rate: float = 0.0
     logit_noise_sd: float = 0.0
     miscal_gamma: float = 1.0
     gain: float = 0.3
-    focus: tuple[tuple[str, float], ...] = ()
-    cleared: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not (0.0 <= self.base_flip_rate < 0.5):
@@ -151,30 +144,6 @@ class NoiseConfig:
             raise ValueError(f"miscal_gamma must be finite and positive, got {self.miscal_gamma}")
         if not (0.0 <= self.gain < 1.0):
             raise ValueError(f"gain must lie in [0, 1), got {self.gain}")
-        for obj, r in self.focus:
-            if not (0.0 < r <= 1.0):
-                raise ValueError(f"focus residual for {obj} must lie in (0, 1], got {r}")
-
-
-def apply_info_action(cfg: NoiseConfig, kind: str, target: str) -> NoiseConfig:
-    """Attention update after an information-gathering action on ``target``.
-
-    The target's residual steps by :func:`core.next_residual`, so that
-    re-perceiving shrinks the uncertainty of predicates that mention it by
-    about (1 - gain); push_obstacle also clears the target's occlusion
-    penalty.  A zero gain returns the config unchanged.
-    """
-    if kind not in (LOOK_CLOSER, PUSH_OBSTACLE):
-        raise ValueError(f"unknown info action kind {kind!r}")
-    if cfg.gain == 0.0:
-        return cfg
-    residuals = dict(cfg.focus)
-    residuals[target] = next_residual(residuals.get(target, 1.0), cfg.gain)
-    focus = tuple(sorted(residuals.items()))
-    cleared = cfg.cleared
-    if kind == PUSH_OBSTACLE and target not in cleared:
-        cleared = tuple(sorted((*cleared, target)))
-    return replace(cfg, focus=focus, cleared=cleared)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +663,8 @@ def _sharpen(p: float, gamma: float) -> float:
 
 
 def perceive_with_labels(
-    scene: Scene, cfg: NoiseConfig, seed: int
+    scene: Scene, cfg: NoiseConfig, seed: int,
+    residual: Mapping[str, float] | None = None, cleared: Collection[str] = (),
 ) -> tuple[ProbabilisticState, np.ndarray]:
     """Noisy observation plus the calibrated label stream.
 
@@ -705,8 +675,12 @@ def perceive_with_labels(
     The label is sampled from the pre-miscalibration confidence, which is
     what makes the gamma = 1 stream calibrated by construction.
 
+    Attention scales a predicate's flip rate and logit noise by the least
+    ``residual`` of its objects, each in (0, 1] (1.0 when absent), and
+    spares the objects in ``cleared`` the doubled noise of occlusion.
+
     The underlying noise draws depend only on (scene, seed, predicate), not
-    on the config, so re-perceiving under a sharper attention state refines
+    on the attention, so re-perceiving under a sharper attention state refines
     the same observation instead of rolling new dice.  They are drawn on
     the first observation, unless a batch of trials asked for them first,
     and reused by the next ones until another pair draws, as are the
@@ -717,16 +691,18 @@ def perceive_with_labels(
     """
     if seed < 0:
         raise ValueError(f"perception seed must be non-negative, got {seed}")
+    residual = {} if residual is None else residual
+    if not all(0.0 < r <= 1.0 for r in residual.values()):  # NaN fails too
+        raise ValueError(f"every residual must lie in (0, 1], got {dict(residual)}")
     index, truth, occluded = _scene_facts(scene)
     g, label_draw = _noise_draws([(int(seed), scene.seed, len(index.preds))])[0]
 
-    residual_of = dict(cfg.focus)
-    per_obj = np.array([residual_of.get(obj, 1.0) for obj in index.ids])
-    residual = np.minimum(per_obj[index.first], per_obj[index.last])
-    hidden = np.array([obj in occluded and obj not in cfg.cleared for obj in index.ids])
+    per_obj = np.array([residual.get(obj, 1.0) for obj in index.ids])
+    scale = np.minimum(per_obj[index.first], per_obj[index.last])
+    hidden = np.array([obj in occluded and obj not in cleared for obj in index.ids])
     occ_mult = np.where(hidden[index.first] | hidden[index.last], 2.0, 1.0)
-    eta = cfg.base_flip_rate * residual
-    sd = cfg.logit_noise_sd * residual * occ_mult
+    eta = cfg.base_flip_rate * scale
+    sd = cfg.logit_noise_sd * scale * occ_mult
 
     p = truth * (1.0 - eta) + (1.0 - truth) * eta
     noisy = sd != 0.0  # elsewhere sigmoid(logit(p)) == p; skip the roundtrip
@@ -745,9 +721,12 @@ def perceive_with_labels(
     return ProbabilisticState.from_arrays(index.preds, p), labels
 
 
-def perceive(scene: Scene, cfg: NoiseConfig, seed: int) -> ProbabilisticState:
+def perceive(
+    scene: Scene, cfg: NoiseConfig, seed: int,
+    residual: Mapping[str, float] | None = None, cleared: Collection[str] = (),
+) -> ProbabilisticState:
     """Noisy observation of every candidate predicate (see perceive_with_labels)."""
-    state, _ = perceive_with_labels(scene, cfg, seed)
+    state, _ = perceive_with_labels(scene, cfg, seed, residual, cleared)
     return state
 
 
@@ -780,9 +759,10 @@ def scene_to_json(scene: Scene) -> str:
 class PlanningEnvironment:
     """One episode's view of a scene: observation, attention, execution.
 
-    The perception seed is fixed for the episode, so repeated observation
-    refines the same noise draws (via the attention state in the config)
-    rather than resampling the world.  Plan execution applies the
+    The perception seed and channel are fixed for the episode, so repeated
+    observation refines the same noise draws under the episode's attention:
+    ``residual`` holds each object's noise residual (1.0 when absent) and
+    ``cleared`` the objects pushed clear.  Plan execution applies the
     planner's own grounded actions to the true support atoms, failing on
     the first action whose preconditions do not actually hold.
     """
@@ -791,18 +771,30 @@ class PlanningEnvironment:
         self.scene = scene
         self.cfg = cfg
         self.seed = int(seed)
+        self.residual: dict[str, float] = {}
+        self.cleared: set[str] = set()
 
     def object_ids(self) -> tuple[str, ...]:
         return self.scene.object_ids()
 
     def observe(self) -> ProbabilisticState:
-        return perceive(self.scene, self.cfg, self.seed)
+        return perceive(self.scene, self.cfg, self.seed, self.residual, self.cleared)
 
     def occluded_ids(self) -> frozenset[str]:
-        return _scene_facts(self.scene)[2] - set(self.cfg.cleared)
+        return _scene_facts(self.scene)[2] - self.cleared
 
     def apply_info(self, kind: str, target: str) -> None:
-        self.cfg = apply_info_action(self.cfg, kind, target)
+        """Step ``target``'s residual by :func:`core.next_residual`, which
+        shrinks the uncertainty of the predicates that mention it by about
+        (1 - gain); push_obstacle also clears its occlusion penalty.  A zero
+        gain changes nothing."""
+        if kind not in (LOOK_CLOSER, PUSH_OBSTACLE):
+            raise ValueError(f"unknown info action kind {kind!r}")
+        if self.cfg.gain == 0.0:
+            return
+        self.residual[target] = next_residual(self.residual.get(target, 1.0), self.cfg.gain)
+        if kind == PUSH_OBSTACLE:
+            self.cleared.add(target)
 
     def execute(self, plan, goal_predicates: Iterable[GroundPredicate]) -> bool:
         """Run a plan of the planner's own actions against ground truth.

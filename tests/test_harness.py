@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -29,7 +30,7 @@ from beliefplan.harness import (
     _trial_seeds,
 )
 from beliefplan import scene as scene_module
-from beliefplan.scene import apply_info_action, generate_scene, scene_to_json
+from beliefplan.scene import PlanningEnvironment, generate_scene, scene_to_json
 
 
 def _reference_trial_seeds(config_seed, setting_idx, trial_idx):
@@ -302,10 +303,10 @@ def _reference_attention_rounds(config, seeds):
         rng = np.random.default_rng([seed, scene.seed, k])
         draws.append(float(rng.standard_normal()))
 
-    def observe(cfg):
+    def observe(residuals):
         conf = {}
         for pred, t, g in zip(index.preds, truth.tolist(), draws):
-            residual = min(dict(cfg.focus).get(a, 1.0) for a in pred.args)
+            residual = min(residuals.get(a, 1.0) for a in pred.args)
             eta = cfg.base_flip_rate
             sd = cfg.logit_noise_sd * (2.0 if set(pred.args) & occluded else 1.0)
             p = t * (1.0 - eta) + (1.0 - t) * eta
@@ -321,12 +322,13 @@ def _reference_attention_rounds(config, seeds):
             conf[pred] = min(max(p, 0.0), 1.0)
         return ProbabilisticState(conf)
 
-    belief = observe(cfg)
+    env = PlanningEnvironment(scene, cfg, seed)  # holds the attention; the rounds only look
+    belief = observe(env.residual)
     while True:
         yield belief
         for obj in scene.object_ids():
-            cfg = apply_info_action(cfg, "look_closer", obj)
-        belief = fuse_observation(belief, observe(cfg))
+            env.apply_info("look_closer", obj)
+        belief = fuse_observation(belief, observe(env.residual))
 
 
 class TestDecayMatchesReference:
@@ -412,6 +414,21 @@ class TestBenchmarkKind:
         rep = run(cfg)
         assert all(r[3] == 0 for r in rep.rows if r[1] == "info_off")
 
+    def test_policy_reaches_the_planner_as_options(self, monkeypatch):
+        # bench/run.py's episode timer reads options.info_enabled to leave
+        # the info_off episodes out of its episode times
+        flags = []
+        original = harness.plan_under_uncertainty
+
+        def recording(*args, **kwargs):
+            flags.append(kwargs["options"].info_enabled)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "plan_under_uncertainty", recording)
+        rep = run(ExperimentConfig(kind="plan-benchmark", seed=8, trials=1))
+        assert [r[1] for r in rep.rows] == ["info_on", "info_off"]
+        assert flags == [True, False]
+
 
 class TestMrfCheckKind:
     def test_schema_and_tightening(self):
@@ -441,12 +458,16 @@ class TestDeterminism:
         assert rows_to_csv(a.header, a.rows) == rows_to_csv(b.header, b.rows)
         assert summary_to_json(a.summary) == summary_to_json(b.summary)
 
-    def test_at_most_one_process_per_unit(self, monkeypatch):
-        sizes = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Stands in for the process pool, running each batch in this
+        process; holds the (max_workers, batch sizes) of each pool made."""
+        made = []
 
         class InlinePool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.record = (max_workers, [])
+                made.append(self.record)
 
             def __enter__(self):
                 return self
@@ -455,13 +476,30 @@ class TestDeterminism:
                 return False
 
             def map(self, fn, *iterables, chunksize):
+                self.record[1].extend(len(batch) for batch in iterables[2])
                 return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        return made
+
+    def test_at_most_one_process_per_unit(self, pools, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
         config = ExperimentConfig(kind="mrf-check", seed=5, trials=2, workers=3)
         run(config)
         run(replace(config, trials=1))  # one unit runs in this process
-        assert sizes == [2]
+        assert pools == [(2, [1, 1])]
+
+    def test_at_most_one_process_per_usable_cpu(self, pools, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        config = ExperimentConfig(kind="plan-benchmark", seed=4, trials=40, workers=10**6)
+        capped = run(config)
+        assert pools == [(3, [14, 14, 12])]
+        serial = run(replace(config, workers=1))
+        assert rows_to_csv(capped.header, capped.rows) == rows_to_csv(serial.header, serial.rows)
+        assert summary_to_json(capped.summary) == summary_to_json(serial.summary)
+
+    def test_usable_cpus(self):
+        assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("workers", [4, 8])
     def test_worker_count_invisible(self, workers):
@@ -601,6 +639,13 @@ class TestSceneFiles:
 
 
 class TestCli:
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMAND_KINDS))
+    def test_flags_mirror_the_config(self, command):
+        # a config field without a flag would silently keep its default
+        dests = set(vars(cli.build_parser().parse_args([command]))) - {"command"}
+        config_fields = {f.name for f in fields(ExperimentConfig)} - {"kind"}
+        assert dests == config_fields | {"out_dir", "format", "config"}
+
     def test_mrf_check_prints_summary(self, capsys, tmp_path):
         rc = main(["mrf-check", "--trials", "4", "--seed", "2", "--out-dir", str(tmp_path)])
         assert rc == 0

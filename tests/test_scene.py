@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from beliefplan.core import (
     GroundPredicate,
     Relation,
     classify,
+    next_residual,
     parse_predicate,
     predicate_uncertainty,
 )
@@ -42,7 +43,6 @@ from beliefplan.scene import (
     _scene_facts,
     _sharpen,
     _surface_gap,
-    apply_info_action,
     candidate_predicates,
     generate_scene,
     occluded_objects,
@@ -295,10 +295,9 @@ class TestOcclusion:
     def test_occlusion_doubles_logit_noise(self):
         scene = small_stacked_scene()
         eta = 0.1
-        base = NoiseConfig(base_flip_rate=eta, logit_noise_sd=0.8)
-        cleared = NoiseConfig(base_flip_rate=eta, logit_noise_sd=0.8, cleared=("o0",))
-        p_occ = perceive(scene, base, seed=5)
-        p_clr = perceive(scene, cleared, seed=5)
+        cfg = NoiseConfig(base_flip_rate=eta, logit_noise_sd=0.8)
+        p_occ = perceive(scene, cfg, seed=5)
+        p_clr = perceive(scene, cfg, seed=5, cleared={"o0"})
         truths = ground_truth_state(scene)
         logit = lambda p: math.log(p / (1 - p))
         for pred in p_occ:
@@ -328,9 +327,10 @@ class TestPerceive:
 
     def test_focus_leaves_other_predicates_frozen(self):
         scene = generate_scene(4, seed=2)
-        cfg = NoiseConfig(base_flip_rate=0.1, logit_noise_sd=1.0)
-        before = perceive(scene, cfg, seed=9)
-        after = perceive(scene, apply_info_action(cfg, "look_closer", "o1"), seed=9)
+        env = PlanningEnvironment(scene, NoiseConfig(base_flip_rate=0.1, logit_noise_sd=1.0), 9)
+        before = env.observe()
+        env.apply_info("look_closer", "o1")
+        after = env.observe()
         changed = 0
         for pred in before:
             if "o1" in pred.args:
@@ -423,42 +423,65 @@ class TestPerceive:
 class TestInfoActions:
     def test_zero_gain_is_identity(self):
         cfg = NoiseConfig(base_flip_rate=0.1, gain=0.0)
-        assert apply_info_action(cfg, "look_closer", "o2") is cfg
+        env = PlanningEnvironment(small_stacked_scene(), cfg, 0)
+        env.apply_info("look_closer", "o2")
+        env.apply_info("push_obstacle", "o0")
+        assert env.residual == {} and env.cleared == set()
+        assert env.occluded_ids() == frozenset({"o0"})
 
     def test_gain_of_one_rejected(self):
         with pytest.raises(ValueError, match="gain must lie in"):
             NoiseConfig(gain=1.0)
 
     def test_unknown_kind_rejected(self):
+        env = PlanningEnvironment(small_stacked_scene(), NoiseConfig(), 0)
         with pytest.raises(ValueError):
-            apply_info_action(NoiseConfig(), "teleport", "o1")
+            env.apply_info("teleport", "o1")
 
     def test_attention_saturates_above_zero(self):
         # at gain 0.9 the 324th look would multiply the residual to 0.0
-        scene = small_stacked_scene()
         cfg = NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.8, gain=0.9)
+        env = PlanningEnvironment(small_stacked_scene(), cfg, seed=3)
         for _ in range(400):
-            cfg = apply_info_action(cfg, "look_closer", "o1")
-        assert cfg.focus == (("o1", math.ulp(0.0)),)
-        state = perceive(scene, cfg, seed=3)
-        for pred, p in state.items():
+            env.apply_info("look_closer", "o1")
+        assert env.residual == {"o1": math.ulp(0.0)}
+        for pred, p in env.observe().items():
             if "o1" in pred.args:
                 assert predicate_uncertainty(p) < 1e-11  # at the logit clip
 
     def test_push_clears_occlusion(self):
-        cfg = apply_info_action(NoiseConfig(), "push_obstacle", "o0")
-        assert cfg.cleared == ("o0",)
-        env_scene = small_stacked_scene()
-        assert "o0" not in (occluded_objects(env_scene) - set(cfg.cleared))
+        env = PlanningEnvironment(small_stacked_scene(), NoiseConfig(), 0)
+        assert "o0" in env.occluded_ids()
+        env.apply_info("push_obstacle", "o0")
+        assert env.cleared == {"o0"}
+        assert "o0" not in env.occluded_ids()
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, math.nan])
+    def test_residual_outside_unit_interval_rejected(self, bad):
+        scene = small_stacked_scene()
+        with pytest.raises(ValueError, match="residual must lie in"):
+            perceive_with_labels(scene, NoiseConfig(), 0, residual={"o1": 0.5, "o2": bad})
+
+    def test_look_leaves_channel_config_alone(self):
+        cfg = NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.8)
+        env = PlanningEnvironment(small_stacked_scene(), cfg, 0)
+        env.apply_info("look_closer", "o1")
+        env.apply_info("push_obstacle", "o0")
+        assert env.cfg is cfg
+
+    def test_noise_config_holds_only_the_channel(self):
+        names = [f.name for f in fields(NoiseConfig)]
+        assert names == ["base_flip_rate", "logit_noise_sd", "miscal_gamma", "gain"]
 
     def test_realistic_mode_mean_reduction_near_gain(self):
         # look gain 0.3 should shrink uncertainty by roughly that factor
         ratios = []
         cfg = NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.5)
         for seed in range(300):
-            scene = generate_scene(3, stack_bias=0.0, seed=seed)
-            before = perceive(scene, cfg, seed=seed)
-            after = perceive(scene, apply_info_action(cfg, "look_closer", "o0"), seed=seed)
+            env = PlanningEnvironment(generate_scene(3, stack_bias=0.0, seed=seed), cfg, seed)
+            before = env.observe()
+            env.apply_info("look_closer", "o0")
+            after = env.observe()
             for pred in before:
                 if "o0" not in pred.args:
                     continue
@@ -504,12 +527,13 @@ class TestEnvironment:
         env = PlanningEnvironment(generate_scene(4, seed=1), NoiseConfig(logit_noise_sd=1.0), seed=5)
         assert env.observe() == env.observe()
 
-    def test_apply_info_updates_config_and_log(self):
+    def test_apply_info_updates_attention(self):
         env = PlanningEnvironment(small_stacked_scene(), NoiseConfig(), seed=0)
         assert env.occluded_ids() == frozenset({"o0"})
         env.apply_info("push_obstacle", "o0")
         assert env.occluded_ids() == frozenset()
-        assert env.cfg == apply_info_action(NoiseConfig(), "push_obstacle", "o0")
+        assert env.residual == {"o0": next_residual(1.0, NoiseConfig().gain)}
+        assert env.cleared == {"o0"}
 
     def test_noisy_episode_classification_sane(self):
         scene = generate_scene(4, stack_bias=0.5, seed=8)
@@ -568,10 +592,12 @@ def _reference_sigmoid(x):
     return e / (1.0 + e)
 
 
-def _reference_perceive_with_labels(scene, cfg, seed):
-    """One generator per predicate and every fact recomputed, on every call."""
+def _reference_perceive_with_labels(scene, cfg, seed, attention=({}, set())):
+    """One generator per predicate and every fact recomputed, on every call;
+    ``attention`` is a (residual dict, cleared set) pair."""
+    residuals, cleared = attention
     truths = ground_truth_state(scene)
-    occl = occluded_objects(scene) - set(cfg.cleared)
+    occl = occluded_objects(scene) - cleared
     conf, labels = {}, {}
     for k, pred in enumerate(candidate_predicates(scene.object_ids())):
         rng = np.random.default_rng([int(seed), scene.seed, k])
@@ -579,7 +605,7 @@ def _reference_perceive_with_labels(scene, cfg, seed):
         label_draw = float(rng.uniform())
 
         t = 1.0 if pred in truths else 0.0
-        residual = min(dict(cfg.focus).get(a, 1.0) for a in pred.args)
+        residual = min(residuals.get(a, 1.0) for a in pred.args)
         occ_mult = 2.0 if any(a in occl for a in pred.args) else 1.0
         eta = cfg.base_flip_rate * residual
         sd = cfg.logit_noise_sd * residual * occ_mult
@@ -620,38 +646,51 @@ class TestPerceiveMatchesReference:
 
     @staticmethod
     def _attended(cfg, scene, rng):
-        """cfg after a few random info actions, pushes on occluded objects included."""
+        """The (residual dict, cleared set) attention after a few random info
+        actions, pushes on occluded objects included."""
+        env = PlanningEnvironment(scene, cfg, 0)
         ids = scene.object_ids()
         occl = sorted(occluded_objects(scene))
         for _ in range(int(rng.integers(0, 5))):
             if occl and rng.uniform() < 0.5:
-                cfg = apply_info_action(cfg, "push_obstacle", occl[int(rng.integers(len(occl)))])
+                env.apply_info("push_obstacle", occl[int(rng.integers(len(occl)))])
             else:
-                cfg = apply_info_action(cfg, "look_closer", ids[int(rng.integers(len(ids)))])
-        return cfg
+                env.apply_info("look_closer", ids[int(rng.integers(len(ids)))])
+        return env.residual, env.cleared
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_every_branch_bit_identical(self, n):
         rng = np.random.default_rng(n)
         for trial in range(6):
             scene = generate_scene(n, stack_bias=0.7, seed=100 * n + trial)
-            for base in self.CONFIGS:
-                cfg = self._attended(base, scene, rng)
+            for cfg in self.CONFIGS:
+                attention = self._attended(cfg, scene, rng)
                 seed = int(rng.integers(0, 1000))
-                state, labels = perceive_with_labels(scene, cfg, seed)
+                state, labels = perceive_with_labels(scene, cfg, seed, *attention)
                 _assert_same_observation(
-                    state, labels, *_reference_perceive_with_labels(scene, cfg, seed)
+                    state, labels, *_reference_perceive_with_labels(scene, cfg, seed, attention)
                 )
 
     def test_branches_are_reached(self):
         scene = small_stacked_scene()  # o0 sits under o1, so it starts occluded
-        focus = apply_info_action(NoiseConfig(logit_noise_sd=1.0), "look_closer", "o2")
-        cleared = apply_info_action(NoiseConfig(logit_noise_sd=1.0), "push_obstacle", "o0")
-        assert dict(focus.focus).get("o2", 1.0) < 1.0 and dict(focus.focus).get("o0", 1.0) == 1.0
-        assert cleared.cleared == ("o0",)
-        for cfg in (focus, cleared, replace(focus, miscal_gamma=3.0), NoiseConfig()):
-            state, labels = perceive_with_labels(scene, cfg, 4)
-            _assert_same_observation(state, labels, *_reference_perceive_with_labels(scene, cfg, 4))
+        base = NoiseConfig(logit_noise_sd=1.0)
+        looked = PlanningEnvironment(scene, base, 4)
+        looked.apply_info("look_closer", "o2")
+        pushed = PlanningEnvironment(scene, base, 4)
+        pushed.apply_info("push_obstacle", "o0")
+        assert looked.residual.get("o2", 1.0) < 1.0 and looked.residual.get("o0", 1.0) == 1.0
+        assert pushed.cleared == {"o0"}
+        focus = (looked.residual, looked.cleared)
+        for cfg, attention in (
+            (base, focus),
+            (base, (pushed.residual, pushed.cleared)),
+            (replace(base, miscal_gamma=3.0), focus),
+            (NoiseConfig(), ({}, set())),
+        ):
+            state, labels = perceive_with_labels(scene, cfg, 4, *attention)
+            _assert_same_observation(
+                state, labels, *_reference_perceive_with_labels(scene, cfg, 4, attention)
+            )
 
     def test_reobservation_after_info_actions(self):
         cfg = NoiseConfig(base_flip_rate=0.025, logit_noise_sd=1.5)
@@ -666,9 +705,11 @@ class TestPerceiveMatchesReference:
                 if kind is not None:
                     env.apply_info(kind, target)
                 state = env.observe()
-                _, labels = perceive_with_labels(scene, env.cfg, env.seed)
+                attention = (env.residual, env.cleared)
+                _, labels = perceive_with_labels(scene, env.cfg, env.seed, *attention)
                 _assert_same_observation(
-                    state, labels, *_reference_perceive_with_labels(scene, env.cfg, env.seed)
+                    state, labels,
+                    *_reference_perceive_with_labels(scene, env.cfg, env.seed, attention),
                 )
             if occl:
                 assert occl[0] not in env.occluded_ids()
