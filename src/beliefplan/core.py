@@ -2,9 +2,10 @@
 
 A perception front end emits, for every candidate relation between objects,
 a confidence in [0, 1] that the relation holds.  This module holds the
-symbolic side of that picture: ground predicates, belief states mapping
-predicates to confidences, the per-predicate and state-level uncertainty
-measures, certain/uncertain classification at a threshold, the decay law
+symbolic side of that picture: ground predicates, the one index that
+orders and positions the predicates a state scores, belief states mapping
+them to confidences, the per-predicate and state-level uncertainty
+measures, certain/uncertain masks at a threshold, the decay law
 with its one look rule, the fusion of a fresh observation into a belief
 state, and the one stacking rule (:func:`support_map`) that scenes,
 symbolic states, goals and the belief projection share.
@@ -16,7 +17,6 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -149,82 +149,102 @@ def _check_confidence(p: float) -> float:
     return p
 
 
+@dataclass(frozen=True, eq=False)
+class PredicateIndex:
+    """Predicates in order with their argument positions, shared by the
+    states over them; equality and hashing are by identity."""
+
+    ids: tuple[str, ...]  # the sorted objects the predicates name
+    preds: tuple[GroundPredicate, ...]  # sorted by GroundPredicate.sort_key
+    first: np.ndarray  # position in ids of each predicate's first argument
+    last: np.ndarray  # ... and of its last one (the same for Clear)
+    slot: dict[tuple[Relation, int, int], int]  # (relation, first, last) -> position
+
+
+def predicate_index(preds: Iterable[GroundPredicate]) -> PredicateIndex:
+    """A new index over the distinct predicates of ``preds``."""
+    ordered = tuple(sorted(set(preds), key=GroundPredicate.sort_key))
+    ids = tuple(sorted({a for p in ordered for a in p.args}))
+    at = {obj: k for k, obj in enumerate(ids)}
+    first = [at[p.args[0]] for p in ordered]
+    last = [at[p.args[-1]] for p in ordered]
+    return PredicateIndex(
+        ids, ordered, np.array(first, dtype=np.intp), np.array(last, dtype=np.intp),
+        {(p.relation, i, j): k for k, (p, i, j) in enumerate(zip(ordered, first, last))},
+    )
+
+
 class ProbabilisticState:
     """Immutable map from ground predicates to confidences.
 
-    Stored as the predicates sorted by :meth:`GroundPredicate.sort_key` and
-    a float64 confidence vector aligned with them, so iteration never
-    re-sorts and the belief operations below work on whole vectors.
+    Stored as a :class:`PredicateIndex` and a float64 confidence vector
+    aligned with its predicates, read-only as ``scored`` and ``confidences``.
+    States derived from one another share the index object, so iteration
+    never re-sorts and the belief operations below work on whole vectors.
     """
 
-    __slots__ = ("_preds", "_p", "_pos")
+    __slots__ = ("_index", "_p")
 
     def __init__(self, confidences: Mapping[GroundPredicate, float]):
-        conf = {p: _check_confidence(v) for p, v in confidences.items()}
-        preds = tuple(sorted(conf, key=GroundPredicate.sort_key))
-        self._set(preds, [conf[p] for p in preds])
+        index = predicate_index(confidences)
+        self._set(index, [_check_confidence(confidences[p]) for p in index.preds])
 
     @classmethod
-    def from_arrays(cls, preds: tuple[GroundPredicate, ...], confidences) -> ProbabilisticState:
-        """State over ``preds``, which must be distinct and sorted by sort_key;
-        ``confidences`` aligns with them."""
+    def from_arrays(cls, index: PredicateIndex, confidences) -> ProbabilisticState:
+        """State over ``index``; ``confidences`` aligns with its predicates."""
         state = cls.__new__(cls)
-        state._set(preds, confidences)
+        state._set(index, confidences)
         return state
 
-    def _set(self, preds, confidences) -> None:
+    def _set(self, index: PredicateIndex, confidences) -> None:
         p = np.array(confidences, dtype=float)
-        if p.shape != (len(preds),):
+        if p.shape != (len(index.preds),):
             raise ValueError("confidence vector must match the predicates")
         bad = ~((p >= 0.0) & (p <= 1.0))  # NaN fails both comparisons
         if bad.any():
             _check_confidence(p[bad][0])
         p.flags.writeable = False
-        self._preds = tuple(preds)
+        self._index = index
         self._p = p
-        self._pos = None  # {pred: k}, built on the first lookup
 
-    def _positions(self) -> Mapping[GroundPredicate, int]:
-        if self._pos is None:
-            self._pos = {p: k for k, p in enumerate(self._preds)}
-        return self._pos
+    @property
+    def scored(self) -> PredicateIndex:
+        return self._index
+
+    @property
+    def confidences(self) -> np.ndarray:
+        return self._p
 
     def with_confidences(self, confidences) -> ProbabilisticState:
-        """Same predicates, new aligned confidence vector."""
-        return ProbabilisticState.from_arrays(self._preds, confidences)
-
-    def confidence(self, pred: GroundPredicate) -> float:
-        return float(self._p[self._positions()[pred]])
+        """Same index, new aligned confidence vector."""
+        return ProbabilisticState.from_arrays(self._index, confidences)
 
     def items(self) -> list[tuple[GroundPredicate, float]]:
-        return list(zip(self._preds, self._p.tolist()))
-
-    def __contains__(self, pred: GroundPredicate) -> bool:
-        return pred in self._positions()
+        return list(zip(self._index.preds, self._p.tolist()))
 
     def __len__(self) -> int:
-        return len(self._preds)
+        return len(self._index.preds)
 
     def __iter__(self) -> Iterator[GroundPredicate]:
-        return iter(self._preds)
+        return iter(self._index.preds)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbabilisticState):
             return NotImplemented
-        return self._preds == other._preds and np.array_equal(self._p, other._p)
+        return self._index.preds == other._index.preds and np.array_equal(self._p, other._p)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}={v:.3g}" for p, v in self.items())
         return f"ProbabilisticState({body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertaintyPartition:
-    """Disjoint split of a state's predicates at a planning threshold."""
+    """Disjoint masks over a state's index, split at a planning threshold."""
 
-    certain_true: frozenset[GroundPredicate]
-    certain_false: frozenset[GroundPredicate]
-    uncertain: frozenset[GroundPredicate]
+    certain_true: np.ndarray
+    certain_false: np.ndarray
+    uncertain: np.ndarray
 
 
 def predicate_uncertainty(p: float) -> float:
@@ -256,7 +276,8 @@ def state_uncertainty_independent(state: ProbabilisticState) -> float:
 
 
 def classify(state: ProbabilisticState, tau_plan: float) -> CertaintyPartition:
-    """Split predicates into certain-true / certain-false / uncertain.
+    """Split predicates into certain-true / certain-false / uncertain, as
+    masks over the state's index.
 
     p > tau_plan counts as certainly true, p < 1 - tau_plan as certainly
     false, everything else (boundaries included) stays uncertain.  The
@@ -271,10 +292,7 @@ def classify(state: ProbabilisticState, tau_plan: float) -> CertaintyPartition:
     # algebraically p < 1 - tau_plan; summing avoids the rounded complement
     # misclassifying exact boundary confidences
     false = ~true & (p + tau_plan < 1.0)
-    uncertain = ~(true | false)
-    return CertaintyPartition(
-        *(frozenset(compress(state._preds, mask.tolist())) for mask in (true, false, uncertain))
-    )
+    return CertaintyPartition(true, false, ~(true | false))
 
 
 def reduction_law(u0: float, alpha: float, k: int) -> float:
@@ -322,7 +340,7 @@ def fuse_observation(
     i.e. has the smaller predicate uncertainty; on a tie the observation
     wins.
     """
-    if prior._preds != obs._preds:
+    if prior._index is not obs._index and prior._index.preds != obs._index.preds:
         raise ValueError("fusion needs both states to score the same predicates")
     keep = predicate_uncertainties(prior._p) < predicate_uncertainties(obs._p)
     return obs.with_confidences(np.where(keep, prior._p, obs._p))

@@ -17,9 +17,10 @@ carries (rounds, info actions, A* expansions, plan length).
 ``tests/test_golden.py`` pins the digests of one small config per kind, so
 an output change between commits fails a test too.
 
-The decay kinds (alpha-fit, convergence) perceive the trial's scene once,
-shrink that observation's uncertainties round by round by the decay law,
-and differ only in where they stop; the planning kinds (threshold-sweep,
+The decay kinds (alpha-fit, convergence) perceive the trial's scene once
+and shrink that observation's uncertainties round by round by the decay
+law; convergence follows only the residual and the most uncertain
+predicate on each side of 0.5; the planning kinds (threshold-sweep,
 plan-benchmark) run every episode through one runner on the trial's scene.
 """
 
@@ -42,6 +43,7 @@ from beliefplan.core import (
     Relation,
     classify,
     next_residual,
+    predicate_uncertainties,
     shrink_uncertainty,
     state_uncertainty_independent,
 )
@@ -361,14 +363,21 @@ def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seed
 
 
 def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    rounds = _attention_rounds(config, seeds)
-    belief = next(rounds)
-    u0 = state_uncertainty_independent(belief)
+    scene, perception_seed = _trial_scene(config, seeds)
+    first, _ = perceive_with_labels(scene, config.noise(), perception_seed)
+    u0 = state_uncertainty_independent(first)
     k_bound = convergence_bound(config.tau_plan, config.alpha, u0)
-    k_emp = 0
-    while classify(belief, config.tau_plan).uncertain and k_emp < k_bound + 2:
-        belief = next(rounds)
+    # round k > 0 scales every uncertainty by r_k, and rounded products fall with r:
+    # it is certain iff classify's test holds for the most uncertain on each side of 0.5
+    p, tau = first.confidences, config.tau_plan
+    u = predicate_uncertainties(p)
+    u_true, u_false = (float(u[side].max(initial=0.0)) for side in (p >= 0.5, p < 0.5))
+    uncertain, k_emp, r = classify(first, tau).uncertain.any(), 0, 1.0
+    while uncertain and k_emp < k_bound + 2:
+        r = next_residual(r, config.alpha)
         k_emp += 1
+        t, f = 1.0 - u_true * r, u_false * r
+        uncertain = not ((t > tau or t + tau < 1.0) and (f > tau or f + tau < 1.0))
     return u0, k_emp, k_bound, modeled_episode_ms(k_emp + 1, k_emp * config.n_objects)
 
 

@@ -7,10 +7,10 @@ MRF whose unary potentials encode the raw confidences and whose pairwise
 potentials encode those two hard rules, then re-estimates the node
 marginals by exact enumeration (small graphs) or loopy belief propagation.
 Each rule pairs its own kind of predicates, so no node pair gets two edges;
-the rules read the node tuple alone, so its edges are built once and
-cached.  Only node marginals are produced: refinement and the MAP readout
-read nothing else, and the dependency-aware uncertainty is computed exactly
-from the enumerated joint.
+the rules read the state's predicate index alone, so its edges are built
+once per index and cached.  Only node marginals are produced: refinement
+and the MAP readout read nothing else, and the dependency-aware
+uncertainty is computed exactly from the enumerated joint.
 
 Energy convention: P(x) proportional to exp(-E(x)) with
 E(x) = sum_i psi_i(x_i) + sum_ij phi_ij(x_i, x_j).  Lower energy means more
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from beliefplan.core import GroundPredicate, ProbabilisticState, Relation
+from beliefplan.core import GroundPredicate, PredicateIndex, ProbabilisticState, Relation
 
 CONFIDENCE_CLAMP = 1e-6
 HARD_WEIGHT = 20.0
@@ -149,24 +149,22 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
     No two rules pair the same two nodes, so each pair gets at most one edge,
     and no edge joins two On nodes.
     """
-    nodes = tuple(state)
     unary = np.array([unary_potentials(p) for _, p in state.items()], dtype=float)
-    return PredicateMrf(nodes, unary, _structural_edges(nodes))
+    return PredicateMrf(state.scored.preds, unary, _structural_edges(state.scored))
 
 
 @functools.lru_cache(maxsize=8)
-def _structural_edges(nodes: tuple[GroundPredicate, ...]) -> tuple[Edge, ...]:
-    """The two rules' edges over ``nodes``, sorted by endpoints."""
-    index = {pred: k for k, pred in enumerate(nodes)}
+def _structural_edges(index: PredicateIndex) -> tuple[Edge, ...]:
+    """The two rules' edges over the index's predicates, sorted by endpoints."""
     edges: list[Edge] = []
-    for on in (p for p in nodes if p.relation is Relation.ON):
-        a, b = on.args
-        clear_b = GroundPredicate(Relation.CLEAR, (b,))
-        if clear_b in index:
-            edges.append(mutex_edge(*sorted((index[on], index[clear_b]))))
-        touching = GroundPredicate(Relation.TOUCHING, (a, b))
-        if touching in index:
-            edges.append(implication_edge(*sorted((index[on], index[touching])), index[on]))
+    for k, a, b in [(k, a, b) for (rel, a, b), k in index.slot.items() if rel is Relation.ON]:
+        clear_b = index.slot.get((Relation.CLEAR, b, b))
+        if clear_b is not None:
+            edges.append(mutex_edge(*sorted((k, clear_b))))
+        # Touching is symmetric: its first argument is the smaller id
+        touching = index.slot.get((Relation.TOUCHING, min(a, b), max(a, b)))
+        if touching is not None:
+            edges.append(implication_edge(*sorted((k, touching)), k))
     edges.sort(key=lambda e: (e.i, e.j))
     return tuple(edges)
 
@@ -374,10 +372,9 @@ def map_assignment(beliefs: BeliefSet) -> tuple[bool, ...]:
 def refined_state(state: ProbabilisticState, beliefs: BeliefSet) -> ProbabilisticState:
     """Belief state with confidences replaced by refined true-marginals.
 
-    Node order follows :func:`build_mrf` (sorted predicates), so ``beliefs``
-    must come from the MRF built for this same state.
+    Node order follows :func:`build_mrf` (the state's index), so ``beliefs``
+    must come from the MRF built for this same state; ValueError when the
+    sizes differ.
     """
-    if len(state) != beliefs.node_marginals.shape[0]:
-        raise ValueError("belief set does not match state size")
     return state.with_confidences(beliefs.node_marginals[:, 1])
 

@@ -511,23 +511,25 @@ class PlannerOptions:
 
 
 def choose_info_action(
-    uncertain: Iterable[GroundPredicate],
+    belief: ProbabilisticState,
+    uncertain: np.ndarray,
     goal: Goal,
     occluded: frozenset[str] | set[str],
 ) -> InfoAction | None:
     """Pick the information action for the most goal-critical object.
 
-    The target is the object appearing in the most goal-relevant uncertain
-    predicates (lexicographic tie-break); occluded targets get
-    push_obstacle, others look_closer.  Returns None when nothing is
-    goal-critical.
+    ``uncertain`` masks the belief's index.  The target is the object
+    appearing in the most goal-relevant uncertain predicates (lexicographic
+    tie-break); occluded targets get push_obstacle, others look_closer.
+    Returns None when nothing is goal-critical.
     """
-    goal_objs = goal.objects()
+    preds, goal_objs = belief.scored.preds, goal.objects()
     counts: dict[str, int] = {}
-    for pred in uncertain:
-        if not set(pred.args) & goal_objs:
+    for k in np.flatnonzero(uncertain).tolist():
+        args = preds[k].args
+        if goal_objs.isdisjoint(args):
             continue
-        for obj in pred.args:
+        for obj in args:
             counts[obj] = counts.get(obj, 0) + 1
     if not counts:
         return None
@@ -537,24 +539,26 @@ def choose_info_action(
 
 def world_state_from_beliefs(
     belief: ProbabilisticState,
-    certain_true: Iterable[GroundPredicate],
+    certain_true: np.ndarray,
     objects: Iterable[str],
 ) -> SymbolicWorldState:
     """Project certain-true On beliefs onto a consistent symbolic state.
 
-    On predicates are admitted in decreasing confidence order, skipping
-    any that :func:`~beliefplan.core.support_map` rejects next to those
-    already admitted.  Objects without an admitted support sit on the
-    table; clear and handempty atoms follow structurally.
+    ``certain_true`` masks the belief's index.  On predicates are admitted
+    in decreasing confidence order, ties in index order, skipping any that
+    :func:`~beliefplan.core.support_map` rejects next to those already
+    admitted.  Objects without an admitted support sit on the table; clear
+    and handempty atoms follow structurally.
     """
+    preds, p = belief.scored.preds, belief.confidences
     ons = sorted(
-        (p for p in certain_true if p.relation is Relation.ON),
-        key=lambda p: (-belief.confidence(p), p.sort_key()),
+        (k for k in np.flatnonzero(certain_true).tolist() if preds[k].relation is Relation.ON),
+        key=lambda k: -p[k],  # stable, so ties stay in index order
     )
     lower_of: dict[str, str] = {}
-    for pred in ons:
+    for k in ons:
         try:
-            lower_of = support_map([*lower_of.items(), pred.args])
+            lower_of = support_map([*lower_of.items(), preds[k].args])
         except ValueError:
             pass  # conflicts with a more confident support
     return SymbolicWorldState(support_atoms(lower_of, objects))
@@ -624,10 +628,10 @@ def plan_under_uncertainty(
         belief = obs if belief is None else fuse_observation(belief, obs)
         u_state = state_uncertainty_independent(belief)
         part = classify(belief, tau_plan)
-        sizes = (len(part.certain_true), len(part.certain_false), len(part.uncertain))
+        sizes = [int(m.sum()) for m in (part.certain_true, part.certain_false, part.uncertain)]
 
         if options.info_enabled and round_idx < max_retries - 1:
-            action = choose_info_action(part.uncertain, goal, env.occluded_ids())
+            action = choose_info_action(belief, part.uncertain, goal, env.occluded_ids())
             if action is not None:
                 env.apply_info(action.kind, action.target)
                 info_count += 1

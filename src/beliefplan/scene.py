@@ -47,9 +47,11 @@ import numpy as np
 
 from beliefplan.core import (
     GroundPredicate,
+    PredicateIndex,
     ProbabilisticState,
     Relation,
     next_residual,
+    predicate_index,
     support_map,
 )
 from beliefplan.planner import LOOK_CLOSER, PUSH_OBSTACLE, predicate_atom, support_atoms
@@ -209,50 +211,19 @@ def generate_scene(n_objects: int, stack_bias: float = 0.4, seed: int = 0) -> Sc
 # ground truth
 
 
-@dataclass(frozen=True, eq=False)
-class _PredicateIndex:
-    """The candidate predicates of one sorted object tuple, built once."""
-
-    ids: tuple[str, ...]
-    preds: tuple[GroundPredicate, ...]  # sorted by GroundPredicate.sort_key
-    first: np.ndarray  # position in ids of each predicate's first argument
-    last: np.ndarray  # ... and of its last one (the same for Clear)
-    slot: dict[tuple[Relation, int, int], int]  # (relation, first, last) -> position
-
-
 @functools.lru_cache(maxsize=64)
-def _predicate_index(ids: tuple[str, ...]) -> _PredicateIndex:
-    preds: set[GroundPredicate] = set()
-    for a in ids:
-        preds.add(GroundPredicate(Relation.CLEAR, (a,)))
-        for b in ids:
-            if a == b:
-                continue
-            preds.add(GroundPredicate(Relation.ON, (a, b)))
-            preds.add(GroundPredicate(Relation.LEFT_OF, (a, b)))
-            preds.add(GroundPredicate(Relation.CLOSE_TO, (a, b)))
-            preds.add(GroundPredicate(Relation.TOUCHING, (a, b)))
-    ordered = tuple(sorted(preds, key=GroundPredicate.sort_key))
-    at = {obj: k for k, obj in enumerate(ids)}
-    first = [at[p.args[0]] for p in ordered]
-    last = [at[p.args[-1]] for p in ordered]
-    return _PredicateIndex(
-        ids,
-        ordered,
-        np.array(first, dtype=np.intp),
-        np.array(last, dtype=np.intp),
-        {(p.relation, i, j): k for k, (p, i, j) in enumerate(zip(ordered, first, last))},
+def _predicate_index(ids: tuple[str, ...]) -> PredicateIndex:
+    """The index of the candidate predicates of one sorted object tuple."""
+    binary = (Relation.ON, Relation.LEFT_OF, Relation.CLOSE_TO, Relation.TOUCHING)
+    return predicate_index(
+        [GroundPredicate(Relation.CLEAR, (a,)) for a in ids]
+        + [GroundPredicate(rel, (a, b)) for a in ids for b in ids if a != b for rel in binary]
     )
-
-
-def candidate_predicates(object_ids: Iterable[str]) -> tuple[GroundPredicate, ...]:
-    """Every predicate perception scores for this object set, sorted."""
-    return _predicate_index(tuple(sorted(set(object_ids)))).preds
 
 
 def predicate_count(n_objects: int) -> int:
     """How many predicates perception scores in a generated ``n_objects`` scene."""
-    return len(candidate_predicates(f"o{k}" for k in range(n_objects)))
+    return len(_predicate_index(tuple(sorted(f"o{k}" for k in range(n_objects)))).preds)
 
 
 def _surface_gap(a: SceneObject, b: SceneObject) -> float:
@@ -293,7 +264,7 @@ def occluded_objects(scene: Scene) -> frozenset[str]:
 
 
 @functools.lru_cache(maxsize=8)
-def _scene_facts(scene: Scene) -> tuple[_PredicateIndex, np.ndarray, frozenset[str]]:
+def _scene_facts(scene: Scene) -> tuple[PredicateIndex, np.ndarray, frozenset[str]]:
     """A scene's predicate index, its truth vector written over that index
     from support pairs and geometry, and its occluded objects.
 
@@ -718,7 +689,7 @@ def perceive_with_labels(
 
     if cfg.miscal_gamma != 1.0:
         p = np.array([_sharpen(q, cfg.miscal_gamma) for q in p.tolist()])
-    return ProbabilisticState.from_arrays(index.preds, p), labels
+    return ProbabilisticState.from_arrays(index, p), labels
 
 
 def perceive(

@@ -18,6 +18,7 @@ from beliefplan.core import (
     has_support_cycle,
     next_residual,
     parse_predicate,
+    predicate_index,
     predicate_uncertainty,
     reduction_law,
     shrink_uncertainty,
@@ -32,6 +33,11 @@ def P(text):
 
 def make_state(conf_by_text):
     return ProbabilisticState({P(t): v for t, v in conf_by_text.items()})
+
+
+def members(state, mask):
+    """The predicates of ``state`` that a mask over its index selects."""
+    return {p for p, m in zip(state, mask) if m}
 
 
 class TestGroundPredicate:
@@ -175,16 +181,16 @@ class TestClassify:
     def test_three_way_split_at_07(self):
         s = make_state({"On(a,b)": 0.9, "Clear(b)": 0.2, "LeftOf(a,c)": 0.6})
         part = classify(s, 0.7)
-        assert part.certain_true == {P("On(a,b)")}
-        assert part.certain_false == {P("Clear(b)")}
-        assert part.uncertain == {P("LeftOf(a,c)")}
+        assert members(s, part.certain_true) == {P("On(a,b)")}
+        assert members(s, part.certain_false) == {P("Clear(b)")}
+        assert members(s, part.uncertain) == {P("LeftOf(a,c)")}
 
     def test_boundary_values_stay_uncertain(self):
         s = make_state({"On(a,b)": 0.7, "Clear(b)": 0.3})
         part = classify(s, 0.7)
-        assert part.certain_true == frozenset()
-        assert part.certain_false == frozenset()
-        assert part.uncertain == {P("On(a,b)"), P("Clear(b)")}
+        assert members(s, part.certain_true) == set()
+        assert members(s, part.certain_false) == set()
+        assert members(s, part.uncertain) == {P("On(a,b)"), P("Clear(b)")}
 
     def test_partition_property(self):
         rng = np.random.default_rng(17)
@@ -198,10 +204,12 @@ class TestClassify:
             )
             tau = float(rng.uniform(0.05, 0.95))
             part = classify(s, tau)
-            buckets = [part.certain_true, part.certain_false, part.uncertain]
+            masks = (part.certain_true, part.certain_false, part.uncertain)
+            buckets = [members(s, m) for m in masks]
+            assert all(m.shape == (n,) and m.dtype == bool for m in masks)
             assert sum(len(b) for b in buckets) == n
-            union = part.certain_true | part.certain_false | part.uncertain
-            assert union == frozenset(s)
+            union = set().union(*buckets)
+            assert union == set(s)
 
     def test_tau_domain_checked(self):
         s = make_state({"On(a,b)": 0.5})
@@ -242,7 +250,7 @@ def _spread_state():
     rng = np.random.default_rng(12)
     confs = [*rng.uniform(0.0, 1.0, 200).tolist(), 0.0, 1.0, 0.5, 0.5 - 2**-54, 1e-13, 0.999]
     preds = tuple(GroundPredicate(Relation.CLEAR, (f"o{k:03d}",)) for k in range(len(confs)))
-    return ProbabilisticState.from_arrays(preds, confs)
+    return ProbabilisticState.from_arrays(predicate_index(preds), confs)
 
 
 class TestShrinkUncertainty:
@@ -250,17 +258,17 @@ class TestShrinkUncertainty:
         before = _spread_state()
         once = shrink_uncertainty(before, next_residual(1.0, 0.3))
         twice = shrink_uncertainty(before, next_residual(next_residual(1.0, 0.3), 0.3))
-        for pred in before:
-            p0 = before.confidence(pred)
+        at_once, at_twice = dict(once.items()), dict(twice.items())
+        for pred, p0 in before.items():
             u0 = predicate_uncertainty(p0)
-            u1 = predicate_uncertainty(once.confidence(pred))
-            u2 = predicate_uncertainty(twice.confidence(pred))
+            u1 = predicate_uncertainty(at_once[pred])
+            u2 = predicate_uncertainty(at_twice[pred])
             if u0 > 1e-12:
                 assert u1 / u0 == pytest.approx(0.7, abs=1e-9)
                 assert u2 / u0 == pytest.approx(0.49, abs=1e-9)
             # direction preserved, 0.5 on the true side
-            for shrunk in (once, twice):
-                assert (shrunk.confidence(pred) >= 0.5) == (p0 >= 0.5)
+            for shrunk in (at_once, at_twice):
+                assert (shrunk[pred] >= 0.5) == (p0 >= 0.5)
 
     def test_residual_of_one_keeps_the_confidences(self):
         before = _spread_state()
@@ -291,15 +299,15 @@ class TestFusion:
         prior = make_state({"On(a,b)": 0.6})
         obs = make_state({"On(a,b)": 0.9})
         fused = fuse_observation(prior, obs)
-        assert fused.confidence(P("On(a,b)")) == 0.9
+        assert dict(fused.items()) == {P("On(a,b)"): 0.9}
         # and the other way round: a sharper prior survives a vaguer look
         fused2 = fuse_observation(make_state({"On(a,b)": 0.95}), obs)
-        assert fused2.confidence(P("On(a,b)")) == 0.95
+        assert dict(fused2.items()) == {P("On(a,b)"): 0.95}
 
     def test_tie_keeps_observation(self):
         prior = make_state({"On(a,b)": 0.2})
         obs = make_state({"On(a,b)": 0.8})
-        assert fuse_observation(prior, obs).confidence(P("On(a,b)")) == 0.8
+        assert dict(fuse_observation(prior, obs).items()) == {P("On(a,b)"): 0.8}
 
     def test_different_predicate_sets_rejected(self):
         prior = make_state({"On(a,b)": 0.6, "Clear(c)": 0.4})
@@ -318,11 +326,12 @@ class TestFusion:
             prior = ProbabilisticState({p: float(rng.uniform()) for p in preds})
             obs = ProbabilisticState({p: float(rng.uniform()) for p in preds})
             fused = fuse_observation(prior, obs)
+            conf_f, conf_prior, conf_obs = (dict(s.items()) for s in (fused, prior, obs))
             for p in obs:
-                u_f = predicate_uncertainty(fused.confidence(p))
+                u_f = predicate_uncertainty(conf_f[p])
                 u_lo = min(
-                    predicate_uncertainty(prior.confidence(p)),
-                    predicate_uncertainty(obs.confidence(p)),
+                    predicate_uncertainty(conf_prior[p]),
+                    predicate_uncertainty(conf_obs[p]),
                 )
                 assert u_f == pytest.approx(u_lo, abs=1e-12)
 
@@ -337,6 +346,32 @@ class TestFusion:
                 state_uncertainty_independent(fused)
                 <= state_uncertainty_independent(prior) + 1e-12
             )
+
+
+class TestPredicateIndex:
+    def test_order_and_positions(self):
+        index = predicate_index([P("On(b,a)"), P("Clear(c)"), P("Touching(b,a)"), P("On(b,a)")])
+        assert index.ids == ("a", "b", "c")
+        assert [str(p) for p in index.preds] == ["Clear(c)", "On(b,a)", "Touching(a,b)"]
+        assert index.first.tolist() == [2, 1, 0] and index.last.tolist() == [2, 0, 1]
+        assert index.slot == {
+            (Relation.CLEAR, 2, 2): 0, (Relation.ON, 1, 0): 1, (Relation.TOUCHING, 0, 1): 2
+        }
+
+    def test_derived_states_share_the_index(self):
+        state = make_state({"On(a,b)": 0.9, "Clear(b)": 0.3})
+        assert state.scored.preds == tuple(state)
+        obs = state.with_confidences([0.1, 0.6])
+        assert obs.scored is state.scored
+        assert fuse_observation(state, obs).scored is state.scored
+        assert shrink_uncertainty(state, 0.5).scored is state.scored
+
+    def test_states_built_apart_fuse_over_equal_predicates(self):
+        state = make_state({"On(a,b)": 0.9, "Clear(b)": 0.3})
+        twin = make_state({"Clear(b)": 0.5, "On(a,b)": 0.5})
+        assert twin.scored is not state.scored
+        fused = fuse_observation(twin, state)
+        assert fused == state and fused.scored is state.scored
 
 
 class TestStateValidation:
@@ -418,7 +453,8 @@ class TestBeliefOpsMatchReference:
     def test_fuse_chain_from_one_predicate_tuple(self):
         rng = np.random.default_rng(43)
         preds = tuple(_POOL)
-        belief = ProbabilisticState.from_arrays(preds, rng.uniform(size=len(preds)))
+        index = predicate_index(preds)
+        belief = ProbabilisticState.from_arrays(index, rng.uniform(size=len(preds)))
         conf = dict(belief.items())
         for _ in range(5):
             obs = belief.with_confidences(rng.uniform(size=len(preds)))
@@ -435,24 +471,29 @@ class TestBeliefOpsMatchReference:
             values = [v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
             values += [0.0, 0.5, 1.0]
             conf = {_POOL[k]: float(v) for k, v in enumerate(values)}
-            part = classify(ProbabilisticState(conf), tau)
-            assert (part.certain_true, part.certain_false, part.uncertain) == _reference_classify(
-                conf, tau
-            )
+            state = ProbabilisticState(conf)
+            part = classify(state, tau)
+            assert tuple(
+                frozenset(members(state, m))
+                for m in (part.certain_true, part.certain_false, part.uncertain)
+            ) == _reference_classify(conf, tau)
         # p + tau == 1 exactly stays uncertain, though 1 - tau rounds above p
         p, tau = 0.3, 0.7
         assert p + tau == 1.0 and p < 1.0 - tau
-        assert classify(make_state({"On(a,b)": p}), tau).uncertain == {P("On(a,b)")}
+        state = make_state({"On(a,b)": p})
+        assert members(state, classify(state, tau).uncertain) == {P("On(a,b)")}
 
     def test_classify_random_states(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
             conf = _random_conf(rng, int(rng.integers(0, 60)))
             tau = float(rng.uniform(0.01, 0.99))
-            part = classify(ProbabilisticState(conf), tau)
-            assert (part.certain_true, part.certain_false, part.uncertain) == _reference_classify(
-                conf, tau
-            )
+            state = ProbabilisticState(conf)
+            part = classify(state, tau)
+            assert tuple(
+                frozenset(members(state, m))
+                for m in (part.certain_true, part.certain_false, part.uncertain)
+            ) == _reference_classify(conf, tau)
 
     def test_state_uncertainty_on_long_states(self):
         # near-certain confidences keep the product near 1, where 1 - prod is
@@ -470,12 +511,13 @@ class TestBeliefOpsMatchReference:
     @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.01, math.inf, -math.inf])
     def test_bad_confidences_raise_the_same_error(self, bad):
         preds = (P("Clear(a)"), P("On(a,b)"))
+        index = predicate_index(preds)
         message = r"confidence must lie in \[0, 1\]"
         with pytest.raises(ValueError, match=message):
             ProbabilisticState({preds[0]: 0.5, preds[1]: bad})
         with pytest.raises(ValueError, match=message):
-            ProbabilisticState.from_arrays(preds, [0.5, bad])
-        state = ProbabilisticState.from_arrays(preds, [0.5, 0.5])
+            ProbabilisticState.from_arrays(index, [0.5, bad])
+        state = ProbabilisticState.from_arrays(index, [0.5, 0.5])
         with pytest.raises(ValueError, match=message):
             state.with_confidences([bad, 0.5])
         with pytest.raises(ValueError, match="must match the predicates"):
@@ -484,6 +526,6 @@ class TestBeliefOpsMatchReference:
     def test_state_is_read_only(self):
         state = make_state({"On(a,b)": 0.25, "Clear(b)": 0.5})
         with pytest.raises(ValueError):
-            state._p[0] = 1
+            state.confidences[0] = 1
         assert state.items() == [(P("Clear(b)"), 0.5), (P("On(a,b)"), 0.25)]
         assert all(type(p) is float for _, p in state.items())

@@ -1,5 +1,6 @@
 """Tests for the experiment harness and its CLI."""
 
+import itertools
 import json
 import math
 import os
@@ -11,9 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefplan import cli, harness
+from beliefplan import cli, harness, mrf, planner
 from beliefplan.cli import main
-from beliefplan.core import ProbabilisticState, fuse_observation, predicate_uncertainty
+from beliefplan.core import (
+    ProbabilisticState,
+    classify,
+    fuse_observation,
+    predicate_uncertainty,
+    shrink_uncertainty,
+    state_uncertainty_independent,
+)
 from beliefplan.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -30,7 +38,8 @@ from beliefplan.harness import (
     _trial_seeds,
 )
 from beliefplan import scene as scene_module
-from beliefplan.scene import PlanningEnvironment, generate_scene, scene_to_json
+from beliefplan.planner import PlannerOptions, convergence_bound, plan_under_uncertainty
+from beliefplan.scene import NoiseConfig, PlanningEnvironment, generate_scene, scene_to_json
 
 
 def _reference_trial_seeds(config_seed, setting_idx, trial_idx):
@@ -242,6 +251,56 @@ class TestCalibrationIndex:
         assert scene_module._predicate_index.cache_info().currsize == 1
 
 
+class TestOnePredicateIndex:
+    def test_an_episode_shares_the_scenes_index(self, monkeypatch):
+        states = {"observe": [], "fuse_observation": [], "refined_state": []}
+
+        def recorded(name, fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                states[name].append(out)
+                return out
+            return wrapped
+
+        for name in ("fuse_observation", "refined_state"):
+            monkeypatch.setattr(planner, name, recorded(name, getattr(planner, name)))
+        monkeypatch.setattr(
+            PlanningEnvironment, "observe", recorded("observe", PlanningEnvironment.observe)
+        )
+        scene = generate_scene(5, seed=3)
+        env = PlanningEnvironment(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), 3)
+        options = PlannerOptions(refine_with_mrf=True)
+        episode = plan_under_uncertainty(env, default_goal(scene), options=options)
+        assert len(episode.iterations) == 3
+        assert [len(v) for v in states.values()] == [3, 2, 3]
+        shrunk = [shrink_uncertainty(s, 0.5) for s in states["observe"]]
+        index = scene_module._predicate_index(scene.object_ids())
+        assert all(s.scored is index for s in [*shrunk, *itertools.chain(*states.values())])
+
+    def test_decay_rounds_share_the_scenes_index(self):
+        config = ExperimentConfig(kind="alpha-fit", trials=1, steps=4)
+        seeds = _trial_seeds(config.seed, [(0, 0)])[0]
+        rounds = list(itertools.islice(harness._attention_rounds(config, seeds), 5))
+        ids = tuple(sorted(f"o{k}" for k in range(config.n_objects)))
+        index = scene_module._predicate_index(ids)
+        assert all(belief.scored is index for belief in rounds)
+
+    def test_structural_edges_built_once_per_episode(self):
+        mrf._structural_edges.cache_clear()
+        scene = generate_scene(5, seed=3)
+        env = PlanningEnvironment(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), 3)
+        options = PlannerOptions(refine_with_mrf=True)
+        plan_under_uncertainty(env, default_goal(scene), options=options)
+        info = mrf._structural_edges.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_structural_edges_built_once_per_plan_refine_run(self):
+        mrf._structural_edges.cache_clear()
+        run(ExperimentConfig(kind="plan-benchmark", seed=5, trials=4, refine=True))
+        info = mrf._structural_edges.cache_info()
+        assert info.misses == 1 and info.hits > 8
+
+
 class TestAlphaFitKind:
     def test_schema_and_decay(self):
         cfg = ExperimentConfig(
@@ -331,6 +390,20 @@ def _reference_attention_rounds(config, seeds):
         belief = fuse_observation(belief, observe(env.residual))
 
 
+def _reference_convergence_unit(config, setting_idx, trial_idx, seeds):
+    """The convergence unit as first defined: classify each round of
+    :func:`_reference_attention_rounds` until no predicate is uncertain."""
+    rounds = _reference_attention_rounds(config, seeds)
+    belief = next(rounds)
+    u0 = state_uncertainty_independent(belief)
+    k_bound = convergence_bound(config.tau_plan, config.alpha, u0)
+    k_emp = 0
+    while classify(belief, config.tau_plan).uncertain.any() and k_emp < k_bound + 2:
+        belief = next(rounds)
+        k_emp += 1
+    return u0, k_emp, k_bound, harness.modeled_episode_ms(k_emp + 1, k_emp * config.n_objects)
+
+
 class TestDecayMatchesReference:
     CONFIGS = [
         ExperimentConfig(kind="alpha-fit", seed=0, trials=6),
@@ -356,6 +429,7 @@ class TestDecayMatchesReference:
     def test_rows_and_summary_byte_identical(self, monkeypatch, config):
         got = run(config)
         monkeypatch.setattr(harness, "_attention_rounds", _reference_attention_rounds)
+        monkeypatch.setattr(harness, "_convergence_unit", _reference_convergence_unit)
         want = run(config)
         assert rows_to_csv(got.header, got.rows) == rows_to_csv(want.header, want.rows)
         assert summary_to_json(got.summary) == summary_to_json(want.summary)
@@ -377,6 +451,21 @@ class TestDecayMatchesReference:
         config = ExperimentConfig(kind="alpha-fit", trials=1, steps=6, tau_plan=0.99)
         unit(config, 0, 0, _trial_seeds(config.seed, [(0, 0)])[0])
         assert len(calls) == 1
+
+    def test_a_convergence_unit_classifies_at_most_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(harness, "classify", counted)
+        config = ExperimentConfig(kind="convergence", trials=1, alpha=0.05, tau_plan=0.99)
+        seeds = _trial_seeds(config.seed, [(0, 0)])[0]
+        got = harness._convergence_unit(config, 0, 0, seeds)
+        assert got[1] > 20  # k_emp: many rounds, one classify
+        assert len(calls) == 1
+        assert got == _reference_convergence_unit(config, 0, 0, seeds)
 
 
 class TestSweepKind:

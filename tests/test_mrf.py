@@ -606,8 +606,8 @@ class TestRefinedState:
         beliefs = enumerate_beliefs(mrf)
         out = refined_state(state, beliefs)
         # hard exclusion drags both catastrophically-conflicting confidences down
-        for pred in out:
-            assert out.confidence(pred) == pytest.approx(0.09 / 0.19, abs=1e-6)
+        for _, p in out.items():
+            assert p == pytest.approx(0.09 / 0.19, abs=1e-6)
 
     def test_size_mismatch_rejected(self):
         state = make_state({"On(a,b)": 0.9, "Clear(b)": 0.9})

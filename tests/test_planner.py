@@ -20,7 +20,9 @@ from beliefplan.core import (
     ProbabilisticState,
     Relation,
     classify,
+    fuse_observation,
     parse_predicate,
+    support_map,
 )
 from beliefplan.harness import default_goal
 from beliefplan.mrf import CapacityError
@@ -42,6 +44,7 @@ from beliefplan.planner import (
     parse_goal,
     plan_under_uncertainty,
     random_instance,
+    support_atoms,
     world_state_from_beliefs,
 )
 from beliefplan.scene import NoiseConfig, PlanningEnvironment, generate_scene
@@ -629,66 +632,174 @@ class TestConvergenceBound:
             convergence_bound(1.0, 0.3, 0.5)
 
 
+def masked(confs, chosen):
+    """A belief over ``confs`` (text -> confidence) and the mask over its
+    index that selects the predicates written in ``chosen``."""
+    belief = ProbabilisticState({parse_predicate(k): v for k, v in confs.items()})
+    picked = {parse_predicate(t) for t in chosen}
+    return belief, np.array([p in picked for p in belief])
+
+
+def uncertain(*texts, certain=()):
+    """A belief at 0.5 over ``texts`` and at 0.9 over ``certain``, and the
+    mask of the uncertain ones."""
+    return masked({**{t: 0.5 for t in texts}, **{t: 0.9 for t in certain}}, texts)
+
+
 class TestChooseInfoAction:
     def test_occluded_target_gets_push(self):
         action = choose_info_action(
-            [parse_predicate("On(a,b)")], parse_goal("On(a,b)"), frozenset({"a"})
+            *uncertain("On(a,b)"), parse_goal("On(a,b)"), frozenset({"a"})
         )
         assert action == InfoAction("push_obstacle", "a")
 
     def test_visible_target_gets_look(self):
         action = choose_info_action(
-            [parse_predicate("On(a,b)")], parse_goal("On(a,b)"), frozenset()
+            *uncertain("On(a,b)"), parse_goal("On(a,b)"), frozenset()
         )
         assert action == InfoAction("look_closer", "a")
 
     def test_most_frequent_object_wins(self):
-        uncertain = [
-            parse_predicate("On(b,a)"),
-            parse_predicate("On(b,c)"),
-            parse_predicate("Clear(c)"),
-        ]
-        action = choose_info_action(uncertain, parse_goal("On(b,a) & Clear(c)"), frozenset())
+        action = choose_info_action(
+            *uncertain("On(b,a)", "On(b,c)", "Clear(c)"),
+            parse_goal("On(b,a) & Clear(c)"),
+            frozenset(),
+        )
         assert action is not None and action.target == "b"
 
     def test_nothing_goal_critical(self):
         action = choose_info_action(
-            [parse_predicate("On(x,y)")], parse_goal("On(a,b)"), frozenset()
+            *uncertain("On(x,y)"), parse_goal("On(a,b)"), frozenset()
         )
         assert action is None
 
+    def test_only_masked_predicates_count(self):
+        # c appears in more predicates, but only a's are uncertain
+        action = choose_info_action(
+            *uncertain("On(a,b)", certain=("On(c,a)", "Clear(c)", "CloseTo(b,c)", "LeftOf(c,b)")),
+            parse_goal("On(a,b) & On(c,a)"),
+            frozenset(),
+        )
+        assert action == InfoAction("look_closer", "a")
+
 
 class TestWorldFromBeliefs:
-    def _state(self, confs):
-        return ProbabilisticState({parse_predicate(k): v for k, v in confs.items()})
-
     def test_simple_projection(self):
-        belief = self._state({"On(a,b)": 0.9, "On(b,c)": 0.1})
-        world = world_state_from_beliefs(belief, [parse_predicate("On(a,b)")], ["a", "b", "c"])
+        belief, certain_true = masked({"On(a,b)": 0.9, "On(b,c)": 0.1}, ["On(a,b)"])
+        world = world_state_from_beliefs(belief, certain_true, ["a", "b", "c"])
         assert world.atoms == frozenset(
             {on("a", "b"), ontable("b"), ontable("c"), clear("a"), clear("c"), handempty()}
         )
 
     def test_conflicting_supports_resolved_by_confidence(self):
-        belief = self._state({"On(a,b)": 0.95, "On(a,c)": 0.9})
-        world = world_state_from_beliefs(
-            belief,
-            [parse_predicate("On(a,b)"), parse_predicate("On(a,c)")],
-            ["a", "b", "c"],
-        )
+        belief, certain_true = masked({"On(a,b)": 0.95, "On(a,c)": 0.9}, ["On(a,b)", "On(a,c)"])
+        world = world_state_from_beliefs(belief, certain_true, ["a", "b", "c"])
         assert on("a", "b") in world.atoms
         assert on("a", "c") not in world.atoms
         assert ontable("c") in world.atoms
 
     def test_cycle_dropped(self):
-        belief = self._state({"On(a,b)": 0.95, "On(b,a)": 0.9})
-        world = world_state_from_beliefs(
-            belief,
-            [parse_predicate("On(a,b)"), parse_predicate("On(b,a)")],
-            ["a", "b"],
-        )
+        belief, certain_true = masked({"On(a,b)": 0.95, "On(b,a)": 0.9}, ["On(a,b)", "On(b,a)"])
+        world = world_state_from_beliefs(belief, certain_true, ["a", "b"])
         assert on("a", "b") in world.atoms
         assert ontable("b") in world.atoms
+
+    def test_tied_supports_resolved_in_index_order(self):
+        # On(a,b) sorts before On(a,c) and On(c,b), so it wins both conflicts
+        belief, certain_true = masked(
+            {"On(c,b)": 0.9, "On(a,c)": 0.9, "On(a,b)": 0.9}, ["On(c,b)", "On(a,c)", "On(a,b)"]
+        )
+        world = world_state_from_beliefs(belief, certain_true, ["a", "b", "c"])
+        assert world.atoms == frozenset(
+            {on("a", "b"), ontable("b"), ontable("c"), clear("a"), clear("c"), handempty()}
+        )
+
+
+# ---------------------------------------------------------------------------
+# projection and targeting against the set-based bodies they replaced
+
+
+def _reference_partition(belief, tau_plan):
+    """The certain-true and uncertain predicate sets of a belief at tau_plan."""
+    true = {p for p, v in belief.items() if v > tau_plan}
+    uncertain = {p for p, v in belief.items() if not v > tau_plan and not v + tau_plan < 1.0}
+    return true, uncertain
+
+
+def _reference_choose_info_action(uncertain, goal, occluded):
+    goal_objs = goal.objects()
+    counts = {}
+    for pred in uncertain:
+        if not set(pred.args) & goal_objs:
+            continue
+        for obj in pred.args:
+            counts[obj] = counts.get(obj, 0) + 1
+    if not counts:
+        return None
+    target = min(counts, key=lambda o: (-counts[o], o))
+    return InfoAction("push_obstacle" if target in occluded else "look_closer", target)
+
+
+def _reference_world_state_from_beliefs(belief, certain_true, objects):
+    conf = dict(belief.items())
+    ons = sorted(
+        (p for p in certain_true if p.relation is Relation.ON),
+        key=lambda p: (-conf[p], p.sort_key()),
+    )
+    lower_of = {}
+    for pred in ons:
+        try:
+            lower_of = support_map([*lower_of.items(), pred.args])
+        except ValueError:
+            pass
+    return SymbolicWorldState(support_atoms(lower_of, objects))
+
+
+class TestBeliefLayerMatchesReference:
+    CHANNELS = {
+        "noisy": NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0),
+        "loud": NoiseConfig(base_flip_rate=0.3, logit_noise_sd=3.0),
+        "flip-only": NoiseConfig(base_flip_rate=0.15),
+        "noiseless": NoiseConfig(),
+    }
+    TAUS = (0.5, 0.6, 0.7, 0.8, 0.9)
+
+    @staticmethod
+    def beliefs(n_objects, cfg):
+        """(environment, belief) pairs: each scene's first observation, that
+        observation fused with one after a push, and confidences drawn from
+        six levels over the same index, which tie and conflict."""
+        rng = np.random.default_rng(n_objects)
+        for seed in range(6):
+            env = PlanningEnvironment(generate_scene(n_objects, 0.6, seed), cfg, seed)
+            first = env.observe()
+            env.apply_info("push_obstacle", f"o{seed % n_objects}")
+            yield env, first
+            yield env, fuse_observation(first, env.observe())
+            levels = rng.choice([0.0, 0.2, 0.5, 0.8, 0.95, 1.0], size=len(first))
+            yield env, first.with_confidences(levels)
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize("n_objects", [4, 7, 10])
+    def test_projection_and_targeting(self, n_objects, channel):
+        tied = 0
+        for env, belief in self.beliefs(n_objects, self.CHANNELS[channel]):
+            top, below = f"o{n_objects - 1}", f"o{n_objects - 2}"
+            goals = (default_goal(env.scene), parse_goal(f"On({top},{below}) & Clear({top})"))
+            objects, occluded = env.object_ids(), env.occluded_ids()
+            for tau in self.TAUS:
+                part = classify(belief, tau)
+                true, uncertain = _reference_partition(belief, tau)
+                assert world_state_from_beliefs(
+                    belief, part.certain_true, objects
+                ) == _reference_world_state_from_beliefs(belief, true, objects)
+                for goal in goals:
+                    assert choose_info_action(
+                        belief, part.uncertain, goal, occluded
+                    ) == _reference_choose_info_action(uncertain, goal, occluded)
+                ons = [v for p, v in belief.items() if p in true and p.relation is Relation.ON]
+                tied += len(ons) > len(set(ons))
+        assert tied > 0  # equal confidences among certain-true Ons reach the sort
 
 
 class TestClosedLoop:

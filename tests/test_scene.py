@@ -43,11 +43,11 @@ from beliefplan.scene import (
     _scene_facts,
     _sharpen,
     _surface_gap,
-    candidate_predicates,
     generate_scene,
     occluded_objects,
     perceive,
     perceive_with_labels,
+    predicate_count,
     scene_to_json,
 )
 
@@ -152,7 +152,7 @@ class TestGeneration:
 class TestGroundTruth:
     def test_candidate_predicate_count(self):
         # n objects: n Clear + n(n-1) On + n(n-1) LeftOf + C(n,2) each symmetric
-        preds = candidate_predicates(["a", "b", "c"])
+        preds = _predicate_index(("a", "b", "c")).preds
         assert len(preds) == 3 + 6 + 6 + 3 + 3
         assert list(preds) == sorted(preds, key=GroundPredicate.sort_key)
 
@@ -211,7 +211,7 @@ class TestTruthVector:
                 scene = generate_scene(n, stack_bias=bias, seed=seed)
                 truths = ground_truth_state(scene)
                 assert _vector_truths(scene) == truths
-                candidates = candidate_predicates(scene.object_ids())
+                candidates = _predicate_index(scene.object_ids()).preds
                 seen |= {(p.relation, p in truths) for p in candidates}
         assert seen == {(rel, t) for rel in Relation for t in (False, True)}
 
@@ -300,15 +300,16 @@ class TestOcclusion:
         p_clr = perceive(scene, cfg, seed=5, cleared={"o0"})
         truths = ground_truth_state(scene)
         logit = lambda p: math.log(p / (1 - p))
-        for pred in p_occ:
+        conf_clr = dict(p_clr.items())
+        for pred, occ in p_occ.items():
             t = 1.0 if pred in truths else 0.0
             l_t = logit(t * (1 - eta) + (1 - t) * eta)
             if "o0" in pred.args:
-                assert logit(p_occ.confidence(pred)) - l_t == pytest.approx(
-                    2 * (logit(p_clr.confidence(pred)) - l_t), abs=1e-9
+                assert logit(occ) - l_t == pytest.approx(
+                    2 * (logit(conf_clr[pred]) - l_t), abs=1e-9
                 )
             else:
-                assert p_occ.confidence(pred) == p_clr.confidence(pred)
+                assert occ == conf_clr[pred]
 
 
 class TestPerceive:
@@ -332,11 +333,12 @@ class TestPerceive:
         env.apply_info("look_closer", "o1")
         after = env.observe()
         changed = 0
-        for pred in before:
+        conf_after = dict(after.items())
+        for pred, p in before.items():
             if "o1" in pred.args:
-                changed += before.confidence(pred) != after.confidence(pred)
+                changed += p != conf_after[pred]
             else:
-                assert before.confidence(pred) == after.confidence(pred)
+                assert p == conf_after[pred]
         assert changed > 0
 
     def test_flip_rate_soft_truth(self):
@@ -353,8 +355,8 @@ class TestPerceive:
         sharp = NoiseConfig(base_flip_rate=0.2, logit_noise_sd=0.5, miscal_gamma=2.0)
         p1 = perceive(scene, plain, seed=3)
         p2 = perceive(scene, sharp, seed=3)
-        for pred in p1:
-            a, b = p1.confidence(pred), p2.confidence(pred)
+        assert list(p1) == list(p2)
+        for (_, a), (_, b) in zip(p1.items(), p2.items()):
             # gamma > 1 pushes confidences away from 1/2, same side
             if a > 0.5:
                 assert b > a
@@ -482,12 +484,13 @@ class TestInfoActions:
             before = env.observe()
             env.apply_info("look_closer", "o0")
             after = env.observe()
-            for pred in before:
+            conf_after = dict(after.items())
+            for pred, p in before.items():
                 if "o0" not in pred.args:
                     continue
-                u0 = predicate_uncertainty(before.confidence(pred))
+                u0 = predicate_uncertainty(p)
                 if u0 > 1e-6:
-                    ratios.append(predicate_uncertainty(after.confidence(pred)) / u0)
+                    ratios.append(predicate_uncertainty(conf_after[pred]) / u0)
         assert len(ratios) > 1000
         assert 0.65 <= float(np.mean(ratios)) <= 0.75
 
@@ -538,11 +541,12 @@ class TestEnvironment:
     def test_noisy_episode_classification_sane(self):
         scene = generate_scene(4, stack_bias=0.5, seed=8)
         cfg = NoiseConfig(base_flip_rate=0.05, logit_noise_sd=0.4)
-        part = classify(perceive(scene, cfg, seed=2), 0.7)
+        state = perceive(scene, cfg, seed=2)
+        certain_true = {p for p, m in zip(state, classify(state, 0.7).certain_true) if m}
         truths = ground_truth_state(scene)
         # light noise: most certain-true calls are actually true
-        right = sum(1 for p in part.certain_true if p in truths)
-        assert right >= 0.9 * len(part.certain_true)
+        right = sum(1 for p in certain_true if p in truths)
+        assert right >= 0.9 * len(certain_true)
 
 
 class TestSupportPairs:
@@ -599,7 +603,7 @@ def _reference_perceive_with_labels(scene, cfg, seed, attention=({}, set())):
     truths = ground_truth_state(scene)
     occl = occluded_objects(scene) - cleared
     conf, labels = {}, {}
-    for k, pred in enumerate(candidate_predicates(scene.object_ids())):
+    for k, pred in enumerate(_predicate_index(scene.object_ids()).preds):
         rng = np.random.default_rng([int(seed), scene.seed, k])
         g = float(rng.standard_normal())
         label_draw = float(rng.uniform())
@@ -774,7 +778,7 @@ class TestNoiseDrawsMatchReference:
     # candidates at 3 and at 10 objects, then 27 and 370, which no object set
     # has: they count CloseTo and Touching both ways
     @pytest.mark.parametrize(
-        "n", [len(candidate_predicates(f"o{k}" for k in range(m))) for m in (3, 10)] + [27, 370]
+        "n", [predicate_count(m) for m in (3, 10)] + [27, 370]
     )
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_predicate_bit_identical(self, seed, n):
@@ -864,7 +868,7 @@ def test_a_batch_at_ten_objects_is_one_pass(monkeypatch):
         return seed_words(entropy, n_words)
 
     monkeypatch.setattr(scene_module, "_seed_words", counted)
-    n = len(candidate_predicates(f"o{k}" for k in range(10)))
+    n = predicate_count(10)
     keys = [(seed, 3, n) for seed in range(32)]
     for key, draws in zip(keys, _fresh_draws(keys)):
         _assert_same_draws(draws, _reference_noise_draws(*key))
