@@ -52,6 +52,9 @@ class GroundPredicate:
     smaller argument comes first; CloseTo(b, a) and CloseTo(a, b) are the
     same predicate.  Arguments must be distinct and match the relation's
     arity.  Predicates have no ``<``: order them by :meth:`sort_key`.
+    Equality, hashing and pickling are the frozen dataclass's own, over
+    (relation, args), so a predicate hashes alike in every process that
+    loads it.
     """
 
     relation: Relation
@@ -69,16 +72,6 @@ class GroundPredicate:
             args = (args[1], args[0])
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "args", args)
-        # the dataclass's own hash, taken once: Relation's __hash__ is a
-        # Python-level call, and every state and label map hashes predicates
-        object.__setattr__(self, "_hash", hash((relation, args)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild instead of restoring _hash: str hashes differ between processes
-        return (GroundPredicate, (self.relation, self.args))
 
     def sort_key(self) -> tuple[str, tuple[str, ...]]:
         return (self.relation.value, self.args)

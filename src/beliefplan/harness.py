@@ -26,7 +26,6 @@ plan-benchmark) run every episode through one runner on the trial's scene.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -57,6 +56,7 @@ from beliefplan.mrf import (
     unary_potentials,
 )
 from beliefplan.planner import (
+    LOOK_CLOSER,
     Goal,
     PlannerOptions,
     convergence_bound,
@@ -142,8 +142,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0.0 < self.tau_plan < 1.0):
             raise ValueError(f"tau_plan must lie in (0, 1), got {self.tau_plan}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (0.0 < self.alpha < 1.0) or 1.0 - self.alpha == 1.0:  # that alpha shrinks nothing
+            raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha < 1, got {self.alpha}")
         if not self.taus:
             raise ValueError("taus must name at least one threshold")
         if any(a >= b for a, b in zip(self.taus, self.taus[1:])):
@@ -295,17 +295,10 @@ def _trial_scene(config: ExperimentConfig, seeds: tuple[int, int]):
     return generate_scene(config.n_objects, config.stack_bias, scene_seed), perception_seed
 
 
-def _attention_rounds(config: ExperimentConfig, seeds: tuple[int, int]):
-    """Beliefs about the trial's scene after its one observation and after
-    each full-attention round, which looks at every object once: that
-    observation with every uncertainty scaled by the round's residual,
-    stepped by ``next_residual``.  The caller stops taking rounds."""
+def _first_observation(config: ExperimentConfig, seeds: tuple[int, int]):
+    """The trial scene's one observation and its label stream."""
     scene, perception_seed = _trial_scene(config, seeds)
-    first, _ = perceive_with_labels(scene, config.noise(), perception_seed)
-    r = 1.0
-    while True:
-        yield shrink_uncertainty(first, r)
-        r = next_residual(r, config.alpha)
+    return perceive_with_labels(scene, config.noise(), perception_seed)
 
 
 def modeled_episode_ms(
@@ -351,20 +344,23 @@ _BATCH_UNITS = 32
 
 
 def _calibration_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    scene, perception_seed = _trial_scene(config, seeds)
-    state, labels = perceive_with_labels(scene, config.noise(), perception_seed)
+    state, labels = _first_observation(config, seeds)
     return [(p, y) for (_, p), y in zip(state.items(), labels.tolist())]
 
 
 def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    rounds = _attention_rounds(config, seeds)
-    trace = [state_uncertainty_independent(b) for b in itertools.islice(rounds, config.steps + 1)]
+    # round k: the first observation with every uncertainty scaled by the
+    # residual r_k of k full-attention rounds, each a look at every object
+    first, _ = _first_observation(config, seeds)
+    trace, r = [], 1.0
+    for _ in range(config.steps + 1):
+        trace.append(state_uncertainty_independent(shrink_uncertainty(first, r)))
+        r = next_residual(r, config.alpha)
     return trace, modeled_episode_ms(config.steps + 1, config.steps * config.n_objects)
 
 
 def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    scene, perception_seed = _trial_scene(config, seeds)
-    first, _ = perceive_with_labels(scene, config.noise(), perception_seed)
+    first, _ = _first_observation(config, seeds)
     u0 = state_uncertainty_independent(first)
     k_bound = convergence_bound(config.tau_plan, config.alpha, u0)
     # round k > 0 scales every uncertainty by r_k, and rounded products fall with r:
@@ -503,7 +499,7 @@ def _run_alpha_fit(config: ExperimentConfig) -> ExperimentReport:
     results = _map_units(config, _alpha_unit, [(0, t) for t in range(config.trials)])
     traces = [trace for trace, _ in results]
     rows = [
-        (episode_id, step, float(u), "observe" if step == 0 else "look_closer")
+        (episode_id, step, float(u), "observe" if step == 0 else LOOK_CLOSER)
         for episode_id, trace in enumerate(traces)
         for step, u in enumerate(trace)
     ]

@@ -80,11 +80,6 @@ def handempty() -> Atom:
     return ("handempty",)
 
 
-def predicate_atom(pred: GroundPredicate) -> Atom:
-    """The STRIPS atom of an On or Clear predicate, the two relations a goal names."""
-    return on(*pred.args) if pred.relation is Relation.ON else clear(pred.args[0])
-
-
 def support_atoms(lower_of: Mapping[str, str], objects: Iterable[str]) -> frozenset[Atom]:
     """Hand-empty atoms of a support structure given as ``upper -> lower``
     links: on or ontable for each object, clear where nothing rests on it."""
@@ -229,7 +224,12 @@ class Goal:
                 raise ValueError(f"goal wants {lower} clear but also {upper} on it")
 
     def atoms(self) -> frozenset[Atom]:
-        return frozenset(predicate_atom(pred) for pred in self.predicates)
+        """The STRIPS atoms the goal names: on(a, b) for each On(a, b) and
+        clear(x) for each Clear(x).  The planner searches for them and
+        execution checks them."""
+        return frozenset(
+            on(*p.args) if p.relation is Relation.ON else clear(p.args[0]) for p in self.predicates
+        )
 
     def objects(self) -> frozenset[str]:
         return frozenset(arg for p in self.predicates for arg in p.args)
@@ -477,8 +477,8 @@ def convergence_bound(
     """
     if not (0.0 <= u0 <= 1.0):
         raise ValueError(f"initial uncertainty must lie in [0, 1], got {u0}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"reduction rate must lie in (0, 1), got {alpha}")
+    if not (0.0 < alpha < 1.0) or 1.0 - alpha == 1.0:  # then ln(1 - alpha) is 0.0
+        raise ValueError(f"reduction rate must lie in (0, 1) with 1 - alpha < 1, got {alpha}")
     if not (0.0 < tau_plan < 1.0):
         raise ValueError(f"planning threshold must lie in (0, 1), got {tau_plan}")
     if eps_cal < 0:
@@ -650,7 +650,7 @@ def plan_under_uncertainty(
         if plan is None:
             records.append(IterationRecord(round_idx, u_state, *sizes, "give_up", None, None))
             continue
-        success = env.execute(plan, goal.predicates)
+        success = env.execute(plan, goal_atoms)
         final_plan = plan
         records.append(IterationRecord(round_idx, u_state, *sizes, "plan", None, len(plan)))
         break

@@ -54,7 +54,7 @@ from beliefplan.core import (
     predicate_index,
     support_map,
 )
-from beliefplan.planner import LOOK_CLOSER, PUSH_OBSTACLE, predicate_atom, support_atoms
+from beliefplan.planner import LOOK_CLOSER, PUSH_OBSTACLE, Atom, support_atoms
 
 DEFAULT_IMAGE_DIMS = (224, 224)
 WORLD_HALF_EXTENT = 0.5  # meters; the projected workspace is [-0.5, 0.5]^2
@@ -590,11 +590,12 @@ def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.
     for each candidate predicate k < n, the first normal and uniform of
     ``default_rng([perception seed, scene seed, k])``.
 
-    Keys not in the cache are drawn together in one :func:`_draw_pass`.  A
-    pass derives each generator's first two 64-bit outputs
-    (:func:`_seed_words`, :func:`_first_outputs`); NEP 19 fixes what it
-    reimplements, SeedSequence hashing and PCG64 seeding and output, across
-    numpy releases.  The normal comes from the first output by numpy's
+    A request whose keys are all cached draws nothing; one with any key
+    missing is drawn whole in one :func:`_draw_pass`.  A pass derives each
+    generator's first two 64-bit outputs (:func:`_seed_words`,
+    :func:`_first_outputs`); NEP 19 fixes what it reimplements,
+    SeedSequence hashing and PCG64 seeding and output, across numpy
+    releases.  The normal comes from the first output by numpy's
     ziggurat fast path (:func:`_fast_normals`), the uniform from the second
     as ``random()`` makes it.  numpy is entered through one door, the
     ``bitgen.state`` setter (:func:`_generator_at`): it reads the ziggurat
@@ -602,12 +603,12 @@ def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.
     seeded state from which numpy itself makes each draw off the fast path,
     or every draw if the tables fail.  A request that draws replaces the
     cache with its keys' draws, so later observations of one pair, and the
-    units of the batch that asked first, draw nothing.  Seeds must be
-    non-negative; the arrays are read-only.
+    units of the batch that asked first, draw nothing.  Draws are a pure
+    function of their key, so redrawing a cached key changes no value.
+    Seeds must be non-negative; the arrays are read-only.
     """
-    missing = [key for key in dict.fromkeys(keys) if key not in _draws]
-    if missing:
-        drawn = {key: _draws[key] for key in keys if key in _draws} | _draw_pass(missing)
+    if not all(key in _draws for key in keys):
+        drawn = _draw_pass(list(dict.fromkeys(keys)))
         _draws.clear()
         _draws.update(drawn)
     return [_draws[key] for key in keys]
@@ -767,16 +768,16 @@ class PlanningEnvironment:
         if kind == PUSH_OBSTACLE:
             self.cleared.add(target)
 
-    def execute(self, plan, goal_predicates: Iterable[GroundPredicate]) -> bool:
+    def execute(self, plan, goal_atoms: frozenset[Atom]) -> bool:
         """Run a plan of the planner's own actions against ground truth.
 
         The scene's support pairs become STRIPS atoms; each action fails the
         run unless its preconditions hold, then deletes and adds its atoms.
-        True iff every goal predicate's atom holds at the end.
+        True iff every goal atom (see ``planner.Goal.atoms``) holds at the end.
         """
         atoms = support_atoms(dict(self.scene.support), self.scene.object_ids())
         for action in plan:
             if not action.preconditions <= atoms:
                 return False
             atoms = (atoms - action.delete) | action.add
-        return all(predicate_atom(pred) in atoms for pred in goal_predicates)
+        return goal_atoms <= atoms

@@ -5,10 +5,16 @@ u(p) = 1 - max(p, 1-p); U = 1 - prod(1 - u_i); U_k = U_0 (1-alpha)^k.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beliefplan
 from beliefplan.core import (
     GroundPredicate,
     ProbabilisticState,
@@ -74,6 +80,31 @@ class TestGroundPredicate:
         with pytest.raises(TypeError):
             sorted(preds)
         assert sorted(preds, key=GroundPredicate.sort_key) == preds[::-1]
+
+    def test_pickled_in_another_process_hashes_here(self):
+        # str hashes differ between processes, so a hash pickled with the
+        # predicate would miss its dict entry here
+        src = str(Path(beliefplan.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import pickle, sys; from beliefplan.core import parse_predicate; "
+            "sys.stdout.buffer.write(pickle.dumps(parse_predicate('On(o1,o0)')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = pickle.loads(proc.stdout)
+        assert loaded == P("On(o1,o0)")
+        assert hash(loaded) == hash(P("On(o1,o0)"))
+        assert {P("On(o1,o0)"): 7}[loaded] == 7
+
+    def test_canonical_symmetric_predicate_survives_pickling(self):
+        pred = GroundPredicate(Relation.CLOSE_TO, ("b", "a"))
+        loaded = pickle.loads(pickle.dumps(pred))
+        assert loaded == pred and loaded.args == ("a", "b")
+        assert hash(loaded) == hash(pred)
 
 
 class TestSupportCycle:

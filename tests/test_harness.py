@@ -148,6 +148,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="taus"):
             ExperimentConfig(kind="threshold-sweep", taus=())
 
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54, math.ulp(0.0)])
+    def test_alpha_that_shrinks_nothing_rejected_by_name(self, alpha):
+        # 1 - alpha rounds to 1.0, so a look would leave every residual as it is
+        assert 1.0 - alpha == 1.0
+        with pytest.raises(ValueError, match="^alpha must"):
+            ExperimentConfig(kind="convergence", alpha=alpha)
+
+    def test_least_alpha_that_shrinks_is_kept(self):
+        alpha = math.nextafter(2.0**-54, 1.0)
+        assert 1.0 - alpha < 1.0
+        assert ExperimentConfig(kind="convergence", alpha=alpha).alpha == alpha
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -277,10 +289,18 @@ class TestOnePredicateIndex:
         index = scene_module._predicate_index(scene.object_ids())
         assert all(s.scored is index for s in [*shrunk, *itertools.chain(*states.values())])
 
-    def test_decay_rounds_share_the_scenes_index(self):
+    def test_decay_rounds_share_the_scenes_index(self, monkeypatch):
+        rounds = []
+
+        def recorded(belief):
+            rounds.append(belief)
+            return state_uncertainty_independent(belief)
+
+        monkeypatch.setattr(harness, "state_uncertainty_independent", recorded)
         config = ExperimentConfig(kind="alpha-fit", trials=1, steps=4)
         seeds = _trial_seeds(config.seed, [(0, 0)])[0]
-        rounds = list(itertools.islice(harness._attention_rounds(config, seeds), 5))
+        harness._alpha_unit(config, 0, 0, seeds)
+        assert len(rounds) == 5
         ids = tuple(sorted(f"o{k}" for k in range(config.n_objects)))
         index = scene_module._predicate_index(ids)
         assert all(belief.scored is index for belief in rounds)
@@ -390,6 +410,14 @@ def _reference_attention_rounds(config, seeds):
         belief = fuse_observation(belief, observe(env.residual))
 
 
+def _reference_alpha_unit(config, setting_idx, trial_idx, seeds):
+    """The alpha-fit unit as first defined: the state uncertainty of the
+    first ``steps + 1`` rounds of :func:`_reference_attention_rounds`."""
+    rounds = _reference_attention_rounds(config, seeds)
+    trace = [state_uncertainty_independent(b) for b in itertools.islice(rounds, config.steps + 1)]
+    return trace, harness.modeled_episode_ms(config.steps + 1, config.steps * config.n_objects)
+
+
 def _reference_convergence_unit(config, setting_idx, trial_idx, seeds):
     """The convergence unit as first defined: classify each round of
     :func:`_reference_attention_rounds` until no predicate is uncertain."""
@@ -428,7 +456,7 @@ class TestDecayMatchesReference:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.kind}-{c.seed}")
     def test_rows_and_summary_byte_identical(self, monkeypatch, config):
         got = run(config)
-        monkeypatch.setattr(harness, "_attention_rounds", _reference_attention_rounds)
+        monkeypatch.setattr(harness, "_alpha_unit", _reference_alpha_unit)
         monkeypatch.setattr(harness, "_convergence_unit", _reference_convergence_unit)
         want = run(config)
         assert rows_to_csv(got.header, got.rows) == rows_to_csv(want.header, want.rows)
@@ -890,6 +918,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "strictly increasing" in err
         assert err.count("\n") == 1
+
+    def test_alpha_that_shrinks_nothing_exits_2(self, capsys):
+        rc = main(["verify-convergence", "--alpha", "1e-17", "--trials", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha must") and err.count("\n") == 1
 
     def test_sweep_cli_taus(self, capsys):
         rc = main(["sweep-threshold", "--trials", "2", "--taus", "0.6", "0.8",

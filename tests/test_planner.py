@@ -631,6 +631,13 @@ class TestConvergenceBound:
         with pytest.raises(ValueError):
             convergence_bound(1.0, 0.3, 0.5)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54])
+    def test_alpha_that_shrinks_nothing_raises(self, alpha):
+        # 1 - alpha rounds to 1.0, so ln(1 - alpha) is 0.0 and no k reaches the target
+        assert 1.0 - alpha == 1.0
+        with pytest.raises(ValueError, match="reduction rate"):
+            convergence_bound(0.7, alpha, 0.5)
+
 
 def masked(confs, chosen):
     """A belief over ``confs`` (text -> confidence) and the mask over its

@@ -24,7 +24,9 @@ from beliefplan.planner import (
     Goal,
     GroundedAction,
     PlannerOptions,
+    clear,
     ground_domain,
+    on,
     plan_under_uncertainty,
     support_atoms,
 )
@@ -519,7 +521,7 @@ class TestEnvironment:
     def test_execute_unstack_reaches_clear_goal(self):
         env = PlanningEnvironment(small_stacked_scene(), NoiseConfig(), seed=0)
         plan = [_move(env, "pick", "o1", "o0"), _move(env, "putdown", "o1")]
-        assert env.execute(plan, [parse_predicate("Clear(o0)")])
+        assert env.execute(plan, frozenset({clear("o0")}))
 
     def test_execute_fails_on_bad_precondition(self):
         env = PlanningEnvironment(small_stacked_scene(), NoiseConfig(), seed=0)
@@ -989,6 +991,10 @@ def _atom_predicate(atom):
     return GroundPredicate(ON if atom[0] == "on" else CLEAR, atom[1:])
 
 
+def _predicate_atom(pred):
+    return on(*pred.args) if pred.relation is ON else clear(*pred.args)
+
+
 class TestExecuteMatchesReference:
     @staticmethod
     def _random_run(rng, scene):
@@ -1024,7 +1030,7 @@ class TestExecuteMatchesReference:
             scene = generate_scene(n, stack_bias=0.6, seed=10 * n + trial)
             env = PlanningEnvironment(scene, NoiseConfig(), 0)
             plan, goals = self._random_run(rng, scene)
-            verdict = env.execute(plan, goals)
+            verdict = env.execute(plan, frozenset(map(_predicate_atom, goals)))
             assert verdict == _reference_execute(scene, plan, goals), (plan, goals)
             verdicts.append(verdict)
         assert 0.1 < np.mean(verdicts) < 0.9  # both verdicts are exercised
@@ -1034,8 +1040,9 @@ class TestExecuteMatchesReference:
         cfg = NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0)
 
         class CheckedEnvironment(PlanningEnvironment):
-            def execute(self, plan, goal_predicates):
-                verdict = super().execute(plan, goal_predicates)
+            def execute(self, plan, goal_atoms):
+                verdict = super().execute(plan, goal_atoms)
+                goal_predicates = [_atom_predicate(a) for a in goal_atoms]
                 assert verdict == _reference_execute(self.scene, plan, goal_predicates)
                 assert all(type(a) is GroundedAction for a in plan)
                 verdicts.append(verdict)
