@@ -86,6 +86,10 @@ from beliefplan.threshold import (
 
 BP_DEVIATION_TOL = 0.05
 ECE_TOL = 0.02  # a calibration stream within it counts as calibrated
+# A convergence trial walks up to its bound + 2 rounds, about 0.5 µs each,
+# and the bound peaks at u0 = 1; a config whose peak bound passes this cap
+# (about 5 s a trial) is rejected rather than left to run for days.
+MAX_CONVERGENCE_ROUNDS = 10**7
 
 # Modeled per-operation costs in milliseconds.  Every exported
 # ``modeled_time_ms`` is computed from this one table instead of measured,
@@ -144,6 +148,14 @@ class ExperimentConfig:
             raise ValueError(f"tau_plan must lie in (0, 1), got {self.tau_plan}")
         if not (0.0 < self.alpha < 1.0) or 1.0 - self.alpha == 1.0:  # that alpha shrinks nothing
             raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha < 1, got {self.alpha}")
+        if self.kind == "convergence":
+            k = convergence_bound(self.tau_plan, self.alpha, 1.0)
+            if k > MAX_CONVERGENCE_ROUNDS:
+                raise ValueError(
+                    f"alpha must bring convergence at tau_plan {self.tau_plan} within "
+                    f"{MAX_CONVERGENCE_ROUNDS} rounds (the bound at u0 = 1 is {k}), "
+                    f"got {self.alpha}"
+                )
         if not self.taus:
             raise ValueError("taus must name at least one threshold")
         if any(a >= b for a, b in zip(self.taus, self.taus[1:])):
@@ -316,9 +328,10 @@ def modeled_episode_ms(
 
 
 def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: float,
-             info_enabled: bool = True):
+             info_enabled: bool = True, first_belief=None):
     """One closed-loop planning episode towards the default goal, and its
-    modeled time: one observation per round."""
+    modeled time: one observation per round.  ``first_belief`` is an
+    earlier episode's round-0 belief on this scene and seed, if any."""
     env = PlanningEnvironment(scene, config.noise(), perception_seed)
     episode = plan_under_uncertainty(
         env,
@@ -326,6 +339,7 @@ def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: fl
         tau_plan=tau_plan,
         max_retries=config.max_retries,
         options=PlannerOptions(refine_with_mrf=config.refine, info_enabled=info_enabled),
+        first_belief=first_belief,
     )
     modeled = modeled_episode_ms(
         len(episode.iterations), episode.info_action_count, episode.expansions,
@@ -385,9 +399,15 @@ def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seed
 
 def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
     scene, perception_seed = _trial_scene(config, seeds)
-    out = []
+    # info_on runs first and forms round 0's belief inside its own episode,
+    # whose time the bench measures; info_off, the untimed ablation, would
+    # observe and refine exactly that belief again, so it starts from it
+    out, first = [], None
     for policy, info_enabled in (("info_on", True), ("info_off", False)):
-        episode, modeled = _episode(config, scene, perception_seed, config.tau_plan, info_enabled)
+        episode, modeled = _episode(
+            config, scene, perception_seed, config.tau_plan, info_enabled, first
+        )
+        first = episode.first_belief
         out.append(
             (
                 policy,

@@ -584,6 +584,7 @@ class PlanningEpisode:
     plan: list[GroundedAction] | None
     expansions: int
     cap_hits: int  # searches stopped at MAX_EXPANSIONS; not exported
+    first_belief: ProbabilisticState  # the belief formed in round 0
 
 
 def plan_under_uncertainty(
@@ -592,6 +593,7 @@ def plan_under_uncertainty(
     tau_plan: float = 0.7,
     max_retries: int = 3,
     options: PlannerOptions = PlannerOptions(),
+    first_belief: ProbabilisticState | None = None,
 ) -> PlanningEpisode:
     """Closed perception-plan-act loop with bounded information gathering.
 
@@ -604,6 +606,14 @@ def plan_under_uncertainty(
     no plan, or stops at ``MAX_EXPANSIONS`` (a cap hit, whose expansions
     still count), gives the round up and the loop goes on.  A goal that
     names an object the environment does not have raises ValueError.
+
+    ``first_belief``, when given, is round 0's belief, used in place of
+    that round's observation and its MRF refinement.  Precondition, not
+    checked: ``env`` is fresh, and ``first_belief`` is the round-0 belief
+    (``PlanningEpisode.first_belief``) of an episode on a fresh environment
+    with the same scene, seed and noise, run with the same options but for
+    ``info_enabled``, which acts only after round 0's belief is formed.
+    It is then the belief ``env`` would form itself, bit for bit.
     """
     if max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {max_retries}")
@@ -611,7 +621,7 @@ def plan_under_uncertainty(
     missing = goal.objects() - set(objects)
     if missing:
         raise ValueError(f"goal names objects not in the scene: {sorted(missing)}")
-    belief: ProbabilisticState | None = None
+    belief = first_belief
     records: list[IterationRecord] = []
     info_count = 0
     expansions_total = 0
@@ -622,10 +632,14 @@ def plan_under_uncertainty(
     goal_atoms = goal.atoms()
 
     for round_idx in range(max_retries):
-        obs = env.observe()
-        if options.refine_with_mrf:
-            obs = refined_state(obs, loopy_bp(build_mrf(obs)))
-        belief = obs if belief is None else fuse_observation(belief, obs)
+        if round_idx or belief is None:
+            obs = env.observe()
+            if options.refine_with_mrf:
+                obs = refined_state(obs, loopy_bp(build_mrf(obs)))
+            if belief is None:
+                belief = first_belief = obs
+            else:
+                belief = fuse_observation(belief, obs)
         u_state = state_uncertainty_independent(belief)
         part = classify(belief, tau_plan)
         sizes = [int(m.sum()) for m in (part.certain_true, part.certain_false, part.uncertain)]
@@ -662,6 +676,7 @@ def plan_under_uncertainty(
         plan=final_plan,
         expansions=expansions_total,
         cap_hits=cap_hits,
+        first_belief=first_belief,
     )
 
 

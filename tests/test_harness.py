@@ -158,7 +158,31 @@ class TestConfig:
     def test_least_alpha_that_shrinks_is_kept(self):
         alpha = math.nextafter(2.0**-54, 1.0)
         assert 1.0 - alpha < 1.0
-        assert ExperimentConfig(kind="convergence", alpha=alpha).alpha == alpha
+        assert ExperimentConfig(kind="alpha-fit", alpha=alpha).alpha == alpha
+        with pytest.raises(ValueError, match="^alpha must bring convergence"):
+            ExperimentConfig(kind="convergence", alpha=alpha)  # past the round cap
+
+    def test_convergence_that_cannot_finish_rejected_by_name(self):
+        assert convergence_bound(0.7, 1e-16, 1.0) == 10_844_422_945_852_991
+        with pytest.raises(ValueError, match="^alpha must .* 10844422945852991"):
+            ExperimentConfig(kind="convergence", alpha=1e-16)
+
+    def test_slow_convergence_within_the_cap_is_kept(self):
+        assert convergence_bound(0.99, 1e-6, 1.0) == 4_605_168
+        ExperimentConfig(kind="convergence", alpha=1e-6, tau_plan=0.99)
+
+    def test_round_cap_is_inclusive(self, monkeypatch):
+        k = convergence_bound(0.99, 1e-6, 1.0)
+        monkeypatch.setattr(harness, "MAX_CONVERGENCE_ROUNDS", k)
+        ExperimentConfig(kind="convergence", alpha=1e-6, tau_plan=0.99)
+        monkeypatch.setattr(harness, "MAX_CONVERGENCE_ROUNDS", k - 1)
+        with pytest.raises(ValueError, match="^alpha must"):
+            ExperimentConfig(kind="convergence", alpha=1e-6, tau_plan=0.99)
+
+    @pytest.mark.parametrize("kind", ["calibration", "alpha-fit", "threshold-sweep",
+                                      "plan-benchmark", "mrf-check"])
+    def test_other_kinds_keep_a_slow_alpha(self, kind):
+        assert ExperimentConfig(kind=kind, alpha=1e-16).alpha == 1e-16
 
     @pytest.mark.parametrize(
         "field,value",
@@ -464,18 +488,7 @@ class TestDecayMatchesReference:
 
     @pytest.mark.parametrize("unit", [harness._alpha_unit, harness._convergence_unit])
     def test_a_decay_unit_perceives_once(self, monkeypatch, unit):
-        calls = []
-        perceive = scene_module.perceive_with_labels
-
-        def counted(*args):
-            calls.append(args)
-            return perceive(*args)
-
-        for name, module in list(sys.modules.items()):  # every binding of the function
-            if name.split(".")[0] == "beliefplan" and vars(module).get(
-                "perceive_with_labels"
-            ) is perceive:
-                monkeypatch.setattr(module, "perceive_with_labels", counted)
+        calls = _count_calls(monkeypatch, scene_module, "perceive_with_labels")
         config = ExperimentConfig(kind="alpha-fit", trials=1, steps=6, tau_plan=0.99)
         unit(config, 0, 0, _trial_seeds(config.seed, [(0, 0)])[0])
         assert len(calls) == 1
@@ -545,6 +558,96 @@ class TestBenchmarkKind:
         rep = run(ExperimentConfig(kind="plan-benchmark", seed=8, trials=1))
         assert [r[1] for r in rep.rows] == ["info_on", "info_off"]
         assert flags == [True, False]
+
+
+def _reference_benchmark_unit(config, setting_idx, trial_idx, seeds):
+    """Each policy's episode on its own fresh environment, observing its round 0 itself."""
+    scene, perception_seed = harness._trial_scene(config, seeds)
+    out = []
+    for policy, info_enabled in (("info_on", True), ("info_off", False)):
+        episode, modeled = harness._episode(
+            config, scene, perception_seed, config.tau_plan, info_enabled
+        )
+        plan_len = len(episode.plan) if episode.plan is not None else -1
+        out.append((policy, int(episode.success), episode.info_action_count, plan_len,
+                    len(episode.iterations), modeled))
+    return out
+
+
+def _count_calls(monkeypatch, module, name):
+    """The calls of ``module.name``, counted through every beliefplan binding of it."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "beliefplan" and vars(mod).get(name) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestBenchmarkSharesRoundZero:
+    CONFIGS = [
+        ExperimentConfig(kind="plan-benchmark", seed=seed, trials=5, refine=refine,
+                         n_objects=n, max_retries=retries, noise_flip=0.15, noise_sd=1.0)
+        for refine in (False, True)
+        for n in (4, 7)
+        for retries in (1, 3)
+        for seed in (1, 12, 2**40 + 5)
+    ]
+
+    @staticmethod
+    def assert_matches_reference(monkeypatch, config):
+        got = run(config)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_benchmark_unit", _reference_benchmark_unit)
+            want = run(config)
+        assert rows_to_csv(got.header, got.rows) == rows_to_csv(want.header, want.rows)
+        assert summary_to_json(got.summary) == summary_to_json(want.summary)
+        return got
+
+    @pytest.mark.parametrize(
+        "config", CONFIGS,
+        ids=lambda c: f"refine{int(c.refine)}-n{c.n_objects}-r{c.max_retries}-s{c.seed}",
+    )
+    def test_rows_and_summary_byte_identical(self, monkeypatch, config):
+        self.assert_matches_reference(monkeypatch, config)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_info_off_rounds_after_a_give_up_match(self, monkeypatch, refine):
+        # every search stops at the cap, so info_off fuses rounds 1 and 2
+        # into the belief it was handed
+        monkeypatch.setattr(planner, "MAX_EXPANSIONS", 2)
+        config = ExperimentConfig(kind="plan-benchmark", seed=3, trials=4, refine=refine,
+                                  noise_flip=0.15, noise_sd=1.0)
+        rep = self.assert_matches_reference(monkeypatch, config)
+        assert any(r[1] == "info_off" and r[5] == 3 for r in rep.rows)
+
+    def test_info_off_neither_perceives_nor_refines_round_0(self, monkeypatch):
+        perceives = _count_calls(monkeypatch, scene_module, "perceive_with_labels")
+        bp = _count_calls(monkeypatch, mrf, "loopy_bp")
+        config = ExperimentConfig(kind="plan-benchmark", seed=7, trials=6, refine=True,
+                                  noise_flip=0.15, noise_sd=1.0)
+        rep = run(config)
+        rounds = sum(r[5] for r in rep.rows)
+        assert len(perceives) == len(bp) == rounds - config.trials
+
+    def test_no_work_carries_over_between_runs(self, monkeypatch):
+        # a cache kept across runs would make a repeated run cheaper than one run
+        perceives = _count_calls(monkeypatch, scene_module, "perceive_with_labels")
+        bp = _count_calls(monkeypatch, mrf, "loopy_bp")
+        config = ExperimentConfig(kind="plan-benchmark", seed=9, trials=4, refine=True,
+                                  noise_flip=0.15, noise_sd=1.0)
+        counts = []
+        for _ in range(2):
+            run(config)
+            counts.append((len(perceives), len(bp)))
+            perceives.clear()
+            bp.clear()
+        assert counts[0] == counts[1] and counts[0][1] > 0
 
 
 class TestMrfCheckKind:
@@ -921,6 +1024,12 @@ class TestCli:
 
     def test_alpha_that_shrinks_nothing_exits_2(self, capsys):
         rc = main(["verify-convergence", "--alpha", "1e-17", "--trials", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha must") and err.count("\n") == 1
+
+    def test_convergence_that_cannot_finish_exits_2(self, capsys):
+        rc = main(["verify-convergence", "--alpha", "1e-16", "--trials", "1"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: alpha must") and err.count("\n") == 1

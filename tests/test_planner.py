@@ -868,6 +868,39 @@ class TestClosedLoop:
         )
         assert len(episode.iterations) >= 1
 
+    @pytest.mark.parametrize("seed", [0, 5, 11, 2**31 + 7])
+    @pytest.mark.parametrize("info_enabled", [True, False])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_given_first_belief_matches_observing(self, monkeypatch, refine, info_enabled, seed):
+        scene = generate_scene(5, stack_bias=0.5, seed=seed)
+        noise = NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0)
+        goal = default_goal(scene)
+        options = PlannerOptions(refine_with_mrf=refine, info_enabled=info_enabled)
+        # round 0 as the other policy's episode on a fresh environment formed it
+        other = PlannerOptions(refine_with_mrf=refine, info_enabled=not info_enabled)
+        first = plan_under_uncertainty(
+            PlanningEnvironment(scene, noise, seed), goal, options=other
+        ).first_belief
+        observed = plan_under_uncertainty(PlanningEnvironment(scene, noise, seed), goal, options=options)
+        observes = []
+        observe = PlanningEnvironment.observe
+
+        def counted(env):
+            observes.append(env)
+            return observe(env)
+
+        monkeypatch.setattr(PlanningEnvironment, "observe", counted)
+        given = plan_under_uncertainty(
+            PlanningEnvironment(scene, noise, seed), goal, options=options, first_belief=first
+        )
+        assert observed.first_belief == first and given.first_belief is first
+        assert given.iterations == observed.iterations
+        assert given.plan == observed.plan
+        assert (given.expansions, given.success, given.info_action_count, given.cap_hits) == (
+            observed.expansions, observed.success, observed.info_action_count, observed.cap_hits
+        )
+        assert len(observes) == len(given.iterations) - 1  # round 0 observes nothing
+
     def test_rows_schema(self):
         scene = generate_scene(3, stack_bias=0.0, seed=4)
         env = PlanningEnvironment(scene, NoiseConfig(), seed=0)
