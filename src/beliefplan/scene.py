@@ -20,14 +20,14 @@ uniform of one ``default_rng([seed, scene seed, k])`` per predicate k,
 made in one vectorized pass for one pair on its first observation, or
 for every pair of a batch of trials that asks first (``prefetch_draws``).
 The draws of the last request that drew stay cached; the other caches
-are bounded.  A column-wise SeedSequence and PCG64's seeding and output,
-which NEP 19 fixes across numpy releases, give each generator's first
-two 64-bit words; numpy's ziggurat fast path and ``random()`` turn them
-into the two draws.  numpy is entered through one door, the
+are bounded.  A column-wise SeedSequence and PCG64's seeding, step and
+output, which NEP 19 fixes across numpy releases, give each generator's
+first two 64-bit words; numpy's ziggurat fast path and ``random()`` turn
+them into the two draws.  numpy is entered through one door, the
 ``bitgen.state`` setter: the ziggurat tables are read through it and
 checked against ``Generator.standard_normal`` on first use, and numpy
-itself draws from the seeded state it loads for a draw off the fast path
-(about 1.5%), or for every draw if the tables fail.
+itself draws from the same seeded state it loads for a draw off the fast
+path (about 1.5%), or for every draw if the tables fail.
 
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
@@ -383,28 +383,8 @@ def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return _hashmix(pool[np.arange(n_words) % _SS_POOL_SIZE], out[:-1], out[1:])
 
 
-def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The (low, high) 64-bit limbs of 128-bit ints, as uint64 columns."""
-    lo = np.array([v & _MASK64 for v in values], dtype=np.uint64)[:, None]
-    hi = np.array([v >> 64 for v in values], dtype=np.uint64)[:, None]
-    return lo, hi
-
-
-# PCG64 seeds s0 = (S + inc) M + inc from initstate S and increment
-# inc = 2 initseq + 1, and steps s -> s M + inc before each output, so output
-# j draws on s_j = S M^(j+1) + inc (1 + M + ... + M^(j+1)), mod 2**128.  With
-# sum_j the bracket, that is S M^(j+1) + initseq (2 sum_j) + sum_j: for
-# j = 1, 2, _STEP_MULT holds the multipliers of S (first row) and initseq
-# (second), and _STEP_ADD the sums.
-_STEP_SUMS = [sum(_PCG64_MULT**i for i in range(j + 2)) & _MASK128 for j in (1, 2)]
-_STEP_MULT = tuple(
-    limb.reshape(2, 2, 1)
-    for limb in _limbs(
-        [_PCG64_MULT**2 & _MASK128, _PCG64_MULT**3 & _MASK128]
-        + [2 * s & _MASK128 for s in _STEP_SUMS]
-    )
-)
-_STEP_ADD = _limbs(_STEP_SUMS)
+_U128 = tuple[np.ndarray, np.ndarray]  # 128-bit ints as (low, high) uint64 limbs
+_PCG64_MULT_LIMBS = np.array([_PCG64_MULT & _MASK64, _PCG64_MULT >> 64], dtype=np.uint64)
 
 
 def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -417,29 +397,34 @@ def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a_hi * b_hi + (t >> 32) + (u >> 32)
 
 
-def _first_outputs(words: np.ndarray) -> np.ndarray:
-    """PCG64's first two 64-bit outputs for each column of
-    :func:`_seed_words`, as a (2, n) uint64 array.
+def _step(state: _U128, inc: _U128) -> _U128:
+    """PCG64's step, state * M + inc mod 2**128: the product's cross terms
+    only reach the high limb, and the low limbs' sum carries into it."""
+    (lo, hi), (m_lo, m_hi) = state, _PCG64_MULT_LIMBS
+    out = lo * m_lo + inc[0]
+    return out, _mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo + inc[1] + (out < inc[0])
 
-    PCG64 reads the words as the 128-bit initstate w0:w1 and initseq w2:w3
-    (high:low).  Each of the two states is a sum of two 128-bit products
-    and a constant (see ``_STEP_MULT``): the four products run as one
-    broadcast pass over 64-bit limbs, the sums carry, and each output is
-    the XSL-RR of its state.
-    """
-    lo, hi = words[1::2, None], words[0::2, None]  # rows: initstate, initseq
-    m_lo, m_hi = _STEP_MULT
-    # each product mod 2**128: the cross terms only reach the high limb
-    p_lo = lo * m_lo
-    p_hi = _mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo
-    s_lo = p_lo[0] + p_lo[1]
-    s_hi = p_hi[0] + p_hi[1] + (s_lo < p_lo[1])
-    a_lo, a_hi = _STEP_ADD
-    s_lo += a_lo
-    s_hi += a_hi + (s_lo < a_lo)
-    # XSL-RR: the xor of the two halves, rotated right by the top six bits
-    x = s_hi ^ s_lo
-    rot = s_hi >> 58
+
+def _seeded(words: np.ndarray) -> tuple[_U128, _U128]:
+    """Each column's PCG64 state and increment as numpy's ``pcg64.h`` seeds
+    them from the four uint64 rows of :func:`_seed_words`: initstate w0:w1
+    and initseq w2:w3 (high:low) give inc = 2 initseq + 1 and the state
+    (initstate + inc) M + inc, which the first output steps."""
+    w0, w1, w2, w3 = words
+    inc = (w3 << 1 | 1, w2 << 1 | w3 >> 63)
+    lo = w1 + inc[0]
+    return _step((lo, w0 + inc[1] + (lo < inc[0])), inc), inc
+
+
+def _first_outputs(state: _U128, inc: _U128) -> np.ndarray:
+    """PCG64's first two 64-bit outputs from each column of a
+    :func:`_seeded` state and increment, as a (2, n) uint64 array.  Each
+    output steps the state and takes its XSL-RR: the xor of its two halves,
+    rotated right by its top six bits."""
+    first = _step(state, inc)
+    lo, hi = map(np.stack, zip(first, _step(first, inc)))
+    x = hi ^ lo
+    rot = hi >> 58
     return (x >> rot) | (x << (-rot & 63))
 
 
@@ -555,7 +540,8 @@ def _draw_pass(keys: list[tuple[int, int, int]]) -> dict:
     """The draws of each (perception seed, scene seed, n) key from one pass,
     whose keys, one observation's or one batch's, share n and have seeds of
     as many 32-bit words in all (ValueError otherwise).  Key i's predicate k
-    is entropy column i * n + k: its seed words, repeated, over k, tiled."""
+    is entropy column i * n + k: its seed words, repeated, over k, tiled.
+    Both the fast path and numpy's draws off it read one :func:`_seeded`."""
     words = [_uint32_words(seed) + _uint32_words(scene_seed) for seed, scene_seed, _ in keys]
     if len({n for _, _, n in keys}) != 1 or len({len(w) for w in words}) != 1:
         raise ValueError("one draw pass needs keys of one n whose seeds take as many words")
@@ -566,18 +552,19 @@ def _draw_pass(keys: list[tuple[int, int, int]]) -> dict:
     entropy[-1] = np.tile(np.arange(n), len(keys))
     words = _seed_words(entropy, 2 * _SS_POOL_SIZE).astype(np.uint64)
     words = words[0::2] | words[1::2] << 32  # pairs of 32-bit words, low first, make uint64s
+    state, inc = _seeded(words)
     tables = _ziggurat_tables()
     if tables is None:
         g, label_draw = np.empty(total), np.empty(total)
         slow = range(total)
     else:
-        r = _first_outputs(words)
+        r = _first_outputs(state, inc)
         g, fast = _fast_normals(r[0], tables)
         label_draw = (r[1] >> 11) * 2.0**-53
         slow = np.flatnonzero(~fast).tolist()
-    for k, (w0, w1, w2, w3) in zip(slow, words[:, slow].T.tolist()):
-        inc = (w2 << 65 | w3 << 1 | 1) & _MASK128  # initstate w0:w1, initseq w2:w3
-        rng = _generator_at(((w0 << 64 | w1) + inc) * _PCG64_MULT + inc & _MASK128, inc)
+    limbs = np.array((*state, *inc))[:, slow].T.tolist()
+    for k, (s_lo, s_hi, inc_lo, inc_hi) in zip(slow, limbs):
+        rng = _generator_at(s_hi << 64 | s_lo, inc_hi << 64 | inc_lo)
         g[k] = rng.standard_normal()
         label_draw[k] = rng.random()
     g.flags.writeable = False
@@ -590,23 +577,27 @@ def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.
     for each candidate predicate k < n, the first normal and uniform of
     ``default_rng([perception seed, scene seed, k])``.
 
+    Every draw request passes here, and a negative seed raises ValueError.
     A request whose keys are all cached draws nothing; one with any key
-    missing is drawn whole in one :func:`_draw_pass`.  A pass derives each
-    generator's first two 64-bit outputs (:func:`_seed_words`,
-    :func:`_first_outputs`); NEP 19 fixes what it reimplements,
-    SeedSequence hashing and PCG64 seeding and output, across numpy
-    releases.  The normal comes from the first output by numpy's
-    ziggurat fast path (:func:`_fast_normals`), the uniform from the second
-    as ``random()`` makes it.  numpy is entered through one door, the
-    ``bitgen.state`` setter (:func:`_generator_at`): it reads the ziggurat
-    tables, checked on first use (:func:`_ziggurat_tables`), and loads the
-    seeded state from which numpy itself makes each draw off the fast path,
-    or every draw if the tables fail.  A request that draws replaces the
-    cache with its keys' draws, so later observations of one pair, and the
-    units of the batch that asked first, draw nothing.  Draws are a pure
-    function of their key, so redrawing a cached key changes no value.
-    Seeds must be non-negative; the arrays are read-only.
+    missing is drawn whole in one :func:`_draw_pass`.  A pass seeds each
+    generator's PCG64 (:func:`_seed_words`, :func:`_seeded`) and derives
+    its first two 64-bit outputs (:func:`_first_outputs`); NEP 19 fixes
+    what it reimplements, SeedSequence hashing and PCG64 seeding, step and
+    output, across numpy releases.  The normal comes from the first output
+    by numpy's ziggurat fast path (:func:`_fast_normals`), the uniform from
+    the second as ``random()`` makes it.  numpy is entered through one
+    door, the ``bitgen.state`` setter (:func:`_generator_at`): it reads the
+    ziggurat tables, checked on first use (:func:`_ziggurat_tables`), and
+    loads the seeded state from which numpy itself makes each draw off the
+    fast path, or every draw if the tables fail.  A request that draws
+    replaces the cache with its keys' draws, so later observations of one
+    pair, and the units of the batch that asked first, draw nothing.  Draws
+    are a pure function of their key, so redrawing a cached key changes no
+    value.  The arrays are read-only.
     """
+    for seed, scene_seed, _ in keys:
+        if seed < 0 or scene_seed < 0:
+            raise ValueError(f"seed must be non-negative, got {(seed, scene_seed)}")
     if not all(key in _draws for key in keys):
         drawn = _draw_pass(list(dict.fromkeys(keys)))
         _draws.clear()
@@ -617,7 +608,11 @@ def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.
 def prefetch_draws(n_objects: int, trials: Iterable[tuple[int, int]]) -> None:
     """Draw in one pass the first observations of trials, each a (scene
     seed, perception seed) of a generated ``n_objects``-object scene, which
-    then find their draws cached until the next request that draws."""
+    then find their draws cached until the next request that draws.  The
+    seeds must be non-negative and, within one call, take as many 32-bit
+    words in all (each below 2**32, say), and ``n_objects`` must be one that
+    :func:`generate_scene` accepts; ValueError otherwise."""
+    check_scene_shape(n_objects, 0.0)  # any valid bias: only the count is checked
     n = predicate_count(n_objects)
     _noise_draws([(seed, scene_seed, n) for scene_seed, seed in trials])
 
@@ -661,8 +656,6 @@ def perceive_with_labels(
     whose results numpy's vector forms do not always match bit for bit;
     the log once per distinct odds value.
     """
-    if seed < 0:
-        raise ValueError(f"perception seed must be non-negative, got {seed}")
     residual = {} if residual is None else residual
     if not all(0.0 < r <= 1.0 for r in residual.values()):  # NaN fails too
         raise ValueError(f"every residual must lie in (0, 1], got {dict(residual)}")
@@ -759,9 +752,12 @@ class PlanningEnvironment:
         """Step ``target``'s residual by :func:`core.next_residual`, which
         shrinks the uncertainty of the predicates that mention it by about
         (1 - gain); push_obstacle also clears its occlusion penalty.  A zero
-        gain changes nothing."""
+        gain changes nothing; an unknown kind or a target the scene does not
+        have raises ValueError."""
         if kind not in (LOOK_CLOSER, PUSH_OBSTACLE):
             raise ValueError(f"unknown info action kind {kind!r}")
+        if target not in self.scene.object_ids():
+            raise ValueError(f"info action target {target!r} is not an object of the scene")
         if self.cfg.gain == 0.0:
             return
         self.residual[target] = next_residual(self.residual.get(target, 1.0), self.cfg.gain)

@@ -50,8 +50,10 @@ from beliefplan.scene import (
     perceive,
     perceive_with_labels,
     predicate_count,
+    prefetch_draws,
     scene_to_json,
 )
+from beliefplan.harness import generate_scene_files
 
 ON = Relation.ON
 CLEAR = Relation.CLEAR
@@ -441,6 +443,13 @@ class TestInfoActions:
         env = PlanningEnvironment(small_stacked_scene(), NoiseConfig(), 0)
         with pytest.raises(ValueError):
             env.apply_info("teleport", "o1")
+
+    @pytest.mark.parametrize("kind", ["look_closer", "push_obstacle"])
+    def test_unknown_target_rejected(self, kind):
+        env = PlanningEnvironment(small_stacked_scene(), NoiseConfig(), 0)
+        with pytest.raises(ValueError, match="'zz'"):
+            env.apply_info(kind, "zz")
+        assert env.residual == {} and env.cleared == set()
 
     def test_attention_saturates_above_zero(self):
         # at gain 0.9 the 324th look would multiply the residual to 0.0
@@ -920,7 +929,7 @@ def test_draws_off_the_fast_path(branch):
     seed, scene_seed, k = FAST_PATH_EXITS[branch]
     words = np.array([[seed] * (k + 1), [scene_seed] * (k + 1), range(k + 1)], dtype=np.uint32)
     words = scene_module._seed_words(words, 8).astype(np.uint64)
-    first = scene_module._first_outputs(words[0::2] | words[1::2] << 32)[0]
+    first = scene_module._first_outputs(*scene_module._seeded(words[0::2] | words[1::2] << 32))[0]
     _, fast = scene_module._fast_normals(first, scene_module._ziggurat_tables())
     assert not fast[k] and (int(first[k]) & 0xFF == 0) == (branch == "tail")
     (got,) = _fresh_draws([(seed, scene_seed, k + 1)])
@@ -931,6 +940,95 @@ def test_seed_pairs_of_many_words():
     # two 2^300 seeds take 21 entropy words, past the 4-word pool
     (got,) = _fresh_draws([(2**300, 2**300 + 1, 27)])
     _assert_same_draws(got, _reference_noise_draws(2**300, 2**300 + 1, 27))
+
+
+# PCG64 on Python ints, as numpy's pcg64.h states it, for words that reach
+# the limb arithmetic's edges: 0, 1, the top bit, all ones, and the low
+# limbs whose sums carry into the high limb
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+EDGE_WORDS = (0, 1, 2**63, 2**64 - 2, 2**64 - 1)
+EDGE_COLUMNS = np.array(
+    [(a, b, c, d) for a in EDGE_WORDS for b in EDGE_WORDS for c in EDGE_WORDS for d in EDGE_WORDS],
+    dtype=np.uint64,
+).T  # 625 columns of four words
+
+
+def _int_step(state, inc):
+    return (state * PCG64_MULT + inc) % 2**128
+
+
+def _int_seeded(w0, w1, w2, w3):
+    inc = (2 * (w2 << 64 | w3) + 1) % 2**128
+    return _int_step(((w0 << 64 | w1) + inc) % 2**128, inc), inc
+
+
+def _xsl_rr(state):
+    hi, x = state >> 64, (state >> 64 ^ state) & (2**64 - 1)
+    rot = hi >> 58
+    return (x >> rot | x << (64 - rot)) & (2**64 - 1)
+
+
+def _ints(limbs):
+    lo, hi = limbs
+    return [h << 64 | l for l, h in zip(lo.tolist(), hi.tolist())]
+
+
+def test_step_matches_int_arithmetic():
+    state, inc = EDGE_COLUMNS[:2], EDGE_COLUMNS[2:]
+    want = [_int_step(s, i) for s, i in zip(_ints(state), _ints(inc))]
+    assert _ints(scene_module._step(tuple(state), tuple(inc))) == want
+    # the edges include low limbs whose sum carries into the high limb
+    products = [s * PCG64_MULT % 2**128 for s in _ints(state)]
+    assert any((p & (2**64 - 1)) + (i & (2**64 - 1)) >= 2**64 for p, i in zip(products, _ints(inc)))
+
+
+def test_seeded_matches_int_arithmetic():
+    state, inc = scene_module._seeded(EDGE_COLUMNS)
+    want = [_int_seeded(*column) for column in EDGE_COLUMNS.T.tolist()]
+    assert list(zip(_ints(state), _ints(inc))) == want
+
+
+def test_first_outputs_match_int_arithmetic_and_numpy():
+    got = scene_module._first_outputs(*scene_module._seeded(EDGE_COLUMNS))
+    assert got.shape == (2, EDGE_COLUMNS.shape[1]) and got.dtype == np.uint64
+    bitgen = np.random.PCG64()
+    for column, outputs in zip(EDGE_COLUMNS.T.tolist(), got.T.tolist()):
+        state, inc = _int_seeded(*column)
+        first = _int_step(state, inc)
+        assert outputs == [_xsl_rr(first), _xsl_rr(_int_step(first, inc))]
+        bitgen.state = dict(
+            bit_generator="PCG64", state={"state": state, "inc": inc}, has_uint32=0, uinteger=0
+        )
+        assert bitgen.random_raw(2).tolist() == outputs
+
+
+# every public entry that takes a seed, called with a seed of -1
+NEGATIVE_SEED_CALLS = {
+    "generate_scene": lambda out: generate_scene(4, seed=-1),
+    "Scene": lambda out: Scene(small_stacked_scene().objects, (), seed=-1),
+    "perceive": lambda out: perceive(small_stacked_scene(), NoiseConfig(), -1),
+    "perceive_with_labels": lambda out: perceive_with_labels(
+        small_stacked_scene(), NoiseConfig(), -1
+    ),
+    "prefetch_draws scene seed": lambda out: prefetch_draws(4, [(-1, 2)]),
+    "prefetch_draws perception seed": lambda out: prefetch_draws(4, [(2, -1)]),
+    "generate_scene_files": lambda out: generate_scene_files(2, 4, 0.4, -1, out),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_SEED_CALLS))
+def test_every_seeded_entry_rejects_a_negative_seed(entry, tmp_path):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        NEGATIVE_SEED_CALLS[entry](tmp_path / "scenes")
+    assert not (tmp_path / "scenes").exists()
+
+
+@pytest.mark.parametrize("n_objects", [0, 1, 2, 11])
+def test_prefetch_rejects_an_object_count_no_scene_has(n_objects):
+    _fresh_draws([(9, 4, 27)])
+    with pytest.raises(ValueError, match="n_objects"):
+        prefetch_draws(n_objects, [(3, 5)])
+    assert list(scene_module._draws) == [(9, 4, 27)]  # the cache stays
 
 
 # ---------------------------------------------------------------------------
