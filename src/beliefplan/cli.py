@@ -128,7 +128,12 @@ def main(argv: list[str] | None = None) -> int:
     report = run(config)
     if args.out_dir is not None:
         fmt = args.format if args.format is not None else "csv"
-        for path in export(report, args.out_dir, fmt):
+        try:
+            paths = export(report, args.out_dir, fmt)
+        except OSError as err:  # say, a file to write is a directory
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        for path in paths:
             print(f"wrote {path}", file=sys.stderr)
     print(summary_to_json(report.summary), end="")
     return 0

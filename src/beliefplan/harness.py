@@ -5,10 +5,14 @@ block.  Trial randomness derives from hashing (experiment seed, setting
 index, trial index) into independent seed sequences, so results are
 byte-identical across re-runs, worker counts and batch sizes.  Trials run
 in batches, each one task of the process pool when there are workers, and
-are assembled in index order.  For the kinds that perceive, a batch has
-``scene.prefetch_draws`` draw every first observation's noise in one pass
-before its trials run, which find it cached, so that a trial pays no fixed
-per-call cost for it.
+are assembled in index order.  For the kinds that perceive, a batch
+generates its trials' scenes once and hands each trial its (scene,
+perception seed); before any trial runs, one ``scene.prefetch_trials``
+call computes every scene's truths and occlusion set in one vectorized
+pass and draws every first observation's noise in another, and the trials
+find both cached.  Ground truth is the simulator's work, not the robot's,
+so none of it is done inside an episode.  The default goal is built once
+per object set.
 
 All exported timings are modeled from the fixed per-operation costs in
 ``MODELED_COST_MS`` rather than measured, keeping output files
@@ -26,6 +30,7 @@ plan-benchmark) run every episode through one runner on the trial's scene.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -69,7 +74,7 @@ from beliefplan.scene import (
     generate_scene,
     perceive_with_labels,
     predicate_count,
-    prefetch_draws,
+    prefetch_trials,
     scene_to_json,
 )
 from beliefplan.threshold import (
@@ -288,28 +293,22 @@ def _trial_seeds(config_seed: int, units: Sequence[tuple[int, int]]) -> list[tup
 
 
 def default_goal(scene) -> Goal:
-    """Deterministic three-object restacking goal for benchmark episodes."""
-    ids = scene.object_ids()
-    a, b, c = ids[0], ids[1], ids[2]
-    return Goal(
-        frozenset(
-            {
-                GroundPredicate(Relation.ON, (a, b)),
-                GroundPredicate(Relation.ON, (b, c)),
-            }
-        )
-    )
+    """Deterministic three-object restacking goal for benchmark episodes,
+    built once per object set."""
+    return _restacking_goal(scene.object_ids())
 
 
-def _trial_scene(config: ExperimentConfig, seeds: tuple[int, int]):
-    """The trial's generated scene and its perception seed."""
-    scene_seed, perception_seed = seeds
-    return generate_scene(config.n_objects, config.stack_bias, scene_seed), perception_seed
+@functools.lru_cache(maxsize=64)
+def _restacking_goal(ids: tuple[str, ...]) -> Goal:
+    """On(a, b) and On(b, c) for the first three of sorted object ids."""
+    a, b, c = ids[:3]
+    on = Relation.ON
+    return Goal(frozenset({GroundPredicate(on, (a, b)), GroundPredicate(on, (b, c))}))
 
 
-def _first_observation(config: ExperimentConfig, seeds: tuple[int, int]):
-    """The trial scene's one observation and its label stream."""
-    scene, perception_seed = _trial_scene(config, seeds)
+def _first_observation(config: ExperimentConfig, trial: tuple):
+    """A trial's one observation of its scene and its label stream."""
+    scene, perception_seed = trial
     return perceive_with_labels(scene, config.noise(), perception_seed)
 
 
@@ -351,21 +350,22 @@ def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: fl
 # ---------------------------------------------------------------------------
 # experiment units (module-level for process pools)
 
-# Units run in batches of at most this many.  A batch's first observations
-# are drawn in one ``prefetch_draws`` pass, which the scene module keeps,
-# whatever its size, until the next request that draws.
+# Units run in batches of at most this many.  A batch generates its scenes
+# once, and one ``prefetch_trials`` pass computes their truths and occlusion
+# sets and draws their first observations, which the scene module keeps,
+# whatever the batch's size, until the next request that computes or draws.
 _BATCH_UNITS = 32
 
 
-def _calibration_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    state, labels = _first_observation(config, seeds)
+def _calibration_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, trial):
+    state, labels = _first_observation(config, trial)
     return [(p, y) for (_, p), y in zip(state.items(), labels.tolist())]
 
 
-def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
+def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, trial):
     # round k: the first observation with every uncertainty scaled by the
     # residual r_k of k full-attention rounds, each a look at every object
-    first, _ = _first_observation(config, seeds)
+    first, _ = _first_observation(config, trial)
     trace, r = [], 1.0
     for _ in range(config.steps + 1):
         trace.append(state_uncertainty_independent(shrink_uncertainty(first, r)))
@@ -373,8 +373,8 @@ def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seed
     return trace, modeled_episode_ms(config.steps + 1, config.steps * config.n_objects)
 
 
-def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    first, _ = _first_observation(config, seeds)
+def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, trial):
+    first, _ = _first_observation(config, trial)
     u0 = state_uncertainty_independent(first)
     k_bound = convergence_bound(config.tau_plan, config.alpha, u0)
     # round k > 0 scales every uncertainty by r_k, and rounded products fall with r:
@@ -391,14 +391,14 @@ def _convergence_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int
     return u0, k_emp, k_bound, modeled_episode_ms(k_emp + 1, k_emp * config.n_objects)
 
 
-def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    scene, perception_seed = _trial_scene(config, seeds)
+def _sweep_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, trial):
+    scene, perception_seed = trial
     episode, modeled = _episode(config, scene, perception_seed, config.taus[setting_idx])
     return int(episode.success), modeled
 
 
-def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds):
-    scene, perception_seed = _trial_scene(config, seeds)
+def _benchmark_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, trial):
+    scene, perception_seed = trial
     # info_on runs first and forms round 0's belief inside its own episode,
     # whose time the bench measures; info_off, the untimed ablation, would
     # observe and refine exactly that belief again, so it starts from it
@@ -453,14 +453,21 @@ def _mrf_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, seeds)
 
 
 def _run_batch(config: ExperimentConfig, unit, batch: list[tuple[int, int]]) -> list:
-    """``unit(config, s, t, seeds)`` for each (setting, trial) index pair of
-    a batch, in order.  For the kinds that perceive, every first
-    observation's noise draws come from one :func:`prefetch_draws` pass,
-    asked for before any unit runs; the units then find them cached."""
-    seeds = _trial_seeds(config.seed, batch)
+    """``unit(config, s, t, trial)`` for each (setting, trial) index pair of
+    a batch, in order.  An mrf-check trial is its (scene seed, perception
+    seed).  For the kinds that perceive, a trial is its generated scene and
+    perception seed: the batch generates its scenes once, and one
+    :func:`prefetch_trials` pass, asked for before any unit runs, computes
+    every scene's truths and occlusion set and draws every first
+    observation's noise; the units then find them cached."""
+    trials = _trial_seeds(config.seed, batch)
     if config.kind != "mrf-check":
-        prefetch_draws(config.n_objects, seeds)
-    return [unit(config, s, t, pair) for (s, t), pair in zip(batch, seeds)]
+        trials = [
+            (generate_scene(config.n_objects, config.stack_bias, scene_seed), seed)
+            for scene_seed, seed in trials
+        ]
+        prefetch_trials(trials)
+    return [unit(config, s, t, trial) for (s, t), trial in zip(batch, trials)]
 
 
 def _usable_cpus() -> int:
@@ -469,7 +476,7 @@ def _usable_cpus() -> int:
 
 
 def _map_units(config: ExperimentConfig, unit, units: list[tuple]) -> list:
-    """``unit(config, s, t, seeds)`` for each (setting, trial) index pair, in
+    """``unit(config, s, t, trial)`` for each (setting, trial) index pair, in
     order, run in batches of at most ``_BATCH_UNITS`` (see
     :func:`_run_batch`).  With workers, capped at the usable CPUs, each batch
     is one task of the pool, and batches shrink so that every worker gets one."""

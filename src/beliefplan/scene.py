@@ -15,13 +15,17 @@ its inputs and seed.
 What does not change between observations is computed once: one sorted
 predicate index per object set, each scene's truth vector and occlusion
 set, and each (perception seed, scene seed) pair's noise draws, which an
-episode's re-observations reuse.  The draws are the first normal and
-uniform of one ``default_rng([seed, scene seed, k])`` per predicate k,
-made in one vectorized pass for one pair on its first observation, or
-for every pair of a batch of trials that asks first (``prefetch_draws``).
-The draws of the last request that drew stay cached; the other caches
-are bounded.  A column-wise SeedSequence and PCG64's seeding, step and
-output, which NEP 19 fixes across numpy releases, give each generator's
+episode's re-observations reuse.  A batch of trials, each a (scene,
+perception seed), gets all of them from one door, ``prefetch_trials``:
+one vectorized pass over the batch's (B, n) position and size arrays
+writes every scene's truths and occlusion set, and one more draws every
+first observation's noise.  An observation of a scene outside the last
+batch is a batch of one.  The truths, keyed on the whole scene since
+hand-built scenes share seeds, and the draws of the last request that
+computed or drew them stay cached; a request with anything missing is
+computed whole and replaces that cache.  The draws are the first normal
+and uniform of one ``default_rng([seed, scene seed, k])`` per predicate
+k.  A column-wise SeedSequence and PCG64's seeding, step and output, which NEP 19 fixes across numpy releases, give each generator's
 first two 64-bit words; numpy's ziggurat fast path and ``random()`` turn
 them into the two draws.  numpy is entered through one door, the
 ``bitgen.state`` setter: the ziggurat tables are read through it and
@@ -38,10 +42,11 @@ orthographic projection of the [-0.5, 0.5] square meter workspace onto a
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -226,80 +231,115 @@ def predicate_count(n_objects: int) -> int:
     return len(_predicate_index(tuple(sorted(f"o{k}" for k in range(n_objects)))).preds)
 
 
-def _surface_gap(a: SceneObject, b: SceneObject) -> float:
-    """Largest per-axis face separation of two axis-aligned boxes."""
-    (ax, ay, az), (bx, by, bz) = a.position, b.position
-    (aw, ah, ad), (bw, bh, bd) = a.size, b.size  # sizes are (x, z, y) extents
-    return max(
-        abs(ax - bx) - (aw + bw) / 2,
-        abs(ay - by) - (ad + bd) / 2,
-        abs(az - bz) - (ah + bh) / 2,
-    )
+_SceneFacts = tuple[PredicateIndex, np.ndarray, frozenset[str]]
 
 
-def _box_edges(box: tuple[float, float, float, float]) -> tuple[float, float, float, float, float]:
-    """A center-size pixel box's (left, right, bottom, top, area)."""
-    x, y, w, h = box
-    return x - w / 2, x + w / 2, y - h / 2, y + h / 2, w * h
+@functools.lru_cache(maxsize=64)
+def _fact_slots(ids: tuple[str, ...]) -> dict[Relation, tuple[np.ndarray, ...]]:
+    """For Clear and each geometric relation of one sorted object tuple,
+    the (i, j) object positions that :func:`_truth_pass` tests and each
+    pair's slot in the tuple's index: i = j for Clear, i < j for the
+    symmetric Touching and CloseTo, and i != j for LeftOf."""
+    slot, n = _predicate_index(ids).slot, len(ids)
+    pairs = {
+        Relation.CLEAR: [(i, i) for i in range(n)],
+        Relation.TOUCHING: list(itertools.combinations(range(n), 2)),
+        Relation.LEFT_OF: list(itertools.permutations(range(n), 2)),
+    }
+    pairs[Relation.CLOSE_TO] = pairs[Relation.TOUCHING]
+    return {
+        rel: (*np.array(ij, dtype=np.intp).reshape(-1, 2).T,
+              np.array([slot[rel, i, j] for i, j in ij], dtype=np.intp))
+        for rel, ij in pairs.items()
+    }
 
 
-def _edges_iou(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    """Intersection over union of two boxes given by :func:`_box_edges`."""
-    ix = min(a[1], b[1]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[2], b[2])
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a[4] + b[4] - inter)
-
-
-def occluded_objects(scene: Scene) -> frozenset[str]:
-    """Objects hidden under another box in the top-down view."""
-    boxes = [(o.id, o.position[2], _box_edges(o.bbox2d)) for o in scene.objects]
-    return frozenset(
-        a_id
-        for a_id, a_z, a in boxes
-        if any(b_z > a_z and _edges_iou(a, b) > OCCLUSION_IOU for _, b_z, b in boxes)
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _scene_facts(scene: Scene) -> tuple[PredicateIndex, np.ndarray, frozenset[str]]:
-    """A scene's predicate index, its truth vector written over that index
-    from support pairs and geometry, and its occluded objects.
+def _truth_pass(scenes: list[Scene]) -> dict[Scene, _SceneFacts]:
+    """Each scene's predicate index, its truth vector written over that
+    index from support pairs and geometry, and its occluded objects, from
+    one pass over the (B, n) position and size arrays of scenes of one
+    object set (ValueError otherwise).
 
     The truths are On for each support pair, Clear where nothing rests on
-    an object, Touching where the surfaces lie under ``CONTACT_EPS`` apart,
-    CloseTo where the xy centers lie under ``CLOSE_DIST`` apart, and LeftOf
-    where one box ends before the other begins along x.  Each is written as
-    1.0 at its (relation, first, last) position key in the index.  Keyed on
-    the whole scene, not its seed: hand-built scenes share seeds.
+    an object, Touching where the largest per-axis face separation is under
+    ``CONTACT_EPS``, CloseTo where the xy centers lie under ``CLOSE_DIST``
+    apart, and LeftOf where one box ends before the other begins along x;
+    each is 1.0 at its (relation, first, last) position key in the index.
+    An object is occluded where a higher box's top-down pixel box overlaps
+    its own by an IoU above ``OCCLUSION_IOU``.  The center distance is
+    ``math.hypot``'s, one pair at a time: ``np.hypot`` differs from it in
+    the last bit on about 0.6% of pairs.  The truth vectors are read-only.
     """
-    index = _predicate_index(scene.object_ids())
-    at = {obj: k for k, obj in enumerate(index.ids)}
-    by_id = scene.object_map()
-    objs = [by_id[obj] for obj in index.ids]
-    facts = [(Relation.ON, at[upper], at[lower]) for upper, lower in scene.support]
-    has_upper = {at[lower] for _, lower in scene.support}
-    left = [o.position[0] - o.size[0] / 2 for o in objs]
-    right = [o.position[0] + o.size[0] / 2 for o in objs]
-    for i, a in enumerate(objs):
-        if i not in has_upper:
-            facts.append((Relation.CLEAR, i, i))
-        for j in range(i + 1, len(objs)):
-            b = objs[j]
-            if _surface_gap(a, b) < CONTACT_EPS:
-                facts.append((Relation.TOUCHING, i, j))
-            dxy = math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
-            if dxy < CLOSE_DIST:
-                facts.append((Relation.CLOSE_TO, i, j))
-        facts += [
-            (Relation.LEFT_OF, i, j) for j, lo in enumerate(left) if j != i and right[i] < lo
-        ]
-    truth = np.zeros(len(index.preds))
-    truth[[index.slot[key] for key in facts]] = 1.0
+    ids = scenes[0].object_ids()
+    if any(scene.object_ids() != ids for scene in scenes):
+        raise ValueError("one truth pass needs scenes of one object set")
+    index, layout = _predicate_index(ids), _fact_slots(ids)
+    geo = np.array(
+        [[(*o.position, *o.size) for o in map(scene.object_map().__getitem__, ids)]
+         for scene in scenes],
+        dtype=float,
+    ).reshape(len(scenes), len(ids), 6)
+    pos, ext = geo[..., :3], geo[..., [3, 5, 4]]  # sizes are (x, z, y) extents
+    x, y, z, w, d = (geo[..., k] for k in (0, 1, 2, 3, 5))
+
+    truth = np.zeros((len(scenes), len(index.preds)))
+    i, j, touching = layout[Relation.TOUCHING]
+    gap = (np.abs(pos[:, i] - pos[:, j]) - (ext[:, i] + ext[:, j]) / 2).max(axis=-1)
+    truth[:, touching] = gap < CONTACT_EPS
+    i, j, close = layout[Relation.CLOSE_TO]
+    dx, dy = x[:, i] - x[:, j], y[:, i] - y[:, j]
+    dxy = np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()), float, dx.size)
+    truth[:, close] = dxy.reshape(dx.shape) < CLOSE_DIST
+    i, j, left_of = layout[Relation.LEFT_OF]
+    truth[:, left_of] = (x + w / 2)[:, i] < (x - w / 2)[:, j]
+    clear = layout[Relation.CLEAR][2]
+    truth[:, clear] = 1.0
+    at = {obj: k for k, obj in enumerate(ids)}
+    for row, scene in zip(truth, scenes):
+        for upper, lower in scene.support:
+            row[index.slot[Relation.ON, at[upper], at[lower]]] = 1.0
+            row[clear[at[lower]]] = 0.0
     truth.flags.writeable = False
-    return index, truth, occluded_objects(scene)
+
+    # the camera's pixel boxes, then each (lower a, higher b) pair's overlap
+    cx, cy = (x + WORLD_HALF_EXTENT) * _PIXELS_PER_M_X, (y + WORLD_HALF_EXTENT) * _PIXELS_PER_M_Y
+    bw, bh = w * _PIXELS_PER_M_X, d * _PIXELS_PER_M_Y
+
+    def overlap(center: np.ndarray, width: np.ndarray) -> np.ndarray:
+        lo, hi = center - width / 2, center + width / 2
+        inside = np.minimum(hi[:, :, None], hi[:, None]) - np.maximum(lo[:, :, None], lo[:, None])
+        return np.maximum(inside, 0.0)
+
+    area = bw * bh
+    inter = overlap(cx, bw) * overlap(cy, bh)
+    iou = inter / (area[:, :, None] + area[:, None] - inter)
+    hidden = ((z[:, None] > z[:, :, None]) & (iou > OCCLUSION_IOU)).any(axis=2).tolist()
+    return {
+        scene: (index, row, frozenset(obj for obj, h in zip(ids, hid) if h))
+        for scene, row, hid in zip(scenes, truth, hidden)
+    }
+
+
+# The facts of the last request that computed any: one observation's
+# scene, or one batch's scenes, which its trials then read back.  Keyed on
+# the whole scene, not its seed: hand-built scenes share seeds.
+_facts: dict[Scene, _SceneFacts] = {}
+
+
+def _scene_facts(scenes: list[Scene]) -> list[_SceneFacts]:
+    """The (predicate index, truth vector, occluded objects) of each scene.
+
+    A request whose scenes are all cached computes nothing; one with any
+    scene missing is computed whole in one :func:`_truth_pass` and replaces
+    the cache, as the noise draws' cache is kept (:func:`_noise_draws`).
+    """
+    try:
+        return [_facts[scene] for scene in scenes]
+    except KeyError:
+        computed = _truth_pass(list(dict.fromkeys(scenes)))
+    _facts.clear()
+    _facts.update(computed)
+    return [_facts[scene] for scene in scenes]
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +645,19 @@ def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.
     return [_draws[key] for key in keys]
 
 
-def prefetch_draws(n_objects: int, trials: Iterable[tuple[int, int]]) -> None:
-    """Draw in one pass the first observations of trials, each a (scene
-    seed, perception seed) of a generated ``n_objects``-object scene, which
-    then find their draws cached until the next request that draws.  The
-    seeds must be non-negative and, within one call, take as many 32-bit
-    words in all (each below 2**32, say), and ``n_objects`` must be one that
-    :func:`generate_scene` accepts; ValueError otherwise."""
-    check_scene_shape(n_objects, 0.0)  # any valid bias: only the count is checked
-    n = predicate_count(n_objects)
-    _noise_draws([(seed, scene_seed, n) for scene_seed, seed in trials])
+def prefetch_trials(trials: Sequence[tuple[Scene, int]]) -> None:
+    """Compute in one pass the truths and occlusion sets of a batch of
+    trials' scenes, each trial a (scene, perception seed), and draw in one
+    pass their first observations' noise.  The trials' observations then
+    find both cached until the next request that computes or draws.  The
+    scenes must share one object set, and the seeds must be non-negative
+    and, within one call, take as many 32-bit words in all (each below
+    2**32, say); ValueError otherwise."""
+    facts = _scene_facts([scene for scene, _ in trials])
+    _noise_draws([
+        (int(seed), scene.seed, len(index.preds))
+        for (scene, seed), (index, _, _) in zip(trials, facts)
+    ])
 
 
 def _sharpen(p: float, gamma: float) -> float:
@@ -648,18 +691,18 @@ def perceive_with_labels(
 
     The underlying noise draws depend only on (scene, seed, predicate), not
     on the attention, so re-perceiving under a sharper attention state refines
-    the same observation instead of rolling new dice.  They are drawn on
-    the first observation, unless a batch of trials asked for them first,
-    and reused by the next ones until another pair draws, as are the
-    scene's truths and occlusion set (bounded caches).  Logs, exponentials
-    and powers are taken one float at a time with ``math`` and ``**``,
-    whose results numpy's vector forms do not always match bit for bit;
-    the log once per distinct odds value.
+    the same observation instead of rolling new dice.  They are drawn, and
+    the scene's truths and occlusion set computed, on the first observation
+    unless a batch of trials asked for them first (:func:`prefetch_trials`),
+    and reused by the next ones until another request computes or draws.
+    Logs, exponentials and powers are taken one float at a time with
+    ``math`` and ``**``, whose results numpy's vector forms do not always
+    match bit for bit; the log once per distinct odds value.
     """
     residual = {} if residual is None else residual
     if not all(0.0 < r <= 1.0 for r in residual.values()):  # NaN fails too
         raise ValueError(f"every residual must lie in (0, 1], got {dict(residual)}")
-    index, truth, occluded = _scene_facts(scene)
+    ((index, truth, occluded),) = _scene_facts([scene])
     g, label_draw = _noise_draws([(int(seed), scene.seed, len(index.preds))])[0]
 
     per_obj = np.array([residual.get(obj, 1.0) for obj in index.ids])
@@ -746,7 +789,7 @@ class PlanningEnvironment:
         return perceive(self.scene, self.cfg, self.seed, self.residual, self.cleared)
 
     def occluded_ids(self) -> frozenset[str]:
-        return _scene_facts(self.scene)[2] - self.cleared
+        return _scene_facts([self.scene])[0][2] - self.cleared
 
     def apply_info(self, kind: str, target: str) -> None:
         """Step ``target``'s residual by :func:`core.next_residual`, which

@@ -49,6 +49,13 @@ def _reference_trial_seeds(config_seed, setting_idx, trial_idx):
     return int(scene_seed), int(perception_seed)
 
 
+def _trial(config, setting_idx=0, trial_idx=0):
+    """A unit's trial as its batch hands it over: the generated scene and
+    the perception seed."""
+    scene_seed, perception_seed = _trial_seeds(config.seed, [(setting_idx, trial_idx)])[0]
+    return generate_scene(config.n_objects, config.stack_bias, scene_seed), perception_seed
+
+
 class TestWilson:
     def test_published_interval(self):
         # hand evaluation: p=0.88, z=1.96, center=0.918416, margin=0.097925,
@@ -322,8 +329,7 @@ class TestOnePredicateIndex:
 
         monkeypatch.setattr(harness, "state_uncertainty_independent", recorded)
         config = ExperimentConfig(kind="alpha-fit", trials=1, steps=4)
-        seeds = _trial_seeds(config.seed, [(0, 0)])[0]
-        harness._alpha_unit(config, 0, 0, seeds)
+        harness._alpha_unit(config, 0, 0, _trial(config))
         assert len(rounds) == 5
         ids = tuple(sorted(f"o{k}" for k in range(config.n_objects)))
         index = scene_module._predicate_index(ids)
@@ -389,7 +395,7 @@ def _reference_sigmoid(x):
     return e / (1.0 + e)
 
 
-def _reference_attention_rounds(config, seeds):
+def _reference_attention_rounds(config, trial):
     """The decay kinds' beliefs as first defined: each round looks at every
     object once, then re-perceives in exact-reduction mode and fuses.
 
@@ -398,9 +404,9 @@ def _reference_attention_rounds(config, seeds):
     keeping the confidence on its side of 0.5; a residual of 1 leaves the
     confidence as it is.  One generator per predicate, as perception had.
     """
-    scene, seed = harness._trial_scene(config, seeds)
+    scene, seed = trial
     cfg = config.noise()
-    index, truth, occluded = scene_module._scene_facts(scene)
+    ((index, truth, occluded),) = scene_module._scene_facts([scene])
     draws = []
     for k in range(len(index.preds)):
         rng = np.random.default_rng([seed, scene.seed, k])
@@ -434,18 +440,18 @@ def _reference_attention_rounds(config, seeds):
         belief = fuse_observation(belief, observe(env.residual))
 
 
-def _reference_alpha_unit(config, setting_idx, trial_idx, seeds):
+def _reference_alpha_unit(config, setting_idx, trial_idx, trial):
     """The alpha-fit unit as first defined: the state uncertainty of the
     first ``steps + 1`` rounds of :func:`_reference_attention_rounds`."""
-    rounds = _reference_attention_rounds(config, seeds)
+    rounds = _reference_attention_rounds(config, trial)
     trace = [state_uncertainty_independent(b) for b in itertools.islice(rounds, config.steps + 1)]
     return trace, harness.modeled_episode_ms(config.steps + 1, config.steps * config.n_objects)
 
 
-def _reference_convergence_unit(config, setting_idx, trial_idx, seeds):
+def _reference_convergence_unit(config, setting_idx, trial_idx, trial):
     """The convergence unit as first defined: classify each round of
     :func:`_reference_attention_rounds` until no predicate is uncertain."""
-    rounds = _reference_attention_rounds(config, seeds)
+    rounds = _reference_attention_rounds(config, trial)
     belief = next(rounds)
     u0 = state_uncertainty_independent(belief)
     k_bound = convergence_bound(config.tau_plan, config.alpha, u0)
@@ -490,7 +496,7 @@ class TestDecayMatchesReference:
     def test_a_decay_unit_perceives_once(self, monkeypatch, unit):
         calls = _count_calls(monkeypatch, scene_module, "perceive_with_labels")
         config = ExperimentConfig(kind="alpha-fit", trials=1, steps=6, tau_plan=0.99)
-        unit(config, 0, 0, _trial_seeds(config.seed, [(0, 0)])[0])
+        unit(config, 0, 0, _trial(config))
         assert len(calls) == 1
 
     def test_a_convergence_unit_classifies_at_most_once(self, monkeypatch):
@@ -502,11 +508,11 @@ class TestDecayMatchesReference:
 
         monkeypatch.setattr(harness, "classify", counted)
         config = ExperimentConfig(kind="convergence", trials=1, alpha=0.05, tau_plan=0.99)
-        seeds = _trial_seeds(config.seed, [(0, 0)])[0]
-        got = harness._convergence_unit(config, 0, 0, seeds)
+        trial = _trial(config)
+        got = harness._convergence_unit(config, 0, 0, trial)
         assert got[1] > 20  # k_emp: many rounds, one classify
         assert len(calls) == 1
-        assert got == _reference_convergence_unit(config, 0, 0, seeds)
+        assert got == _reference_convergence_unit(config, 0, 0, trial)
 
 
 class TestSweepKind:
@@ -560,9 +566,9 @@ class TestBenchmarkKind:
         assert flags == [True, False]
 
 
-def _reference_benchmark_unit(config, setting_idx, trial_idx, seeds):
+def _reference_benchmark_unit(config, setting_idx, trial_idx, trial):
     """Each policy's episode on its own fresh environment, observing its round 0 itself."""
-    scene, perception_seed = harness._trial_scene(config, seeds)
+    scene, perception_seed = trial
     out = []
     for policy, info_enabled in (("info_on", True), ("info_off", False)):
         episode, modeled = harness._episode(
@@ -751,6 +757,38 @@ class TestBatching:
         run(ExperimentConfig(kind="threshold-sweep", seed=2, trials=20, noise_flip=0.15))
         assert harness._BATCH_UNITS == 32
         assert passes == [((3, 40 * b), 8) for b in (32, 32, 32, 4)]
+
+    def test_one_truth_pass_per_batch(self, monkeypatch):
+        # 100 units in batches of 32, 32, 32 and 4: each batch generates its
+        # scenes once and computes their truths in one pass, and no episode
+        # computes a scene's truths again
+        passes, scenes = [], []
+        truth_pass, generate = scene_module._truth_pass, harness.generate_scene
+
+        def counted_pass(batch):
+            passes.append(batch)
+            return truth_pass(batch)
+
+        def counted_scene(*args):
+            scenes.append(generate(*args))
+            return scenes[-1]
+
+        monkeypatch.setattr(scene_module, "_truth_pass", counted_pass)
+        monkeypatch.setattr(harness, "generate_scene", counted_scene)
+        perceives = _count_calls(monkeypatch, scene_module, "perceive_with_labels")
+        scene_module._facts.clear()
+        run(ExperimentConfig(kind="threshold-sweep", seed=2, trials=20, noise_flip=0.15))
+        assert [len(batch) for batch in passes] == [32, 32, 32, 4]
+        assert [s for batch in passes for s in batch] == scenes and len(scenes) == 100
+        assert len(perceives) > 100  # some episodes re-observe, and all read cached truths
+
+    def test_default_goal_is_built_once_per_object_set(self):
+        harness._restacking_goal.cache_clear()
+        run(ExperimentConfig(kind="threshold-sweep", seed=2, trials=4, noise_flip=0.15))
+        info = harness._restacking_goal.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+        scene = generate_scene(4, seed=7)
+        assert default_goal(scene) is default_goal(generate_scene(4, seed=8))
 
     def test_both_policies_read_one_draw(self, passes):
         run(ExperimentConfig(kind="plan-benchmark", seed=2, trials=40, noise_flip=0.15))
@@ -971,6 +1009,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and str(out) in err
         assert ran == [] and out.read_text() == ""
+
+    def test_out_dir_whose_rows_file_is_a_directory_exits_2(self, capsys, tmp_path):
+        (tmp_path / "plan-benchmark_rows.csv").mkdir()
+        rc = main(["plan", "--trials", "1", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "plan-benchmark_rows.csv" in err
 
     def test_fit_alpha_without_noise_reports_fit_error(self, capsys, tmp_path):
         # a noiseless channel gives all-zero traces, which no decay rate fits

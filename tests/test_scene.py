@@ -34,23 +34,20 @@ from beliefplan import scene as scene_module
 from beliefplan.scene import (
     CLOSE_DIST,
     CONTACT_EPS,
+    OCCLUSION_IOU,
     NoiseConfig,
     PlanningEnvironment,
     Scene,
     SceneObject,
-    _box_edges,
-    _edges_iou,
     _noise_draws,
     _predicate_index,
     _scene_facts,
     _sharpen,
-    _surface_gap,
     generate_scene,
-    occluded_objects,
     perceive,
     perceive_with_labels,
     predicate_count,
-    prefetch_draws,
+    prefetch_trials,
     scene_to_json,
 )
 from beliefplan.harness import generate_scene_files
@@ -68,6 +65,81 @@ def small_stacked_scene():
     o1 = SceneObject("o1", (0.0, 0.0, 0.09), (0.08, 0.06, 0.08))
     o2 = SceneObject("o2", (0.3, 0.0, 0.03), (0.08, 0.06, 0.08))
     return Scene((o0, o1, o2), (("o1", "o0"),), seed=7)
+
+
+def _surface_gap(a: SceneObject, b: SceneObject) -> float:
+    """Largest per-axis face separation of two axis-aligned boxes."""
+    (ax, ay, az), (bx, by, bz) = a.position, b.position
+    (aw, ah, ad), (bw, bh, bd) = a.size, b.size  # sizes are (x, z, y) extents
+    return max(
+        abs(ax - bx) - (aw + bw) / 2,
+        abs(ay - by) - (ad + bd) / 2,
+        abs(az - bz) - (ah + bh) / 2,
+    )
+
+
+def _box_edges(box):
+    """A center-size pixel box's (left, right, bottom, top, area)."""
+    x, y, w, h = box
+    return x - w / 2, x + w / 2, y - h / 2, y + h / 2, w * h
+
+
+def _edges_iou(a, b):
+    """Intersection over union of two boxes given by :func:`_box_edges`."""
+    ix = min(a[1], b[1]) - max(a[0], b[0])
+    iy = min(a[3], b[3]) - max(a[2], b[2])
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a[4] + b[4] - inter)
+
+
+def _reference_occluded(scene: Scene) -> frozenset[str]:
+    """Objects hidden under another box in the top-down view, one pair at a time."""
+    boxes = [(o.id, o.position[2], _box_edges(o.bbox2d)) for o in scene.objects]
+    return frozenset(
+        a_id
+        for a_id, a_z, a in boxes
+        if any(b_z > a_z and _edges_iou(a, b) > OCCLUSION_IOU for _, b_z, b in boxes)
+    )
+
+
+def _reference_scene_facts(scene: Scene) -> tuple[np.ndarray, frozenset[str]]:
+    """A scene's truth vector over its predicate index and its occluded
+    objects, as the per-scene loop over object pairs wrote them."""
+    index = _predicate_index(scene.object_ids())
+    at = {obj: k for k, obj in enumerate(index.ids)}
+    by_id = scene.object_map()
+    objs = [by_id[obj] for obj in index.ids]
+    facts = [(ON, at[upper], at[lower]) for upper, lower in scene.support]
+    has_upper = {at[lower] for _, lower in scene.support}
+    left = [o.position[0] - o.size[0] / 2 for o in objs]
+    right = [o.position[0] + o.size[0] / 2 for o in objs]
+    for i, a in enumerate(objs):
+        if i not in has_upper:
+            facts.append((CLEAR, i, i))
+        for j in range(i + 1, len(objs)):
+            b = objs[j]
+            if _surface_gap(a, b) < CONTACT_EPS:
+                facts.append((TOUCHING, i, j))
+            dxy = math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
+            if dxy < CLOSE_DIST:
+                facts.append((CLOSE_TO, i, j))
+        facts += [(LEFT_OF, i, j) for j, lo in enumerate(left) if j != i and right[i] < lo]
+    truth = np.zeros(len(index.preds))
+    truth[[index.slot[key] for key in facts]] = 1.0
+    return truth, _reference_occluded(scene)
+
+
+def _assert_facts_match_reference(scenes):
+    """One truth pass over ``scenes``, with the cache emptied first, gives
+    each scene the reference's truth bytes and occluded objects."""
+    scene_module._facts.clear()
+    for scene, (index, truth, occluded) in zip(scenes, _scene_facts(scenes), strict=True):
+        want_truth, want_occluded = _reference_scene_facts(scene)
+        assert index is _predicate_index(scene.object_ids())
+        assert truth.tobytes() == want_truth.tobytes()
+        assert occluded == want_occluded
 
 
 def ground_truth_state(scene: Scene) -> frozenset[GroundPredicate]:
@@ -193,8 +265,10 @@ class TestGroundTruth:
 
 
 def _vector_truths(scene):
-    """The predicates that the scene's truth vector marks true."""
-    index, truth, _ = _scene_facts(scene)
+    """The predicates that the scene's truth vector marks true, which must
+    match the reference loop's vector byte for byte."""
+    _assert_facts_match_reference([scene])
+    ((index, truth, _),) = _scene_facts([scene])
     assert set(truth.tolist()) <= {0.0, 1.0}
     return {pred for pred, t in zip(index.preds, truth) if t == 1.0}
 
@@ -268,14 +342,82 @@ class TestTruthVector:
             assert index.slot[key] == k
 
     def test_vector_is_read_only(self):
-        _, truth, _ = _scene_facts(small_stacked_scene())
+        ((_, truth, _),) = _scene_facts([small_stacked_scene()])
         with pytest.raises(ValueError):
             truth[0] = 1.0
+
+
+# Two center offsets at which math.hypot and np.hypot round to either side
+# of CLOSE_DIST, found by a search around that circle: (dx, dy, close)
+HYPOT_STRADDLES = (
+    (0.1271838595713653, 0.07952525299885078, True),
+    (0.09773931599446654, -0.11378499948997588, False),
+)
+
+
+class TestTruthPassMatchesReference:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_generated_scenes_in_batches_of_32(self, n):
+        for bias in (0.0, 0.35, 0.8):
+            scenes = [generate_scene(n, stack_bias=bias, seed=seed) for seed in range(320)]
+            for k in range(0, len(scenes), 32):
+                _assert_facts_match_reference(scenes[k : k + 32])
+
+    @pytest.mark.parametrize("size", [1, 7, 32])
+    def test_batch_size_moves_no_byte(self, size):
+        scenes = [generate_scene(5, stack_bias=0.6, seed=seed) for seed in range(64)]
+        for k in range(0, len(scenes), size):
+            _assert_facts_match_reference(scenes[k : k + size])
+
+    def test_hand_built_scenes_sharing_seed_zero_in_one_batch(self):
+        stacked = Scene(small_stacked_scene().objects, small_stacked_scene().support)
+        spread = Scene(
+            tuple(
+                SceneObject(f"o{k}", (x, 0.0, 0.03), (0.08, 0.06, 0.08))
+                for k, x in enumerate((-0.3, 0.0, 0.3))
+            ),
+            (),
+        )
+        assert stacked.seed == spread.seed == 0 and stacked.object_ids() == spread.object_ids()
+        _assert_facts_match_reference([stacked, spread, stacked])
+        (_, a, hidden_a), (_, b, hidden_b) = _scene_facts([stacked, spread])
+        assert a.tobytes() != b.tobytes() and hidden_a == {"o0"} and hidden_b == frozenset()
+
+    @pytest.mark.parametrize("dx, dy, close", HYPOT_STRADDLES)
+    def test_close_to_takes_math_hypot(self, dx, dy, close):
+        assert (math.hypot(dx, dy) < CLOSE_DIST) == close
+        assert (float(np.hypot(dx, dy)) < CLOSE_DIST) != close
+        scene = _pair((dx, dy, 0.0))  # o0 at the origin, so the offset is exact
+        assert (parse_predicate("CloseTo(o0,o1)") in _vector_truths(scene)) == close
+
+    def test_facts_are_cached_until_a_request_computes(self, monkeypatch):
+        passes = []
+        truth_pass = scene_module._truth_pass
+
+        def counted(scenes):
+            passes.append(scenes)
+            return truth_pass(scenes)
+
+        monkeypatch.setattr(scene_module, "_truth_pass", counted)
+        scene_module._facts.clear()
+        batch = [generate_scene(4, seed=seed) for seed in range(5)]
+        facts = _scene_facts(batch)
+        assert _scene_facts(batch[3:] + batch[:1]) == facts[3:] + facts[:1]  # cached
+        assert len(passes) == 1 and list(scene_module._facts) == batch
+        other = generate_scene(4, seed=99)
+        _scene_facts(batch[:1] + [other])  # one scene missing: computed whole
+        assert passes[1] == batch[:1] + [other]
+        assert list(scene_module._facts) == batch[:1] + [other]
 
 
 def iou_2d(box_a, box_b):
     """IoU of two center-size pixel boxes, as the occlusion test takes it."""
     return _edges_iou(_box_edges(box_a), _box_edges(box_b))
+
+
+def occluded_objects(scene):
+    """The scene's occluded objects, as the truth pass finds them."""
+    return _scene_facts([scene])[0][2]
 
 
 class TestOcclusion:
@@ -612,7 +754,7 @@ def _reference_perceive_with_labels(scene, cfg, seed, attention=({}, set())):
     ``attention`` is a (residual dict, cleared set) pair."""
     residuals, cleared = attention
     truths = ground_truth_state(scene)
-    occl = occluded_objects(scene) - cleared
+    occl = _reference_occluded(scene) - cleared
     conf, labels = {}, {}
     for k, pred in enumerate(_predicate_index(scene.object_ids()).preds):
         rng = np.random.default_rng([int(seed), scene.seed, k])
@@ -665,7 +807,7 @@ class TestPerceiveMatchesReference:
         actions, pushes on occluded objects included."""
         env = PlanningEnvironment(scene, cfg, 0)
         ids = scene.object_ids()
-        occl = sorted(occluded_objects(scene))
+        occl = sorted(_reference_occluded(scene))
         for _ in range(int(rng.integers(0, 5))):
             if occl and rng.uniform() < 0.5:
                 env.apply_info("push_obstacle", occl[int(rng.integers(len(occl)))])
@@ -757,7 +899,7 @@ class TestPerceiveMatchesReference:
             truths = ground_truth_state(second)
             assert {p for p, v in state.items() if v == 1.0} == truths
             env = PlanningEnvironment(second, NoiseConfig(), 0)
-            assert env.occluded_ids() == occluded_objects(second)
+            assert env.occluded_ids() == _reference_occluded(second)
         assert occluded_objects(stacked) == {"o0"} and occluded_objects(spread) == frozenset()
 
 
@@ -1010,8 +1152,7 @@ NEGATIVE_SEED_CALLS = {
     "perceive_with_labels": lambda out: perceive_with_labels(
         small_stacked_scene(), NoiseConfig(), -1
     ),
-    "prefetch_draws scene seed": lambda out: prefetch_draws(4, [(-1, 2)]),
-    "prefetch_draws perception seed": lambda out: prefetch_draws(4, [(2, -1)]),
+    "prefetch_trials": lambda out: prefetch_trials([(small_stacked_scene(), -1)]),
     "generate_scene_files": lambda out: generate_scene_files(2, 4, 0.4, -1, out),
 }
 
@@ -1023,12 +1164,22 @@ def test_every_seeded_entry_rejects_a_negative_seed(entry, tmp_path):
     assert not (tmp_path / "scenes").exists()
 
 
-@pytest.mark.parametrize("n_objects", [0, 1, 2, 11])
-def test_prefetch_rejects_an_object_count_no_scene_has(n_objects):
+def test_prefetch_rejects_a_batch_mixing_object_sets():
+    # o0, o1, o2 beside o0, o1, o2, o3, and beside a, b, c: a pass lays out
+    # one object set
+    kept = small_stacked_scene()
+    scene_module._facts.clear()
+    _scene_facts([kept])
     _fresh_draws([(9, 4, 27)])
-    with pytest.raises(ValueError, match="n_objects"):
-        prefetch_draws(n_objects, [(3, 5)])
-    assert list(scene_module._draws) == [(9, 4, 27)]  # the cache stays
+    renamed = Scene(
+        tuple(replace(o, id=new) for o, new in zip(kept.objects, "abc")),
+        (("b", "a"),),
+    )
+    for other in (generate_scene(4, seed=1), renamed):
+        with pytest.raises(ValueError, match="one object set"):
+            prefetch_trials([(generate_scene(3, seed=1), 3), (other, 5)])
+    assert list(scene_module._facts) == [kept]  # both caches stay
+    assert list(scene_module._draws) == [(9, 4, 27)]
 
 
 # ---------------------------------------------------------------------------
