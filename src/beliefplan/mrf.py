@@ -4,12 +4,17 @@ Perception scores every predicate independently, but predicates are not
 independent: a block with something on it is not clear, a block resting on
 another touches it.  This module turns a belief state into a small binary
 MRF whose unary potentials encode the raw confidences and whose pairwise
-potentials encode those two hard rules, then re-estimates the node
-marginals by exact enumeration (small graphs) or loopy belief propagation.
-Each rule pairs its own kind of predicates, so no node pair gets two edges;
-the rules read the state's predicate index alone, so its edges are built
-once per index and cached.  Only node marginals are produced: refinement
-and the MAP readout read nothing else, and the dependency-aware
+potentials encode those two hard rules.  Each rule pairs its own kind of
+predicates, so no node pair gets two edges; the rules read the state's
+predicate index alone, so its edges are built once per index and cached.
+
+The planner's refinement (:func:`refined_state`) takes exact marginals by
+conditioning on the Clear nodes: given them, the graph falls apart into
+blocks of at most three nodes, so a sum over the Clear assignments is
+exact.  Exact enumeration over every node (small graphs) and loopy belief
+propagation serve the mrf-check experiment, which validates BP against
+enumeration on graphs of its own.  Only node marginals are produced: the
+refinement and the MAP readout read nothing else, and the dependency-aware
 uncertainty is computed exactly from the enumerated joint.
 
 Energy convention: P(x) proportional to exp(-E(x)) with
@@ -31,6 +36,8 @@ from beliefplan.core import GroundPredicate, PredicateIndex, ProbabilisticState,
 CONFIDENCE_CLAMP = 1e-6
 HARD_WEIGHT = 20.0
 ENUMERATION_CAP = 20
+# Clear nodes refined_state conditions on; generate_scene makes at most 10
+CUTSET_CAP = 12
 # loopy BP's fixed schedule: message damping, convergence tolerance, sweep cap
 BP_DAMPING = 0.5
 BP_TOL = 1e-8
@@ -369,12 +376,132 @@ def map_assignment(beliefs: BeliefSet) -> tuple[bool, ...]:
     return tuple(bool(b[1] > b[0]) for b in beliefs.max_node_marginals)
 
 
-def refined_state(state: ProbabilisticState, beliefs: BeliefSet) -> ProbabilisticState:
-    """Belief state with confidences replaced by refined true-marginals.
+# which of a block's eight (x, y, t) values has each slot true
+_TRUE_AT = np.array([[(v >> 2) & 1, (v >> 1) & 1, v & 1] for v in range(8)], dtype=float)
+# a block's (l00, l01, l10, l11) to its coefficients of u, v and u v
+_BILINEAR = np.array([[-1.0, -1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+# the (slot, slot) entries of P(both Clear columns true) that give a block's
+# P(u), P(v) and P(u v), and those to its (u, v) posterior 00, 01, 10, 11 less
+# the constant 1 of P(0, 0)
+_PICK = (np.array([0, 1, 0]), np.array([0, 1, 1]))
+_POSTERIOR = np.array([[-1.0, 0.0, 1.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, -1.0, 1.0]])
 
-    Node order follows :func:`build_mrf` (the state's index), so ``beliefs``
-    must come from the MRF built for this same state; ValueError when the
-    sizes differ.
+
+@functools.lru_cache(maxsize=8)
+def _cutset(index: PredicateIndex, edges: tuple[Edge, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only arrays that condition the graph of ``edges``, the index's
+    :func:`_structural_edges`, on its Clear nodes.
+
+    Every edge joins an On node to a Clear or a Touching node.  Given the
+    Clear nodes, the rest falls apart into blocks of an optional Touching
+    node and the (at most two) On nodes its edges reach; an On node with no
+    Touching edge is a block alone.  Returns:
+
+    * ``nodes[block, slot]``, the block's On, On and Touching positions, the
+      node count where a slot is empty;
+    * ``cut``, the positions of the Clear nodes that share an edge;
+    * ``cols[block, slot]``, the column in ``cut`` of the Clear node each
+      On slot sees, ``len(cut)`` where it sees none;
+    * ``bits[assignment, column]``, every assignment of those Clear nodes,
+      with a last column of zeros for the On slots that see none;
+    * ``phi[block, u, v, x, y, t]``, the block's edge energies given the
+      values u and v of the Clear nodes its On slots see, over its On, On
+      and Touching values.
     """
-    return state.with_confidences(beliefs.node_marginals[:, 1])
+    n = len(index.preds)
+    relation = [p.relation for p in index.preds]
+    partner: dict[tuple[int, Relation], tuple[int, np.ndarray]] = {}
+    for e in edges:
+        on, other = (e.i, e.j) if relation[e.i] is Relation.ON else (e.j, e.i)
+        table = e.table_array()  # oriented [x_on, x_other] below
+        partner[on, relation[other]] = other, table if on == e.i else table.T
+    cut = sorted({c for (_, rel), (c, _) in partner.items() if rel is Relation.CLEAR})
+    if len(cut) > CUTSET_CAP:
+        raise CapacityError(f"Clear cutset capped at {CUTSET_CAP} nodes, got {len(cut)}")
+    column = {c: m for m, c in enumerate(cut)}
 
+    blocks: dict[int, list[int]] = {}  # Touching position, or -1 - position of a lone On
+    for k in (k for k, rel in enumerate(relation) if rel is Relation.ON):
+        touching = partner.get((k, Relation.TOUCHING))
+        blocks.setdefault(touching[0] if touching else -1 - k, []).append(k)
+    rows = list(blocks.items())
+    nodes = np.full((len(rows), 3), n, dtype=np.intp)
+    cols = np.full((len(rows), 2), len(cut), dtype=np.intp)
+    phi = np.zeros((len(rows), 2, 2, 2, 2, 2))
+    for b, (t, ons) in enumerate(rows):
+        nodes[b, : len(ons)] = ons
+        if t >= 0:
+            nodes[b, 2] = t
+        for slot, k in enumerate(ons):
+            clear = partner.get((k, Relation.CLEAR))
+            if clear is not None:
+                cols[b, slot] = column[clear[0]]
+                mutex = clear[1].T  # [u, x] for slot 0, [v, y] for slot 1
+                if slot == 0:
+                    phi[b] += mutex[:, None, :, None, None]
+                else:
+                    phi[b] += mutex[None, :, None, :, None]
+            touching = partner.get((k, Relation.TOUCHING))
+            if touching is not None:  # [x, t] or [y, t]
+                phi[b] += touching[1][:, None, :] if slot == 0 else touching[1]
+
+    bits = (np.arange(1 << len(cut))[:, None] >> np.arange(len(cut) + 1)) & 1
+    out = (nodes, np.array(cut, dtype=np.intp), cols, bits.astype(float), phi)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def refined_state(state: ProbabilisticState) -> ProbabilisticState:
+    """Belief state with every confidence replaced by its exact marginal
+    under :func:`build_mrf`'s model of ``state``.
+
+    The marginals come by conditioning on the Clear nodes (cutset
+    conditioning; Koller and Friedman, *Probabilistic Graphical Models*,
+    2009, ch. 9): each block's On--Touching--On path folds into a table
+    over the two Clear nodes it sees, those tables and the Clear unaries
+    give the posterior over every Clear assignment, and each block's
+    marginals follow from its tables and that posterior.  A node with no
+    edge keeps its normalized clamped confidence.  More than
+    ``CUTSET_CAP`` Clear nodes with edges raise ``CapacityError``.
+    """
+    index = state.scored
+    nodes, cut, cols, bits, phi = _cutset(index, _structural_edges(index))
+    n, width = len(index.preds), bits.shape[1]
+    clamped = np.empty((n + 1, 2))
+    clamped[:n, 0] = 1.0 - state.confidences
+    clamped[:n, 1] = state.confidences
+    np.clip(clamped, CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP, out=clamped)
+    clamped[n] = 1.0
+    log_unary = np.log(clamped)
+    log_unary[n, 1] = -np.inf  # row n: an empty slot, never true
+
+    # each block's log-sum and conditional marginals given (u, v)
+    x, y, t = (log_unary[nodes[:, slot]] for slot in range(3))
+    log_f = (x[:, :, None, None] + y[:, None, :, None] + t[:, None, None, :]).reshape(-1, 1, 8)
+    log_f = log_f - phi.reshape(-1, 4, 8)
+    peak = log_f.max(axis=2, keepdims=True)
+    f = np.exp(log_f - peak)
+    z = f.sum(axis=2)
+    conditional = (f @ _TRUE_AT) / z[..., None]  # [block, 2 u + v, slot]
+
+    # log-posterior over the Clear assignments: on binary u, v each table
+    # is l00 + (l10 - l00) u + (l01 - l00) v + (l11 - l10 - l01 + l00) u v
+    coef = (peak[..., 0] + np.log(z)) @ _BILINEAR
+    linear = np.zeros(width)
+    linear[:-1] = log_unary[cut, 1] - log_unary[cut, 0]
+    linear += np.bincount(cols.ravel(), coef[:, :2].ravel(), width)
+    quad = np.bincount(cols[:, 0] * width + cols[:, 1], coef[:, 2], width * width)
+    log_w = bits @ linear + ((bits @ quad.reshape(width, width)) * bits).sum(axis=1)
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+
+    # P(both of two Clear columns true), and from it each block's (u, v) posterior
+    both = (bits.T * w) @ bits
+    posterior = both[cols[:, _PICK[0]], cols[:, _PICK[1]]] @ _POSTERIOR
+    posterior[:, 0] += 1.0
+
+    out = np.exp(log_unary[:, 1] - np.logaddexp(log_unary[:, 0], log_unary[:, 1]))
+    out[cut] = both.diagonal()[:-1]
+    out[nodes] = np.einsum("bq,bqs->bs", posterior, conditional)  # empty slots land on row n
+    return state.with_confidences(np.clip(out[:n], 0.0, 1.0))  # rounding may step outside

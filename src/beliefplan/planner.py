@@ -49,7 +49,7 @@ from beliefplan.core import (
     state_uncertainty_independent,
     support_map,
 )
-from beliefplan.mrf import CapacityError, build_mrf, loopy_bp, refined_state
+from beliefplan.mrf import CapacityError, refined_state
 
 MAX_EXPANSIONS = 10**6
 
@@ -506,6 +506,11 @@ class InfoAction:
 
 @dataclass(frozen=True)
 class PlannerOptions:
+    """``refine_with_mrf`` replaces each observation's confidences with
+    their exact marginals under the dependency MRF
+    (:func:`~beliefplan.mrf.refined_state`) before fusion; off by default.
+    ``info_enabled`` lets rounds before the last spend an information action."""
+
     refine_with_mrf: bool = False
     info_enabled: bool = True
 
@@ -635,7 +640,7 @@ def plan_under_uncertainty(
         if round_idx or belief is None:
             obs = env.observe()
             if options.refine_with_mrf:
-                obs = refined_state(obs, loopy_bp(build_mrf(obs)))
+                obs = refined_state(obs)
             if belief is None:
                 belief = first_belief = obs
             else:

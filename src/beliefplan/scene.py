@@ -165,6 +165,11 @@ def check_scene_shape(n_objects: int, stack_bias: float) -> None:
         raise ValueError(f"stack_bias must lie in [0, 1], got {stack_bias}")
 
 
+def _uniform(rng: np.random.Generator, a: float, b: float) -> float:
+    """``rng.uniform(a, b)``'s value, which numpy computes as a + (b - a) * random()."""
+    return a + (b - a) * rng.random()
+
+
 def generate_scene(n_objects: int, stack_bias: float = 0.4, seed: int = 0) -> Scene:
     """Seeded tabletop scene with optional stacking.
 
@@ -184,23 +189,23 @@ def generate_scene(n_objects: int, stack_bias: float = 0.4, seed: int = 0) -> Sc
 
     for k in range(n_objects):
         oid = f"o{k}"
-        w = float(rng.uniform(0.05, 0.09))
-        h = float(rng.uniform(0.04, 0.08))
-        d = float(rng.uniform(0.05, 0.09))
+        w = _uniform(rng, 0.05, 0.09)
+        h = _uniform(rng, 0.04, 0.08)
+        d = _uniform(rng, 0.05, 0.09)
         tops = [o for o in objects if o.id not in covered]
-        stack = k > 0 and tops and rng.uniform() < stack_bias
+        stack = k > 0 and tops and rng.random() < stack_bias
         if stack:
             base = tops[int(rng.integers(len(tops)))]
-            x = base.position[0] + float(rng.uniform(-0.005, 0.005))
-            y = base.position[1] + float(rng.uniform(-0.005, 0.005))
+            x = base.position[0] + _uniform(rng, -0.005, 0.005)
+            y = base.position[1] + _uniform(rng, -0.005, 0.005)
             z = base.position[2] + base.size[1] / 2 + h / 2
             support.append((oid, base.id))
             covered.add(base.id)
         else:
             x = y = 0.0
             for _ in range(500):
-                x = float(rng.uniform(-0.3, 0.3))
-                y = float(rng.uniform(-0.3, 0.3))
+                x = _uniform(rng, -0.3, 0.3)
+                y = _uniform(rng, -0.3, 0.3)
                 if all(
                     math.hypot(x - o.position[0], y - o.position[1]) >= 0.12
                     for o in objects

@@ -634,25 +634,27 @@ class TestBenchmarkSharesRoundZero:
 
     def test_info_off_neither_perceives_nor_refines_round_0(self, monkeypatch):
         perceives = _count_calls(monkeypatch, scene_module, "perceive_with_labels")
+        refines = _count_calls(monkeypatch, mrf, "refined_state")
         bp = _count_calls(monkeypatch, mrf, "loopy_bp")
         config = ExperimentConfig(kind="plan-benchmark", seed=7, trials=6, refine=True,
                                   noise_flip=0.15, noise_sd=1.0)
         rep = run(config)
         rounds = sum(r[5] for r in rep.rows)
-        assert len(perceives) == len(bp) == rounds - config.trials
+        assert len(perceives) == len(refines) == rounds - config.trials
+        assert not bp  # refinement is exact, with no belief propagation
 
     def test_no_work_carries_over_between_runs(self, monkeypatch):
         # a cache kept across runs would make a repeated run cheaper than one run
         perceives = _count_calls(monkeypatch, scene_module, "perceive_with_labels")
-        bp = _count_calls(monkeypatch, mrf, "loopy_bp")
+        refines = _count_calls(monkeypatch, mrf, "refined_state")
         config = ExperimentConfig(kind="plan-benchmark", seed=9, trials=4, refine=True,
                                   noise_flip=0.15, noise_sd=1.0)
         counts = []
         for _ in range(2):
             run(config)
-            counts.append((len(perceives), len(bp)))
+            counts.append((len(perceives), len(refines)))
             perceives.clear()
-            bp.clear()
+            refines.clear()
         assert counts[0] == counts[1] and counts[0][1] > 0
 
 

@@ -25,6 +25,7 @@ ALLOWED = {
     "planner.apply": "the same gate's breadth-first oracle steps through it",
     "mrf.map_assignment": "test_bp_matches_enumeration_on_trees reads the MAP assignment with it",
     "mrf.energy": "the same gate scores that assignment with it",
+    "mrf.build_mrf": "test_mrf checks refined_state against enumeration and BP over its graph",
     "core.predicate_uncertainty": "the harness tests' decay oracle and the scene tests use it",
 }
 

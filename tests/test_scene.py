@@ -225,6 +225,45 @@ class TestGeneration:
                     assert dxy >= 0.12 - 1e-9
 
 
+def _reference_generate_scene(n_objects, stack_bias, seed):
+    """generate_scene as written with ``Generator.uniform``."""
+    rng = np.random.default_rng([int(seed), n_objects])
+    objects, support, covered = [], [], set()
+    for k in range(n_objects):
+        oid = f"o{k}"
+        w = float(rng.uniform(0.05, 0.09))
+        h = float(rng.uniform(0.04, 0.08))
+        d = float(rng.uniform(0.05, 0.09))
+        tops = [o for o in objects if o.id not in covered]
+        if k > 0 and tops and rng.uniform() < stack_bias:
+            base = tops[int(rng.integers(len(tops)))]
+            x = base.position[0] + float(rng.uniform(-0.005, 0.005))
+            y = base.position[1] + float(rng.uniform(-0.005, 0.005))
+            z = base.position[2] + base.size[1] / 2 + h / 2
+            support.append((oid, base.id))
+            covered.add(base.id)
+        else:
+            x = y = 0.0
+            for _ in range(500):
+                x = float(rng.uniform(-0.3, 0.3))
+                y = float(rng.uniform(-0.3, 0.3))
+                if all(
+                    math.hypot(x - o.position[0], y - o.position[1]) >= 0.12 for o in objects
+                ):
+                    break
+            z = h / 2
+        objects.append(SceneObject(oid, (x, y, z), (w, h, d)))
+    return Scene(tuple(objects), tuple(support), seed=int(seed))
+
+
+@pytest.mark.parametrize("n_objects", range(3, 11))
+def test_generated_scenes_match_the_uniform_form(n_objects):
+    for stack_bias in (0.0, 0.35, 0.8, 1.0):
+        for seed in range(150):
+            want = _reference_generate_scene(n_objects, stack_bias, seed)
+            assert generate_scene(n_objects, stack_bias, seed) == want
+
+
 class TestGroundTruth:
     def test_candidate_predicate_count(self):
         # n objects: n Clear + n(n-1) On + n(n-1) LeftOf + C(n,2) each symmetric
