@@ -8,11 +8,10 @@ in batches, each one task of the process pool when there are workers, and
 are assembled in index order.  For the kinds that perceive, a batch
 generates its trials' scenes once and hands each trial its (scene,
 perception seed); before any trial runs, one ``scene.prefetch_trials``
-call computes every scene's truths and occlusion set in one vectorized
-pass and draws every first observation's noise in another, and the trials
-find both cached.  Ground truth is the simulator's work, not the robot's,
-so none of it is done inside an episode.  The default goal is built once
-per object set.
+request computes every trial's world, its scene's truths and occlusion
+set and its noise draws, and the trials' observations find it cached.
+Ground truth is the simulator's work, not the robot's, so none of it is
+done inside an episode.  The default goal is built once per object set.
 
 All exported timings are modeled from the fixed per-operation costs in
 ``MODELED_COST_MS`` rather than measured, keeping output files
@@ -76,6 +75,7 @@ from beliefplan.scene import (
     predicate_count,
     prefetch_trials,
     scene_to_json,
+    seed_sequence_words,
 )
 from beliefplan.threshold import (
     REFERENCE_OPERATING_TAU,
@@ -285,11 +285,9 @@ def cohens_d(xs: Sequence[float], ys: Sequence[float]) -> float:
 def _trial_seeds(config_seed: int, units: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """The (scene seed, perception seed) of each (setting, trial) index pair:
     the first two 32-bit words of ``SeedSequence([config_seed, setting,
-    trial])``."""
-    return [
-        tuple(np.random.SeedSequence([config_seed, s, t]).generate_state(2, np.uint32).tolist())
-        for s, t in units
-    ]
+    trial])``, all from one :func:`seed_sequence_words` pass."""
+    words = seed_sequence_words([(config_seed, s, t) for s, t in units], 2)
+    return [tuple(pair) for pair in words.tolist()]
 
 
 def default_goal(scene) -> Goal:
@@ -351,9 +349,9 @@ def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: fl
 # experiment units (module-level for process pools)
 
 # Units run in batches of at most this many.  A batch generates its scenes
-# once, and one ``prefetch_trials`` pass computes their truths and occlusion
-# sets and draws their first observations, which the scene module keeps,
-# whatever the batch's size, until the next request that computes or draws.
+# once, and one ``prefetch_trials`` request computes its trials' worlds,
+# which the scene module keeps, whatever the batch's size, until the next
+# request that computes.
 _BATCH_UNITS = 32
 
 
@@ -457,9 +455,8 @@ def _run_batch(config: ExperimentConfig, unit, batch: list[tuple[int, int]]) -> 
     a batch, in order.  An mrf-check trial is its (scene seed, perception
     seed).  For the kinds that perceive, a trial is its generated scene and
     perception seed: the batch generates its scenes once, and one
-    :func:`prefetch_trials` pass, asked for before any unit runs, computes
-    every scene's truths and occlusion set and draws every first
-    observation's noise; the units then find them cached."""
+    :func:`prefetch_trials` request, made before any unit runs, computes
+    every trial's world; the units then find it cached."""
     trials = _trial_seeds(config.seed, batch)
     if config.kind != "mrf-check":
         trials = [

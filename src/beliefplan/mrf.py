@@ -6,7 +6,8 @@ another touches it.  This module turns a belief state into a small binary
 MRF whose unary potentials encode the raw confidences and whose pairwise
 potentials encode those two hard rules.  Each rule pairs its own kind of
 predicates, so no node pair gets two edges; the rules read the state's
-predicate index alone, so its edges are built once per index and cached.
+predicate index alone, so the refinement builds its edges, and the arrays
+that condition them on the Clear nodes, once per index and caches them.
 
 The planner's refinement (:func:`refined_state`) takes exact marginals by
 conditioning on the Clear nodes: given them, the graph falls apart into
@@ -160,7 +161,6 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
     return PredicateMrf(state.scored.preds, unary, _structural_edges(state.scored))
 
 
-@functools.lru_cache(maxsize=8)
 def _structural_edges(index: PredicateIndex) -> tuple[Edge, ...]:
     """The two rules' edges over the index's predicates, sorted by endpoints."""
     edges: list[Edge] = []
@@ -254,9 +254,8 @@ def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
     return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.intp)
 
 
-@functools.lru_cache(maxsize=8)
 def _schedule(n: int, edges: tuple[Edge, ...]) -> tuple[np.ndarray, ...]:
-    """Read-only BP schedule: sources of the directed edges (i->j, then j->i
+    """BP schedule: sources of the directed edges (i->j, then j->i
     per edge), log factors ``[x_s, x_t, edge, family]``, and gather indexes
     ``[column, edge]`` of the edges k->s (k != t) into each edge s->t and
     ``[column, node]`` of those into each node, padded with the edge count."""
@@ -266,15 +265,12 @@ def _schedule(n: int, edges: tuple[Edge, ...]) -> tuple[np.ndarray, ...]:
     inbound: list[list[int]] = [[] for _ in range(n)]
     for k, t in enumerate(dst):
         inbound[t].append(k)
-    schedule = (
+    return (
         np.array(src, dtype=np.intp),
         np.repeat(oriented.reshape(-1, 2, 2).transpose(1, 2, 0)[..., None], 2, axis=3),
         _padded([[k for k in inbound[s] if src[k] != t] for s, t in zip(src, dst)], len(src)).T,
         _padded(inbound, len(src)).T,
     )
-    for a in schedule:
-        a.flags.writeable = False
-    return schedule
 
 
 def loopy_bp(mrf: PredicateMrf) -> BeliefSet:
@@ -388,9 +384,9 @@ _POSTERIOR = np.array([[-1.0, 0.0, 1.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [1.0, -1.0,
 
 
 @functools.lru_cache(maxsize=8)
-def _cutset(index: PredicateIndex, edges: tuple[Edge, ...]) -> tuple[np.ndarray, ...]:
-    """Read-only arrays that condition the graph of ``edges``, the index's
-    :func:`_structural_edges`, on its Clear nodes.
+def _cutset(index: PredicateIndex) -> tuple[np.ndarray, ...]:
+    """Read-only arrays that condition the graph of the index's
+    :func:`_structural_edges` on its Clear nodes.
 
     Every edge joins an On node to a Clear or a Touching node.  Given the
     Clear nodes, the rest falls apart into blocks of an optional Touching
@@ -411,7 +407,7 @@ def _cutset(index: PredicateIndex, edges: tuple[Edge, ...]) -> tuple[np.ndarray,
     n = len(index.preds)
     relation = [p.relation for p in index.preds]
     partner: dict[tuple[int, Relation], tuple[int, np.ndarray]] = {}
-    for e in edges:
+    for e in _structural_edges(index):
         on, other = (e.i, e.j) if relation[e.i] is Relation.ON else (e.j, e.i)
         table = e.table_array()  # oriented [x_on, x_other] below
         partner[on, relation[other]] = other, table if on == e.i else table.T
@@ -466,7 +462,7 @@ def refined_state(state: ProbabilisticState) -> ProbabilisticState:
     ``CUTSET_CAP`` Clear nodes with edges raise ``CapacityError``.
     """
     index = state.scored
-    nodes, cut, cols, bits, phi = _cutset(index, _structural_edges(index))
+    nodes, cut, cols, bits, phi = _cutset(index)
     n, width = len(index.preds), bits.shape[1]
     clamped = np.empty((n + 1, 2))
     clamped[:n, 0] = 1.0 - state.confidences

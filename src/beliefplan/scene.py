@@ -13,25 +13,26 @@ blocks-world rules live in one place.  Everything is a pure function of
 its inputs and seed.
 
 What does not change between observations is computed once: one sorted
-predicate index per object set, each scene's truth vector and occlusion
-set, and each (perception seed, scene seed) pair's noise draws, which an
-episode's re-observations reuse.  A batch of trials, each a (scene,
-perception seed), gets all of them from one door, ``prefetch_trials``:
-one vectorized pass over the batch's (B, n) position and size arrays
-writes every scene's truths and occlusion set, and one more draws every
-first observation's noise.  An observation of a scene outside the last
-batch is a batch of one.  The truths, keyed on the whole scene since
-hand-built scenes share seeds, and the draws of the last request that
-computed or drew them stay cached; a request with anything missing is
-computed whole and replaces that cache.  The draws are the first normal
-and uniform of one ``default_rng([seed, scene seed, k])`` per predicate
-k.  A column-wise SeedSequence and PCG64's seeding, step and output, which NEP 19 fixes across numpy releases, give each generator's
-first two 64-bit words; numpy's ziggurat fast path and ``random()`` turn
-them into the two draws.  numpy is entered through one door, the
-``bitgen.state`` setter: the ziggurat tables are read through it and
-checked against ``Generator.standard_normal`` on first use, and numpy
-itself draws from the same seeded state it loads for a draw off the fast
-path (about 1.5%), or for every draw if the tables fail.
+predicate index per object set, and each trial's world, keyed on its
+(scene, perception seed): the scene's truths and occlusion set and the
+trial's noise draws, which an episode's re-observations reuse.  One
+module cache keeps the worlds of the last request that computed any, and
+one door, ``prefetch_trials``, fills it: a request with any trial missing
+runs one vectorized pass over its scenes' (B, n) position and size arrays
+and one draw pass over its noise keys, and replaces the cache; a request
+whose trials are all cached computes nothing.  A harness batch is one
+request, and an observation of a trial outside the last one is a request
+of one.  Scenes are keyed whole, since hand-built scenes share seeds.
+The draws are the first normal and uniform of one
+``default_rng([seed, scene seed, k])`` per predicate k.  A column-wise
+SeedSequence and PCG64's seeding, step and output, which NEP 19 fixes
+across numpy releases, give each generator's first two 64-bit words;
+numpy's ziggurat fast path and ``random()`` turn them into the two draws.
+numpy is entered through one door, the ``bitgen.state`` setter: the
+ziggurat tables are read through it and checked against
+``Generator.standard_normal`` on first use, and numpy itself draws from
+the same seeded state it loads for a draw off the fast path (about 1.5%),
+or for every draw if the tables fail.
 
 Geometry conventions: positions are box centers in meters, sizes are
 (w, h, d) = extents along (x, z-up, y); the camera is a fixed top-down
@@ -325,28 +326,6 @@ def _truth_pass(scenes: list[Scene]) -> dict[Scene, _SceneFacts]:
     }
 
 
-# The facts of the last request that computed any: one observation's
-# scene, or one batch's scenes, which its trials then read back.  Keyed on
-# the whole scene, not its seed: hand-built scenes share seeds.
-_facts: dict[Scene, _SceneFacts] = {}
-
-
-def _scene_facts(scenes: list[Scene]) -> list[_SceneFacts]:
-    """The (predicate index, truth vector, occluded objects) of each scene.
-
-    A request whose scenes are all cached computes nothing; one with any
-    scene missing is computed whole in one :func:`_truth_pass` and replaces
-    the cache, as the noise draws' cache is kept (:func:`_noise_draws`).
-    """
-    try:
-        return [_facts[scene] for scene in scenes]
-    except KeyError:
-        computed = _truth_pass(list(dict.fromkeys(scenes)))
-    _facts.clear()
-    _facts.update(computed)
-    return [_facts[scene] for scene in scenes]
-
-
 # ---------------------------------------------------------------------------
 # perception oracle
 
@@ -367,7 +346,9 @@ _MASK128 = (1 << 128) - 1
 
 def _uint32_words(n: int) -> list[int]:
     """A non-negative int as SeedSequence reads it: little-endian 32-bit
-    words, [0] for 0."""
+    words, [0] for 0.  A negative int raises ValueError."""
+    if n < 0:
+        raise ValueError(f"seed must be non-negative, got {n}")
     words = [n & _MASK32]
     n >>= 32
     while n:
@@ -426,6 +407,17 @@ def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
         at += _SS_POOL_SIZE
     out = _hash_consts(_SS_INIT_B, _SS_MULT_B, n_words)  # output words cycle through the pool
     return _hashmix(pool[np.arange(n_words) % _SS_POOL_SIZE], out[:-1], out[1:])
+
+
+def seed_sequence_words(entropies: Sequence[Sequence[int]], n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint32)`` of each
+    entropy, a sequence of non-negative ints, as an (N, n_words) uint32
+    array from one :func:`_seed_words` pass.  The entropies must take as
+    many 32-bit words each (ValueError otherwise)."""
+    words = [[w for n in entropy for w in _uint32_words(n)] for entropy in entropies]
+    if len({len(w) for w in words}) != 1:
+        raise ValueError("one seed pass needs entropies of as many 32-bit words")
+    return _seed_words(np.array(words, dtype=np.uint32).T, n_words).T
 
 
 _U128 = tuple[np.ndarray, np.ndarray]  # 128-bit ints as (low, high) uint64 limbs
@@ -576,17 +568,14 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray] | None:
     return tables if _check_tables(tables) else None
 
 
-# The draws of the last request that drew: one observation's, or one
-# batch's, which its units then read back.
-_draws: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _draw_pass(keys: list[tuple[int, int, int]]) -> dict:
-    """The draws of each (perception seed, scene seed, n) key from one pass,
-    whose keys, one observation's or one batch's, share n and have seeds of
-    as many 32-bit words in all (ValueError otherwise).  Key i's predicate k
-    is entropy column i * n + k: its seed words, repeated, over k, tiled.
-    Both the fast path and numpy's draws off it read one :func:`_seeded`."""
+    """The read-only (g, label_draw) of each (perception seed, scene seed, n)
+    key: for each k < n, the first normal and uniform of ``default_rng([
+    perception seed, scene seed, k])``.  The keys share n and have
+    non-negative seeds of as many 32-bit words in all (ValueError
+    otherwise).  Key i's predicate k is entropy column i * n + k: its seed
+    words, repeated, over k, tiled.  Both the fast path and numpy's draws
+    off it read one :func:`_seeded`."""
     words = [_uint32_words(seed) + _uint32_words(scene_seed) for seed, scene_seed, _ in keys]
     if len({n for _, _, n in keys}) != 1 or len({len(w) for w in words}) != 1:
         raise ValueError("one draw pass needs keys of one n whose seeds take as many words")
@@ -617,52 +606,35 @@ def _draw_pass(keys: list[tuple[int, int, int]]) -> dict:
     return dict(zip(keys, zip(g.reshape(-1, n), label_draw.reshape(-1, n))))
 
 
-def _noise_draws(keys: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (g, label_draw) pair of each (perception seed, scene seed, n) key:
-    for each candidate predicate k < n, the first normal and uniform of
-    ``default_rng([perception seed, scene seed, k])``.
+# a trial's predicate index, truth vector, occluded objects, g and label_draw
+_World = tuple[PredicateIndex, np.ndarray, frozenset[str], np.ndarray, np.ndarray]
 
-    Every draw request passes here, and a negative seed raises ValueError.
-    A request whose keys are all cached draws nothing; one with any key
-    missing is drawn whole in one :func:`_draw_pass`.  A pass seeds each
-    generator's PCG64 (:func:`_seed_words`, :func:`_seeded`) and derives
-    its first two 64-bit outputs (:func:`_first_outputs`); NEP 19 fixes
-    what it reimplements, SeedSequence hashing and PCG64 seeding, step and
-    output, across numpy releases.  The normal comes from the first output
-    by numpy's ziggurat fast path (:func:`_fast_normals`), the uniform from
-    the second as ``random()`` makes it.  numpy is entered through one
-    door, the ``bitgen.state`` setter (:func:`_generator_at`): it reads the
-    ziggurat tables, checked on first use (:func:`_ziggurat_tables`), and
-    loads the seeded state from which numpy itself makes each draw off the
-    fast path, or every draw if the tables fail.  A request that draws
-    replaces the cache with its keys' draws, so later observations of one
-    pair, and the units of the batch that asked first, draw nothing.  Draws
-    are a pure function of their key, so redrawing a cached key changes no
-    value.  The arrays are read-only.
-    """
-    for seed, scene_seed, _ in keys:
-        if seed < 0 or scene_seed < 0:
-            raise ValueError(f"seed must be non-negative, got {(seed, scene_seed)}")
-    if not all(key in _draws for key in keys):
-        drawn = _draw_pass(list(dict.fromkeys(keys)))
-        _draws.clear()
-        _draws.update(drawn)
-    return [_draws[key] for key in keys]
+# The worlds of the last request that computed any, keyed on (scene,
+# perception seed): one observation's trial, or one batch's trials.
+_worlds: dict[tuple[Scene, int], _World] = {}
 
 
-def prefetch_trials(trials: Sequence[tuple[Scene, int]]) -> None:
-    """Compute in one pass the truths and occlusion sets of a batch of
-    trials' scenes, each trial a (scene, perception seed), and draw in one
-    pass their first observations' noise.  The trials' observations then
-    find both cached until the next request that computes or draws.  The
-    scenes must share one object set, and the seeds must be non-negative
-    and, within one call, take as many 32-bit words in all (each below
-    2**32, say); ValueError otherwise."""
-    facts = _scene_facts([scene for scene, _ in trials])
-    _noise_draws([
-        (int(seed), scene.seed, len(index.preds))
-        for (scene, seed), (index, _, _) in zip(trials, facts)
-    ])
+def prefetch_trials(trials: Sequence[tuple[Scene, int]]) -> list[_World]:
+    """The world of each trial, a (scene, perception seed): its scene's
+    :func:`_truth_pass` facts and its :func:`_draw_pass` noise draws.
+
+    A request whose trials are all cached computes nothing; one with any
+    trial missing runs one truth pass over its distinct scenes and one draw
+    pass over its distinct noise keys, and replaces the cache.  The scenes
+    must share one object set, and the perception seeds must be
+    non-negative and, within one request, take as many 32-bit words (each
+    below 2**32, say); ValueError otherwise, and the cache stays."""
+    keys = [(scene, int(seed)) for scene, seed in trials]
+    try:
+        return [_worlds[key] for key in keys]
+    except KeyError:
+        facts = _truth_pass(list(dict.fromkeys(scene for scene, _ in keys)))
+    n = len(facts[keys[0][0]][0].preds)  # one object set, so one index
+    draws = _draw_pass(list(dict.fromkeys((seed, scene.seed, n) for scene, seed in keys)))
+    worlds = [facts[scene] + draws[seed, scene.seed, n] for scene, seed in keys]
+    _worlds.clear()
+    _worlds.update(zip(keys, worlds))
+    return worlds
 
 
 def _sharpen(p: float, gamma: float) -> float:
@@ -696,10 +668,9 @@ def perceive_with_labels(
 
     The underlying noise draws depend only on (scene, seed, predicate), not
     on the attention, so re-perceiving under a sharper attention state refines
-    the same observation instead of rolling new dice.  They are drawn, and
-    the scene's truths and occlusion set computed, on the first observation
-    unless a batch of trials asked for them first (:func:`prefetch_trials`),
-    and reused by the next ones until another request computes or draws.
+    the same observation instead of rolling new dice.  The truths,
+    occlusion set and draws, the trial's world, come in one lookup through
+    :func:`prefetch_trials`, computed unless the last request computed them.
     Logs, exponentials and powers are taken one float at a time with
     ``math`` and ``**``, whose results numpy's vector forms do not always
     match bit for bit; the log once per distinct odds value.
@@ -707,8 +678,7 @@ def perceive_with_labels(
     residual = {} if residual is None else residual
     if not all(0.0 < r <= 1.0 for r in residual.values()):  # NaN fails too
         raise ValueError(f"every residual must lie in (0, 1], got {dict(residual)}")
-    ((index, truth, occluded),) = _scene_facts([scene])
-    g, label_draw = _noise_draws([(int(seed), scene.seed, len(index.preds))])[0]
+    ((index, truth, occluded, g, label_draw),) = prefetch_trials([(scene, seed)])
 
     per_obj = np.array([residual.get(obj, 1.0) for obj in index.ids])
     scale = np.minimum(per_obj[index.first], per_obj[index.last])
@@ -794,7 +764,7 @@ class PlanningEnvironment:
         return perceive(self.scene, self.cfg, self.seed, self.residual, self.cleared)
 
     def occluded_ids(self) -> frozenset[str]:
-        return _scene_facts([self.scene])[0][2] - self.cleared
+        return prefetch_trials([(self.scene, self.seed)])[0][2] - self.cleared
 
     def apply_info(self, kind: str, target: str) -> None:
         """Step ``target``'s residual by :func:`core.next_residual`, which

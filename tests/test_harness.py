@@ -264,6 +264,13 @@ class TestSeeds:
         assert len(set(seeds)) == 200
         assert all(type(v) is int for pair in seeds for v in pair)
 
+    @pytest.mark.parametrize("config_seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_words_of_numpys_seed_sequence(self, config_seed):
+        # one column-wise pass gives each unit SeedSequence's first two words
+        units = [(s, t) for s in (0, 1, 2**32 - 1) for t in (0, 7, 999)]
+        want = [_reference_trial_seeds(config_seed, s, t) for s, t in units]
+        assert _trial_seeds(config_seed, units) == want
+
 
 class TestDefaultGoal:
     def test_three_object_chain(self):
@@ -335,20 +342,23 @@ class TestOnePredicateIndex:
         index = scene_module._predicate_index(ids)
         assert all(belief.scored is index for belief in rounds)
 
-    def test_structural_edges_built_once_per_episode(self):
-        mrf._structural_edges.cache_clear()
+    def test_structural_edges_built_once_per_episode(self, monkeypatch):
+        # the refinement builds the edges, and their cutset, once per index
+        built = _count_calls(monkeypatch, mrf, "_structural_edges")
+        mrf._cutset.cache_clear()
         scene = generate_scene(5, seed=3)
         env = PlanningEnvironment(scene, NoiseConfig(base_flip_rate=0.15, logit_noise_sd=1.0), 3)
         options = PlannerOptions(refine_with_mrf=True)
         plan_under_uncertainty(env, default_goal(scene), options=options)
-        info = mrf._structural_edges.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        info = mrf._cutset.cache_info()
+        assert (info.misses, info.hits) == (1, 2) and len(built) == 1
 
-    def test_structural_edges_built_once_per_plan_refine_run(self):
-        mrf._structural_edges.cache_clear()
+    def test_structural_edges_built_once_per_plan_refine_run(self, monkeypatch):
+        built = _count_calls(monkeypatch, mrf, "_structural_edges")
+        mrf._cutset.cache_clear()
         run(ExperimentConfig(kind="plan-benchmark", seed=5, trials=4, refine=True))
-        info = mrf._structural_edges.cache_info()
-        assert info.misses == 1 and info.hits > 8
+        info = mrf._cutset.cache_info()
+        assert info.misses == 1 and info.hits > 8 and len(built) == 1
 
 
 class TestAlphaFitKind:
@@ -406,7 +416,7 @@ def _reference_attention_rounds(config, trial):
     """
     scene, seed = trial
     cfg = config.noise()
-    ((index, truth, occluded),) = scene_module._scene_facts([scene])
+    index, truth, occluded = scene_module._truth_pass([scene])[scene]
     draws = []
     for k in range(len(index.preds)):
         rng = np.random.default_rng([seed, scene.seed, k])
@@ -741,16 +751,19 @@ class TestDeterminism:
 class TestBatching:
     @pytest.fixture
     def passes(self, monkeypatch):
-        """The (entropy shape, output words) of every noise draw pass."""
+        """The (entropy shape, output words) of every noise draw pass: a
+        draw pass asks for 8 words per predicate, a trial-seed pass for 2
+        per unit, which is not counted."""
         seen = []
         seed_words = scene_module._seed_words
 
         def counted(entropy, n_words):
-            seen.append((entropy.shape, n_words))
+            if n_words != 2:
+                seen.append((entropy.shape, n_words))
             return seed_words(entropy, n_words)
 
         monkeypatch.setattr(scene_module, "_seed_words", counted)
-        scene_module._draws.clear()
+        scene_module._worlds.clear()
         return seen
 
     def test_one_draw_pass_per_batch(self, passes):
@@ -778,7 +791,7 @@ class TestBatching:
         monkeypatch.setattr(scene_module, "_truth_pass", counted_pass)
         monkeypatch.setattr(harness, "generate_scene", counted_scene)
         perceives = _count_calls(monkeypatch, scene_module, "perceive_with_labels")
-        scene_module._facts.clear()
+        scene_module._worlds.clear()
         run(ExperimentConfig(kind="threshold-sweep", seed=2, trials=20, noise_flip=0.15))
         assert [len(batch) for batch in passes] == [32, 32, 32, 4]
         assert [s for batch in passes for s in batch] == scenes and len(scenes) == 100
@@ -802,10 +815,15 @@ class TestBatching:
 
     @pytest.fixture
     def traffic(self, monkeypatch):
-        """The keys of every draw pass, and the (scene seed, perception seed)
-        pairs of every batch, in order."""
-        passes, batches = [], []
-        draw_pass, run_batch = scene_module._draw_pass, harness._run_batch
+        """The scene seeds of every truth pass, the keys of every draw pass,
+        and the (scene seed, perception seed) pairs of every batch, in order."""
+        truths, passes, batches = [], [], []
+        truth_pass, draw_pass = scene_module._truth_pass, scene_module._draw_pass
+        run_batch = harness._run_batch
+
+        def counted_truths(scenes):
+            truths.append([scene.seed for scene in scenes])
+            return truth_pass(scenes)
 
         def counted_pass(keys):
             passes.append(list(keys))
@@ -815,10 +833,11 @@ class TestBatching:
             batches.append(_trial_seeds(config.seed, batch))
             return run_batch(config, unit, batch)
 
+        monkeypatch.setattr(scene_module, "_truth_pass", counted_truths)
         monkeypatch.setattr(scene_module, "_draw_pass", counted_pass)
         monkeypatch.setattr(harness, "_run_batch", counted_batch)
-        scene_module._draws.clear()
-        return passes, batches
+        scene_module._worlds.clear()
+        return truths, passes, batches
 
     @pytest.mark.parametrize("seed", [2, 2**64 + 3])
     @pytest.mark.parametrize(
@@ -827,15 +846,19 @@ class TestBatching:
             ExperimentConfig(kind="calibration", samples=2000),
             ExperimentConfig(kind="alpha-fit", trials=40, steps=2),
             ExperimentConfig(kind="convergence", trials=40),
+            ExperimentConfig(kind="threshold-sweep", trials=20, taus=(0.5, 0.7)),
+            ExperimentConfig(kind="plan-benchmark", trials=40, noise_flip=0.15),
         ],
         ids=lambda c: c.kind,
     )
-    def test_every_draw_pass_is_one_batch(self, traffic, config, seed):
-        # 50 scenes, or 40 trials: batches of 32 and of the rest
-        passes, batches = traffic
+    def test_every_pass_is_one_batch(self, traffic, config, seed):
+        # 50 scenes, or 40 units: batches of 32 and of the rest, each one
+        # truth pass and one draw pass, and no episode computes again
+        truths, passes, batches = traffic
         run(replace(config, seed=seed))
         n = 40  # the candidate predicates of 4 objects
         assert [len(b) for b in batches] in ([32, 18], [32, 8])
+        assert truths == [[s for s, _ in batch] for batch in batches]
         assert passes == [[(p, s, n) for s, p in batch] for batch in batches]
         for keys in passes:
             assert {k for _, _, k in keys} == {n}

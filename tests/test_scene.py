@@ -21,6 +21,7 @@ from beliefplan.core import (
     predicate_uncertainty,
 )
 from beliefplan.planner import (
+    LOOK_CLOSER,
     Goal,
     GroundedAction,
     PlannerOptions,
@@ -39,16 +40,17 @@ from beliefplan.scene import (
     PlanningEnvironment,
     Scene,
     SceneObject,
-    _noise_draws,
+    _draw_pass,
     _predicate_index,
-    _scene_facts,
     _sharpen,
+    _truth_pass,
     generate_scene,
     perceive,
     perceive_with_labels,
     predicate_count,
     prefetch_trials,
     scene_to_json,
+    seed_sequence_words,
 )
 from beliefplan.harness import generate_scene_files
 
@@ -132,10 +134,11 @@ def _reference_scene_facts(scene: Scene) -> tuple[np.ndarray, frozenset[str]]:
 
 
 def _assert_facts_match_reference(scenes):
-    """One truth pass over ``scenes``, with the cache emptied first, gives
-    each scene the reference's truth bytes and occluded objects."""
-    scene_module._facts.clear()
-    for scene, (index, truth, occluded) in zip(scenes, _scene_facts(scenes), strict=True):
+    """One truth pass over ``scenes`` gives each scene the reference's truth
+    bytes and occluded objects."""
+    facts = _truth_pass(scenes)
+    for scene in scenes:
+        index, truth, occluded = facts[scene]
         want_truth, want_occluded = _reference_scene_facts(scene)
         assert index is _predicate_index(scene.object_ids())
         assert truth.tobytes() == want_truth.tobytes()
@@ -307,7 +310,7 @@ def _vector_truths(scene):
     """The predicates that the scene's truth vector marks true, which must
     match the reference loop's vector byte for byte."""
     _assert_facts_match_reference([scene])
-    ((index, truth, _),) = _scene_facts([scene])
+    ((index, truth, *_),) = prefetch_trials([(scene, 0)])
     assert set(truth.tolist()) <= {0.0, 1.0}
     return {pred for pred, t in zip(index.preds, truth) if t == 1.0}
 
@@ -381,7 +384,7 @@ class TestTruthVector:
             assert index.slot[key] == k
 
     def test_vector_is_read_only(self):
-        ((_, truth, _),) = _scene_facts([small_stacked_scene()])
+        ((_, truth, *_),) = prefetch_trials([(small_stacked_scene(), 0)])
         with pytest.raises(ValueError):
             truth[0] = 1.0
 
@@ -419,7 +422,8 @@ class TestTruthPassMatchesReference:
         )
         assert stacked.seed == spread.seed == 0 and stacked.object_ids() == spread.object_ids()
         _assert_facts_match_reference([stacked, spread, stacked])
-        (_, a, hidden_a), (_, b, hidden_b) = _scene_facts([stacked, spread])
+        worlds = prefetch_trials([(stacked, 0), (spread, 0)])
+        (_, a, hidden_a, *_), (_, b, hidden_b, *_) = worlds
         assert a.tobytes() != b.tobytes() and hidden_a == {"o0"} and hidden_b == frozenset()
 
     @pytest.mark.parametrize("dx, dy, close", HYPOT_STRADDLES)
@@ -429,24 +433,18 @@ class TestTruthPassMatchesReference:
         scene = _pair((dx, dy, 0.0))  # o0 at the origin, so the offset is exact
         assert (parse_predicate("CloseTo(o0,o1)") in _vector_truths(scene)) == close
 
-    def test_facts_are_cached_until_a_request_computes(self, monkeypatch):
-        passes = []
-        truth_pass = scene_module._truth_pass
-
-        def counted(scenes):
-            passes.append(scenes)
-            return truth_pass(scenes)
-
-        monkeypatch.setattr(scene_module, "_truth_pass", counted)
-        scene_module._facts.clear()
-        batch = [generate_scene(4, seed=seed) for seed in range(5)]
-        facts = _scene_facts(batch)
-        assert _scene_facts(batch[3:] + batch[:1]) == facts[3:] + facts[:1]  # cached
-        assert len(passes) == 1 and list(scene_module._facts) == batch
-        other = generate_scene(4, seed=99)
-        _scene_facts(batch[:1] + [other])  # one scene missing: computed whole
-        assert passes[1] == batch[:1] + [other]
-        assert list(scene_module._facts) == batch[:1] + [other]
+    def test_facts_are_cached_until_a_request_computes(self, passes):
+        truths, draws = passes
+        scene_module._worlds.clear()
+        batch = [(generate_scene(4, seed=seed), seed) for seed in range(5)]
+        worlds = prefetch_trials(batch)
+        assert prefetch_trials(batch[3:] + batch[:1]) == worlds[3:] + worlds[:1]  # cached
+        assert len(truths) == len(draws) == 1 and list(scene_module._worlds) == batch
+        other = (generate_scene(4, seed=99), 7)
+        prefetch_trials(batch[:1] + [other])  # one trial missing: computed whole
+        assert truths[1] == [batch[0][0], other[0]]
+        assert draws[1] == [(0, 0, 40), (7, 99, 40)]
+        assert list(scene_module._worlds) == batch[:1] + [other]
 
 
 def iou_2d(box_a, box_b):
@@ -456,7 +454,7 @@ def iou_2d(box_a, box_b):
 
 def occluded_objects(scene):
     """The scene's occluded objects, as the truth pass finds them."""
-    return _scene_facts([scene])[0][2]
+    return _truth_pass([scene])[scene][2]
 
 
 class TestOcclusion:
@@ -958,10 +956,10 @@ def _assert_same_draws(got, want):
 
 
 def _fresh_draws(keys):
-    """``_noise_draws(keys)`` with the cache emptied first, so that every
-    key is drawn anew."""
-    scene_module._draws.clear()
-    return _noise_draws(keys)
+    """The draws of each key, in order, from one draw pass: every key is
+    drawn anew."""
+    drawn = _draw_pass(keys)
+    return [drawn[key] for key in keys]
 
 
 class TestNoiseDrawsMatchReference:
@@ -988,10 +986,8 @@ class TestNoiseDrawsMatchReference:
     )
     def test_one_request_mixing_n_or_word_counts_raises(self, keys):
         # a pass lays its keys out by one n and one word count
-        _fresh_draws([(9, 4, 27)])
-        with pytest.raises(ValueError):
-            _noise_draws(keys)
-        assert list(scene_module._draws) == [(9, 4, 27)]  # the cache stays
+        with pytest.raises(ValueError, match="one draw pass"):
+            _draw_pass(keys)
 
     def test_interleaved_calls_share_no_state(self):
         # uncached, so a repeated pair is drawn again after other pairs' draws
@@ -1000,7 +996,7 @@ class TestNoiseDrawsMatchReference:
             _assert_same_draws(got, _reference_noise_draws(seed, scene_seed, 52))
 
     def test_outputs_read_only(self):
-        for arr in _noise_draws([(9, 4, 27)])[0]:
+        for arr in _fresh_draws([(9, 4, 27)])[0]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.5
@@ -1013,9 +1009,6 @@ class TestNoiseDrawsThroughTheStateSetter(TestNoiseDrawsMatchReference):
     @pytest.fixture(autouse=True)
     def _refuse_tables(self, monkeypatch):
         monkeypatch.setattr(scene_module, "_ziggurat_tables", lambda: None)
-        scene_module._draws.clear()
-        yield
-        scene_module._draws.clear()
 
 
 def test_seed_words_match_seed_sequence():
@@ -1031,23 +1024,77 @@ def test_seed_words_match_seed_sequence():
             got = scene_module._seed_words(entropy, n_words)
             assert got.dtype == np.uint32
             assert got.T.tobytes() == np.array(want).tobytes()
+    # the public door: one row per entropy, which take as many words each
+    entropies = [(2**64 + 3, s, t) for s in range(3) for t in range(3)]
+    want = [np.random.SeedSequence(e).generate_state(2, np.uint32) for e in entropies]
+    assert seed_sequence_words(entropies, 2).tobytes() == np.array(want).tobytes()
+    with pytest.raises(ValueError, match="as many 32-bit words"):
+        seed_sequence_words([(1, 2), (1, 2**32)], 2)
 
 
-def test_the_cache_keeps_the_last_request_that_drew():
-    keys = [(seed, 7, 27) for seed in range(73)]
-    for key, draws in zip(keys, _fresh_draws(keys)):
-        _assert_same_draws(draws, _reference_noise_draws(*key))
-    assert list(scene_module._draws) == keys  # all 73 keys, whatever the size
-    # a request whose keys are all cached draws nothing and keeps the cache
-    cached = keys[40:] + keys[:3]
-    for key, draws in zip(cached, _noise_draws(cached)):
-        _assert_same_draws(draws, _reference_noise_draws(*key))
-    assert list(scene_module._draws) == keys
-    # the next request that draws replaces them with its own keys
-    again = keys[:2] + [(73, 7, 27)]
-    for key, draws in zip(again, _noise_draws(again)):
-        _assert_same_draws(draws, _reference_noise_draws(*key))
-    assert list(scene_module._draws) == again
+def _assert_worlds_match_reference(trials, worlds):
+    for (scene, seed), (index, truth, occluded, *draws) in zip(trials, worlds, strict=True):
+        want_truth, want_occluded = _reference_scene_facts(scene)
+        assert truth.tobytes() == want_truth.tobytes() and occluded == want_occluded
+        _assert_same_draws(draws, _reference_noise_draws(seed, scene.seed, len(index.preds)))
+
+
+def test_the_cache_keeps_the_last_request_that_computed():
+    scene = generate_scene(3, seed=7)  # 27 predicates
+    trials = [(scene, seed) for seed in range(73)]
+    scene_module._worlds.clear()
+    _assert_worlds_match_reference(trials, prefetch_trials(trials))
+    assert list(scene_module._worlds) == trials  # all 73 trials, whatever the size
+    # a request whose trials are all cached computes nothing and keeps the cache
+    cached = trials[40:] + trials[:3]
+    _assert_worlds_match_reference(cached, prefetch_trials(cached))
+    assert list(scene_module._worlds) == trials
+    # the next request that computes replaces them with its own trials
+    again = trials[:2] + [(scene, 73)]
+    _assert_worlds_match_reference(again, prefetch_trials(again))
+    assert list(scene_module._worlds) == again
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The scenes of every truth pass and the keys of every draw pass."""
+    truths, draws = [], []
+    truth_pass, draw_pass = scene_module._truth_pass, scene_module._draw_pass
+
+    def counted_truths(scenes):
+        truths.append(list(scenes))
+        return truth_pass(scenes)
+
+    def counted_draws(keys):
+        draws.append(list(keys))
+        return draw_pass(keys)
+
+    monkeypatch.setattr(scene_module, "_truth_pass", counted_truths)
+    monkeypatch.setattr(scene_module, "_draw_pass", counted_draws)
+    return truths, draws
+
+
+def test_one_door_computes_a_trial_world_once(passes):
+    truths, draws = passes
+    batch = [(generate_scene(4, seed=seed), 100 + seed) for seed in range(8)]
+    scene_module._worlds.clear()
+    prefetch_trials(batch)
+    assert len(truths) == len(draws) == 1
+    # a cached trial computes nothing: its observations and occlusion set
+    # read the batch's world
+    scene, seed = batch[3]
+    env = PlanningEnvironment(scene, NoiseConfig(logit_noise_sd=0.8), seed)
+    env.observe()
+    env.apply_info(LOOK_CLOSER, "o1")
+    env.observe()
+    assert env.occluded_ids() == _reference_occluded(scene)
+    assert len(truths) == len(draws) == 1 and list(scene_module._worlds) == batch
+    # a lone observation of a trial outside the batch is a request of one:
+    # one truth pass and one draw pass, and the cache holds that trial alone
+    lone = generate_scene(4, seed=50)
+    perceive(lone, NoiseConfig(), 9)
+    assert truths[1:] == [[lone]] and draws[1:] == [[(9, 50, 40)]]
+    assert list(scene_module._worlds) == [(lone, 9)]
 
 
 def test_a_batch_at_ten_objects_is_one_pass(monkeypatch):
@@ -1060,11 +1107,11 @@ def test_a_batch_at_ten_objects_is_one_pass(monkeypatch):
         return seed_words(entropy, n_words)
 
     monkeypatch.setattr(scene_module, "_seed_words", counted)
-    n = predicate_count(10)
-    keys = [(seed, 3, n) for seed in range(32)]
-    for key, draws in zip(keys, _fresh_draws(keys)):
-        _assert_same_draws(draws, _reference_noise_draws(*key))
-    assert n == 280 and widths == [32 * 280]
+    scene = generate_scene(10, seed=3)
+    trials = [(scene, seed) for seed in range(32)]
+    scene_module._worlds.clear()
+    _assert_worlds_match_reference(trials, prefetch_trials(trials))
+    assert predicate_count(10) == 280 and widths == [32 * 280]
 
 
 def test_ziggurat_tables_load_and_pass_their_check():
@@ -1088,7 +1135,7 @@ def test_importing_the_scene_module_reads_no_table():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "from beliefplan import scene; read = scene._ziggurat_tables.cache_info; "
-        "before = read().currsize; scene._noise_draws([(1, 2, 3)]); print(before, read().currsize)"
+        "before = read().currsize; scene._draw_pass([(1, 2, 3)]); print(before, read().currsize)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
@@ -1192,6 +1239,7 @@ NEGATIVE_SEED_CALLS = {
         small_stacked_scene(), NoiseConfig(), -1
     ),
     "prefetch_trials": lambda out: prefetch_trials([(small_stacked_scene(), -1)]),
+    "seed_sequence_words": lambda out: seed_sequence_words([(3, -1)], 2),
     "generate_scene_files": lambda out: generate_scene_files(2, 4, 0.4, -1, out),
 }
 
@@ -1207,9 +1255,8 @@ def test_prefetch_rejects_a_batch_mixing_object_sets():
     # o0, o1, o2 beside o0, o1, o2, o3, and beside a, b, c: a pass lays out
     # one object set
     kept = small_stacked_scene()
-    scene_module._facts.clear()
-    _scene_facts([kept])
-    _fresh_draws([(9, 4, 27)])
+    scene_module._worlds.clear()
+    prefetch_trials([(kept, 9)])
     renamed = Scene(
         tuple(replace(o, id=new) for o, new in zip(kept.objects, "abc")),
         (("b", "a"),),
@@ -1217,8 +1264,12 @@ def test_prefetch_rejects_a_batch_mixing_object_sets():
     for other in (generate_scene(4, seed=1), renamed):
         with pytest.raises(ValueError, match="one object set"):
             prefetch_trials([(generate_scene(3, seed=1), 3), (other, 5)])
-    assert list(scene_module._facts) == [kept]  # both caches stay
-    assert list(scene_module._draws) == [(9, 4, 27)]
+    # one word for seed 3, two for 2**32: a draw pass lays out one word count
+    with pytest.raises(ValueError, match="as many words"):
+        prefetch_trials([(generate_scene(3, seed=1), 3), (generate_scene(3, seed=2), 2**32)])
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        prefetch_trials([(generate_scene(3, seed=1), 3), (kept, -1)])
+    assert list(scene_module._worlds) == [(kept, 9)]  # the cache stays
 
 
 # ---------------------------------------------------------------------------
