@@ -145,13 +145,15 @@ def _check_confidence(p: float) -> float:
 @dataclass(frozen=True, eq=False)
 class PredicateIndex:
     """Predicates in order with their argument positions, shared by the
-    states over them; equality and hashing are by identity."""
+    states over them; equality and hashing are by identity.  Only
+    :func:`predicate_index` builds one, and it derives every field."""
 
     ids: tuple[str, ...]  # the sorted objects the predicates name
     preds: tuple[GroundPredicate, ...]  # sorted by GroundPredicate.sort_key
     first: np.ndarray  # position in ids of each predicate's first argument
     last: np.ndarray  # ... and of its last one (the same for Clear)
     slot: dict[tuple[Relation, int, int], int]  # (relation, first, last) -> position
+    by_relation: dict[Relation, np.ndarray]  # relation -> its positions, ascending (empty if none)
 
 
 def predicate_index(preds: Iterable[GroundPredicate]) -> PredicateIndex:
@@ -164,6 +166,8 @@ def predicate_index(preds: Iterable[GroundPredicate]) -> PredicateIndex:
     return PredicateIndex(
         ids, ordered, np.array(first, dtype=np.intp), np.array(last, dtype=np.intp),
         {(p.relation, i, j): k for k, (p, i, j) in enumerate(zip(ordered, first, last))},
+        {r: np.array([k for k, p in enumerate(ordered) if p.relation is r], dtype=np.intp)
+         for r in Relation},
     )
 
 

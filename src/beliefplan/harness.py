@@ -357,7 +357,7 @@ _BATCH_UNITS = 32
 
 def _calibration_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, trial):
     state, labels = _first_observation(config, trial)
-    return [(p, y) for (_, p), y in zip(state.items(), labels.tolist())]
+    return list(zip(state.confidences.tolist(), labels.tolist()))
 
 
 def _alpha_unit(config: ExperimentConfig, setting_idx: int, trial_idx: int, trial):

@@ -157,14 +157,15 @@ def build_mrf(state: ProbabilisticState) -> PredicateMrf:
     No two rules pair the same two nodes, so each pair gets at most one edge,
     and no edge joins two On nodes.
     """
-    unary = np.array([unary_potentials(p) for _, p in state.items()], dtype=float)
+    unary = np.array([unary_potentials(p) for p in state.confidences.tolist()], dtype=float)
     return PredicateMrf(state.scored.preds, unary, _structural_edges(state.scored))
 
 
 def _structural_edges(index: PredicateIndex) -> tuple[Edge, ...]:
     """The two rules' edges over the index's predicates, sorted by endpoints."""
     edges: list[Edge] = []
-    for k, a, b in [(k, a, b) for (rel, a, b), k in index.slot.items() if rel is Relation.ON]:
+    on = index.by_relation[Relation.ON]
+    for k, a, b in zip(on.tolist(), index.first[on].tolist(), index.last[on].tolist()):
         clear_b = index.slot.get((Relation.CLEAR, b, b))
         if clear_b is not None:
             edges.append(mutex_edge(*sorted((k, clear_b))))
@@ -417,7 +418,7 @@ def _cutset(index: PredicateIndex) -> tuple[np.ndarray, ...]:
     column = {c: m for m, c in enumerate(cut)}
 
     blocks: dict[int, list[int]] = {}  # Touching position, or -1 - position of a lone On
-    for k in (k for k, rel in enumerate(relation) if rel is Relation.ON):
+    for k in index.by_relation[Relation.ON].tolist():
         touching = partner.get((k, Relation.TOUCHING))
         blocks.setdefault(touching[0] if touching else -1 - k, []).append(k)
     rows = list(blocks.items())

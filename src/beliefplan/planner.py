@@ -556,10 +556,9 @@ def world_state_from_beliefs(
     and handempty atoms follow structurally.
     """
     preds, p = belief.scored.preds, belief.confidences
-    ons = sorted(
-        (k for k in np.flatnonzero(certain_true).tolist() if preds[k].relation is Relation.ON),
-        key=lambda k: -p[k],  # stable, so ties stay in index order
-    )
+    on = belief.scored.by_relation[Relation.ON]
+    # stable, so ties stay in index order
+    ons = sorted(on[certain_true[on]].tolist(), key=lambda k: -p[k])
     lower_of: dict[str, str] = {}
     for k in ons:
         try:

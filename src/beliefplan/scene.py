@@ -43,7 +43,6 @@ orthographic projection of the [-0.5, 0.5] square meter workspace onto a
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -240,26 +239,6 @@ def predicate_count(n_objects: int) -> int:
 _SceneFacts = tuple[PredicateIndex, np.ndarray, frozenset[str]]
 
 
-@functools.lru_cache(maxsize=64)
-def _fact_slots(ids: tuple[str, ...]) -> dict[Relation, tuple[np.ndarray, ...]]:
-    """For Clear and each geometric relation of one sorted object tuple,
-    the (i, j) object positions that :func:`_truth_pass` tests and each
-    pair's slot in the tuple's index: i = j for Clear, i < j for the
-    symmetric Touching and CloseTo, and i != j for LeftOf."""
-    slot, n = _predicate_index(ids).slot, len(ids)
-    pairs = {
-        Relation.CLEAR: [(i, i) for i in range(n)],
-        Relation.TOUCHING: list(itertools.combinations(range(n), 2)),
-        Relation.LEFT_OF: list(itertools.permutations(range(n), 2)),
-    }
-    pairs[Relation.CLOSE_TO] = pairs[Relation.TOUCHING]
-    return {
-        rel: (*np.array(ij, dtype=np.intp).reshape(-1, 2).T,
-              np.array([slot[rel, i, j] for i, j in ij], dtype=np.intp))
-        for rel, ij in pairs.items()
-    }
-
-
 def _truth_pass(scenes: list[Scene]) -> dict[Scene, _SceneFacts]:
     """Each scene's predicate index, its truth vector written over that
     index from support pairs and geometry, and its occluded objects, from
@@ -270,16 +249,21 @@ def _truth_pass(scenes: list[Scene]) -> dict[Scene, _SceneFacts]:
     an object, Touching where the largest per-axis face separation is under
     ``CONTACT_EPS``, CloseTo where the xy centers lie under ``CLOSE_DIST``
     apart, and LeftOf where one box ends before the other begins along x;
-    each is 1.0 at its (relation, first, last) position key in the index.
-    An object is occluded where a higher box's top-down pixel box overlaps
-    its own by an IoU above ``OCCLUSION_IOU``.  The center distance is
-    ``math.hypot``'s, one pair at a time: ``np.hypot`` differs from it in
-    the last bit on about 0.6% of pairs.  The truth vectors are read-only.
+    each is 1.0 at its position in the index.  A relation's object pairs
+    are the index's ``first`` and ``last`` at its ``by_relation``
+    positions.  The Clear writes take ``by_relation[Relation.CLEAR][i]`` to
+    be Clear(``ids[i]``), which holds because :func:`_predicate_index`
+    gives every object a Clear.  An object is occluded where a higher box's
+    top-down pixel box overlaps its own by an IoU above ``OCCLUSION_IOU``.
+    The center distance is ``math.hypot``'s, one pair at a time:
+    ``np.hypot`` differs from it in the last bit on about 0.6% of pairs.
+    The truth vectors are read-only.
     """
     ids = scenes[0].object_ids()
     if any(scene.object_ids() != ids for scene in scenes):
         raise ValueError("one truth pass needs scenes of one object set")
-    index, layout = _predicate_index(ids), _fact_slots(ids)
+    index = _predicate_index(ids)
+    layout = {rel: (index.first[k], index.last[k], k) for rel, k in index.by_relation.items()}
     geo = np.array(
         [[(*o.position, *o.size) for o in map(scene.object_map().__getitem__, ids)]
          for scene in scenes],

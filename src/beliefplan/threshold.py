@@ -45,79 +45,59 @@ class AlphaFitError(FitError):
         self.n_dropped = n_dropped
 
 
-def _success_value(form: str, params: Sequence[float], tau: float) -> float:
-    if form == "exponential":
-        a, b = params
-        return a * (1.0 - math.exp(-b * tau))
-    if form == "sigmoid":
-        a, b, t0 = params
-        return a / (1.0 + math.exp(-b * (tau - t0)))
-    if form == "logarithmic":
-        a, b = params
-        return a * math.log(1.0 + b * tau)
-    raise ValueError(f"unknown success form {form!r}")
+def _sigmoid_slope(a: float, b: float, t0: float, tau: float) -> float:
+    s = 1.0 / (1.0 + math.exp(-b * (tau - t0)))
+    return a * b * s * (1.0 - s)
 
 
-def _success_slope(form: str, params: Sequence[float], tau: float) -> float:
-    if form == "exponential":
-        a, b = params
-        return a * b * math.exp(-b * tau)
-    if form == "sigmoid":
-        a, b, t0 = params
-        s = 1.0 / (1.0 + math.exp(-b * (tau - t0)))
-        return a * b * s * (1.0 - s)
-    if form == "logarithmic":
-        a, b = params
-        return a * b / (1.0 + b * tau)
-    raise ValueError(f"unknown success form {form!r}")
-
-
-def _time_value(form: str, params: Sequence[float], tau: float) -> float:
-    c, d = params
-    if form == "linear":
-        return c + d * tau
-    if form == "quadratic":
-        return c + d * tau * tau
-    if form == "logarithmic":
-        return c + d * math.log(1.0 + tau)
-    raise ValueError(f"unknown time form {form!r}")
-
-
-def _time_slope(form: str, params: Sequence[float], tau: float) -> float:
-    _, d = params
-    if form == "linear":
-        return d
-    if form == "quadratic":
-        return 2.0 * d * tau
-    if form == "logarithmic":
-        return d / (1.0 + tau)
-    raise ValueError(f"unknown time form {form!r}")
+# each curve family's forms: name -> (value, slope), both functions of (*params, tau)
+_SUCCESS_FORMS = {
+    "exponential": (
+        lambda a, b, tau: a * (1.0 - math.exp(-b * tau)),
+        lambda a, b, tau: a * b * math.exp(-b * tau),
+    ),
+    "sigmoid": (lambda a, b, t0, tau: a / (1.0 + math.exp(-b * (tau - t0))), _sigmoid_slope),
+    "logarithmic": (
+        lambda a, b, tau: a * math.log(1.0 + b * tau),
+        lambda a, b, tau: a * b / (1.0 + b * tau),
+    ),
+}
+_TIME_FORMS = {
+    "linear": (lambda c, d, tau: c + d * tau, lambda c, d, tau: d),
+    "quadratic": (lambda c, d, tau: c + d * tau * tau, lambda c, d, tau: 2.0 * d * tau),
+    "logarithmic": (
+        lambda c, d, tau: c + d * math.log(1.0 + tau),
+        lambda c, d, tau: d / (1.0 + tau),
+    ),
+}
 
 
 @dataclass(frozen=True)
-class SuccessFit:
+class _Fit:
+    """A fitted curve of the form named in its class's ``_forms`` table;
+    an unknown form is rejected when the fit is built."""
+
     form: str
     params: tuple[float, ...]
     r_squared: float
 
-    def predict(self, tau: float) -> float:
-        return _success_value(self.form, self.params, tau)
-
-    def slope(self, tau: float) -> float:
-        return _success_slope(self.form, self.params, tau)
-
-
-@dataclass(frozen=True)
-class TimeFit:
-    form: str
-    params: tuple[float, ...]
-    r_squared: float
+    def __post_init__(self) -> None:
+        if self.form not in self._forms:
+            raise ValueError(f"unknown {type(self).__name__} form {self.form!r}")
 
     def predict(self, tau: float) -> float:
-        return _time_value(self.form, self.params, tau)
+        return self._forms[self.form][0](*self.params, tau)
 
     def slope(self, tau: float) -> float:
-        return _time_slope(self.form, self.params, tau)
+        return self._forms[self.form][1](*self.params, tau)
+
+
+class SuccessFit(_Fit):
+    _forms = _SUCCESS_FORMS
+
+
+class TimeFit(_Fit):
+    _forms = _TIME_FORMS
 
 
 def _r2(ss_res: float, ss_tot: float) -> float:
@@ -141,7 +121,7 @@ def _jacobian(params: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 
 def _model(params: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    return np.array([_success_value("exponential", params, t) for t in taus])
+    return np.array([_SUCCESS_FORMS["exponential"][0](*params, t) for t in taus])
 
 
 def _gauss_newton(

@@ -388,6 +388,10 @@ class TestPredicateIndex:
         assert index.slot == {
             (Relation.CLEAR, 2, 2): 0, (Relation.ON, 1, 0): 1, (Relation.TOUCHING, 0, 1): 2
         }
+        assert {rel: at.tolist() for rel, at in index.by_relation.items()} == {
+            Relation.ON: [1], Relation.LEFT_OF: [], Relation.CLOSE_TO: [],
+            Relation.TOUCHING: [2], Relation.CLEAR: [0],
+        }
 
     def test_derived_states_share_the_index(self):
         state = make_state({"On(a,b)": 0.9, "Clear(b)": 0.3})

@@ -120,3 +120,28 @@ def test_no_private_names_cross_modules():
 def test_private_allowlist_names_only_imports():
     # an allowed import that went away should leave the list
     assert sorted(set(PRIVATE_IMPORTS_ALLOWED) - private_imports()) == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module's top-level imports bind that the module never loads;
+    ``from __future__`` imports bind nothing."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in loaded]
+
+
+def test_every_import_is_used():
+    assert _unused_imports(ast.parse("import itertools\nimport math\nmath.pi\n")) == ["itertools"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are re-exports
+        unused = _unused_imports(ast.parse(path.read_text()))
+        assert unused == [], f"{path.name} imports {unused} and never uses them"

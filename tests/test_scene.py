@@ -382,6 +382,14 @@ class TestTruthVector:
         for k, pred in enumerate(index.preds):
             key = (pred.relation, ids.index(pred.args[0]), ids.index(pred.args[-1]))
             assert index.slot[key] == k
+        # each relation's positions, ascending, partition the index; Clear's follow ids
+        parts = index.by_relation
+        every = np.concatenate(list(parts.values())).tolist()
+        assert sorted(every) == list(range(len(index.preds)))
+        for rel, at in parts.items():
+            assert (np.diff(at) > 0).all()
+            assert all(index.preds[k].relation is rel for k in at.tolist())
+        assert [index.preds[k].args for k in parts[CLEAR].tolist()] == [(a,) for a in ids]
 
     def test_vector_is_read_only(self):
         ((_, truth, *_),) = prefetch_trials([(small_stacked_scene(), 0)])

@@ -97,6 +97,12 @@ class TestEfficiency:
         with pytest.raises(ValueError):
             efficiency(s, t, 0.5)
 
+    def test_unknown_form_rejected_when_built(self):
+        # a form belongs to one family: each table rejects the other's names
+        for fit, form in ((SuccessFit, "linear"), (TimeFit, "sigmoid"), (TimeFit, "cubic")):
+            with pytest.raises(ValueError, match="unknown"):
+                fit(form, (1.0, 1.0), 1.0)
+
 
 SUCCESS_FITS = {
     "exponential": SuccessFit("exponential", (0.89, 4.73), 1.0),
