@@ -156,18 +156,24 @@ class PredicateIndex:
     by_relation: dict[Relation, np.ndarray]  # relation -> its positions, ascending (empty if none)
 
 
+def _read_only(positions: list[int]) -> np.ndarray:
+    arr = np.array(positions, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
 def predicate_index(preds: Iterable[GroundPredicate]) -> PredicateIndex:
-    """A new index over the distinct predicates of ``preds``."""
+    """A new index over the distinct predicates of ``preds``; its arrays
+    are read-only, since every state over it shares them."""
     ordered = tuple(sorted(set(preds), key=GroundPredicate.sort_key))
     ids = tuple(sorted({a for p in ordered for a in p.args}))
     at = {obj: k for k, obj in enumerate(ids)}
     first = [at[p.args[0]] for p in ordered]
     last = [at[p.args[-1]] for p in ordered]
     return PredicateIndex(
-        ids, ordered, np.array(first, dtype=np.intp), np.array(last, dtype=np.intp),
+        ids, ordered, _read_only(first), _read_only(last),
         {(p.relation, i, j): k for k, (p, i, j) in enumerate(zip(ordered, first, last))},
-        {r: np.array([k for k, p in enumerate(ordered) if p.relation is r], dtype=np.intp)
-         for r in Relation},
+        {r: _read_only([k for k, p in enumerate(ordered) if p.relation is r]) for r in Relation},
     )
 
 

@@ -8,8 +8,11 @@ in batches, each one task of the process pool when there are workers, and
 are assembled in index order.  For the kinds that perceive, a batch
 generates its trials' scenes once and hands each trial its (scene,
 perception seed); before any trial runs, one ``scene.prefetch_trials``
-request computes every trial's world, its scene's truths and occlusion
-set and its noise draws, and the trials' observations find it cached.
+request under the config's noise computes every trial's world, its
+scene's truths and occlusion set and its noise draws, and forms every
+trial's round-0 observation in one channel pass; the trials'
+observations find it cached, and only those under attention run the
+channel again.
 Ground truth is the simulator's work, not the robot's, so none of it is
 done inside an episode.  The default goal is built once per object set.
 
@@ -349,9 +352,9 @@ def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: fl
 # experiment units (module-level for process pools)
 
 # Units run in batches of at most this many.  A batch generates its scenes
-# once, and one ``prefetch_trials`` request computes its trials' worlds,
-# which the scene module keeps, whatever the batch's size, until the next
-# request that computes.
+# once, and one ``prefetch_trials`` request computes its trials' worlds and
+# round-0 observations, which the scene module keeps, whatever the batch's
+# size, until the next request that computes.
 _BATCH_UNITS = 32
 
 
@@ -455,15 +458,16 @@ def _run_batch(config: ExperimentConfig, unit, batch: list[tuple[int, int]]) -> 
     a batch, in order.  An mrf-check trial is its (scene seed, perception
     seed).  For the kinds that perceive, a trial is its generated scene and
     perception seed: the batch generates its scenes once, and one
-    :func:`prefetch_trials` request, made before any unit runs, computes
-    every trial's world; the units then find it cached."""
+    :func:`prefetch_trials` request under the config's noise, made before
+    any unit runs, computes every trial's world and its round-0
+    observation; the units then find both cached."""
     trials = _trial_seeds(config.seed, batch)
     if config.kind != "mrf-check":
         trials = [
             (generate_scene(config.n_objects, config.stack_bias, scene_seed), seed)
             for scene_seed, seed in trials
         ]
-        prefetch_trials(trials)
+        prefetch_trials(trials, config.noise())
     return [unit(config, s, t, trial) for (s, t), trial in zip(batch, trials)]
 
 

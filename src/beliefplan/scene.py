@@ -15,13 +15,18 @@ its inputs and seed.
 What does not change between observations is computed once: one sorted
 predicate index per object set, and each trial's world, keyed on its
 (scene, perception seed): the scene's truths and occlusion set and the
-trial's noise draws, which an episode's re-observations reuse.  One
-module cache keeps the worlds of the last request that computed any, and
-one door, ``prefetch_trials``, fills it: a request with any trial missing
-runs one vectorized pass over its scenes' (B, n) position and size arrays
-and one draw pass over its noise keys, and replaces the cache; a request
-whose trials are all cached computes nothing.  A harness batch is one
-request, and an observation of a trial outside the last one is a request
+trial's noise draws, which an episode's re-observations reuse, and its
+unattended observation, with no residual and nothing cleared, under the
+noise of the request that formed it.  One module cache keeps the worlds
+of the last request that computed any, and one door, ``prefetch_trials``,
+fills it: a request with any trial missing runs one vectorized pass over
+its scenes' (B, n) position and size arrays and one draw pass over its
+noise keys, and replaces the cache; a request under a noise then runs one
+channel pass over its (B, P) truth, draw and occlusion rows, unless its
+trials were all cached and observed under that noise; a request that
+needs none of this computes nothing.  A harness batch is one request
+under its noise, so every trial's round-0 observation is formed with its
+world, and an observation of a trial outside the last one is a request
 of one.  Scenes are keyed whole, since hand-built scenes share seeds.
 The draws are the first normal and uniform of one
 ``default_rng([seed, scene seed, k])`` per predicate k.  A column-wise
@@ -590,33 +595,59 @@ def _draw_pass(keys: list[tuple[int, int, int]]) -> dict:
     return dict(zip(keys, zip(g.reshape(-1, n), label_draw.reshape(-1, n))))
 
 
-# a trial's predicate index, truth vector, occluded objects, g and label_draw
-_World = tuple[PredicateIndex, np.ndarray, frozenset[str], np.ndarray, np.ndarray]
+# a trial's unattended observation: its noise, state and read-only labels
+_Observation = tuple[NoiseConfig, ProbabilisticState, np.ndarray]
+
+# a trial's predicate index, truth vector, occluded objects, g, label_draw,
+# and its unattended observation, if a request under a noise formed one
+_World = tuple[
+    PredicateIndex, np.ndarray, frozenset[str], np.ndarray, np.ndarray, _Observation | None
+]
 
 # The worlds of the last request that computed any, keyed on (scene,
 # perception seed): one observation's trial, or one batch's trials.
 _worlds: dict[tuple[Scene, int], _World] = {}
 
 
-def prefetch_trials(trials: Sequence[tuple[Scene, int]]) -> list[_World]:
+def prefetch_trials(
+    trials: Sequence[tuple[Scene, int]], noise: NoiseConfig | None = None
+) -> list[_World]:
     """The world of each trial, a (scene, perception seed): its scene's
-    :func:`_truth_pass` facts and its :func:`_draw_pass` noise draws.
+    :func:`_truth_pass` facts, its :func:`_draw_pass` noise draws and, under
+    ``noise``, its unattended observation.
 
-    A request whose trials are all cached computes nothing; one with any
-    trial missing runs one truth pass over its distinct scenes and one draw
-    pass over its distinct noise keys, and replaces the cache.  The scenes
-    must share one object set, and the perception seeds must be
+    A request whose trials are all cached, with their observations under
+    ``noise`` if given, computes nothing.  One with any trial missing runs
+    one truth pass over its distinct scenes and one draw pass over its
+    distinct noise keys, and replaces the cache.  Under a ``noise`` that
+    some trial has not been observed under, one :func:`_channel` pass over
+    the request's truth, draw and occlusion rows then forms every trial's
+    unattended observation, which a cached request stores in place.  The
+    scenes must share one object set, and the perception seeds must be
     non-negative and, within one request, take as many 32-bit words (each
     below 2**32, say); ValueError otherwise, and the cache stays."""
     keys = [(scene, int(seed)) for scene, seed in trials]
     try:
-        return [_worlds[key] for key in keys]
+        worlds = [_worlds[key] for key in keys]
     except KeyError:
         facts = _truth_pass(list(dict.fromkeys(scene for scene, _ in keys)))
-    n = len(facts[keys[0][0]][0].preds)  # one object set, so one index
-    draws = _draw_pass(list(dict.fromkeys((seed, scene.seed, n) for scene, seed in keys)))
-    worlds = [facts[scene] + draws[seed, scene.seed, n] for scene, seed in keys]
-    _worlds.clear()
+        n = len(facts[keys[0][0]][0].preds)  # one object set, so one index
+        draws = _draw_pass(list(dict.fromkeys((seed, scene.seed, n) for scene, seed in keys)))
+        worlds = [facts[scene] + draws[seed, scene.seed, n] + (None,) for scene, seed in keys]
+        _worlds.clear()
+    else:
+        if noise is None or all(w[5] is not None and w[5][0] == noise for w in worlds):
+            return worlds
+    if noise is not None:
+        index = worlds[0][0]
+        truth, g, label_draw = (np.stack([w[k] for w in worlds]) for k in (1, 3, 4))
+        hidden = np.array([[obj in w[2] for obj in index.ids] for w in worlds])
+        occluded = hidden.take(index.first, axis=1) | hidden.take(index.last, axis=1)
+        p, labels = _channel(noise, truth, g, label_draw, np.ones(truth.shape), occluded)
+        worlds = [
+            w[:5] + ((noise, ProbabilisticState.from_arrays(index, q), y),)
+            for w, q, y in zip(worlds, p, labels)
+        ]
     _worlds.update(zip(keys, worlds))
     return worlds
 
@@ -633,13 +664,52 @@ def _sharpen(p: float, gamma: float) -> float:
     return 1.0 / (1.0 + e) if x >= 0 else e / (1.0 + e)
 
 
+def _channel(
+    cfg: NoiseConfig, truth: np.ndarray, g: np.ndarray, label_draw: np.ndarray,
+    scale: np.ndarray, occluded: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noise channel: confidences and read-only 0/1 labels from each
+    predicate's truth, noise draws, attention residual and whether it
+    counts as occluded, which doubles its logit noise.  The arrays share
+    one shape, (B, P) for a batch of B observations of P predicates or (P,)
+    for a lone one, and so do the outputs.
+
+    An observation's values do not depend on the batch it is in: numpy's
+    elementwise arithmetic rounds alike at any shape, and logs,
+    exponentials and powers are taken one float at a time with ``math`` and
+    ``**``, whose results numpy's vector forms do not always match bit for
+    bit; the log once per distinct odds value.
+    """
+    eta = cfg.base_flip_rate * scale
+    sd = cfg.logit_noise_sd * scale * np.where(occluded, 2.0, 1.0)
+
+    p = truth * (1.0 - eta) + (1.0 - truth) * eta
+    noisy = sd != 0.0  # elsewhere sigmoid(logit(p)) == p; skip the roundtrip
+    if noisy.any():
+        ts = np.minimum(np.maximum(p[noisy], _TINY), 1.0 - _TINY)  # np.clip's values, sooner
+        odds = (ts / (1.0 - ts)).tolist()  # a few distinct values: one per residual level
+        log_of = {v: math.log(v) for v in set(odds)}
+        x = np.fromiter(map(log_of.__getitem__, odds), float, len(odds)) + sd[noisy] * g[noisy]
+        # sigmoid(x) from e = exp(-|x|), which cannot overflow
+        e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), float, len(x))
+        p[noisy] = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    labels = (label_draw < p).astype(int)
+    labels.flags.writeable = False
+
+    if cfg.miscal_gamma != 1.0:
+        gamma = cfg.miscal_gamma
+        p = np.array([_sharpen(q, gamma) for q in p.ravel().tolist()]).reshape(p.shape)
+    return p, labels
+
+
 def perceive_with_labels(
     scene: Scene, cfg: NoiseConfig, seed: int,
     residual: Mapping[str, float] | None = None, cleared: Collection[str] = (),
 ) -> tuple[ProbabilisticState, np.ndarray]:
     """Noisy observation plus the calibrated label stream.
 
-    The labels are a 0/1 int vector aligned with the state's predicates.
+    The labels are a read-only 0/1 int vector aligned with the state's
+    predicates.
 
     For each candidate predicate with truth t: smooth t toward its opposite
     by the flip rate, jitter in logit space, then optionally miscalibrate.
@@ -648,43 +718,33 @@ def perceive_with_labels(
 
     Attention scales a predicate's flip rate and logit noise by the least
     ``residual`` of its objects, each in (0, 1] (1.0 when absent), and
-    spares the objects in ``cleared`` the doubled noise of occlusion.
+    spares the objects in ``cleared`` the doubled noise of occlusion.  An
+    object that the scene lacks, in either, raises ValueError.
 
     The underlying noise draws depend only on (scene, seed, predicate), not
     on the attention, so re-perceiving under a sharper attention state refines
     the same observation instead of rolling new dice.  The truths,
     occlusion set and draws, the trial's world, come in one lookup through
     :func:`prefetch_trials`, computed unless the last request computed them.
-    Logs, exponentials and powers are taken one float at a time with
-    ``math`` and ``**``, whose results numpy's vector forms do not always
-    match bit for bit; the log once per distinct odds value.
+    With no residual and nothing cleared, that lookup also returns the
+    trial's unattended observation under ``cfg``, which a harness batch
+    forms for all its trials in one pass, and which the shared labels make
+    read-only; any other call runs :func:`_channel` on its own rows.
     """
     residual = {} if residual is None else residual
     if not all(0.0 < r <= 1.0 for r in residual.values()):  # NaN fails too
         raise ValueError(f"every residual must lie in (0, 1], got {dict(residual)}")
-    ((index, truth, occluded, g, label_draw),) = prefetch_trials([(scene, seed)])
-
+    if not residual and not cleared:
+        ((*_, (_, state, labels)),) = prefetch_trials([(scene, seed)], cfg)
+        return state, labels
+    ((index, truth, occluded, g, label_draw, _),) = prefetch_trials([(scene, seed)])
+    unknown = (residual.keys() | set(cleared)).difference(index.ids)
+    if unknown:
+        raise ValueError(f"attention names objects the scene lacks: {sorted(unknown)}")
     per_obj = np.array([residual.get(obj, 1.0) for obj in index.ids])
     scale = np.minimum(per_obj[index.first], per_obj[index.last])
     hidden = np.array([obj in occluded and obj not in cleared for obj in index.ids])
-    occ_mult = np.where(hidden[index.first] | hidden[index.last], 2.0, 1.0)
-    eta = cfg.base_flip_rate * scale
-    sd = cfg.logit_noise_sd * scale * occ_mult
-
-    p = truth * (1.0 - eta) + (1.0 - truth) * eta
-    noisy = sd != 0.0  # elsewhere sigmoid(logit(p)) == p; skip the roundtrip
-    if noisy.any():
-        ts = np.clip(p[noisy], _TINY, 1.0 - _TINY)
-        odds = (ts / (1.0 - ts)).tolist()  # a few distinct values: one per residual level
-        log_of = {v: math.log(v) for v in set(odds)}
-        x = np.fromiter(map(log_of.__getitem__, odds), float, len(odds)) + sd[noisy] * g[noisy]
-        # sigmoid(x) from e = exp(-|x|), which cannot overflow
-        e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), float, len(x))
-        p[noisy] = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    labels = (label_draw < p).astype(int)
-
-    if cfg.miscal_gamma != 1.0:
-        p = np.array([_sharpen(q, cfg.miscal_gamma) for q in p.tolist()])
+    p, labels = _channel(cfg, truth, g, label_draw, scale, hidden[index.first] | hidden[index.last])
     return ProbabilisticState.from_arrays(index, p), labels
 
 

@@ -393,6 +393,18 @@ class TestPredicateIndex:
             Relation.TOUCHING: [2], Relation.CLEAR: [0],
         }
 
+    def test_arrays_are_read_only(self):
+        # every state over an index shares its arrays, so none may change them
+        state = make_state({"On(a,b)": 0.9, "Clear(b)": 0.3, "Touching(a,b)": 0.5})
+        index = state.scored
+        arrays = [index.first, index.last, *index.by_relation.values()]
+        assert len(arrays) == 2 + len(Relation)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert index.first.tolist() == [1, 0, 0] and index.last.tolist() == [1, 1, 1]
+
     def test_derived_states_share_the_index(self):
         state = make_state({"On(a,b)": 0.9, "Clear(b)": 0.3})
         assert state.scored.preds == tuple(state)

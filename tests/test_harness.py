@@ -809,6 +809,66 @@ class TestBatching:
         run(ExperimentConfig(kind="plan-benchmark", seed=2, trials=40, noise_flip=0.15))
         assert passes == [((3, 1280), 8), ((3, 320), 8)]
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(kind="threshold-sweep", seed=2, trials=20, taus=(0.5, 0.7)),
+            ExperimentConfig(kind="plan-benchmark", seed=2, trials=40, noise_flip=0.15),
+            ExperimentConfig(kind="calibration", seed=2, samples=2000),
+        ],
+        ids=lambda c: c.kind,
+    )
+    def test_one_channel_pass_per_batch(self, monkeypatch, config):
+        # each batch forms its trials' unattended observations in one channel
+        # pass, and no observation without attention runs the channel again
+        events = []
+        channel, run_batch = scene_module._channel, harness._run_batch
+        perceive = scene_module.perceive_with_labels
+
+        def counted_channel(cfg, truth, *rows):
+            events.append(("channel", truth.shape))
+            return channel(cfg, truth, *rows)
+
+        def counted_batch(config, unit, batch):
+            events.append(("batch", len(batch)))
+            return run_batch(config, unit, batch)
+
+        def counted_perceive(scene, cfg, seed, residual=None, cleared=()):
+            events.append(("perceive", bool(residual or cleared)))
+            try:
+                return perceive(scene, cfg, seed, residual, cleared)
+            finally:
+                events.append(("returned", None))
+
+        monkeypatch.setattr(scene_module, "_channel", counted_channel)
+        monkeypatch.setattr(harness, "_run_batch", counted_batch)
+        for module in (scene_module, harness):
+            monkeypatch.setattr(module, "perceive_with_labels", counted_perceive)
+        scene_module._worlds.clear()
+        run(config)
+
+        n = 40  # the candidate predicates of 4 objects
+        batches, attended, unattended = [], 0, 0
+        inside = None  # whether the open perceive call has attention
+        for kind, value in events:
+            if kind == "batch":
+                batches.append([value, 0])
+            elif kind == "perceive":
+                inside = value
+                attended += value
+                unattended += not value
+            elif kind == "returned":
+                inside = None
+            elif inside is None:  # a batch's own pass, before any unit runs
+                assert value == (batches[-1][0], n)
+                batches[-1][1] += 1
+            else:
+                assert inside and value == (n,)
+        assert [size for size, _ in batches] in ([32, 8], [32, 18])
+        assert all(count == 1 for _, count in batches)
+        assert unattended >= sum(size for size, _ in batches)  # every unit's round 0
+        assert attended > 0 or config.kind == "calibration"
+
     def test_mrf_check_draws_nothing(self, passes):
         run(ExperimentConfig(kind="mrf-check", seed=2, trials=3))
         assert passes == []

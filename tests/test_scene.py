@@ -656,6 +656,14 @@ class TestInfoActions:
         assert env.cleared == {"o0"}
         assert "o0" not in env.occluded_ids()
 
+    @pytest.mark.parametrize(
+        "attention", [({"zz": 0.5}, ()), ({"o1": 0.5}, {"zz"}), ({}, {"o0", "zz"})]
+    )
+    def test_attention_on_an_unknown_object_rejected(self, attention):
+        scene = small_stacked_scene()
+        with pytest.raises(ValueError, match="'zz'"):
+            perceive_with_labels(scene, NoiseConfig(), 0, *attention)
+
     @pytest.mark.parametrize("bad", [0.0, 1.5, math.nan])
     def test_residual_outside_unit_interval_rejected(self, bad):
         scene = small_stacked_scene()
@@ -1278,6 +1286,126 @@ def test_prefetch_rejects_a_batch_mixing_object_sets():
     with pytest.raises(ValueError, match="seed must be non-negative"):
         prefetch_trials([(generate_scene(3, seed=1), 3), (kept, -1)])
     assert list(scene_module._worlds) == [(kept, 9)]  # the cache stays
+
+
+# ---------------------------------------------------------------------------
+# a batch's unattended observations, formed with its worlds
+
+BATCH_CONFIGS = [
+    NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.8),
+    NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.8, miscal_gamma=2.0),
+    NoiseConfig(base_flip_rate=0.15),  # logit_noise_sd 0
+    NoiseConfig(logit_noise_sd=1.0),  # flip 0
+]
+
+
+def _assert_same_pair(state, labels, want_state, want_labels):
+    assert state.scored is want_state.scored
+    assert state.confidences.tobytes() == want_state.confidences.tobytes()
+    assert labels.dtype == want_labels.dtype and labels.tobytes() == want_labels.tobytes()
+
+
+def _batch_of_one(scene, cfg, seed):
+    """A trial's unattended observation from a request of one with no
+    stored pair: its channel pass runs over that trial alone."""
+    scene_module._worlds.clear()
+    ((*_, (_, state, labels)),) = prefetch_trials([(scene, seed)], cfg)
+    return state, labels
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_batched_observations_equal_a_batch_of_one(n):
+    occluded = 0
+    for bias in (0.0, 0.35, 0.8):
+        trials = [(generate_scene(n, bias, 40 * n + k), 7 * k + int(100 * bias)) for k in range(12)]
+        for cfg in BATCH_CONFIGS:
+            scene_module._worlds.clear()
+            worlds = prefetch_trials(trials, cfg)
+            for (scene, seed), (*_, (noise, state, labels)) in zip(trials, worlds):
+                assert noise == cfg
+                _assert_same_pair(state, labels, *_batch_of_one(scene, cfg, seed))
+                # a call with attention that changes nothing runs the channel on its own row
+                unit = {scene.object_ids()[0]: 1.0}
+                _assert_same_pair(state, labels, *perceive_with_labels(scene, cfg, seed, unit))
+        occluded += sum(bool(hidden) for _, _, hidden, *_ in prefetch_trials(trials))
+    assert occluded > 0  # scenes with occluded objects are covered
+
+
+def test_batched_observations_match_the_reference():
+    trials = [(generate_scene(5, 0.8, seed), seed + 3) for seed in range(6)]
+    for cfg in BATCH_CONFIGS:
+        scene_module._worlds.clear()
+        for (scene, seed), (*_, (_, state, labels)) in zip(trials, prefetch_trials(trials, cfg)):
+            _assert_same_observation(
+                state, labels, *_reference_perceive_with_labels(scene, cfg, seed)
+            )
+
+
+@pytest.fixture
+def channel_passes(monkeypatch, passes):
+    """The truth passes, draw passes and channel passes (their row shapes)."""
+    shapes = []
+    channel = scene_module._channel
+
+    def counted(cfg, truth, *rows):
+        shapes.append(truth.shape)
+        return channel(cfg, truth, *rows)
+
+    monkeypatch.setattr(scene_module, "_channel", counted)
+    return (*passes, shapes)
+
+
+def test_the_channel_pass_runs_once_per_noise(channel_passes):
+    truths, draws, channels = channel_passes
+    a, b = BATCH_CONFIGS[:2]
+    batch = [(generate_scene(4, seed=seed), 100 + seed) for seed in range(6)]
+    scene_module._worlds.clear()
+    first = prefetch_trials(batch, a)
+    assert (len(truths), len(draws), channels) == (1, 1, [(6, 40)])
+    # under other noise, only the channel pass runs, and the cache keeps its trials
+    second = prefetch_trials(batch, b)
+    assert (len(truths), len(draws), channels) == (1, 1, [(6, 40), (6, 40)])
+    assert all(x[:5] == y[:5] and y[5][0] == b for x, y in zip(first, second))
+    assert list(scene_module._worlds) == batch
+    # a fully cached request under the same noise, or under none, computes nothing
+    assert prefetch_trials(batch[2:], b) == second[2:]
+    assert prefetch_trials(batch[:1]) == second[:1]
+    scene, seed = batch[4]
+    state, labels = perceive_with_labels(scene, b, seed)
+    assert state is second[4][5][1] and labels is second[4][5][2]
+    assert (len(truths), len(draws), len(channels)) == (1, 1, 2)
+    # an observation with attention runs the channel on its own row
+    perceive_with_labels(scene, b, seed, {"o1": 0.5})
+    assert (len(truths), len(draws), channels[2:]) == (1, 1, [(40,)])
+
+
+def test_a_refused_request_leaves_the_cache_as_it_was(channel_passes):
+    batch = [(generate_scene(3, seed=seed), seed) for seed in range(4)]
+    scene_module._worlds.clear()
+    prefetch_trials(batch, BATCH_CONFIGS[0])
+    kept = dict(scene_module._worlds)
+    for request in (
+        batch[:2] + [(generate_scene(4, seed=9), 1)],  # two object sets
+        batch[:2] + [(generate_scene(3, seed=9), 2**32)],  # two seed word counts
+        batch[:2] + [(generate_scene(3, seed=9), -1)],  # a negative seed
+    ):
+        for noise in (None, BATCH_CONFIGS[1]):
+            with pytest.raises(ValueError):
+                prefetch_trials(request, noise)
+            assert scene_module._worlds == kept
+            assert all(scene_module._worlds[k] is w for k, w in kept.items())
+    assert len(channel_passes[2]) == 1
+
+
+def test_observations_come_with_read_only_labels():
+    scene = small_stacked_scene()
+    cfg = NoiseConfig(base_flip_rate=0.1, logit_noise_sd=0.8)
+    for attention in (({}, ()), ({"o1": 0.5}, ()), ({}, {"o0"})):
+        state, labels = perceive_with_labels(scene, cfg, 3, *attention)
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0] = 1 - labels[0]
+        with pytest.raises(ValueError, match="read-only"):
+            state.scored.first[0] = 0
 
 
 # ---------------------------------------------------------------------------
