@@ -8,11 +8,10 @@ in batches, each one task of the process pool when there are workers, and
 are assembled in index order.  For the kinds that perceive, a batch
 generates its trials' scenes once and hands each trial its (scene,
 perception seed); before any trial runs, one ``scene.prefetch_trials``
-request under the config's noise computes every trial's world, its
-scene's truths and occlusion set and its noise draws, and forms every
-trial's round-0 observation in one channel pass; the trials'
-observations find it cached, and only those under attention run the
-channel again.
+request under the config's noise forms every trial's world, round-0
+observation included, as one row of each of its passes.  Every later
+lookup is under the same noise and finds its trial held; only
+observations under attention run the channel again, on their own row.
 Ground truth is the simulator's work, not the robot's, so none of it is
 done inside an episode.  The default goal is built once per object set.
 
@@ -352,9 +351,9 @@ def _episode(config: ExperimentConfig, scene, perception_seed: int, tau_plan: fl
 # experiment units (module-level for process pools)
 
 # Units run in batches of at most this many.  A batch generates its scenes
-# once, and one ``prefetch_trials`` request computes its trials' worlds and
-# round-0 observations, which the scene module keeps, whatever the batch's
-# size, until the next request that computes.
+# once, and one ``prefetch_trials`` request under the config's noise forms
+# its trials' worlds, which the scene module holds, whatever the batch's
+# size, until a request that is not all held under its noise.
 _BATCH_UNITS = 32
 
 
@@ -459,8 +458,8 @@ def _run_batch(config: ExperimentConfig, unit, batch: list[tuple[int, int]]) -> 
     seed).  For the kinds that perceive, a trial is its generated scene and
     perception seed: the batch generates its scenes once, and one
     :func:`prefetch_trials` request under the config's noise, made before
-    any unit runs, computes every trial's world and its round-0
-    observation; the units then find both cached."""
+    any unit runs, forms every trial's world with its round-0 observation,
+    which every lookup the units make, under that noise, finds held."""
     trials = _trial_seeds(config.seed, batch)
     if config.kind != "mrf-check":
         trials = [

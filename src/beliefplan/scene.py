@@ -14,20 +14,16 @@ its inputs and seed.
 
 What does not change between observations is computed once: one sorted
 predicate index per object set, and each trial's world, keyed on its
-(scene, perception seed): the scene's truths and occlusion set and the
-trial's noise draws, which an episode's re-observations reuse, and its
-unattended observation, with no residual and nothing cleared, under the
-noise of the request that formed it.  One module cache keeps the worlds
-of the last request that computed any, and one door, ``prefetch_trials``,
-fills it: a request with any trial missing runs one vectorized pass over
-its scenes' (B, n) position and size arrays and one draw pass over its
-noise keys, and replaces the cache; a request under a noise then runs one
-channel pass over its (B, P) truth, draw and occlusion rows, unless its
-trials were all cached and observed under that noise; a request that
-needs none of this computes nothing.  A harness batch is one request
-under its noise, so every trial's round-0 observation is formed with its
-world, and an observation of a trial outside the last one is a request
-of one.  Scenes are keyed whole, since hand-built scenes share seeds.
+(scene, perception seed), since hand-built scenes share seeds: the scene's
+truths and occluded objects, the trial's noise draws and its unattended
+observation (no residual, nothing cleared) under one noise.  One module
+cache holds the worlds of the last request that computed, and one door,
+``prefetch_trials``, fills it by one rule: a request whose trials are all
+held under its noise computes nothing; any other runs one truth pass over
+its scenes' (B, n) position and size arrays, one draw pass over its noise
+keys and one channel pass over the (B, P) rows these give, and its worlds
+replace the held ones.  A harness batch is one request, and an
+observation or occlusion lookup a request of one, under its caller's noise.
 The draws are the first normal and uniform of one
 ``default_rng([seed, scene seed, k])`` per predicate k.  A column-wise
 SeedSequence and PCG64's seeding, step and output, which NEP 19 fixes
@@ -51,7 +47,8 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from itertools import compress
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,6 +75,15 @@ _PIXELS_PER_M_Y = DEFAULT_IMAGE_DIMS[1] / (2 * WORLD_HALF_EXTENT)
 _TINY = 1e-12
 
 
+def _integer_seed(seed) -> int:
+    """A non-negative integer seed (numpy's too) as an int; ValueError otherwise."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class SceneObject:
     id: str
@@ -85,6 +91,8 @@ class SceneObject:
     size: tuple[float, float, float]  # (w, h, d): x, z, y extents, meters
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.position, *self.size))):  # NaN passes <= and <
+            raise ValueError(f"object {self.id}: position and size must be finite")
         if any(s <= 0 for s in self.size):
             raise ValueError(f"object {self.id}: sizes must be strictly positive")
         if self.position[2] < 0:
@@ -110,8 +118,7 @@ class Scene:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"scene seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", _integer_seed(self.seed))  # numpy's too, for JSON
         by_id = {o.id: o for o in self.objects}
         if len(by_id) != len(self.objects):
             raise ValueError("duplicate object ids")
@@ -184,10 +191,9 @@ def generate_scene(n_objects: int, stack_bias: float = 0.4, seed: int = 0) -> Sc
     Deterministic for fixed (n_objects, stack_bias, seed).
     """
     check_scene_shape(n_objects, stack_bias)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = _integer_seed(seed)
 
-    rng = np.random.default_rng([int(seed), n_objects])
+    rng = np.random.default_rng([seed, n_objects])
     objects: list[SceneObject] = []
     support: list[tuple[str, str]] = []
     covered: set[str] = set()  # objects with something on top
@@ -219,7 +225,7 @@ def generate_scene(n_objects: int, stack_bias: float = 0.4, seed: int = 0) -> Sc
             z = h / 2
         objects.append(SceneObject(oid, (x, y, z), (w, h, d)))
 
-    return Scene(tuple(objects), tuple(support), seed=int(seed))
+    return Scene(tuple(objects), tuple(support), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +247,12 @@ def predicate_count(n_objects: int) -> int:
     return len(_predicate_index(tuple(sorted(f"o{k}" for k in range(n_objects)))).preds)
 
 
-_SceneFacts = tuple[PredicateIndex, np.ndarray, frozenset[str]]
-
-
-def _truth_pass(scenes: list[Scene]) -> dict[Scene, _SceneFacts]:
-    """Each scene's predicate index, its truth vector written over that
-    index from support pairs and geometry, and its occluded objects, from
-    one pass over the (B, n) position and size arrays of scenes of one
-    object set (ValueError otherwise).
+def _truth_pass(scenes: Sequence[Scene]) -> tuple[PredicateIndex, np.ndarray, np.ndarray]:
+    """The predicate index of B scenes of one object set (ValueError
+    otherwise) and, row i for ``scenes[i]``, their (B, P) truths written
+    over that index from support pairs and geometry and their (B, n) flags
+    of which of the index's ``ids`` are occluded, from one pass over their
+    (B, n) position and size arrays.
 
     The truths are On for each support pair, Clear where nothing rests on
     an object, Touching where the largest per-axis face separation is under
@@ -262,7 +266,7 @@ def _truth_pass(scenes: list[Scene]) -> dict[Scene, _SceneFacts]:
     top-down pixel box overlaps its own by an IoU above ``OCCLUSION_IOU``.
     The center distance is ``math.hypot``'s, one pair at a time:
     ``np.hypot`` differs from it in the last bit on about 0.6% of pairs.
-    The truth vectors are read-only.
+    Both arrays are read-only.
     """
     ids = scenes[0].object_ids()
     if any(scene.object_ids() != ids for scene in scenes):
@@ -308,11 +312,9 @@ def _truth_pass(scenes: list[Scene]) -> dict[Scene, _SceneFacts]:
     area = bw * bh
     inter = overlap(cx, bw) * overlap(cy, bh)
     iou = inter / (area[:, :, None] + area[:, None] - inter)
-    hidden = ((z[:, None] > z[:, :, None]) & (iou > OCCLUSION_IOU)).any(axis=2).tolist()
-    return {
-        scene: (index, row, frozenset(obj for obj, h in zip(ids, hid) if h))
-        for scene, row, hid in zip(scenes, truth, hidden)
-    }
+    hidden = ((z[:, None] > z[:, :, None]) & (iou > OCCLUSION_IOU)).any(axis=2)
+    hidden.flags.writeable = False
+    return index, truth, hidden
 
 
 # ---------------------------------------------------------------------------
@@ -557,14 +559,14 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray] | None:
     return tables if _check_tables(tables) else None
 
 
-def _draw_pass(keys: list[tuple[int, int, int]]) -> dict:
-    """The read-only (g, label_draw) of each (perception seed, scene seed, n)
-    key: for each k < n, the first normal and uniform of ``default_rng([
-    perception seed, scene seed, k])``.  The keys share n and have
-    non-negative seeds of as many 32-bit words in all (ValueError
-    otherwise).  Key i's predicate k is entropy column i * n + k: its seed
-    words, repeated, over k, tiled.  Both the fast path and numpy's draws
-    off it read one :func:`_seeded`."""
+def _draw_pass(keys: Sequence[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (B, n) arrays g and label_draw of B (perception seed,
+    scene seed, n) keys: at row i and column k, the first normal and
+    uniform of ``default_rng([perception seed, scene seed, k])`` of key i.
+    The keys share n and have non-negative seeds of as many 32-bit words in
+    all (ValueError otherwise).  Key i's predicate k is entropy column
+    i * n + k: its seed words, repeated, over k, tiled.  Both the fast path
+    and numpy's draws off it read one :func:`_seeded`."""
     words = [_uint32_words(seed) + _uint32_words(scene_seed) for seed, scene_seed, _ in keys]
     if len({n for _, _, n in keys}) != 1 or len({len(w) for w in words}) != 1:
         raise ValueError("one draw pass needs keys of one n whose seeds take as many words")
@@ -590,64 +592,57 @@ def _draw_pass(keys: list[tuple[int, int, int]]) -> dict:
         rng = _generator_at(s_hi << 64 | s_lo, inc_hi << 64 | inc_lo)
         g[k] = rng.standard_normal()
         label_draw[k] = rng.random()
-    g.flags.writeable = False
-    label_draw.flags.writeable = False
-    return dict(zip(keys, zip(g.reshape(-1, n), label_draw.reshape(-1, n))))
+    g, label_draw = g.reshape(-1, n), label_draw.reshape(-1, n)
+    g.flags.writeable = label_draw.flags.writeable = False
+    return g, label_draw
 
 
-# a trial's unattended observation: its noise, state and read-only labels
-_Observation = tuple[NoiseConfig, ProbabilisticState, np.ndarray]
+class _World(NamedTuple):
+    """A trial's world: its scene's predicate index, its truth row and
+    occluded flags (over the index's ``ids``), its noise draws, and its
+    unattended observation under ``noise``, a state and read-only labels.
+    The arrays are rows of its request's passes."""
 
-# a trial's predicate index, truth vector, occluded objects, g, label_draw,
-# and its unattended observation, if a request under a noise formed one
-_World = tuple[
-    PredicateIndex, np.ndarray, frozenset[str], np.ndarray, np.ndarray, _Observation | None
-]
+    scored: PredicateIndex
+    truth: np.ndarray
+    hidden: np.ndarray
+    g: np.ndarray
+    label_draw: np.ndarray
+    noise: NoiseConfig
+    state: ProbabilisticState
+    labels: np.ndarray
 
-# The worlds of the last request that computed any, keyed on (scene,
+
+# The worlds of the last request that computed, keyed on (scene,
 # perception seed): one observation's trial, or one batch's trials.
 _worlds: dict[tuple[Scene, int], _World] = {}
 
 
-def prefetch_trials(
-    trials: Sequence[tuple[Scene, int]], noise: NoiseConfig | None = None
-) -> list[_World]:
-    """The world of each trial, a (scene, perception seed): its scene's
-    :func:`_truth_pass` facts, its :func:`_draw_pass` noise draws and, under
-    ``noise``, its unattended observation.
+def prefetch_trials(trials: Sequence[tuple[Scene, int]], noise: NoiseConfig) -> list[_World]:
+    """The world of each trial, a (scene, perception seed), with its
+    unattended observation under ``noise``.
 
-    A request whose trials are all cached, with their observations under
-    ``noise`` if given, computes nothing.  One with any trial missing runs
-    one truth pass over its distinct scenes and one draw pass over its
-    distinct noise keys, and replaces the cache.  Under a ``noise`` that
-    some trial has not been observed under, one :func:`_channel` pass over
-    the request's truth, draw and occlusion rows then forms every trial's
-    unattended observation, which a cached request stores in place.  The
-    scenes must share one object set, and the perception seeds must be
-    non-negative and, within one request, take as many 32-bit words (each
-    below 2**32, say); ValueError otherwise, and the cache stays."""
-    keys = [(scene, int(seed)) for scene, seed in trials]
-    try:
-        worlds = [_worlds[key] for key in keys]
-    except KeyError:
-        facts = _truth_pass(list(dict.fromkeys(scene for scene, _ in keys)))
-        n = len(facts[keys[0][0]][0].preds)  # one object set, so one index
-        draws = _draw_pass(list(dict.fromkeys((seed, scene.seed, n) for scene, seed in keys)))
-        worlds = [facts[scene] + draws[seed, scene.seed, n] + (None,) for scene, seed in keys]
-        _worlds.clear()
-    else:
-        if noise is None or all(w[5] is not None and w[5][0] == noise for w in worlds):
-            return worlds
-    if noise is not None:
-        index = worlds[0][0]
-        truth, g, label_draw = (np.stack([w[k] for w in worlds]) for k in (1, 3, 4))
-        hidden = np.array([[obj in w[2] for obj in index.ids] for w in worlds])
-        occluded = hidden.take(index.first, axis=1) | hidden.take(index.last, axis=1)
-        p, labels = _channel(noise, truth, g, label_draw, np.ones(truth.shape), occluded)
-        worlds = [
-            w[:5] + ((noise, ProbabilisticState.from_arrays(index, q), y),)
-            for w, q, y in zip(worlds, p, labels)
-        ]
+    A request whose trials are all held under ``noise`` computes nothing.
+    Any other runs one :func:`_truth_pass` over its scenes, one
+    :func:`_draw_pass` over its noise keys and one :func:`_channel` pass
+    over the (B, P) truth, draw and occlusion rows these give, and its
+    worlds replace the held ones.  The scenes must share one object set,
+    and the perception seeds must be non-negative integers that, within
+    one request, take as many 32-bit words (each below 2**32, say);
+    ValueError otherwise, and the held worlds stay."""
+    keys = [(scene, _integer_seed(seed)) for scene, seed in trials]
+    held = [_worlds.get(key) for key in keys]
+    if all(world is not None and world.noise == noise for world in held):
+        return held
+    index, truth, hidden = _truth_pass([scene for scene, _ in keys])
+    g, label_draw = _draw_pass([(seed, scene.seed, len(index.preds)) for scene, seed in keys])
+    occluded = hidden.take(index.first, axis=1) | hidden.take(index.last, axis=1)
+    p, labels = _channel(noise, truth, g, label_draw, np.ones(truth.shape), occluded)
+    worlds = [
+        _World(index, *rows, noise, ProbabilisticState.from_arrays(index, q), y)
+        for *rows, q, y in zip(truth, hidden, g, label_draw, p, labels)
+    ]
+    _worlds.clear()
     _worlds.update(zip(keys, worlds))
     return worlds
 
@@ -723,28 +718,28 @@ def perceive_with_labels(
 
     The underlying noise draws depend only on (scene, seed, predicate), not
     on the attention, so re-perceiving under a sharper attention state refines
-    the same observation instead of rolling new dice.  The truths,
-    occlusion set and draws, the trial's world, come in one lookup through
-    :func:`prefetch_trials`, computed unless the last request computed them.
-    With no residual and nothing cleared, that lookup also returns the
-    trial's unattended observation under ``cfg``, which a harness batch
-    forms for all its trials in one pass, and which the shared labels make
-    read-only; any other call runs :func:`_channel` on its own rows.
+    the same observation instead of rolling new dice.  Every call makes one
+    :func:`prefetch_trials` request of one under ``cfg``, which finds the
+    trial's world held or forms it.  With no residual and nothing cleared
+    it returns that world's unattended observation, whose labels are
+    read-only since they are shared; any other call runs :func:`_channel`
+    on the world's rows.
     """
     residual = {} if residual is None else residual
     if not all(0.0 < r <= 1.0 for r in residual.values()):  # NaN fails too
         raise ValueError(f"every residual must lie in (0, 1], got {dict(residual)}")
+    (world,) = prefetch_trials([(scene, seed)], cfg)
     if not residual and not cleared:
-        ((*_, (_, state, labels)),) = prefetch_trials([(scene, seed)], cfg)
-        return state, labels
-    ((index, truth, occluded, g, label_draw, _),) = prefetch_trials([(scene, seed)])
+        return world.state, world.labels
+    index = world.scored
     unknown = (residual.keys() | set(cleared)).difference(index.ids)
     if unknown:
         raise ValueError(f"attention names objects the scene lacks: {sorted(unknown)}")
     per_obj = np.array([residual.get(obj, 1.0) for obj in index.ids])
     scale = np.minimum(per_obj[index.first], per_obj[index.last])
-    hidden = np.array([obj in occluded and obj not in cleared for obj in index.ids])
-    p, labels = _channel(cfg, truth, g, label_draw, scale, hidden[index.first] | hidden[index.last])
+    hidden = world.hidden & [obj not in cleared for obj in index.ids]
+    occluded = hidden[index.first] | hidden[index.last]
+    p, labels = _channel(cfg, world.truth, world.g, world.label_draw, scale, occluded)
     return ProbabilisticState.from_arrays(index, p), labels
 
 
@@ -797,7 +792,7 @@ class PlanningEnvironment:
     def __init__(self, scene: Scene, cfg: NoiseConfig, seed: int):
         self.scene = scene
         self.cfg = cfg
-        self.seed = int(seed)
+        self.seed = _integer_seed(seed)
         self.residual: dict[str, float] = {}
         self.cleared: set[str] = set()
 
@@ -808,7 +803,8 @@ class PlanningEnvironment:
         return perceive(self.scene, self.cfg, self.seed, self.residual, self.cleared)
 
     def occluded_ids(self) -> frozenset[str]:
-        return prefetch_trials([(self.scene, self.seed)])[0][2] - self.cleared
+        (world,) = prefetch_trials([(self.scene, self.seed)], self.cfg)
+        return frozenset(compress(world.scored.ids, world.hidden.tolist())) - self.cleared
 
     def apply_info(self, kind: str, target: str) -> None:
         """Step ``target``'s residual by :func:`core.next_residual`, which

@@ -416,7 +416,8 @@ def _reference_attention_rounds(config, trial):
     """
     scene, seed = trial
     cfg = config.noise()
-    index, truth, occluded = scene_module._truth_pass([scene])[scene]
+    index, (truth,), (hidden,) = scene_module._truth_pass([scene])
+    occluded = {obj for obj, h in zip(index.ids, hidden.tolist()) if h}
     draws = []
     for k in range(len(index.preds)):
         rng = np.random.default_rng([seed, scene.seed, k])

@@ -133,16 +133,22 @@ def _reference_scene_facts(scene: Scene) -> tuple[np.ndarray, frozenset[str]]:
     return truth, _reference_occluded(scene)
 
 
+def _hidden_ids(index, hidden) -> frozenset[str]:
+    """The objects that a row of occluded flags over ``index.ids`` marks."""
+    return frozenset(obj for obj, h in zip(index.ids, hidden.tolist(), strict=True) if h)
+
+
 def _assert_facts_match_reference(scenes):
-    """One truth pass over ``scenes`` gives each scene the reference's truth
-    bytes and occluded objects."""
-    facts = _truth_pass(scenes)
-    for scene in scenes:
-        index, truth, occluded = facts[scene]
+    """One truth pass over ``scenes`` gives each scene, in its row, the
+    reference's truth bytes and occluded objects."""
+    index, truths, hidden = _truth_pass(scenes)
+    assert index is _predicate_index(scenes[0].object_ids())
+    assert truths.shape == (len(scenes), len(index.preds)) and not truths.flags.writeable
+    assert hidden.shape == (len(scenes), len(index.ids)) and not hidden.flags.writeable
+    for scene, truth, row in zip(scenes, truths, hidden, strict=True):
         want_truth, want_occluded = _reference_scene_facts(scene)
-        assert index is _predicate_index(scene.object_ids())
         assert truth.tobytes() == want_truth.tobytes()
-        assert occluded == want_occluded
+        assert _hidden_ids(index, row) == want_occluded
 
 
 def ground_truth_state(scene: Scene) -> frozenset[GroundPredicate]:
@@ -209,6 +215,15 @@ class TestGeneration:
             generate_scene(5, stack_bias=1.5)
         with pytest.raises(ValueError):
             generate_scene(5, seed=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, at", [("position", 0), ("position", 2), ("size", 1)])
+    def test_non_finite_geometry_rejected(self, field, at, bad):
+        # NaN fails both ``<= 0`` and ``< 0``, so the sign checks alone let it through
+        geometry = {"position": [0.0, 0.0, 0.03], "size": [0.05, 0.05, 0.05]}
+        geometry[field][at] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            SceneObject("o0", tuple(geometry["position"]), tuple(geometry["size"]))
 
     def test_supported_objects_sit_higher(self):
         for seed in range(20):
@@ -310,9 +325,9 @@ def _vector_truths(scene):
     """The predicates that the scene's truth vector marks true, which must
     match the reference loop's vector byte for byte."""
     _assert_facts_match_reference([scene])
-    ((index, truth, *_),) = prefetch_trials([(scene, 0)])
-    assert set(truth.tolist()) <= {0.0, 1.0}
-    return {pred for pred, t in zip(index.preds, truth) if t == 1.0}
+    (world,) = prefetch_trials([(scene, 0)], NoiseConfig())
+    assert set(world.truth.tolist()) <= {0.0, 1.0}
+    return {pred for pred, t in zip(world.scored.preds, world.truth) if t == 1.0}
 
 
 def _pair(b_position, size=(0.08, 0.06, 0.08)):
@@ -392,9 +407,9 @@ class TestTruthVector:
         assert [index.preds[k].args for k in parts[CLEAR].tolist()] == [(a,) for a in ids]
 
     def test_vector_is_read_only(self):
-        ((_, truth, *_),) = prefetch_trials([(small_stacked_scene(), 0)])
+        (world,) = prefetch_trials([(small_stacked_scene(), 0)], NoiseConfig())
         with pytest.raises(ValueError):
-            truth[0] = 1.0
+            world.truth[0] = 1.0
 
 
 # Two center offsets at which math.hypot and np.hypot round to either side
@@ -430,9 +445,10 @@ class TestTruthPassMatchesReference:
         )
         assert stacked.seed == spread.seed == 0 and stacked.object_ids() == spread.object_ids()
         _assert_facts_match_reference([stacked, spread, stacked])
-        worlds = prefetch_trials([(stacked, 0), (spread, 0)])
-        (_, a, hidden_a, *_), (_, b, hidden_b, *_) = worlds
-        assert a.tobytes() != b.tobytes() and hidden_a == {"o0"} and hidden_b == frozenset()
+        a, b = prefetch_trials([(stacked, 0), (spread, 0)], NoiseConfig())
+        assert a.truth.tobytes() != b.truth.tobytes()
+        assert _hidden_ids(a.scored, a.hidden) == {"o0"}
+        assert _hidden_ids(b.scored, b.hidden) == frozenset()
 
     @pytest.mark.parametrize("dx, dy, close", HYPOT_STRADDLES)
     def test_close_to_takes_math_hypot(self, dx, dy, close):
@@ -443,13 +459,14 @@ class TestTruthPassMatchesReference:
 
     def test_facts_are_cached_until_a_request_computes(self, passes):
         truths, draws = passes
+        cfg = NoiseConfig(logit_noise_sd=0.5)
         scene_module._worlds.clear()
         batch = [(generate_scene(4, seed=seed), seed) for seed in range(5)]
-        worlds = prefetch_trials(batch)
-        assert prefetch_trials(batch[3:] + batch[:1]) == worlds[3:] + worlds[:1]  # cached
+        worlds = prefetch_trials(batch, cfg)
+        assert prefetch_trials(batch[3:] + batch[:1], cfg) == worlds[3:] + worlds[:1]  # held
         assert len(truths) == len(draws) == 1 and list(scene_module._worlds) == batch
         other = (generate_scene(4, seed=99), 7)
-        prefetch_trials(batch[:1] + [other])  # one trial missing: computed whole
+        prefetch_trials(batch[:1] + [other], cfg)  # one trial missing: computed whole
         assert truths[1] == [batch[0][0], other[0]]
         assert draws[1] == [(0, 0, 40), (7, 99, 40)]
         assert list(scene_module._worlds) == batch[:1] + [other]
@@ -462,7 +479,8 @@ def iou_2d(box_a, box_b):
 
 def occluded_objects(scene):
     """The scene's occluded objects, as the truth pass finds them."""
-    return _truth_pass([scene])[scene][2]
+    index, _, (hidden,) = _truth_pass([scene])
+    return _hidden_ids(index, hidden)
 
 
 class TestOcclusion:
@@ -972,10 +990,11 @@ def _assert_same_draws(got, want):
 
 
 def _fresh_draws(keys):
-    """The draws of each key, in order, from one draw pass: every key is
-    drawn anew."""
-    drawn = _draw_pass(keys)
-    return [drawn[key] for key in keys]
+    """The (g, label_draw) rows of each key, in order, from one draw pass:
+    every key is drawn anew."""
+    g, label_draw = _draw_pass(keys)
+    assert g.shape == label_draw.shape == (len(keys), keys[0][2])
+    return list(zip(g, label_draw, strict=True))
 
 
 class TestNoiseDrawsMatchReference:
@@ -1049,25 +1068,30 @@ def test_seed_words_match_seed_sequence():
 
 
 def _assert_worlds_match_reference(trials, worlds):
-    for (scene, seed), (index, truth, occluded, *draws) in zip(trials, worlds, strict=True):
+    for (scene, seed), world in zip(trials, worlds, strict=True):
         want_truth, want_occluded = _reference_scene_facts(scene)
-        assert truth.tobytes() == want_truth.tobytes() and occluded == want_occluded
-        _assert_same_draws(draws, _reference_noise_draws(seed, scene.seed, len(index.preds)))
+        assert world.truth.tobytes() == want_truth.tobytes()
+        assert _hidden_ids(world.scored, world.hidden) == want_occluded
+        _assert_same_draws(
+            (world.g, world.label_draw),
+            _reference_noise_draws(seed, scene.seed, len(world.scored.preds)),
+        )
 
 
 def test_the_cache_keeps_the_last_request_that_computed():
     scene = generate_scene(3, seed=7)  # 27 predicates
     trials = [(scene, seed) for seed in range(73)]
+    cfg = NoiseConfig()
     scene_module._worlds.clear()
-    _assert_worlds_match_reference(trials, prefetch_trials(trials))
+    _assert_worlds_match_reference(trials, prefetch_trials(trials, cfg))
     assert list(scene_module._worlds) == trials  # all 73 trials, whatever the size
-    # a request whose trials are all cached computes nothing and keeps the cache
+    # a request whose trials are all held computes nothing and keeps the cache
     cached = trials[40:] + trials[:3]
-    _assert_worlds_match_reference(cached, prefetch_trials(cached))
+    _assert_worlds_match_reference(cached, prefetch_trials(cached, cfg))
     assert list(scene_module._worlds) == trials
     # the next request that computes replaces them with its own trials
     again = trials[:2] + [(scene, 73)]
-    _assert_worlds_match_reference(again, prefetch_trials(again))
+    _assert_worlds_match_reference(again, prefetch_trials(again, cfg))
     assert list(scene_module._worlds) == again
 
 
@@ -1092,14 +1116,15 @@ def passes(monkeypatch):
 
 def test_one_door_computes_a_trial_world_once(passes):
     truths, draws = passes
+    cfg = NoiseConfig(logit_noise_sd=0.8)
     batch = [(generate_scene(4, seed=seed), 100 + seed) for seed in range(8)]
     scene_module._worlds.clear()
-    prefetch_trials(batch)
+    prefetch_trials(batch, cfg)
     assert len(truths) == len(draws) == 1
-    # a cached trial computes nothing: its observations and occlusion set
-    # read the batch's world
+    # a held trial computes nothing under its noise: its observations and
+    # occlusion set read the batch's world
     scene, seed = batch[3]
-    env = PlanningEnvironment(scene, NoiseConfig(logit_noise_sd=0.8), seed)
+    env = PlanningEnvironment(scene, cfg, seed)
     env.observe()
     env.apply_info(LOOK_CLOSER, "o1")
     env.observe()
@@ -1108,7 +1133,7 @@ def test_one_door_computes_a_trial_world_once(passes):
     # a lone observation of a trial outside the batch is a request of one:
     # one truth pass and one draw pass, and the cache holds that trial alone
     lone = generate_scene(4, seed=50)
-    perceive(lone, NoiseConfig(), 9)
+    perceive(lone, cfg, 9)
     assert truths[1:] == [[lone]] and draws[1:] == [[(9, 50, 40)]]
     assert list(scene_module._worlds) == [(lone, 9)]
 
@@ -1126,7 +1151,7 @@ def test_a_batch_at_ten_objects_is_one_pass(monkeypatch):
     scene = generate_scene(10, seed=3)
     trials = [(scene, seed) for seed in range(32)]
     scene_module._worlds.clear()
-    _assert_worlds_match_reference(trials, prefetch_trials(trials))
+    _assert_worlds_match_reference(trials, prefetch_trials(trials, NoiseConfig()))
     assert predicate_count(10) == 280 and widths == [32 * 280]
 
 
@@ -1254,7 +1279,8 @@ NEGATIVE_SEED_CALLS = {
     "perceive_with_labels": lambda out: perceive_with_labels(
         small_stacked_scene(), NoiseConfig(), -1
     ),
-    "prefetch_trials": lambda out: prefetch_trials([(small_stacked_scene(), -1)]),
+    "prefetch_trials": lambda out: prefetch_trials([(small_stacked_scene(), -1)], NoiseConfig()),
+    "PlanningEnvironment": lambda out: PlanningEnvironment(small_stacked_scene(), NoiseConfig(), -1),
     "seed_sequence_words": lambda out: seed_sequence_words([(3, -1)], 2),
     "generate_scene_files": lambda out: generate_scene_files(2, 4, 0.4, -1, out),
 }
@@ -1267,24 +1293,60 @@ def test_every_seeded_entry_rejects_a_negative_seed(entry, tmp_path):
     assert not (tmp_path / "scenes").exists()
 
 
+# every entry of the scene module that takes a seed, called with a fractional
+# one, which it must refuse rather than truncate
+FRACTIONAL_SEED_CALLS = {
+    "generate_scene": lambda: generate_scene(4, seed=1.5),
+    "Scene": lambda: Scene(small_stacked_scene().objects, (), seed=1.5),
+    "perceive": lambda: perceive(small_stacked_scene(), NoiseConfig(), 1.5),
+    "perceive_with_labels": lambda: perceive_with_labels(small_stacked_scene(), NoiseConfig(), 1.5),
+    "prefetch_trials": lambda: prefetch_trials([(small_stacked_scene(), 1.5)], NoiseConfig()),
+    "PlanningEnvironment": lambda: PlanningEnvironment(small_stacked_scene(), NoiseConfig(), 2.9),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FRACTIONAL_SEED_CALLS))
+def test_every_seeded_entry_refuses_a_fractional_seed(entry):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        FRACTIONAL_SEED_CALLS[entry]()
+
+
+def test_numpy_integer_seeds_stay_accepted():
+    scene = generate_scene(4, seed=np.int64(3))
+    assert scene == generate_scene(4, seed=3) and type(scene.seed) is int
+    built = Scene(scene.objects, scene.support, seed=np.uint16(3))
+    assert type(built.seed) is int and scene_to_json(built) == scene_to_json(scene)
+    cfg = NoiseConfig(logit_noise_sd=1.0)
+    scene_module._worlds.clear()
+    want = perceive(scene, cfg, 5).confidences.tobytes()
+    for seed in (np.int64(5), np.uint32(5)):
+        scene_module._worlds.clear()
+        assert perceive(scene, cfg, seed).confidences.tobytes() == want
+        env = PlanningEnvironment(scene, cfg, seed)
+        assert env.seed == 5 and type(env.seed) is int
+
+
 def test_prefetch_rejects_a_batch_mixing_object_sets():
     # o0, o1, o2 beside o0, o1, o2, o3, and beside a, b, c: a pass lays out
     # one object set
     kept = small_stacked_scene()
+    cfg = NoiseConfig()
     scene_module._worlds.clear()
-    prefetch_trials([(kept, 9)])
+    prefetch_trials([(kept, 9)], cfg)
     renamed = Scene(
         tuple(replace(o, id=new) for o, new in zip(kept.objects, "abc")),
         (("b", "a"),),
     )
     for other in (generate_scene(4, seed=1), renamed):
         with pytest.raises(ValueError, match="one object set"):
-            prefetch_trials([(generate_scene(3, seed=1), 3), (other, 5)])
+            prefetch_trials([(generate_scene(3, seed=1), 3), (other, 5)], cfg)
     # one word for seed 3, two for 2**32: a draw pass lays out one word count
     with pytest.raises(ValueError, match="as many words"):
-        prefetch_trials([(generate_scene(3, seed=1), 3), (generate_scene(3, seed=2), 2**32)])
+        prefetch_trials(
+            [(generate_scene(3, seed=1), 3), (generate_scene(3, seed=2), 2**32)], cfg
+        )
     with pytest.raises(ValueError, match="seed must be non-negative"):
-        prefetch_trials([(generate_scene(3, seed=1), 3), (kept, -1)])
+        prefetch_trials([(generate_scene(3, seed=1), 3), (kept, -1)], cfg)
     assert list(scene_module._worlds) == [(kept, 9)]  # the cache stays
 
 
@@ -1306,11 +1368,11 @@ def _assert_same_pair(state, labels, want_state, want_labels):
 
 
 def _batch_of_one(scene, cfg, seed):
-    """A trial's unattended observation from a request of one with no
-    stored pair: its channel pass runs over that trial alone."""
+    """A trial's unattended observation from a request of one with nothing
+    held: its channel pass runs over that trial alone."""
     scene_module._worlds.clear()
-    ((*_, (_, state, labels)),) = prefetch_trials([(scene, seed)], cfg)
-    return state, labels
+    (world,) = prefetch_trials([(scene, seed)], cfg)
+    return world.state, world.labels
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -1321,13 +1383,15 @@ def test_batched_observations_equal_a_batch_of_one(n):
         for cfg in BATCH_CONFIGS:
             scene_module._worlds.clear()
             worlds = prefetch_trials(trials, cfg)
-            for (scene, seed), (*_, (noise, state, labels)) in zip(trials, worlds):
-                assert noise == cfg
-                _assert_same_pair(state, labels, *_batch_of_one(scene, cfg, seed))
+            occluded += sum(bool(world.hidden.any()) for world in worlds)
+            for (scene, seed), world in zip(trials, worlds):
+                assert world.noise == cfg
+                _assert_same_pair(world.state, world.labels, *_batch_of_one(scene, cfg, seed))
                 # a call with attention that changes nothing runs the channel on its own row
                 unit = {scene.object_ids()[0]: 1.0}
-                _assert_same_pair(state, labels, *perceive_with_labels(scene, cfg, seed, unit))
-        occluded += sum(bool(hidden) for _, _, hidden, *_ in prefetch_trials(trials))
+                _assert_same_pair(
+                    world.state, world.labels, *perceive_with_labels(scene, cfg, seed, unit)
+                )
     assert occluded > 0  # scenes with occluded objects are covered
 
 
@@ -1335,9 +1399,9 @@ def test_batched_observations_match_the_reference():
     trials = [(generate_scene(5, 0.8, seed), seed + 3) for seed in range(6)]
     for cfg in BATCH_CONFIGS:
         scene_module._worlds.clear()
-        for (scene, seed), (*_, (_, state, labels)) in zip(trials, prefetch_trials(trials, cfg)):
+        for (scene, seed), world in zip(trials, prefetch_trials(trials, cfg)):
             _assert_same_observation(
-                state, labels, *_reference_perceive_with_labels(scene, cfg, seed)
+                world.state, world.labels, *_reference_perceive_with_labels(scene, cfg, seed)
             )
 
 
@@ -1355,28 +1419,52 @@ def channel_passes(monkeypatch, passes):
     return (*passes, shapes)
 
 
-def test_the_channel_pass_runs_once_per_noise(channel_passes):
+def test_a_held_batch_under_other_noise_is_formed_again_whole(channel_passes):
     truths, draws, channels = channel_passes
     a, b = BATCH_CONFIGS[:2]
     batch = [(generate_scene(4, seed=seed), 100 + seed) for seed in range(6)]
     scene_module._worlds.clear()
     first = prefetch_trials(batch, a)
     assert (len(truths), len(draws), channels) == (1, 1, [(6, 40)])
-    # under other noise, only the channel pass runs, and the cache keeps its trials
+    # under other noise: one truth, one draw and one channel pass over the
+    # whole batch, whose worlds replace the held ones
     second = prefetch_trials(batch, b)
-    assert (len(truths), len(draws), channels) == (1, 1, [(6, 40), (6, 40)])
-    assert all(x[:5] == y[:5] and y[5][0] == b for x, y in zip(first, second))
+    assert truths[1] == [scene for scene, _ in batch]
+    assert draws[1] == [(seed, scene.seed, 40) for scene, seed in batch]
+    assert channels == [(6, 40), (6, 40)]
+    for x, y in zip(first, second):
+        assert x.noise == a and y.noise == b and y.state is not x.state
+        assert x.truth.tobytes() == y.truth.tobytes() and x.g.tobytes() == y.g.tobytes()
     assert list(scene_module._worlds) == batch
-    # a fully cached request under the same noise, or under none, computes nothing
+    assert all(scene_module._worlds[key] is world for key, world in zip(batch, second))
+    # a request whose trials are all held under its noise computes nothing
     assert prefetch_trials(batch[2:], b) == second[2:]
-    assert prefetch_trials(batch[:1]) == second[:1]
     scene, seed = batch[4]
     state, labels = perceive_with_labels(scene, b, seed)
-    assert state is second[4][5][1] and labels is second[4][5][2]
-    assert (len(truths), len(draws), len(channels)) == (1, 1, 2)
-    # an observation with attention runs the channel on its own row
+    assert state is second[4].state and labels is second[4].labels
+    assert PlanningEnvironment(scene, b, seed).occluded_ids() == _reference_occluded(scene)
+    assert (len(truths), len(draws), len(channels)) == (2, 2, 2)
+    # an observation with attention under the held noise runs the channel on its own row
     perceive_with_labels(scene, b, seed, {"o1": 0.5})
-    assert (len(truths), len(draws), channels[2:]) == (1, 1, [(40,)])
+    assert (len(truths), len(draws), channels[2:]) == (2, 2, [(40,)])
+
+
+@pytest.mark.parametrize("attention", [({}, set()), ({"o1": 0.5}, {"o0"})], ids=["bare", "attended"])
+def test_an_observation_under_other_noise_is_a_batch_of_one(channel_passes, attention):
+    truths, draws, channels = channel_passes
+    a, b = BATCH_CONFIGS[:2]
+    batch = [(generate_scene(4, 0.8, seed), 100 + seed) for seed in range(6)]
+    scene_module._worlds.clear()
+    prefetch_trials(batch, a)
+    scene, seed = batch[2]
+    state, labels = perceive_with_labels(scene, b, seed, *attention)
+    _assert_same_observation(
+        state, labels, *_reference_perceive_with_labels(scene, b, seed, attention)
+    )
+    assert truths[1:] == [[scene]] and draws[1:] == [[(seed, scene.seed, 40)]]
+    assert channels[1:] == [(1, 40)] + [(40,)] * bool(attention[0])
+    assert list(scene_module._worlds) == [(scene, seed)]
+    assert scene_module._worlds[scene, seed].noise == b
 
 
 def test_a_refused_request_leaves_the_cache_as_it_was(channel_passes):
@@ -1388,8 +1476,9 @@ def test_a_refused_request_leaves_the_cache_as_it_was(channel_passes):
         batch[:2] + [(generate_scene(4, seed=9), 1)],  # two object sets
         batch[:2] + [(generate_scene(3, seed=9), 2**32)],  # two seed word counts
         batch[:2] + [(generate_scene(3, seed=9), -1)],  # a negative seed
+        batch[:2] + [(generate_scene(3, seed=9), 1.5)],  # a fractional seed
     ):
-        for noise in (None, BATCH_CONFIGS[1]):
+        for noise in BATCH_CONFIGS[:2]:
             with pytest.raises(ValueError):
                 prefetch_trials(request, noise)
             assert scene_module._worlds == kept
