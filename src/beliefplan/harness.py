@@ -66,6 +66,7 @@ from beliefplan.planner import (
     Goal,
     PlannerOptions,
     convergence_bound,
+    forget_searches,
     plan_under_uncertainty,
 )
 from beliefplan.scene import (
@@ -730,7 +731,9 @@ _DRIVERS = {
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    """Execute one experiment; deterministic in the config."""
+    """Execute one experiment; deterministic in the config.  The planner's
+    search store starts empty, so no run reuses another's searches."""
+    forget_searches()
     return _DRIVERS[config.kind](config)
 
 

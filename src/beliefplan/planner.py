@@ -250,7 +250,7 @@ def parse_goal(text: str) -> Goal:
 # search
 
 
-def _must_move_rules(goal_atoms: frozenset[Atom]):
+def _must_move_rules(goal_atoms: Sequence[Atom]):
     """The goal's side of :func:`_compile_heuristic`: ``displaced(x, y)``,
     whether a block x resting on y (None for the table) must move by the
     first two rules, plus the blocks the goal names and wants clear."""
@@ -284,6 +284,10 @@ class _Domain(NamedTuple):
     holds: dict[int, tuple[tuple[int, tuple], ...]]
     # support bit of block x -> (x's bit in a mask of blocks, mask of every on(z, x) bit)
     climb: dict[int, tuple[int, int]]
+
+    def mask(self, atoms: Iterable[Atom]) -> int:
+        """The bitmask of atoms that all have a bit here."""
+        return sum(map(self.bit.__getitem__, atoms))
 
 
 @functools.lru_cache(maxsize=64)
@@ -325,12 +329,10 @@ def _compile_domain(objects: tuple[str, ...]) -> _Domain:
 
 
 @functools.lru_cache(maxsize=64)
-def _compile_heuristic(
-    objects: tuple[str, ...], goal_atoms: frozenset[Atom]
-) -> Callable[[int], int]:
+def _compile_heuristic(objects: tuple[str, ...], goal: int) -> Callable[[int], int]:
     """The admissible must-move heuristic (Slaney and Thiébaux, "Blocks
     World revisited", AIJ 125, 2001) over the bitmasks of one sorted object
-    tuple.
+    tuple, towards the goal atoms whose bits ``goal`` sets.
 
     A placed block must move if the goal puts it on another support, if it
     rests on a block the goal wants clear or wants another block on, or if
@@ -345,7 +347,7 @@ def _compile_heuristic(
     """
     domain = _compile_domain(objects)
     bit, climb = domain.bit, domain.climb
-    displaced, named, want_clear = _must_move_rules(goal_atoms)
+    displaced, named, want_clear = _must_move_rules([a for a, b in bit.items() if goal & b])
     move = sum(bit[ontable(x)] for x in objects if displaced(x, None))
     move += sum(bit[on(x, y)] for x in objects for y in objects if x != y and displaced(x, y))
     held_named = sum(bit[holding(x)] for x in named)
@@ -378,14 +380,13 @@ def _compile_heuristic(
     return heuristic
 
 
-def _search(
-    init_atoms: frozenset[Atom], goal_atoms: frozenset[Atom], domain: _Domain
-) -> tuple[list[GroundedAction] | None, int]:
-    """A* over atom bitmasks; returns (optimal plan or None, expansion count),
-    or raises CapacityError past ``MAX_EXPANSIONS`` expansions.
+def _search(start: int, goal: int, domain: _Domain) -> tuple[list[GroundedAction] | None, int]:
+    """A* from the atom bitmask ``start`` to any state holding every bit of
+    ``goal``, both masks of ``domain``; returns (optimal plan or None,
+    expansion count), or raises CapacityError past ``MAX_EXPANSIONS``
+    expansions.
 
-    Start and goal may name only the domain's objects, so every atom they
-    hold has a bit.  Successors come from structure rather than a scan of
+    Successors come from structure rather than a scan of
     every move: with the hand empty, each clear block in sorted order has
     at most one applicable pick, found from its single support bit;
     holding x, the successors are place(x, y) for each clear y in y order,
@@ -400,10 +401,7 @@ def _search(
     of equal f on the way to the goal.
     """
     cap = MAX_EXPANSIONS
-    bit = domain.bit
-    start = sum(bit[atom] for atom in init_atoms)
-    goal = sum(bit[atom] for atom in goal_atoms)
-    heuristic = _compile_heuristic(domain.objects, goal_atoms)
+    heuristic = _compile_heuristic(domain.objects, goal)
 
     handempty_bit, holding_mask, picks, holds = (
         domain.handempty, domain.holding, domain.picks, domain.holds
@@ -458,8 +456,20 @@ def astar(init: SymbolicWorldState, goal: Goal) -> list[GroundedAction] | None:
     moves).  Raises CapacityError past ``MAX_EXPANSIONS`` expansions.
     """
     domain = _compile_domain(tuple(sorted(init.objects() | goal.objects())))
-    plan, _ = _search(init.atoms, goal.atoms(), domain)
+    plan, _ = _search(domain.mask(init.atoms), domain.mask(goal.atoms()), domain)
     return plan
+
+
+# The searches of the current run, each made once: (objects, start mask,
+# goal mask, cap) -> (plan or None, expansions, whether the cap stopped it).
+# Keys are plain ints and tuples, which hold less memory than atom sets.
+_searches: dict[tuple[tuple[str, ...], int, int, int], tuple[tuple | None, int, bool]] = {}
+
+
+def forget_searches() -> None:
+    """Empty the search store that :func:`plan_under_uncertainty` reads;
+    ``harness.run`` calls it as each run starts."""
+    _searches.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +596,8 @@ class PlanningEpisode:
     success: bool
     info_action_count: int
     plan: list[GroundedAction] | None
-    expansions: int
-    cap_hits: int  # searches stopped at MAX_EXPANSIONS; not exported
+    expansions: int  # summed over its searches, a served search counting its stored ones
+    cap_hits: int  # searches stopped at MAX_EXPANSIONS, served ones too; not exported
     first_belief: ProbabilisticState  # the belief formed in round 0
 
 
@@ -610,6 +620,12 @@ def plan_under_uncertainty(
     no plan, or stops at ``MAX_EXPANSIONS`` (a cap hit, whose expansions
     still count), gives the round up and the loop goes on.  A goal that
     names an object the environment does not have raises ValueError.
+
+    Each distinct search (objects, start, goal and cap) runs once until
+    :func:`forget_searches`; a repeat is served from the store, and still
+    counts its stored expansions and cap hit, so the episode's counts, and
+    the modeled time and summaries the harness derives from them, are the
+    same as if it had searched again.
 
     ``first_belief``, when given, is round 0's belief, used in place of
     that round's observation and its MRF refinement.  Precondition, not
@@ -634,6 +650,7 @@ def plan_under_uncertainty(
     success = False
     domain = _compile_domain(tuple(sorted(set(objects))))
     goal_atoms = goal.atoms()
+    goal_mask = domain.mask(goal_atoms)
 
     for round_idx in range(max_retries):
         if round_idx or belief is None:
@@ -659,17 +676,24 @@ def plan_under_uncertainty(
                 continue
 
         world = world_state_from_beliefs(belief, part.certain_true, objects)
-        try:
-            plan, expansions = _search(world.atoms, goal_atoms, domain)
-        except CapacityError:
-            plan, expansions = None, MAX_EXPANSIONS
-            cap_hits += 1
+        start = domain.mask(world.atoms)
+        key = (domain.objects, start, goal_mask, MAX_EXPANSIONS)
+        searched = _searches.get(key)
+        if searched is None:
+            try:
+                plan, expansions = _search(start, goal_mask, domain)
+                searched = (None if plan is None else tuple(plan), expansions, False)
+            except CapacityError:
+                searched = (None, MAX_EXPANSIONS, True)
+            _searches[key] = searched
+        plan, expansions, capped = searched
+        cap_hits += capped
         expansions_total += expansions
         if plan is None:
             records.append(IterationRecord(round_idx, u_state, *sizes, "give_up", None, None))
             continue
         success = env.execute(plan, goal_atoms)
-        final_plan = plan
+        final_plan = list(plan)
         records.append(IterationRecord(round_idx, u_state, *sizes, "plan", None, len(plan)))
         break
 

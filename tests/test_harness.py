@@ -668,6 +668,31 @@ class TestBenchmarkSharesRoundZero:
             refines.clear()
         assert counts[0] == counts[1] and counts[0][1] > 0
 
+    def test_each_run_searches_afresh(self, monkeypatch):
+        # the search store starts empty at each run, and within a run a
+        # projected world that repeats is searched once
+        searches = _count_calls(monkeypatch, planner, "_search")
+        episodes = []
+        original = harness.plan_under_uncertainty
+
+        def recording(*args, **kwargs):
+            episodes.append(original(*args, **kwargs))
+            return episodes[-1]
+
+        monkeypatch.setattr(harness, "plan_under_uncertainty", recording)
+        config = ExperimentConfig(kind="threshold-sweep", seed=9, trials=8)
+        counts = []
+        for _ in range(2):
+            run(config)
+            plan_rounds = sum(
+                r.action_kind in ("plan", "give_up") for e in episodes for r in e.iterations
+            )
+            counts.append((len(searches), plan_rounds))
+            searches.clear()
+            episodes.clear()
+        assert counts[0] == counts[1]
+        assert 0 < counts[0][0] < counts[0][1]
+
 
 class TestMrfCheckKind:
     def test_schema_and_tightening(self):

@@ -474,24 +474,26 @@ class TestSearchMatchesReference:
         objects = tuple(sorted(set(objects)))
         popped = []
         outcomes = []
+        domain = planner._compile_domain(objects)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(planner, "MAX_EXPANSIONS", cap)
             for search in (
                 functools.partial(
-                    _reference_search, actions=ground_domain(objects), max_expansions=cap,
+                    _reference_search, init.atoms, goal_atoms, ground_domain(objects), cap,
                     popped=popped,
                 ),
-                functools.partial(planner._search, domain=planner._compile_domain(objects)),
+                functools.partial(
+                    planner._search, domain.mask(init.atoms), domain.mask(goal_atoms), domain
+                ),
             ):
                 try:
-                    outcomes.append(search(init.atoms, goal_atoms))
+                    outcomes.append(search())
                 except CapacityError:
                     outcomes.append("capped")
         assert outcomes[1] == outcomes[0]
-        bit = planner._compile_domain(objects).bit
-        heuristic = planner._compile_heuristic(objects, goal_atoms)
+        heuristic = planner._compile_heuristic(objects, domain.mask(goal_atoms))
         for atoms in popped:
-            assert heuristic(sum(bit[a] for a in atoms)) == must_move_heuristic(atoms, goal_atoms)
+            assert heuristic(domain.mask(atoms)) == must_move_heuristic(atoms, goal_atoms)
         return outcomes[0]
 
     def test_random_instances(self):
@@ -556,8 +558,9 @@ class TestSearchMatchesReference:
     def search_outcomes(worlds):
         """(plan length, expansions) of the bitmask search on each world."""
         for world, objects, goal in worlds:
+            domain = planner._compile_domain(objects)
             plan, expansions = planner._search(
-                world.atoms, goal.atoms(), planner._compile_domain(objects)
+                domain.mask(world.atoms), domain.mask(goal.atoms()), domain
             )
             yield len(plan), expansions
 
@@ -920,6 +923,59 @@ class TestClosedLoop:
         assert not episode.success and episode.plan is None
         assert episode.cap_hits == 3
         assert episode.expansions == 3  # the cap, once per capped search
+
+    @staticmethod
+    def counted_searches(monkeypatch):
+        """The calls of ``planner._search``, from an empty search store."""
+        planner.forget_searches()
+        calls = []
+        search = planner._search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(planner, "_search", counted)
+        return calls
+
+    @staticmethod
+    def noiseless_episode(**kwargs):
+        scene = generate_scene(3, stack_bias=0.0, seed=4)
+        env = PlanningEnvironment(scene, NoiseConfig(), seed=0)
+        return plan_under_uncertainty(env, parse_goal("On(o0,o1) & On(o1,o2)"), **kwargs)
+
+    def test_a_repeated_search_runs_once(self, monkeypatch):
+        searches = self.counted_searches(monkeypatch)
+        first, again = self.noiseless_episode(), self.noiseless_episode()
+        assert len(searches) == 1
+        assert again.plan == first.plan and len(first.plan) == 4
+        assert again.expansions == first.expansions > 0
+        # what the store serves is what a fresh search returns
+        assert planner._search(*searches[0]) == (first.plan, first.expansions)
+
+    def test_a_search_capped_under_a_lower_cap_still_plans(self, monkeypatch):
+        searches = self.counted_searches(monkeypatch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "MAX_EXPANSIONS", 1)
+            capped = self.noiseless_episode(max_retries=1)
+        planned = self.noiseless_episode(max_retries=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "MAX_EXPANSIONS", 1)
+            capped_again = self.noiseless_episode(max_retries=1)
+        assert len(searches) == 2  # once under each cap
+        assert (capped.cap_hits, capped.expansions, capped.plan) == (1, 1, None)
+        assert (capped_again.cap_hits, capped_again.expansions, capped_again.plan) == (1, 1, None)
+        assert planned.success and planned.cap_hits == 0 and len(planned.plan) == 4
+
+    def test_editing_an_episodes_plan_leaves_later_episodes_alone(self, monkeypatch):
+        searches = self.counted_searches(monkeypatch)
+        first = self.noiseless_episode()
+        plan = list(first.plan)
+        first.plan.reverse()
+        first.plan.pop()
+        again = self.noiseless_episode()
+        assert len(searches) == 1
+        assert again.plan == plan and again.success
 
     def test_goal_naming_unknown_object_rejected(self):
         scene = generate_scene(3, seed=0)
